@@ -122,12 +122,12 @@ func (db *DB) QueryCellContext(ctx context.Context, cell int, eta float64) (*Res
 // FetchContext is Fetch bounded by ctx; an expired deadline aborts the
 // remaining payload reads (items already fetched keep their accounting).
 func (db *DB) FetchContext(ctx context.Context, r *Result) error {
-	return fetchOnContext(ctx, db.tree, r)
+	return fetchOn(ctx, db.tree, r)
 }
 
 // QueryContext is Session.Query bounded by ctx; see DB.QueryContext.
 func (s *Session) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
+	cell := s.grid().Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
@@ -136,10 +136,11 @@ func (s *Session) QueryContext(ctx context.Context, p Point, eta float64) (*Resu
 
 // QueryCellContext is Session.QueryCell bounded by ctx.
 func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	t, err := s.route(cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.QueryContext(ctx, cells.CellID(cell), eta)
+	r, err := t.QueryContext(ctx, cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +151,7 @@ func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (
 // canceled warm-path query aborts outright — it does not fall back to a
 // second, full traversal the caller no longer wants.
 func (s *Session) QueryCoherentContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
+	cell := s.grid().Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
@@ -159,10 +160,11 @@ func (s *Session) QueryCoherentContext(ctx context.Context, p Point, eta float64
 
 // QueryCellCoherentContext is Session.QueryCellCoherent bounded by ctx.
 func (s *Session) QueryCellCoherentContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	t, err := s.route(cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.QueryCoherentContext(ctx, cells.CellID(cell), eta)
+	r, err := t.QueryCoherentContext(ctx, cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
@@ -171,5 +173,9 @@ func (s *Session) QueryCellCoherentContext(ctx context.Context, cell int, eta fl
 
 // FetchContext is Session.Fetch bounded by ctx.
 func (s *Session) FetchContext(ctx context.Context, r *Result) error {
-	return fetchOnContext(ctx, s.tree, r)
+	t, err := s.route(int(r.inner.Cell))
+	if err != nil {
+		return err
+	}
+	return fetchOn(ctx, t, r)
 }

@@ -81,11 +81,13 @@ func (t *Tree) Shed() *ShedPolicy {
 	return t.shed.p.Load()
 }
 
-// travCtx carries the per-query control state — the caller's context and
-// the shed policy snapshot — through the traversal recursion.
+// travCtx carries the per-query control state — the caller's context,
+// the shed policy snapshot, and a prioritized query's frustum — through
+// the traversal recursion.
 type travCtx struct {
-	ctx  context.Context
-	shed *ShedPolicy
+	ctx     context.Context
+	shed    *ShedPolicy
+	frustum *geom.Frustum
 }
 
 // err is the cooperative cancellation checkpoint, polled at every node

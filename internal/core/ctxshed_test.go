@@ -192,6 +192,38 @@ func TestShedMaxDepth(t *testing.T) {
 	if truncated == 0 || truncated != len(res.Items) {
 		t.Fatalf("%d truncation records for %d items — shedding went silent", truncated, len(res.Items))
 	}
+
+	// Every driver truncates identically: the parallel planning pass and
+	// the coherent path (which delegates to the full query while
+	// shedding) give the serial answer, Degradations included.
+	par := tr.Session()
+	par.SetParallel(4)
+	coh := tr.Session()
+	for _, depth := range []int{1, 2} {
+		tr.SetShed(&ShedPolicy{MaxDepth: depth})
+		for c := 0; c < tr.Grid.NumCells(); c++ {
+			cell := cells.CellID(c)
+			want, err := tr.Query(cell, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []struct {
+				name string
+				run  func() (*QueryResult, error)
+			}{
+				{"parallel", func() (*QueryResult, error) { return par.Query(cell, 0) }},
+				{"coherent", func() (*QueryResult, error) { return coh.QueryCoherent(cell, 0) }},
+			} {
+				got, err := d.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.Degradations, want.Degradations) {
+					t.Fatalf("depth %d cell %d: %s truncation diverged from serial", depth, c, d.name)
+				}
+			}
+		}
+	}
 }
 
 // TestShedSharedWithSessions: the policy slot installed before sessions

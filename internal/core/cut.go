@@ -75,16 +75,14 @@ type cutState struct {
 // for fidelity control. Not safe for concurrent use — like every other
 // method of one session.
 func (t *Tree) QueryCoherentContext(ctx context.Context, cell cells.CellID, eta float64) (*QueryResult, error) {
-	if t.vstore == nil {
-		return nil, ErrNoVStore
-	}
-	if eta < 0 {
-		eta = 0
-	}
-	if t.Shed().active() {
-		t.InvalidateCut()
-		return t.QueryContext(ctx, cell, eta)
-	}
+	return t.query(ctx, cell, eta, true, nil)
+}
+
+// searchCoherent answers into res through the session's retained cut,
+// reseeding it (the bare root) when cold or when η changed. Any error
+// drops the cut, which may be half-rewritten; the caller falls back to
+// the full traversal.
+func (t *Tree) searchCoherent(tc travCtx, cell cells.CellID, eta float64, res *QueryResult) error {
 	if t.cut == nil {
 		t.cut = &cutState{}
 	}
@@ -94,42 +92,16 @@ func (t *Tree) QueryCoherentContext(ctx context.Context, cell cells.CellID, eta 
 		cs.eta = eta
 		cs.valid = true
 	}
-	tc, _, done := t.begin(ctx, eta)
-	defer done()
-	before := t.statsNow()
-	res := t.getResult(cell, eta)
 	err := t.vstore.SetCell(cell)
 	if err == nil {
 		err = t.searchCut(tc, cs.root, eta, res)
 	}
 	if err != nil {
-		// Fail fast: drop the cut and answer with a full traversal, which
-		// absorbs (or reports) the fault exactly as a cold query would.
-		// The wasted incremental reads stay on this session's account;
-		// the returned result's Stats cover only the full traversal.
-		// Cancellation is different: an abandoned query must not buy a
-		// second traversal, so context errors abort outright (the cut is
-		// still dropped — it may be half-rewritten).
-		cs.valid = false
-		cs.root = nil
-		t.Recycle(res)
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		cs.stats.Full++
-		return t.QueryContext(ctx, cell, eta)
+		t.InvalidateCut()
+		return err
 	}
 	cs.stats.Incremental++
-	d := t.statsNow().Sub(before)
-	res.Stats.LightIO = d.LightReads
-	res.Stats.HeavyIO = d.HeavyReads
-	res.Stats.Retries = d.Retries
-	res.Stats.SimTime = d.SimTime
-	for _, it := range res.Items {
-		res.Stats.TotalPolygons += it.Polygons
-		res.Stats.TotalBytes += it.Extent.NominalBytes
-	}
-	return res, nil
+	return nil
 }
 
 // CoherenceStats returns this session's incremental-traversal counters.
@@ -194,13 +166,14 @@ func (cn *cutNode) child(id NodeID) *cutNode {
 	return nil
 }
 
-// searchCut is searchNode re-rooted on the retained cut: the same Figure 3
-// decisions in the same entry order — so the same Items — but node records
-// come from the cut where retained, and the cut is rewritten in place to
-// the new traversal's shape. Always serial: the cut structure is the
-// shared mutable state a fan-out would have to lock, and the records it
-// saves are exactly the reads parallelism would have overlapped. No fault
-// absorption here — any error aborts to the caller's full-query fallback.
+// searchCut is the coherent driver of decide: searchNode re-rooted on
+// the retained cut — the same decisions in the same entry order, so the
+// same Items — but node records come from the cut where retained, and the
+// cut is rewritten in place to the new traversal's shape. Always serial:
+// the cut structure is the shared mutable state a fan-out would have to
+// lock, and the records it saves are exactly the reads parallelism would
+// have overlapped. No fault absorption and no shedding here — any error
+// aborts to the full-query fallback, and a shedding query never gets here.
 func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult) error {
 	if err := tc.err(); err != nil {
 		return err
@@ -224,49 +197,13 @@ func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult)
 		return fmt.Errorf("core: node %d has %d entries but V-page has %d", cn.id, len(node.Entries), len(vd))
 	}
 	var keep []*cutNode
-	for ei, e := range node.Entries {
-		v := vd[ei]
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
-			if !node.Leaf && cn.child(e.ChildID) != nil {
-				t.cut.stats.Collapsed++
-			}
-			continue
-		}
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID,
-				NodeID:   NilNode,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1,
-				NodeID:   e.ChildID,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
+	var it ResultItem
+	for ei := range node.Entries {
+		e := &node.Entries[ei]
+		act := t.decide(node.Leaf, e, vd[ei], eta, false, &it)
+		if act != actDescend {
+			res.record(act, &it)
+			// Only a subtree retained from the last query collapses.
 			if cn.child(e.ChildID) != nil {
 				t.cut.stats.Collapsed++
 			}

@@ -69,9 +69,14 @@ func (t *Tree) Recycle(res *QueryResult) {
 	if t.resPool == nil || res == nil {
 		return
 	}
+	res.reset()
+	t.resPool.put(res)
+}
+
+// reset empties res in place, keeping its slices' capacity.
+func (res *QueryResult) reset() {
 	res.Items = res.Items[:0]
 	res.Degradations = res.Degradations[:0]
 	res.Stats = QueryStats{}
 	res.substituted = nil
-	t.resPool.put(res)
 }

@@ -82,6 +82,23 @@ var ErrNoVStore = errors.New("core: no storage scheme attached (call SetVStore)"
 // Degradations. With a background context and no policy the behavior —
 // and the answer — is byte-identical to Query's.
 func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64) (*QueryResult, error) {
+	return t.query(ctx, cell, eta, false, nil)
+}
+
+// query is the one prologue and epilogue behind every query form: it
+// clamps η, snapshots the control state once (begin), flips the cell,
+// runs a driver of the Figure 3 decision, absorbs a failed root access
+// (rootFallback), marks η shedding, and fills Stats. coherent selects the
+// retained-cut driver; a non-nil frustum orders the serial driver's
+// visits (QueryPrioritizedContext). The driver rules:
+//
+//   - coherent delegates to the full traversal while shedding — the cut
+//     is valid for one η, and a policy-relaxed η would thrash it — and
+//     after any fault on the warm path;
+//   - prioritized is serial, so its frustum order is the emission order;
+//   - parallel fans descents out but merges in entry order, so its answer
+//     is the serial one.
+func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, coherent bool, f *geom.Frustum) (*QueryResult, error) {
 	if t.vstore == nil {
 		return nil, ErrNoVStore
 	}
@@ -90,17 +107,41 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 	}
 	tc, eff, done := t.begin(ctx, eta)
 	defer done()
+	tc.frustum = f
 	before := t.statsNow()
 	res := t.getResult(cell, eta)
-	if err := t.vstore.SetCell(cell); err != nil {
-		if !t.rootFallback(res, err, CauseCellFlip) {
-			return nil, fmt.Errorf("core: cell flip: %w", err)
+	full := !coherent || tc.shed != nil
+	if !full {
+		if err := t.searchCoherent(tc, cell, eff, res); err != nil {
+			// Fail fast: the cut is dropped and a full traversal absorbs
+			// (or reports) the fault exactly as a cold query would. The
+			// wasted incremental reads stay on this session's account; the
+			// returned Stats cover only the full traversal. An abandoned
+			// query must not buy a second traversal, so context errors
+			// abort outright.
+			if ctx.Err() != nil {
+				t.Recycle(res)
+				return nil, err
+			}
+			t.cut.stats.Full++
+			res.reset()
+			before = t.statsNow()
+			full = true
 		}
-	} else if err := t.searchNode(tc, 0, eff, res, nil); err != nil {
-		// Only the root's own record/V-page failures reach here; deeper
-		// faults are absorbed at their recursion sites.
-		if !t.rootFallback(res, err, CauseNodeRecord) {
-			return nil, err
+	} else if coherent {
+		t.InvalidateCut()
+	}
+	if full {
+		if err := t.vstore.SetCell(cell); err != nil {
+			if !t.rootFallback(res, err, CauseCellFlip) {
+				return nil, fmt.Errorf("core: cell flip: %w", err)
+			}
+		} else if err := t.searchNode(tc, 0, eff, res, nil); err != nil {
+			// Only the root's own record/V-page failures reach here; deeper
+			// faults are absorbed at their recursion sites.
+			if !t.rootFallback(res, err, CauseNodeRecord) {
+				return nil, err
+			}
 		}
 	}
 	tc.shedMark(res)
@@ -116,10 +157,112 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 	return res, nil
 }
 
-// searchNode is Algorithm Search(Node) of Figure 3. anc is the ancestor
-// ladder of internal-LoD sources used by fault-tolerant substitution (nil
-// at the root; see degrade.go). tc carries the cancellation checkpoint
-// (polled here, once per node expansion) and the shed policy.
+// entryAction is the Figure 3 outcome for one entry of a visited node.
+type entryAction uint8
+
+const (
+	actCut     entryAction = iota // line 3: hidden branch, pruned
+	actItem                       // lines 5 and 8: emit the item
+	actShed                       // shed truncation: emit the item plus a CauseShed Degradation
+	actDescend                    // line 10: recurse into the child
+)
+
+// decide is the per-entry rule of Search(Node), Figure 3 — the single copy
+// every driver calls. For actItem and actShed it writes the answer to emit
+// into it; for actDescend it writes only the entry's DoV and equation-5
+// detail, which fault substitution needs. (it is an out-parameter so the
+// item is built once, in the caller's frame.) truncate reports whether the
+// shed policy cuts the traversal at this node's depth (travCtx.truncate).
+//
+// hdov:hot-path
+func (t *Tree) decide(leaf bool, e *NodeEntry, v VD, eta float64, truncate bool, it *ResultItem) entryAction {
+	// Line 3: completely hidden branch.
+	if v.DoV <= 0 {
+		return actCut
+	}
+	// Lines 4-5: visible object.
+	if leaf {
+		k := LeafDetail(v.DoV)
+		lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
+		*it = ResultItem{
+			ObjectID: e.ObjectID,
+			NodeID:   NilNode,
+			DoV:      v.DoV,
+			Detail:   k,
+			Level:    lvl,
+			Polygons: t.Scene.Object(e.ObjectID).LoDs.PolygonsFor(k),
+			Extent:   t.ObjExtents[e.ObjectID][lvl],
+		}
+		return actItem
+	}
+	// Line 7: the equation-5 detail k is computed first because the guard
+	// compares costs at the internal-LoD level that would actually be
+	// retrieved (see TerminateHeuristic). An entry without LoD references
+	// — possible only for hand-built trees — always recurses.
+	k := InternalDetail(v.DoV, eta)
+	act := actDescend
+	if len(e.LoDRefs) > 0 {
+		avgObjPolys := 0.0
+		if e.DescCount > 0 {
+			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
+		}
+		if v.DoV <= eta && (t.DisableTerminationHeuristic ||
+			TerminateHeuristic(interpolatePolys(e.LoDPolys, k), avgObjPolys, t.RhoMeasured, v.NVO)) {
+			// Line 8: answer the branch with the child's internal LoD,
+			// whose references are co-located in the entry.
+			act = actItem
+		} else if truncate {
+			// At the shed policy's depth limit the branch answers with the
+			// child's internal LoD even though η says descend.
+			act = actShed
+		}
+	}
+	if act == actDescend {
+		*it = ResultItem{ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV, Detail: k}
+		return act
+	}
+	lvl := chooseLevel(k, len(e.LoDRefs))
+	*it = ResultItem{
+		ObjectID: -1,
+		NodeID:   e.ChildID,
+		DoV:      v.DoV,
+		Detail:   k,
+		Level:    lvl,
+		Polygons: interpolatePolys(e.LoDPolys, k),
+		Extent:   e.LoDRefs[lvl],
+	}
+	return act
+}
+
+// record applies a decision other than actDescend to res: a pruned branch
+// is counted, an item is appended (an internal LoD counts an early stop),
+// and a shed truncation also records its CauseShed Degradation — shedding
+// is never silent.
+func (res *QueryResult) record(act entryAction, it *ResultItem) {
+	if act == actCut {
+		res.Stats.BranchesCut++
+		return
+	}
+	res.Items = append(res.Items, *it)
+	if !it.IsInternal() {
+		return
+	}
+	res.Stats.EarlyStops++
+	if act == actShed {
+		res.Degradations = append(res.Degradations, Degradation{
+			Cell: res.Cell, Node: it.NodeID, Object: -1,
+			Cause: CauseShed, Page: storage.NilPage,
+			SubstituteNode: it.NodeID, SubstituteLevel: it.Level,
+		})
+	}
+}
+
+// searchNode is Algorithm Search(Node) of Figure 3: the serial driver of
+// decide. anc is the ancestor ladder of internal-LoD sources used by
+// fault-tolerant substitution (nil at the root; see degrade.go). tc
+// carries the cancellation checkpoint (polled here, once per node
+// expansion), the shed policy, and the frustum of a prioritized query,
+// whose visit order keeps it on this serial driver.
 //
 // hdov:hot-path
 func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, anc []lodSource) error {
@@ -144,77 +287,21 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	if len(vd) < len(node.Entries) {
 		return fmt.Errorf("core: node %d has %d entries but V-page has %d", id, len(node.Entries), len(vd))
 	}
-	if t.parSem != nil && !node.Leaf {
+	if t.parSem != nil && !node.Leaf && tc.frustum == nil {
 		return t.searchEntriesParallel(tc, node, vd, eta, res, anc)
 	}
-	for ei, e := range node.Entries {
-		v := vd[ei]
-		// Line 3: completely hidden branch.
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
-			continue
+	order := frustumOrder(node.Entries, tc.frustum)
+	trunc := tc.truncate(len(anc))
+	var it ResultItem
+	for i := range node.Entries {
+		ei := i
+		if order != nil {
+			ei = order[i]
 		}
-		// Lines 4-5: visible object.
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID,
-				NodeID:   NilNode,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		// Line 7: the equation-5 detail k is computed first because the
-		// guard compares costs at the internal-LoD level that would
-		// actually be retrieved (see TerminateHeuristic).
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			// Line 8: answer the branch with the child's internal LoD,
-			// whose references are co-located in the entry. (An entry
-			// without LoD references — possible only for hand-built
-			// trees — falls through to recursion.)
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1,
-				NodeID:   e.ChildID,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			continue
-		}
-		// Shed truncation: at the policy's depth limit the branch answers
-		// with the child's internal LoD even though η says descend —
-		// recorded as a CauseShed Degradation, never silent.
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
+		e := &node.Entries[ei]
+		act := t.decide(node.Leaf, e, vd[ei], eta, trunc, &it)
+		if act != actDescend {
+			res.record(act, &it)
 			continue
 		}
 		// Line 10: recurse. The child's internal-LoD references (already
@@ -225,84 +312,71 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 			if !ok {
 				return err
 			}
-			t.substitute(res, childAnc, e.ChildID, v.DoV, k, cause, page)
+			t.substitute(res, childAnc, e.ChildID, it.DoV, it.Detail, cause, page)
 		}
 	}
 	return nil
 }
 
-// entryPlan is the per-entry outcome of the planning pass of a parallel
-// fan-out: pruned, answered by an early-stop internal LoD, or descended
-// into a child subtree whose sub-result merges back in entry order.
+// frustumOrder is the visit order of a prioritized query (nil for every
+// other query): frustum-intersecting entries first, then those whose bulk
+// lies ahead of the viewer (an intersecting box centered behind the eye
+// mostly holds behind-geometry), then nearest first.
+func frustumOrder(entries []NodeEntry, f *geom.Frustum) []int {
+	if f == nil {
+		return nil
+	}
+	order := make([]int, len(entries))
+	inView := make([]bool, len(entries))
+	ahead := make([]bool, len(entries))
+	dist := make([]float64, len(entries))
+	for i, e := range entries {
+		order[i] = i
+		inView[i] = f.IntersectsAABB(e.MBR)
+		ahead[i] = e.MBR.Center().Sub(f.Apex).Dot(f.Look) >= 0
+		dist[i] = e.MBR.Dist2ToPoint(f.Apex)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if inView[ia] != inView[ib] {
+			return inView[ia]
+		}
+		if ahead[ia] != ahead[ib] {
+			return ahead[ia]
+		}
+		return dist[ia] < dist[ib]
+	})
+	return order
+}
+
+// entryPlan is one entry's decision in a parallel fan-out, and for a
+// descent the child subtree's sub-result that merges back in entry order.
 type entryPlan struct {
-	cut      bool
-	item     ResultItem // early-stop item (line 8 of Figure 3)
-	hasItem  bool
-	recurse  bool
+	act      entryAction
+	item     ResultItem
 	childAnc []lodSource
-	dov, k   float64
 	sub      *QueryResult
 	err      error
 }
 
-// searchEntriesParallel is the bounded-fan-out form of the entry loop of
-// searchNode for internal nodes. A planning pass makes the per-entry
-// decisions (which need only the already-read node record and V-page),
-// then child descents run on up to Parallel workers, then sub-results
-// merge serially in entry index order — so the answer set, degradation
-// events, and traversal stats are identical to the serial traversal's.
+// searchEntriesParallel is the bounded-fan-out driver of decide for
+// internal nodes. A planning pass makes the per-entry decisions (which
+// need only the already-read node record and V-page), then child descents
+// run on up to Parallel workers, then every decision is applied serially
+// in entry index order — so the answer set, degradation events, and
+// traversal stats are identical to the serial traversal's.
 //
 // hdov:hot-path
 func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float64, res *QueryResult, anc []lodSource) error {
 	plans := make([]entryPlan, len(node.Entries))
-	for ei, e := range node.Entries {
-		v := vd[ei]
+	trunc := tc.truncate(len(anc))
+	for ei := range node.Entries {
+		e := &node.Entries[ei]
 		p := &plans[ei]
-		if v.DoV <= 0 {
-			p.cut = true
-			res.Stats.BranchesCut++
+		p.act = t.decide(node.Leaf, e, vd[ei], eta, trunc, &p.item)
+		if p.act != actDescend {
 			continue
 		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			p.item = ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			}
-			p.hasItem = true
-			res.Stats.EarlyStops++
-			continue
-		}
-		// Shed truncation, mirroring the serial loop (the planning pass
-		// runs on one goroutine, so the Degradation order is stable).
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			p.item = ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			}
-			p.hasItem = true
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
-			continue
-		}
-		p.recurse = true
-		p.dov, p.k = v.DoV, k
 		// The three-index slice caps capacity so concurrent appends cannot
 		// alias one backing array across sibling subtrees.
 		p.childAnc = append(anc[:len(anc):len(anc)],
@@ -315,7 +389,7 @@ func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float6
 	var wg sync.WaitGroup
 	for i := range plans {
 		p := &plans[i]
-		if !p.recurse {
+		if p.act != actDescend {
 			continue
 		}
 		child := node.Entries[i].ChildID
@@ -338,11 +412,8 @@ func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float6
 	// order a serial traversal would produce.
 	for i := range plans {
 		p := &plans[i]
-		if p.hasItem {
-			res.Items = append(res.Items, p.item)
-			continue
-		}
-		if !p.recurse {
+		if p.act != actDescend {
+			res.record(p.act, &p.item)
 			continue
 		}
 		if p.err != nil {
@@ -350,7 +421,7 @@ func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float6
 			if !ok {
 				return p.err
 			}
-			t.substitute(res, p.childAnc, node.Entries[i].ChildID, p.dov, p.k, cause, page)
+			t.substitute(res, p.childAnc, node.Entries[i].ChildID, p.item.DoV, p.item.Detail, cause, page)
 			t.Recycle(p.sub)
 			continue
 		}
@@ -523,150 +594,7 @@ func (t *Tree) LoadMesh(it ResultItem) (*mesh.Mesh, error) {
 // receives in-view geometry earliest. The result carries, per item, the
 // prefix position at which it became available; tests measure
 // time-to-first-in-view-item. Context and shed semantics match
-// QueryContext's.
+// QueryContext's; the traversal is serial even on a parallel tree.
 func (t *Tree) QueryPrioritizedContext(ctx context.Context, cell cells.CellID, eta float64, f geom.Frustum) (*QueryResult, error) {
-	if t.vstore == nil {
-		return nil, ErrNoVStore
-	}
-	if eta < 0 {
-		eta = 0
-	}
-	tc, eff, done := t.begin(ctx, eta)
-	defer done()
-	before := t.statsNow()
-	res := &QueryResult{Cell: cell, Eta: eta}
-	if err := t.vstore.SetCell(cell); err != nil {
-		if !t.rootFallback(res, err, CauseCellFlip) {
-			return nil, err
-		}
-	} else if err := t.searchNodePrioritized(tc, 0, eff, f, res, nil); err != nil {
-		if !t.rootFallback(res, err, CauseNodeRecord) {
-			return nil, err
-		}
-	}
-	tc.shedMark(res)
-	d := t.statsNow().Sub(before)
-	res.Stats.LightIO = d.LightReads
-	res.Stats.HeavyIO = d.HeavyReads
-	res.Stats.Retries = d.Retries
-	res.Stats.SimTime = d.SimTime
-	for _, it := range res.Items {
-		res.Stats.TotalPolygons += it.Polygons
-		res.Stats.TotalBytes += it.Extent.NominalBytes
-	}
-	return res, nil
-}
-
-// searchNodePrioritized is searchNode with a frustum-driven visit order
-// (see QueryPrioritizedContext); the answer set is identical, only the
-// emission order differs.
-//
-// hdov:hot-path
-func (t *Tree) searchNodePrioritized(tc travCtx, id NodeID, eta float64, f geom.Frustum, res *QueryResult, anc []lodSource) error {
-	if err := tc.err(); err != nil {
-		return err
-	}
-	node, err := t.ReadNodeRecord(id)
-	if err != nil {
-		return err
-	}
-	res.Stats.NodesVisited++
-	if len(anc) == 0 {
-		anc = []lodSource{{node: id, refs: node.InternalExtents, polys: node.InternalPolys}}
-	}
-	vd, ok, err := t.vstore.NodeVD(id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	// Order entries: frustum-intersecting first, then those whose bulk
-	// lies ahead of the viewer (an intersecting box centered behind the
-	// eye mostly holds behind-geometry), then nearest first.
-	order := make([]int, len(node.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	inView := make([]bool, len(node.Entries))
-	ahead := make([]bool, len(node.Entries))
-	dist := make([]float64, len(node.Entries))
-	for i, e := range node.Entries {
-		inView[i] = f.IntersectsAABB(e.MBR)
-		ahead[i] = e.MBR.Center().Sub(f.Apex).Dot(f.Look) >= 0
-		dist[i] = e.MBR.Dist2ToPoint(f.Apex)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if inView[ia] != inView[ib] {
-			return inView[ia]
-		}
-		if ahead[ia] != ahead[ib] {
-			return ahead[ia]
-		}
-		return dist[ia] < dist[ib]
-	})
-	for _, ei := range order {
-		e := node.Entries[ei]
-		v := vd[ei]
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
-			continue
-		}
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID, NodeID: NilNode, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			continue
-		}
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
-			continue
-		}
-		childAnc := append(anc, lodSource{node: e.ChildID, refs: e.LoDRefs, polys: e.LoDPolys})
-		if err := t.searchNodePrioritized(tc, e.ChildID, eta, f, res, childAnc); err != nil {
-			cause, page, ok := t.absorbFault(err, e.ChildID)
-			if !ok {
-				return err
-			}
-			t.substitute(res, childAnc, e.ChildID, v.DoV, k, cause, page)
-		}
-	}
-	return nil
+	return t.query(ctx, cell, eta, false, &f)
 }

@@ -183,7 +183,7 @@ func TestShardDifferential(t *testing.T) {
 						return s.QueryCell(c, diffEta)
 					})
 					check("coherent", func(s *Session, c cells.CellID) (*core.QueryResult, error) {
-						return s.QueryCellCoherent(c, diffEta)
+						return s.RouteTree(c).QueryCoherent(c, diffEta)
 					})
 					r.SetParallel(4)
 					check("parallel", func(s *Session, c cells.CellID) (*core.QueryResult, error) {

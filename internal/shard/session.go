@@ -33,21 +33,11 @@ func (s *Session) Grid() *cells.Grid { return s.tab.Primaries[0].Tree.Grid }
 // Owner returns the shard owning cell c (-1 outside the grid).
 func (s *Session) Owner(c cells.CellID) int { return s.tab.Map.Owner(c) }
 
-// Tree returns the core session serving cell c, creating it on first
-// use. Callers that hold a result from cell c must fetch through the
-// same tree — Route in the walkthrough does exactly that.
-func (s *Session) Tree(c cells.CellID) (*core.Tree, error) {
-	i := s.tab.Map.Owner(c)
-	if i < 0 {
-		return nil, fmt.Errorf("shard: cell %d outside the %d-cell grid", c, s.tab.Map.NumCells)
-	}
-	return s.shardTree(i), nil
-}
-
-// RouteTree is the walkthrough's per-frame routing hook: Tree plus a
-// heat hit, so walker traffic feeds hot-range promotion exactly like
-// direct queries do. Returns nil for a cell outside the grid (the
-// player then falls back to its unrouted base tree).
+// RouteTree returns the core session serving cell c, creating it on
+// first use, and records a heat hit so every routed query and fetch
+// feeds hot-range promotion. Callers that hold a result from cell c must
+// fetch through the same tree. Returns nil for a cell outside the grid
+// (the walkthrough player then falls back to its unrouted base tree).
 func (s *Session) RouteTree(c cells.CellID) *core.Tree {
 	i := s.tab.Map.Owner(c)
 	if i < 0 {
@@ -68,24 +58,11 @@ func (s *Session) shardTree(i int) *core.Tree {
 // QueryCell routes the visibility query to the owning shard and records
 // the hit for hot-range tracking.
 func (s *Session) QueryCell(c cells.CellID, eta float64) (*core.QueryResult, error) {
-	t, err := s.Tree(c)
-	if err != nil {
-		return nil, err
+	t := s.RouteTree(c)
+	if t == nil {
+		return nil, fmt.Errorf("shard: cell %d outside the %d-cell grid", c, s.tab.Map.NumCells)
 	}
-	s.router.heat.Hit(int(c))
 	return t.Query(c, eta)
-}
-
-// QueryCellCoherent is QueryCell through the owning shard's retained
-// traversal cut. Each shard session keeps its own cut, so walking back
-// and forth over a boundary stays warm on both sides.
-func (s *Session) QueryCellCoherent(c cells.CellID, eta float64) (*core.QueryResult, error) {
-	t, err := s.Tree(c)
-	if err != nil {
-		return nil, err
-	}
-	s.router.heat.Hit(int(c))
-	return t.QueryCoherent(c, eta)
 }
 
 // QueryMany scatter-gathers one query per cell: cells are grouped by
@@ -131,16 +108,6 @@ func (s *Session) QueryMany(cs []cells.CellID, eta float64) ([]*core.QueryResult
 		}
 	}
 	return out, nil
-}
-
-// FetchPayloads charges the heavy I/O of the result's items against the
-// shard that answered it (routed by the result's cell).
-func (s *Session) FetchPayloads(res *core.QueryResult) (int, error) {
-	t, err := s.Tree(res.Cell)
-	if err != nil {
-		return 0, err
-	}
-	return t.FetchPayloads(res, nil)
 }
 
 // Stats sums this session's own I/O across every shard it touched.

@@ -1,6 +1,7 @@
 package hdov
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -131,23 +132,12 @@ func wrapResult(r *core.QueryResult) *Result {
 // internal LoD. Light I/O (node records, V-pages, cell flip) is charged;
 // call Fetch to charge payload retrieval.
 func (db *DB) Query(p Point, eta float64) (*Result, error) {
-	cell := db.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return db.QueryCell(int(cell), eta)
+	return db.QueryContext(context.Background(), p, eta)
 }
 
 // QueryCell is Query for an explicit cell index.
 func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= db.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, db.NumCells())
-	}
-	r, err := db.tree.Query(cells.CellID(cell), eta)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(r), nil
+	return db.QueryCellContext(context.Background(), cell, eta)
 }
 
 // QueryNaive answers with the (cell, list-of-objects) baseline of §5.3.
@@ -168,7 +158,7 @@ func (db *DB) QueryNaive(p Point) (*Result, error) {
 // mode an unreadable payload degrades the item to a coarser readable
 // level (recorded in Degradations) instead of failing the call.
 func (db *DB) Fetch(r *Result) error {
-	return fetchOn(db.tree, r)
+	return db.FetchContext(context.Background(), r)
 }
 
 // Mesh is decoded triangle geometry.

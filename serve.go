@@ -49,32 +49,29 @@ func (s *Session) grid() *cells.Grid {
 	return s.tree.Grid
 }
 
+// route returns the core session that answers cell after a range check:
+// the session's own tree, or on a sharded session the owning shard's
+// (counting a heat hit toward hot-range promotion). Every query and fetch
+// form goes through it.
+func (s *Session) route(cell int) (*core.Tree, error) {
+	if n := s.grid().NumCells(); cell < 0 || cell >= n {
+		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, n)
+	}
+	if s.sh != nil {
+		return s.sh.RouteTree(cells.CellID(cell)), nil
+	}
+	return s.tree, nil
+}
+
 // Query answers the visibility query at viewpoint p with DoV threshold
 // eta, like DB.Query, charged to this session alone.
 func (s *Session) Query(p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return s.QueryCell(int(cell), eta)
+	return s.QueryContext(context.Background(), p, eta)
 }
 
 // QueryCell is Query for an explicit cell index.
 func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.grid().NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.grid().NumCells())
-	}
-	var r *core.QueryResult
-	var err error
-	if s.sh != nil {
-		r, err = s.sh.QueryCell(cells.CellID(cell), eta)
-	} else {
-		r, err = s.tree.Query(cells.CellID(cell), eta)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(r), nil
+	return s.QueryCellContext(context.Background(), cell, eta)
 }
 
 // QueryCoherent answers like Query but through the session's retained
@@ -86,31 +83,14 @@ func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
 // full traversal); only the I/O accounting differs. The cut is
 // per-session state, which is why the method lives here and not on DB.
 func (s *Session) QueryCoherent(p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return s.QueryCellCoherent(int(cell), eta)
+	return s.QueryCoherentContext(context.Background(), p, eta)
 }
 
 // QueryCellCoherent is QueryCoherent for an explicit cell index. On a
 // sharded session each shard keeps its own retained cut, so a walk that
 // crosses a boundary stays warm on both sides.
 func (s *Session) QueryCellCoherent(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.grid().NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.grid().NumCells())
-	}
-	var r *core.QueryResult
-	var err error
-	if s.sh != nil {
-		r, err = s.sh.QueryCellCoherent(cells.CellID(cell), eta)
-	} else {
-		r, err = s.tree.QueryCoherent(cells.CellID(cell), eta)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(r), nil
+	return s.QueryCellCoherentContext(context.Background(), cell, eta)
 }
 
 // CoherenceStats reports how a session's QueryCoherent calls resolved.
@@ -144,20 +124,7 @@ func (s *Session) CoherenceStats() CoherenceStats {
 // like DB.Fetch, charged to this session alone. On a sharded session the
 // fetch is routed to the shard that answered the query.
 func (s *Session) Fetch(r *Result) error {
-	t, err := s.treeFor(r)
-	if err != nil {
-		return err
-	}
-	return fetchOn(t, r)
-}
-
-// treeFor returns the core session a result's payloads must be fetched
-// through: the owning shard's on a routed session.
-func (s *Session) treeFor(r *Result) (*core.Tree, error) {
-	if s.sh == nil {
-		return s.tree, nil
-	}
-	return s.sh.Tree(r.inner.Cell)
+	return s.FetchContext(context.Background(), r)
 }
 
 // Stats returns the session's own cumulative I/O accounting: only reads
@@ -417,14 +384,10 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 	return out, nil
 }
 
-// fetchOn is Fetch against an explicit tree session.
-func fetchOn(t *core.Tree, r *Result) error {
-	return fetchOnContext(context.Background(), t, r)
-}
-
-// fetchOnContext is fetchOn bounded by ctx: items fetched before the
-// deadline expired keep their accounting; the rest are abandoned.
-func fetchOnContext(ctx context.Context, t *core.Tree, r *Result) error {
+// fetchOn charges r's payload fetch to the tree session t, bounded
+// by ctx: items fetched before the deadline expired keep their
+// accounting; the rest are abandoned.
+func fetchOn(ctx context.Context, t *core.Tree, r *Result) error {
 	before := t.IO.Stats()
 	_, ferr := t.FetchPayloadsContext(ctx, r.inner, nil)
 	if ferr != nil && ctx.Err() == nil {

@@ -1,6 +1,7 @@
 package hdov
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,6 +37,81 @@ func publicFingerprint(r *Result) string {
 		fmt.Fprintf(&b, "deg %d %d %s\n", dg.Node, dg.Object, dg.Cause)
 	}
 	return b.String()
+}
+
+// TestSessionContextForms: every Context form of a Session answers
+// byte-identically to its plain form on an unsharded and on a sharded
+// database — both go through the one routed path, so a sharded session's
+// Context forms never reach for the unsharded tree.
+func TestSessionContextForms(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scene.Blocks = 2
+	cfg.GridCells = 6
+	cfg.DoVRays = 256
+	cfg.Scene.NominalBytes = 8 << 20
+	db, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const eta = 0.003
+	type form func(s *Session, c int) (*Result, error)
+	fetched := func(q form, fetch func(*Session, *Result) error) form {
+		return func(s *Session, c int) (*Result, error) {
+			r, err := q(s, c)
+			if err == nil {
+				err = fetch(s, r)
+			}
+			return r, err
+		}
+	}
+	forms := []struct {
+		name           string
+		plain, withCtx form
+	}{
+		{"Query",
+			func(s *Session, c int) (*Result, error) { return s.Query(db.CellViewpoint(c), eta) },
+			func(s *Session, c int) (*Result, error) { return s.QueryContext(ctx, db.CellViewpoint(c), eta) }},
+		{"QueryCell",
+			func(s *Session, c int) (*Result, error) { return s.QueryCell(c, eta) },
+			func(s *Session, c int) (*Result, error) { return s.QueryCellContext(ctx, c, eta) }},
+		{"QueryCoherent",
+			func(s *Session, c int) (*Result, error) { return s.QueryCoherent(db.CellViewpoint(c), eta) },
+			func(s *Session, c int) (*Result, error) { return s.QueryCoherentContext(ctx, db.CellViewpoint(c), eta) }},
+		{"QueryCellCoherent",
+			func(s *Session, c int) (*Result, error) { return s.QueryCellCoherent(c, eta) },
+			func(s *Session, c int) (*Result, error) { return s.QueryCellCoherentContext(ctx, c, eta) }},
+		{"Fetch",
+			fetched(func(s *Session, c int) (*Result, error) { return s.QueryCell(c, eta) },
+				func(s *Session, r *Result) error { return s.Fetch(r) }),
+			fetched(func(s *Session, c int) (*Result, error) { return s.QueryCell(c, eta) },
+				func(s *Session, r *Result) error { return s.FetchContext(ctx, r) })},
+	}
+	for _, shards := range []int{0, 2} {
+		if shards > 0 {
+			if err := db.EnableSharding(ShardConfig{Shards: shards}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range forms {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, f.name), func(t *testing.T) {
+				plain, withCtx := db.NewSession(), db.NewSession()
+				for c := 0; c < db.NumCells(); c++ {
+					want, err := f.plain(plain, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := f.withCtx(withCtx, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := publicFingerprint(got), publicFingerprint(want); a != b {
+						t.Fatalf("cell %d: Context form diverged:\n got %s\nwant %s", c, a, b)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestShardingAPI(t *testing.T) {
