@@ -9,7 +9,8 @@
 //	hdovbench -exp fig7,fig8a,fig8b
 //	hdovbench -exp all -quick
 //	hdovbench -quick -clients 8
-//	hdovbench -quick -guard BENCH_baseline.json
+//	hdovbench -quick -exp baseline -write BENCH_baseline.json
+//	hdovbench -quick -guard BENCH_baseline.json,BENCH_overload.json
 package main
 
 import (
@@ -32,7 +33,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		expFlag  = fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		expAlias = fs.String("experiment", "", "alias for -exp")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		quick    = fs.Bool("quick", false, "use the small smoke-test parameter set")
 		queries  = fs.Int("queries", 0, "override the visibility-query count")
@@ -43,26 +43,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		images   = fs.String("images", "", "directory for Figure 11 PGM renderings")
 		clients  = fs.Int("clients", 0, "serve mode: run N concurrent query sessions and report aggregate throughput")
 		cache    = fs.Int("cache", 1<<16, "serve mode: shared buffer pool size in pages")
-		guard    = fs.String("guard", "", "compare fresh bench metrics against a committed baseline file; exit 1 on >25% regression")
-		writeBas = fs.String("writebaseline", "", "measure and write the baseline file, then exit")
-		writeWC  = fs.String("writewalkcoherence", "", "measure and write the walkcoherence reference file, then exit")
-		writeVC  = fs.String("writevpagecodec", "", "measure and write the vpagecodec reference file, then exit")
-		guardVC  = fs.String("guardvpagecodec", "", "compare fresh vpagecodec metrics against a committed reference file; exit 1 on >25% regression")
-		writeOV  = fs.String("writeoverload", "", "measure and write the overload reference file, then exit")
-		guardOV  = fs.String("guardoverload", "", "compare fresh overload metrics against a committed reference file; exit 1 on a broken resilience invariant or >50% latency regression")
-		writeDU  = fs.String("writedynupdate", "", "measure and write the dynupdate reference file, then exit")
-		guardDU  = fs.String("guarddynupdate", "", "compare fresh dynupdate metrics against a committed reference file; exit 1 on a broken locality gate or >25% drift")
-		writeSS  = fs.String("writeshardscale", "", "measure and write the shardscale reference file, then exit")
-		guardSS  = fs.String("guardshardscale", "", "compare fresh shardscale metrics against a committed reference file; exit 1 on divergent answers, a sub-3x 8-shard speedup, or >25% drift")
-		writeHW  = fs.String("writehwcalib", "", "calibrate the file backend, measure, and write the hwcalib reference file, then exit")
-		guardHW  = fs.String("guardhwcalib", "", "re-run the file-backend calibration and check the wall-clock gates against a committed reference file; exit 1 on a missed gate")
-		benchfmt = fs.Bool("benchfmt", false, "with a write*/guard* flag: also print the metrics as Go benchmark lines (benchstat-compatible)")
+		write    = fs.String("write", "", "with one reference -exp: measure its metrics, write them to this file, then exit")
+		guard    = fs.String("guard", "", "comma-separated reference files: re-measure each file's experiment; exit 1 unless every exact metric is unchanged and every claim holds")
+		benchfmt = fs.Bool("benchfmt", false, "with -write or -guard: also print the metrics as Go benchmark lines (benchstat-compatible)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *expAlias != "" {
-		*expFlag = *expAlias
 	}
 
 	if *list {
@@ -95,261 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p.ImageDir = *images
 	}
 
-	if *writeBas != "" {
-		b, err := bench.CollectBaseline(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteBaseline(*writeBas, b); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "baseline written to %s (workload %s)\n", *writeBas, b.Workload)
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtBaseline(stdout, b, p.ScalQueries)
-		}
-		return 0
+	if *write != "" {
+		return writeReference(*write, *expFlag, p, *benchfmt, stdout, stderr)
 	}
-
-	if *writeWC != "" {
-		wc, err := bench.CollectWalkCoherence(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteWalkCoherence(*writeWC, wc); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "walkcoherence reference written to %s (workload %s)\n", *writeWC, wc.Workload)
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtWalkCoherence(stdout, wc)
-		}
-		return 0
-	}
-
-	if *writeVC != "" {
-		vc, err := bench.CollectVPageCodec(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteVPageCodec(*writeVC, vc); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "vpagecodec reference written to %s (workload %s)\n", *writeVC, vc.Workload)
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtVPageCodec(stdout, vc, p.ScalQueries)
-		}
-		return 0
-	}
-
-	if *writeOV != "" {
-		ov, err := bench.CollectOverload(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteOverload(*writeOV, ov); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "overload reference written to %s (workload %s)\n", *writeOV, ov.Workload)
-		return 0
-	}
-
-	if *writeDU != "" {
-		du, err := bench.CollectDynUpdate(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteDynUpdate(*writeDU, du); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "dynupdate reference written to %s (workload %s)\n", *writeDU, du.Workload)
-		return 0
-	}
-
-	if *writeSS != "" {
-		ss, err := bench.CollectShardScale(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteShardScale(*writeSS, ss); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "shardscale reference written to %s (workload %s)\n", *writeSS, ss.Workload)
-		return 0
-	}
-
-	if *writeHW != "" {
-		hc, err := bench.CollectHWCalib(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteHWCalib(*writeHW, hc); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "hwcalib reference written to %s (workload %s, fitted seek %.3fµs, transfer %.3fµs/page)\n",
-			*writeHW, hc.Workload, hc.FittedSeekMicros, hc.FittedTransferMicros)
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtHWCalib(stdout, hc, p.ScalQueries)
-		}
-		return 0
-	}
-
-	if *guardHW != "" {
-		ref, err := bench.LoadHWCalib(*guardHW)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectHWCalib(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareHWCalib(ref, cur); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "hwcalib guard passed (workload %s, codec %.2fx, warm %.2fx measured speedup)\n",
-			ref.Workload, cur.CodecSpeedup, cur.WarmSpeedup)
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtHWCalib(stdout, cur, p.ScalQueries)
-		}
-		return 0
-	}
-
-	if *guardSS != "" {
-		ref, err := bench.LoadShardScale(*guardSS)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectShardScale(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareShardScale(ref, cur, 0.25); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "shardscale guard passed (workload %s, 8-shard speedup %.2fx)\n",
-			ref.Workload, cur.SpeedupAt8)
-		return 0
-	}
-
-	if *guardDU != "" {
-		ref, err := bench.LoadDynUpdate(*guardDU)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectDynUpdate(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareDynUpdate(ref, cur, 0.25); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "dynupdate guard passed (workload %s)\n", ref.Workload)
-		return 0
-	}
-
-	if *guardOV != "" {
-		ref, err := bench.LoadOverload(*guardOV)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectOverload(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareOverload(ref, cur, 0.5); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "overload guard passed (workload %s)\n", ref.Workload)
-		return 0
-	}
-
-	if *guardVC != "" {
-		ref, err := bench.LoadVPageCodec(*guardVC)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectVPageCodec(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareVPageCodec(ref, cur, 0.25); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "vpagecodec guard passed (workload %s, %d schemes)\n",
-			ref.Workload, len(ref.Schemes))
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtVPageCodec(stdout, cur, p.ScalQueries)
-		}
-		return 0
-	}
-
 	if *guard != "" {
-		ref, err := bench.LoadBaseline(*guard)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectBaseline(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareBaseline(ref, cur, 0.25); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "baseline guard passed (workload %s, %d schemes)\n",
-			ref.Workload, len(ref.Schemes))
-		if *benchfmt {
-			bench.WriteBenchHeader(stdout)
-			bench.BenchFmtBaseline(stdout, cur, p.ScalQueries)
-		}
-		return 0
+		return guardReferences(strings.Split(*guard, ","), p, *benchfmt, stdout, stderr)
 	}
 
 	if *clients > 0 {
@@ -398,4 +134,79 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// referenceIDs lists the experiments that keep a committed reference.
+func referenceIDs() string {
+	var ids []string
+	for _, e := range bench.All() {
+		if e.Ref != nil {
+			ids = append(ids, e.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
+}
+
+// writeReference measures one reference experiment and writes its file.
+func writeReference(path, id string, p bench.Params, benchfmt bool, stdout, stderr io.Writer) int {
+	e, ok := bench.Lookup(strings.TrimSpace(id))
+	if !ok || e.Ref == nil {
+		fmt.Fprintf(stderr, "hdovbench: -write needs one -exp naming a reference experiment (%s), got %q\n",
+			referenceIDs(), id)
+		return 2
+	}
+	r, err := e.Ref.Collect(p)
+	if err == nil {
+		err = bench.WriteReference(path, r)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "hdovbench: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "%s reference written to %s (workload %s, %d metrics)\n",
+		r.Experiment, path, r.Workload, len(r.Metrics))
+	if benchfmt {
+		bench.WriteBenchHeader(stdout)
+		bench.WriteBenchFmt(stdout, r)
+	}
+	return 0
+}
+
+// guardReferences re-measures every reference file's experiment and
+// reports each diff and failed claim; it exits 1 when any file fails.
+func guardReferences(paths []string, p bench.Params, benchfmt bool, stdout, stderr io.Writer) int {
+	refs := make([]*bench.Reference, len(paths))
+	for i, path := range paths {
+		var err error
+		if refs[i], err = bench.LoadReference(strings.TrimSpace(path)); err != nil {
+			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
+			return 2
+		}
+	}
+	code := 0
+	var fresh []*bench.Reference
+	for i, ref := range refs {
+		cur, bad, err := bench.Guard(ref, p)
+		if err != nil {
+			fmt.Fprintf(stderr, "hdovbench: %s: %v\n", paths[i], err)
+			code = 1
+			continue
+		}
+		fresh = append(fresh, cur)
+		for _, line := range bad {
+			fmt.Fprintf(stderr, "hdovbench: regression: %s: %s\n", ref.Experiment, line)
+		}
+		if len(bad) > 0 {
+			code = 1
+			continue
+		}
+		fmt.Fprintf(stdout, "%s guard passed (workload %s, %d metrics)\n", ref.Experiment, ref.Workload, len(ref.Metrics))
+	}
+	if benchfmt {
+		bench.WriteBenchHeader(stdout)
+		for _, r := range fresh {
+			bench.WriteBenchFmt(stdout, r)
+		}
+	}
+	return code
 }

@@ -1,147 +1,82 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
+	"io"
 
 	"repro/internal/core"
 )
 
-// The regression guard tracks *simulated* query cost, not wall-clock
+// The baseline reference tracks *simulated* query cost, not wall-clock
 // time: the cost model (seek + transfer per pool miss) is deterministic
-// for a seeded dataset and workload, so a >25% shift can only come from a
-// code change — more pages read, worse layout, broken caching — never
-// from a slow CI host.
+// for a seeded dataset and workload, so every figure is exact and any
+// shift can only come from a code change — more pages read, worse
+// layout, broken caching — never from a slow CI host.
 
-// BaselineMetric is one scheme's per-query cost on the standard workload.
-type BaselineMetric struct {
-	// SimMicrosPerQuery is the average simulated disk time per query, µs.
-	SimMicrosPerQuery float64 `json:"sim_micros_per_query"`
-	// LightIOPerQuery is the average light-weight page reads per query.
-	LightIOPerQuery float64 `json:"light_io_per_query"`
-}
-
-// Throughput returns the metric as simulated queries per second.
-func (m BaselineMetric) Throughput() float64 {
-	if m.SimMicrosPerQuery <= 0 {
-		return 0
-	}
-	return 1e6 / m.SimMicrosPerQuery
-}
-
-// Baseline is the committed benchmark reference (BENCH_baseline.json).
-type Baseline struct {
-	// Workload pins the parameter set the numbers were collected under;
-	// the guard refuses to compare across different workloads.
-	Workload string `json:"workload"`
-	// Schemes maps scheme name → uncached per-query cost.
-	Schemes map[string]BaselineMetric `json:"schemes"`
-	// CachedHitRate is the pool hit rate of the serving workload, in
-	// [0, 1]; a drop means the pool stopped retaining the working set.
-	CachedHitRate float64 `json:"cached_hit_rate"`
-}
-
-// workloadTag names the workload so baselines collected under different
-// parameter sets never get compared.
+// workloadTag names the workload so references collected under
+// different parameter sets never get compared.
 func workloadTag(p Params) string {
 	return fmt.Sprintf("city%d-grid%d-dirs%d-q%d-seed%d",
 		p.CityBlocks, p.GridCells, p.Dirs, p.ScalQueries, p.Seed)
 }
 
-// CollectBaseline measures the guard's metrics for p: the three schemes'
-// uncached per-query cost, and the serving workload's pool hit rate.
-func CollectBaseline(p Params) (*Baseline, error) {
-	e := DefaultEnv(p)
+// schemeNames lists the three storage schemes in report order.
+var schemeNames = []string{"horizontal", "vertical", "indexed-vertical"}
+
+// namedStore is one storage scheme of an Env.
+type namedStore struct {
+	name  string
+	store core.VStore
+}
+
+// schemeStores returns e's three schemes in report order.
+func schemeStores(e *Env) []namedStore {
+	return []namedStore{{"horizontal", e.H}, {"vertical", e.V}, {"indexed-vertical", e.IV}}
+}
+
+// collectBaseline measures the three schemes' uncached per-query cost
+// and the serving workload's pool hit rate.
+func collectBaseline(p Params) (*Reference, error) {
+	e := freshEnv(p)
 	ws := workingSet(e.Tree, 32)
-	b := &Baseline{
-		Workload: workloadTag(p),
-		Schemes:  map[string]BaselineMetric{},
-	}
-	for _, sc := range []struct {
-		name  string
-		store core.VStore
-	}{
-		{"horizontal", e.H},
-		{"vertical", e.V},
-		{"indexed-vertical", e.IV},
-	} {
+	r := newReference("baseline", workloadTag(p))
+	for _, sc := range schemeStores(e) {
 		sim, light, err := queryCost(e, sc.store, ws, p.ScalQueries, 0.001)
 		if err != nil {
 			return nil, fmt.Errorf("bench: baseline %s: %w", sc.name, err)
 		}
-		b.Schemes[sc.name] = BaselineMetric{SimMicrosPerQuery: sim, LightIOPerQuery: light}
+		r.exact(sc.name+"/sim_micros_per_query", "sim-us/query", sim)
+		r.exact(sc.name+"/light_io_per_query", "light-io/query", light)
 	}
 	cfg := DefaultServeConfig(p)
 	cfg.Clients = 2
 	// The hit rate doesn't depend on client pacing; skip the render
 	// intervals so the guard run stays fast.
 	cfg.Think = 0
-	r, err := RunServeClients(p, cfg)
+	s, err := RunServeClients(p, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: baseline serve: %w", err)
 	}
-	if r.PoolHits+r.PoolMisses > 0 {
-		b.CachedHitRate = float64(r.PoolHits) / float64(r.PoolHits+r.PoolMisses)
+	var hitRate float64
+	if s.PoolHits+s.PoolMisses > 0 {
+		hitRate = float64(s.PoolHits) / float64(s.PoolHits+s.PoolMisses)
 	}
-	return b, nil
+	r.exact("cached_hit_rate", "pool-hit-rate", hitRate)
+	return r, nil
 }
 
-// CompareBaseline checks fresh metrics against the committed reference
-// and returns one line per regression beyond tol (0.25 = fail when
-// simulated throughput drops more than 25%, or when the cached hit rate
-// collapses by the same fraction). An empty slice means the guard passes.
-func CompareBaseline(ref, cur *Baseline, tol float64) []string {
-	var bad []string
-	if ref.Workload != cur.Workload {
-		return []string{fmt.Sprintf("workload mismatch: baseline %q vs current %q (regenerate the baseline)",
-			ref.Workload, cur.Workload)}
-	}
-	names := make([]string, 0, len(ref.Schemes))
-	for name := range ref.Schemes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		want := ref.Schemes[name]
-		got, ok := cur.Schemes[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: missing from current run", name))
-			continue
-		}
-		if w, g := want.Throughput(), got.Throughput(); g < w*(1-tol) {
-			bad = append(bad, fmt.Sprintf(
-				"%s: simulated throughput %.0f q/s, baseline %.0f q/s (-%.0f%%, tolerance %.0f%%)",
-				name, g, w, 100*(1-g/w), 100*tol))
-		}
-	}
-	if ref.CachedHitRate > 0 && cur.CachedHitRate < ref.CachedHitRate*(1-tol) {
-		bad = append(bad, fmt.Sprintf(
-			"serve: pool hit rate %.1f%%, baseline %.1f%% (tolerance %.0f%%)",
-			100*cur.CachedHitRate, 100*ref.CachedHitRate, 100*tol))
-	}
-	return bad
-}
-
-// LoadBaseline reads a committed baseline file.
-func LoadBaseline(path string) (*Baseline, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// WriteBaseline writes b to path in the committed format.
-func WriteBaseline(path string, b *Baseline) error {
-	raw, err := json.MarshalIndent(b, "", "  ")
+// RunBaseline prints the regression baseline's figures.
+func RunBaseline(w io.Writer, p Params) error {
+	r, err := collectBaseline(p)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	fmt.Fprintf(w, "uncached workload, %d queries over 32 cells, eta=0.001\n\n", p.ScalQueries)
+	fmt.Fprintf(w, "%-18s %-14s %s\n", "scheme", "lightIO/query", "simµs/query")
+	for _, name := range schemeNames {
+		fmt.Fprintf(w, "%-18s %-14.2f %.0f\n", name,
+			r.value(name+"/light_io_per_query"), r.value(name+"/sim_micros_per_query"))
+	}
+	fmt.Fprintf(w, "\nserving pool hit rate (2 clients, shared pool): %.1f%%\n", 100*r.value("cached_hit_rate"))
+	return nil
 }

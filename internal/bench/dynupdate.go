@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 
 	"repro/internal/cells"
@@ -35,8 +33,9 @@ import (
 // scratch (same deterministic R-tree evolution, everything downstream
 // rebuilt fresh) costs RebuildPages; the incremental path pays
 // PagesPerBatch per batch instead. Their ratio is WriteSavings — the
-// figure that justifies maintaining the tree online at all. The
-// committed reference lives in BENCH_dynupdate.json.
+// figure that justifies maintaining the tree online at all. Everything
+// runs on a private simulated disk from a seeded workload, so every
+// metric of the committed BENCH_dynupdate.json is exact.
 
 // The workload shape and the gates the experiment must hold: updates
 // must localize (most cells untouched, most LoD chains reused) and a
@@ -51,35 +50,9 @@ const (
 	dynSavingsGate = 2.0  // rebuild pages / pages per batch stays above
 )
 
-// DynBatch is one batch's locality record.
-type DynBatch struct {
-	Ops           int   `json:"ops"`
-	TouchedCells  int   `json:"touched_cells"`
-	TotalCells    int   `json:"total_cells"`
-	LoDReused     int   `json:"lod_reused"`
-	LoDRebuilt    int   `json:"lod_rebuilt"`
-	PagesAppended int64 `json:"pages_appended"`
-}
-
-// DynUpdate is the committed reference format (BENCH_dynupdate.json).
-type DynUpdate struct {
-	Workload string     `json:"workload"`
-	Batches  []DynBatch `json:"batches"`
-	// TouchedCellFrac / LoDReuseRate are means over the batches.
-	TouchedCellFrac float64 `json:"touched_cell_frac"`
-	LoDReuseRate    float64 `json:"lod_reuse_rate"`
-	// PagesPerBatch is the mean simulated-disk pages appended per batch,
-	// scheme rebuilds included; RebuildPages is what a from-scratch
-	// rebuild over the final op log costs on a fresh disk.
-	PagesPerBatch float64 `json:"pages_per_batch"`
-	RebuildPages  int64   `json:"rebuild_pages"`
-	// WriteSavings is RebuildPages / PagesPerBatch.
-	WriteSavings float64 `json:"write_savings"`
-}
-
 var (
 	dynMu    sync.Mutex
-	dynCache = map[string]*DynUpdate{}
+	dynCache = map[string]*Reference{}
 )
 
 // dynWorkloadTag extends the dataset tag with the update-workload shape.
@@ -187,17 +160,22 @@ func dynRebuildPages(baseSc *scene.Scene, bp core.BuildParams, ops []scene.Op) (
 	return d2.NumPages(), nil
 }
 
-// CollectDynUpdate builds a dedicated database (updates consume the
+// collectDynUpdate builds a dedicated database (updates consume the
 // tree's backbone, so the shared Env cache is off limits), evolves it
 // through the seeded workload batch by batch, and prices the rebuild
-// alternative. Results are cached per workload tag: the run and guard
-// paths share one measurement.
-func CollectDynUpdate(p Params) (*DynUpdate, error) {
+// alternative. It records per batch the ops applied, the touched and
+// total viewing cells, the LoD chains reused and rebuilt, and the pages
+// appended (scheme rebuilds included); then the means over batches of
+// the touched-cell fraction and LoD reuse rate, the mean pages per
+// batch, the pages a from-scratch rebuild over the final op log costs on
+// a fresh disk, and their ratio, the write savings. Results are cached
+// per workload tag: the run and guard paths share one measurement.
+func collectDynUpdate(p Params) (*Reference, error) {
 	tag := dynWorkloadTag(p)
 	dynMu.Lock()
 	defer dynMu.Unlock()
-	if du, ok := dynCache[tag]; ok {
-		return du, nil
+	if r, ok := dynCache[tag]; ok {
+		return r, nil
 	}
 
 	cp := scene.DefaultCityParams()
@@ -218,7 +196,7 @@ func CollectDynUpdate(p Params) (*DynUpdate, error) {
 	}
 
 	ops := genDynOps(p.Seed+dynSeedOffset, sc, dynBatches*dynOpsPerBatch)
-	du := &DynUpdate{Workload: tag}
+	r := newReference("dynupdate", tag)
 	var touched, reuse float64
 	var pages int64
 	for b := 0; b < dynBatches; b++ {
@@ -234,40 +212,54 @@ func CollectDynUpdate(p Params) (*DynUpdate, error) {
 			return nil, fmt.Errorf("bench: dynupdate batch %d schemes: %w", b, err)
 		}
 		tr.SetVStore(iv)
-		rec := DynBatch{
-			Ops:           st.Ops,
-			TouchedCells:  st.TouchedCells,
-			TotalCells:    st.TotalCells,
-			LoDReused:     st.LoDReused,
-			LoDRebuilt:    st.LoDRebuilt,
-			PagesAppended: d.NumPages() - before,
+		appended := d.NumPages() - before
+		prefix := fmt.Sprintf("batch=%d/", b+1)
+		r.exact(prefix+"ops", "ops", float64(st.Ops))
+		r.exact(prefix+"touched_cells", "cells", float64(st.TouchedCells))
+		r.exact(prefix+"total_cells", "cells", float64(st.TotalCells))
+		r.exact(prefix+"lod_reused", "chains", float64(st.LoDReused))
+		r.exact(prefix+"lod_rebuilt", "chains", float64(st.LoDRebuilt))
+		r.exact(prefix+"pages_appended", "pages", float64(appended))
+		touched += float64(st.TouchedCells) / float64(st.TotalCells)
+		if n := st.LoDReused + st.LoDRebuilt; n > 0 {
+			reuse += float64(st.LoDReused) / float64(n)
 		}
-		du.Batches = append(du.Batches, rec)
-		touched += float64(rec.TouchedCells) / float64(rec.TotalCells)
-		if n := rec.LoDReused + rec.LoDRebuilt; n > 0 {
-			reuse += float64(rec.LoDReused) / float64(n)
-		}
-		pages += rec.PagesAppended
+		pages += appended
 	}
-	du.TouchedCellFrac = touched / dynBatches
-	du.LoDReuseRate = reuse / dynBatches
-	du.PagesPerBatch = float64(pages) / dynBatches
-
-	if du.RebuildPages, err = dynRebuildPages(sc, bp, ops); err != nil {
+	perBatch := float64(pages) / dynBatches
+	rebuild, err := dynRebuildPages(sc, bp, ops)
+	if err != nil {
 		return nil, fmt.Errorf("bench: dynupdate rebuild reference: %w", err)
 	}
-	if du.PagesPerBatch > 0 {
-		du.WriteSavings = float64(du.RebuildPages) / du.PagesPerBatch
+	var savings float64
+	if perBatch > 0 {
+		savings = float64(rebuild) / perBatch
 	}
-	dynCache[tag] = du
-	return du, nil
+	r.exact("touched_cell_frac", "frac", touched/dynBatches)
+	r.exact("lod_reuse_rate", "frac", reuse/dynBatches)
+	r.exact("pages_per_batch", "pages", perBatch)
+	r.exact("rebuild_pages", "pages", float64(rebuild))
+	r.exact("write_savings", "x", savings)
+	dynCache[tag] = r
+	return r, nil
+}
+
+// checkDynUpdate holds the three gates: updates localize in the viewing
+// grid, reuse dominates LoD work, and a batch costs well under a
+// from-scratch rebuild.
+func checkDynUpdate(cur, _ *Reference) []Claim {
+	touched, reuse, savings := cur.value("touched_cell_frac"), cur.value("lod_reuse_rate"), cur.value("write_savings")
+	return []Claim{
+		claim(touched < dynTouchedGate, "touched-cell fraction %.2f (claim: < %.2f)", touched, dynTouchedGate),
+		claim(reuse > dynReuseGate, "LoD reuse rate %.2f (claim: > %.2f)", reuse, dynReuseGate),
+		claim(savings > dynSavingsGate, "write savings %.1fx (claim: > %.1fx)", savings, dynSavingsGate),
+	}
 }
 
 // RunDynUpdate prints the per-batch locality table and verdicts the
-// three gates: updates localize in the viewing grid, reuse dominates
-// LoD work, and a batch costs well under a from-scratch rebuild.
+// gates.
 func RunDynUpdate(w io.Writer, p Params) error {
-	du, err := CollectDynUpdate(p)
+	r, err := collectDynUpdate(p)
 	if err != nil {
 		return err
 	}
@@ -275,94 +267,15 @@ func RunDynUpdate(w io.Writer, p Params) error {
 		dynBatches, dynOpsPerBatch)
 	fmt.Fprintf(w, "%-7s %-6s %-14s %-16s %-10s\n",
 		"batch", "ops", "cells touched", "LoD reuse/total", "pages")
-	for i, b := range du.Batches {
-		fmt.Fprintf(w, "%-7d %-6d %3d / %-8d %5d / %-8d %-10d\n",
-			i+1, b.Ops, b.TouchedCells, b.TotalCells,
-			b.LoDReused, b.LoDReused+b.LoDRebuilt, b.PagesAppended)
+	for b := 1; b <= dynBatches; b++ {
+		v := func(m string) float64 { return r.value(fmt.Sprintf("batch=%d/%s", b, m)) }
+		fmt.Fprintf(w, "%-7d %-6.0f %3.0f / %-8.0f %5.0f / %-8.0f %-10.0f\n",
+			b, v("ops"), v("touched_cells"), v("total_cells"),
+			v("lod_reused"), v("lod_reused")+v("lod_rebuilt"), v("pages_appended"))
 	}
 	fmt.Fprintf(w, "\nmean touched-cell fraction: %.2f  mean LoD reuse rate: %.2f\n",
-		du.TouchedCellFrac, du.LoDReuseRate)
-	fmt.Fprintf(w, "pages per batch: %.0f  from-scratch rebuild: %d  write savings: %.1fx\n",
-		du.PagesPerBatch, du.RebuildPages, du.WriteSavings)
-
-	pass := true
-	verdict := func(ok bool, format string, args ...interface{}) {
-		v := "PASS"
-		if !ok {
-			v = "FAIL"
-			pass = false
-		}
-		fmt.Fprintf(w, format+" %s\n", append(args, v)...)
-	}
-	verdict(du.TouchedCellFrac < dynTouchedGate,
-		"touched-cell fraction %.2f (claim: < %.2f)", du.TouchedCellFrac, dynTouchedGate)
-	verdict(du.LoDReuseRate > dynReuseGate,
-		"LoD reuse rate %.2f (claim: > %.2f)", du.LoDReuseRate, dynReuseGate)
-	verdict(du.WriteSavings > dynSavingsGate,
-		"write savings %.1fx (claim: > %.1fx)", du.WriteSavings, dynSavingsGate)
-	if !pass {
-		return fmt.Errorf("bench: dynupdate: incremental maintenance missed a locality gate")
-	}
-	return nil
-}
-
-// CompareDynUpdate checks fresh metrics against the committed reference
-// and returns one line per violation. The three gates are re-checked as
-// hard invariants; the locality figures and the write-savings ratio may
-// drift only within tol (a growing touched fraction or shrinking reuse
-// rate means the localization machinery regressed — exactly the failure
-// the incremental path exists to avoid).
-func CompareDynUpdate(ref, cur *DynUpdate, tol float64) []string {
-	var bad []string
-	if ref.Workload != cur.Workload {
-		return []string{fmt.Sprintf("workload mismatch: reference %q vs current %q (regenerate the reference)",
-			ref.Workload, cur.Workload)}
-	}
-	if cur.TouchedCellFrac >= dynTouchedGate {
-		bad = append(bad, fmt.Sprintf("touched-cell fraction %.2f broke the < %.2f locality gate",
-			cur.TouchedCellFrac, dynTouchedGate))
-	}
-	if cur.LoDReuseRate <= dynReuseGate {
-		bad = append(bad, fmt.Sprintf("LoD reuse rate %.2f broke the > %.2f gate",
-			cur.LoDReuseRate, dynReuseGate))
-	}
-	if cur.WriteSavings <= dynSavingsGate {
-		bad = append(bad, fmt.Sprintf("write savings %.1fx broke the > %.1fx gate",
-			cur.WriteSavings, dynSavingsGate))
-	}
-	if cur.TouchedCellFrac > ref.TouchedCellFrac*(1+tol) {
-		bad = append(bad, fmt.Sprintf("touched-cell fraction %.2f, reference %.2f (tolerance %.0f%%)",
-			cur.TouchedCellFrac, ref.TouchedCellFrac, 100*tol))
-	}
-	if cur.LoDReuseRate < ref.LoDReuseRate*(1-tol) {
-		bad = append(bad, fmt.Sprintf("LoD reuse rate %.2f, reference %.2f (tolerance %.0f%%)",
-			cur.LoDReuseRate, ref.LoDReuseRate, 100*tol))
-	}
-	if cur.WriteSavings < ref.WriteSavings*(1-tol) {
-		bad = append(bad, fmt.Sprintf("write savings %.1fx, reference %.1fx (tolerance %.0f%%)",
-			cur.WriteSavings, ref.WriteSavings, 100*tol))
-	}
-	return bad
-}
-
-// LoadDynUpdate reads a committed dynupdate reference.
-func LoadDynUpdate(path string) (*DynUpdate, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var du DynUpdate
-	if err := json.Unmarshal(raw, &du); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &du, nil
-}
-
-// WriteDynUpdate writes the reference in the committed format.
-func WriteDynUpdate(path string, du *DynUpdate) error {
-	raw, err := json.MarshalIndent(du, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+		r.value("touched_cell_frac"), r.value("lod_reuse_rate"))
+	fmt.Fprintf(w, "pages per batch: %.0f  from-scratch rebuild: %.0f  write savings: %.1fx\n",
+		r.value("pages_per_batch"), r.value("rebuild_pages"), r.value("write_savings"))
+	return verdicts(w, "dynupdate", checkDynUpdate(r, nil))
 }

@@ -181,11 +181,23 @@ func DefaultEnv(p Params) *Env {
 	return BuildEnv(p, p.CityBlocks, p.GridCells, p.NominalBytes)
 }
 
+// freshEnv builds the default dataset of p on a new disk, bypassing the
+// cache. Simulated cost depends on disk state a run leaves behind
+// (stream heads, V-page layouts appended after the build), so reference
+// experiments start every collection from a just-built disk: their exact
+// metrics then do not depend on what else ran in the process.
+func freshEnv(p Params) *Env {
+	return buildEnvOn(p, p.CityBlocks, p.GridCells, p.NominalBytes,
+		storage.NewDisk(0, storage.DefaultCostModel()))
+}
+
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string // paper label: "table2", "fig7", ...
 	Title string
 	Run   func(w io.Writer, p Params) error
+	// Ref is set on experiments with a committed BENCH_<ID>.json reference.
+	Ref *RefHook
 }
 
 // All returns every experiment in paper order.
@@ -204,12 +216,20 @@ func All() []Experiment {
 		{ID: "ablation", Title: "Ablations: D1-D8 design-choice studies", Run: RunAblations},
 		{ID: "museum", Title: "Extension: indoor extreme-occlusion regime (hidden-object waste)", Run: RunMuseum},
 		{ID: "serve", Title: "Extension: multi-client serving throughput with the shared buffer pool", Run: RunServe},
-		{ID: "walkcoherence", Title: "Extension: frame-coherent traversal with predictive V-page prefetching", Run: RunWalkCoherence},
-		{ID: "vpagecodec", Title: "Extension: compressed V-page layout, bytes and light-I/O cost vs raw", Run: RunVPageCodec},
-		{ID: "overload", Title: "Extension: overload resilience — admission, shedding, breaker, cancellation", Run: RunOverload},
-		{ID: "dynupdate", Title: "Extension: incremental updates — locality, LoD reuse, write cost vs rebuild", Run: RunDynUpdate},
-		{ID: "shardscale", Title: "Extension: sharded stores — scatter-gather routing, near-linear scaling, hot-range replicas", Run: RunShardScale},
-		{ID: "hwcalib", Title: "Extension: hardware in the loop — file-backend calibration, fitted cost model, sim vs measured", Run: RunHWCalib},
+		{ID: "baseline", Title: "Regression baseline: uncached per-query cost per scheme, cached serving hit rate", Run: RunBaseline,
+			Ref: &RefHook{Collect: collectBaseline}},
+		{ID: "walkcoherence", Title: "Extension: frame-coherent traversal with predictive V-page prefetching", Run: RunWalkCoherence,
+			Ref: &RefHook{Collect: collectWalkCoherenceRef, Check: checkWalkCoherence}},
+		{ID: "vpagecodec", Title: "Extension: compressed V-page layout, bytes and light-I/O cost vs raw", Run: RunVPageCodec,
+			Ref: &RefHook{Collect: collectVPageCodec, Check: checkVPageCodec}},
+		{ID: "overload", Title: "Extension: overload resilience — admission, shedding, breaker, cancellation", Run: RunOverload,
+			Ref: &RefHook{Collect: collectOverload, Check: checkOverload}},
+		{ID: "dynupdate", Title: "Extension: incremental updates — locality, LoD reuse, write cost vs rebuild", Run: RunDynUpdate,
+			Ref: &RefHook{Collect: collectDynUpdate, Check: checkDynUpdate}},
+		{ID: "shardscale", Title: "Extension: sharded stores — scatter-gather routing, near-linear scaling, hot-range replicas", Run: RunShardScale,
+			Ref: &RefHook{Collect: collectShardScale, Check: checkShardScale}},
+		{ID: "hwcalib", Title: "Extension: hardware in the loop — file-backend calibration, fitted cost model, sim vs measured", Run: RunHWCalib,
+			Ref: &RefHook{Collect: collectHWCalib, Check: checkHWCalib}},
 		{ID: "summary", Title: "Conformance digest: every headline shape claim, PASS/FAIL", Run: RunSummary},
 	}
 }

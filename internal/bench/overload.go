@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -25,12 +23,19 @@ import (
 //	              control, shed by the fidelity shedder, retried with
 //	              jitter, and fenced by the per-region circuit breaker
 //
-// The claims: the protected leg finishes with zero hard errors, its p99
-// per-query simulated latency no worse than the unprotected leg's, and
-// its protections demonstrably engaged (rejections or shed transitions
-// observed). A third leg checks fail-fast cancellation: a query issued
-// on an already-canceled context returns the context's error without
-// touching the disk. The committed reference lives in BENCH_overload.json.
+// Both legs run overloadRounds times, alternating. The claims: the
+// protected leg finishes every round with zero hard errors and with its
+// protections demonstrably engaged (rejections or shed transitions
+// observed), and its median p99 per-query simulated latency stays within
+// 5% of the unprotected leg's. A third leg, also run every round, checks
+// fail-fast cancellation: a query issued on an already-canceled context
+// returns the context's error without touching the disk.
+//
+// Saturation interleaving is scheduler-shaped — which client holds an
+// admission slot, and so which queries are rejected and how the shared
+// disk's stream heads move, varies run to run — so the leg figures of
+// the committed BENCH_overload.json are measured, never diffed; the
+// medians over rounds are what the claims read.
 
 // overloadFaults is the seeded fault plan both legs run under.
 var overloadFaults = storage.FaultConfig{
@@ -40,37 +45,37 @@ var overloadFaults = storage.FaultConfig{
 	MaxRetries:    3,
 }
 
-// OverloadLeg is one saturation run's outcome.
-type OverloadLeg struct {
-	Clients int `json:"clients"`
-	// Queries counts queries answered (admitted and completed); Rejected
+// overloadRounds is how many times each leg runs.
+const overloadRounds = 5
+
+// overloadLeg is one saturation run's outcome.
+type overloadLeg struct {
+	// queries counts queries answered (admitted and completed); rejected
 	// admission rejections (protected leg only).
-	Queries  int   `json:"queries"`
-	Rejected int64 `json:"rejected"`
-	// ShedTransitions is the shedder's level-change count; Degradations
+	queries, rejected int64
+	// shedTransitions is the shedder's level-change count; degradations
 	// sums per-query degradation records (media faults absorbed plus
 	// shed substitutions).
-	ShedTransitions int64 `json:"shed_transitions"`
-	Degradations    int64 `json:"degradations"`
-	// HardErrors counts queries that returned an error — the quantity
+	shedTransitions, degradations int64
+	// hardErrors counts queries that returned an error — the quantity
 	// the protected leg must hold at zero.
-	HardErrors int64 `json:"hard_errors"`
-	// MeanMicros and P99Micros summarize per-query simulated latency.
-	MeanMicros float64 `json:"mean_micros"`
-	P99Micros  float64 `json:"p99_micros"`
-	// BreakerTrips counts circuit-breaker region trips (protected only).
-	BreakerTrips int64 `json:"breaker_trips"`
+	hardErrors int64
+	// meanMicros and p99Micros summarize per-query simulated latency.
+	meanMicros, p99Micros float64
+	// breakerTrips counts circuit-breaker region trips (protected only).
+	breakerTrips int64
 }
 
-// Overload is the committed reference format (BENCH_overload.json).
-type Overload struct {
-	Workload    string      `json:"workload"`
-	Unprotected OverloadLeg `json:"unprotected"`
-	Protected   OverloadLeg `json:"protected"`
-	// CancelFailFast records the cancellation leg: true when a query on
-	// an already-canceled context returned the context's error with zero
-	// disk reads charged.
-	CancelFailFast bool `json:"cancel_fail_fast"`
+// overloadFigures names a leg's figures, in the order of figures().
+var overloadFigures = []struct{ name, unit string }{
+	{"queries", "queries"}, {"rejected", "queries"}, {"shed_transitions", "transitions"},
+	{"degradations", "records"}, {"hard_errors", "queries"}, {"mean_micros", "sim-us/query"},
+	{"p99_micros", "sim-us/query"}, {"breaker_trips", "trips"},
+}
+
+func (l overloadLeg) figures() []float64 {
+	return []float64{float64(l.queries), float64(l.rejected), float64(l.shedTransitions),
+		float64(l.degradations), float64(l.hardErrors), l.meanMicros, l.p99Micros, float64(l.breakerTrips)}
 }
 
 // overloadCfg sizes the saturation runs.
@@ -99,11 +104,11 @@ func defaultOverloadCfg(p Params) overloadCfg {
 	}
 }
 
-// overloadLeg runs one saturation workload. protected wires in the full
+// runOverloadLeg runs one saturation workload. protected wires in the full
 // resilience kit; target is the shedder's latency budget (ignored when
 // not protected).
-func overloadLeg(e *Env, cfg overloadCfg, protected bool, target time.Duration) (OverloadLeg, error) {
-	out := OverloadLeg{Clients: cfg.clients}
+func runOverloadLeg(e *Env, cfg overloadCfg, protected bool, target time.Duration) (overloadLeg, error) {
+	var out overloadLeg
 	ws := workingSet(e.Tree, cfg.cells)
 
 	faults := overloadFaults
@@ -138,7 +143,7 @@ func overloadLeg(e *Env, cfg overloadCfg, protected bool, target time.Duration) 
 		degradations int64
 		hard         int64
 		rejected     int64
-		queries      int
+		queries      int64
 	}
 	outs := make([]clientOut, cfg.clients)
 	var wg sync.WaitGroup
@@ -191,10 +196,10 @@ func overloadLeg(e *Env, cfg overloadCfg, protected bool, target time.Duration) 
 	var lats []time.Duration
 	for _, o := range outs {
 		lats = append(lats, o.lat...)
-		out.Queries += o.queries
-		out.Rejected += o.rejected
-		out.Degradations += o.degradations
-		out.HardErrors += o.hard
+		out.queries += o.queries
+		out.rejected += o.rejected
+		out.degradations += o.degradations
+		out.hardErrors += o.hard
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
@@ -202,14 +207,14 @@ func overloadLeg(e *Env, cfg overloadCfg, protected bool, target time.Duration) 
 		for _, l := range lats {
 			sum += l
 		}
-		out.MeanMicros = float64(sum.Microseconds()) / float64(len(lats))
-		out.P99Micros = float64(lats[len(lats)*99/100].Microseconds())
+		out.meanMicros = float64(sum.Microseconds()) / float64(len(lats))
+		out.p99Micros = float64(lats[len(lats)*99/100].Microseconds())
 	}
 	if shed != nil {
-		out.ShedTransitions = shed.Transitions()
+		out.shedTransitions = shed.Transitions()
 	}
 	if protected {
-		out.BreakerTrips = e.Disk.BreakerStats().Trips
+		out.breakerTrips = e.Disk.BreakerStats().Trips
 	}
 	return out, nil
 }
@@ -227,124 +232,104 @@ func cancelLeg(e *Env, cfg overloadCfg) bool {
 	return err != nil && errors.Is(err, context.Canceled) && d.Reads == 0
 }
 
-// CollectOverload measures all three legs against the default dataset.
-func CollectOverload(p Params) (*Overload, error) {
-	e := DefaultEnv(p)
+// collectOverload runs overloadRounds rounds of all three legs against
+// the default dataset. Each leg figure is recorded with every round as a
+// sample and the median as its value.
+func collectOverload(p Params) (*Reference, error) {
+	e := freshEnv(p)
 	cfg := defaultOverloadCfg(p)
-	out := &Overload{Workload: workloadTag(p)}
-
-	var err error
-	if out.Unprotected, err = overloadLeg(e, cfg, false, 0); err != nil {
-		return nil, fmt.Errorf("bench: overload unprotected: %w", err)
+	var unprotected, protected [][]float64
+	failFast := true
+	for round := 0; round < overloadRounds; round++ {
+		u, err := runOverloadLeg(e, cfg, false, 0)
+		if err != nil {
+			return nil, fmt.Errorf("bench: overload unprotected: %w", err)
+		}
+		// The shedder defends half the unprotected mean: deep saturation
+		// for the same workload, so the protected leg must shed to hold it.
+		target := time.Duration(u.meanMicros/2) * time.Microsecond
+		if target <= 0 {
+			target = time.Microsecond
+		}
+		pr, err := runOverloadLeg(e, cfg, true, target)
+		if err != nil {
+			return nil, fmt.Errorf("bench: overload protected: %w", err)
+		}
+		unprotected = append(unprotected, u.figures())
+		protected = append(protected, pr.figures())
+		failFast = cancelLeg(e, cfg) && failFast
 	}
-	// The shedder defends half the unprotected mean: deep saturation for
-	// the same workload, so the protected leg must shed to hold it.
-	target := time.Duration(out.Unprotected.MeanMicros/2) * time.Microsecond
-	if target <= 0 {
-		target = time.Microsecond
+	r := newReference("overload", workloadTag(p))
+	for _, leg := range []struct {
+		name   string
+		rounds [][]float64
+	}{{"unprotected", unprotected}, {"protected", protected}} {
+		r.exact(leg.name+"/clients", "clients", float64(cfg.clients))
+		for j, f := range overloadFigures {
+			samples := make([]float64, len(leg.rounds))
+			for i, round := range leg.rounds {
+				samples[i] = round[j]
+			}
+			r.measured(leg.name+"/"+f.name, f.unit, 0, samples...)
+		}
 	}
-	if out.Protected, err = overloadLeg(e, cfg, true, target); err != nil {
-		return nil, fmt.Errorf("bench: overload protected: %w", err)
-	}
-	out.CancelFailFast = cancelLeg(e, cfg)
-	return out, nil
+	r.exact("cancel_fail_fast", "bool", boolMetric(failFast))
+	return r, nil
 }
 
-// RunOverload prints the leg table and verdicts the resilience claims:
-// zero hard errors under protection, a bounded p99 against the
-// unprotected leg, protections that actually engaged, and fail-fast
-// cancellation.
+// checkOverload holds the resilience claims: zero hard errors and
+// engaged protections in every protected round, a protected median p99
+// within 5% of the unprotected median, fail-fast cancellation in every
+// round, and — against a committed reference — a protected median p99
+// within 1.5x of the reference's unprotected one.
+func checkOverload(cur, ref *Reference) []Claim {
+	hard := cur.metric("protected/hard_errors").Samples
+	rejected := cur.metric("protected/rejected").Samples
+	shed := cur.metric("protected/shed_transitions").Samples
+	noHard, engaged := len(hard) > 0, len(rejected) > 0 && len(shed) == len(rejected)
+	for _, h := range hard {
+		noHard = noHard && h == 0
+	}
+	for i := range rejected {
+		engaged = engaged && rejected[i]+shed[i] > 0
+	}
+	p99, unprotectedP99 := cur.value("protected/p99_micros"), cur.value("unprotected/p99_micros")
+	claims := []Claim{
+		claim(noHard, "protected leg hard errors per round: %v (claim: 0)", hard),
+		claim(p99 <= unprotectedP99*1.05, "protected median p99 %.0fµs vs unprotected %.0fµs (claim: <= 1.05x)",
+			p99, unprotectedP99),
+		claim(engaged, "protections engaged per round: %v rejections + %v shed transitions (claim: > 0)",
+			rejected, shed),
+		claim(cur.value("cancel_fail_fast") == 1,
+			"pre-canceled query fails fast with zero reads in every round: %v (claim: true)", cur.value("cancel_fail_fast") == 1),
+	}
+	if ref != nil {
+		refP99 := ref.value("unprotected/p99_micros")
+		claims = append(claims, claim(refP99 <= 0 || p99 <= refP99*1.5,
+			"protected median p99 %.0fµs vs reference unprotected p99 %.0fµs (claim: <= 1.5x)", p99, refP99))
+	}
+	return claims
+}
+
+// RunOverload prints the leg table (medians over rounds) and verdicts
+// the resilience claims.
 func RunOverload(w io.Writer, p Params) error {
-	ov, err := CollectOverload(p)
+	r, err := collectOverload(p)
 	if err != nil {
 		return err
 	}
 	cfg := defaultOverloadCfg(p)
-	fmt.Fprintf(w, "%d clients at %dx saturation, %d queries/client over %d uncached cells, eta=%g, seeded faults (p=%g)\n\n",
-		cfg.clients, cfg.clients/cfg.maxConcurrent, cfg.perClient, cfg.cells, cfg.eta, overloadFaults.PageProb)
+	fmt.Fprintf(w, "%d clients at %dx saturation, %d queries/client over %d uncached cells, eta=%g, seeded faults (p=%g); median of %d rounds\n\n",
+		cfg.clients, cfg.clients/cfg.maxConcurrent, cfg.perClient, cfg.cells, cfg.eta, overloadFaults.PageProb, overloadRounds)
 	fmt.Fprintf(w, "%-12s %-9s %-9s %-7s %-8s %-8s %-12s %-12s %s\n",
 		"leg", "queries", "rejected", "shed", "degraded", "hard", "mean µs", "p99 µs", "breaker trips")
-	for _, leg := range []struct {
-		label string
-		l     OverloadLeg
-	}{{"unprotected", ov.Unprotected}, {"protected", ov.Protected}} {
-		fmt.Fprintf(w, "%-12s %-9d %-9d %-7d %-8d %-8d %-12.0f %-12.0f %d\n",
-			leg.label, leg.l.Queries, leg.l.Rejected, leg.l.ShedTransitions,
-			leg.l.Degradations, leg.l.HardErrors, leg.l.MeanMicros, leg.l.P99Micros,
-			leg.l.BreakerTrips)
+	for _, leg := range []string{"unprotected", "protected"} {
+		fmt.Fprintf(w, "%-12s", leg)
+		for _, f := range overloadFigures {
+			fmt.Fprintf(w, " %-8.0f", r.value(leg+"/"+f.name))
+		}
+		fmt.Fprintf(w, "\n%-12s p99 per round: %v\n", "", r.metric(leg+"/p99_micros").Samples)
 	}
 	fmt.Fprintln(w)
-
-	pass := true
-	verdict := func(ok bool, format string, args ...any) {
-		v := "PASS"
-		if !ok {
-			v = "FAIL"
-			pass = false
-		}
-		fmt.Fprintf(w, "%s %s\n", fmt.Sprintf(format, args...), v)
-	}
-	verdict(ov.Protected.HardErrors == 0,
-		"protected leg hard errors: %d (claim: 0)", ov.Protected.HardErrors)
-	verdict(ov.Protected.P99Micros <= ov.Unprotected.P99Micros*1.05,
-		"protected p99 %.0fµs vs unprotected %.0fµs (claim: bounded)",
-		ov.Protected.P99Micros, ov.Unprotected.P99Micros)
-	verdict(ov.Protected.Rejected+ov.Protected.ShedTransitions > 0,
-		"protections engaged: %d rejections + %d shed transitions (claim: > 0)",
-		ov.Protected.Rejected, ov.Protected.ShedTransitions)
-	verdict(ov.CancelFailFast,
-		"pre-canceled query fails fast with zero reads: %v (claim: true)", ov.CancelFailFast)
-	if !pass {
-		return fmt.Errorf("bench: overload: a resilience claim failed")
-	}
-	return nil
-}
-
-// CompareOverload checks fresh overload metrics against the committed
-// reference. The hard invariants (zero hard errors, fail-fast
-// cancellation, protections engaging) are exact; the latency figures get
-// a wide tolerance because saturation interleaving is scheduler-shaped.
-func CompareOverload(ref, cur *Overload, tol float64) []string {
-	var bad []string
-	if ref.Workload != cur.Workload {
-		return []string{fmt.Sprintf("workload mismatch: reference %q vs current %q (regenerate the reference)",
-			ref.Workload, cur.Workload)}
-	}
-	if cur.Protected.HardErrors != 0 {
-		bad = append(bad, fmt.Sprintf("protected leg: %d hard errors, want 0", cur.Protected.HardErrors))
-	}
-	if !cur.CancelFailFast {
-		bad = append(bad, "cancellation leg: pre-canceled query no longer fails fast with zero reads")
-	}
-	if cur.Protected.Rejected+cur.Protected.ShedTransitions == 0 {
-		bad = append(bad, "protected leg: protections never engaged (0 rejections, 0 shed transitions)")
-	}
-	if ref.Unprotected.P99Micros > 0 && cur.Protected.P99Micros > ref.Unprotected.P99Micros*(1+tol) {
-		bad = append(bad, fmt.Sprintf(
-			"protected p99 %.0fµs exceeds reference unprotected p99 %.0fµs (tolerance %.0f%%)",
-			cur.Protected.P99Micros, ref.Unprotected.P99Micros, 100*tol))
-	}
-	return bad
-}
-
-// LoadOverload reads a committed overload reference.
-func LoadOverload(path string) (*Overload, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ov Overload
-	if err := json.Unmarshal(raw, &ov); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &ov, nil
-}
-
-// WriteOverload writes the reference in the committed format.
-func WriteOverload(path string, ov *Overload) error {
-	raw, err := json.MarshalIndent(ov, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return verdicts(w, "overload", checkOverload(r, nil))
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -21,37 +19,23 @@ import (
 // fixed workload — so the guard catches routing regressions (work
 // collapsing back onto one store, broken trimming, a merge that
 // re-serializes shards) without depending on host speed. Every routed
-// answer is also checked byte-identical to the unsharded baseline.
+// answer is also checked byte-identical to the unsharded baseline. Every
+// metric of the committed BENCH_shardscale.json is exact.
 
-// ShardScaleLeg is one shard-count measurement.
-type ShardScaleLeg struct {
-	Shards  int `json:"shards"`
-	Queries int `json:"queries"`
-	// MaxShardSimMicros is the busiest store's simulated disk time — the
-	// spindle that bounds wall clock on real hardware.
-	MaxShardSimMicros float64 `json:"max_shard_sim_micros"`
-	// TotalSimMicros sums simulated time across stores (constant across
-	// shard counts up to boundary effects: sharding splits work, it does
-	// not shrink it).
-	TotalSimMicros float64 `json:"total_sim_micros"`
-	// ThroughputQPS is Queries / MaxShardSimMicros in queries per
-	// simulated second.
-	ThroughputQPS float64 `json:"throughput_qps"`
-	// Identical reports that every routed answer matched the unsharded
+// shardLeg is one shard-count measurement.
+type shardLeg struct {
+	shards, queries int
+	// maxSimMicros is the busiest store's simulated disk time — the
+	// spindle that bounds wall clock on real hardware. totalSimMicros
+	// sums simulated time across stores (constant across shard counts
+	// up to boundary effects: sharding splits work, it does not shrink
+	// it).
+	maxSimMicros, totalSimMicros float64
+	// qps is queries / maxSimMicros in queries per simulated second.
+	qps float64
+	// identical reports that every routed answer matched the unsharded
 	// baseline byte for byte.
-	Identical bool `json:"identical"`
-}
-
-// ShardScale is the committed shardscale reference (BENCH_shardscale.json).
-type ShardScale struct {
-	Workload string          `json:"workload"`
-	Clients  int             `json:"clients"`
-	Legs     []ShardScaleLeg `json:"legs"`
-	// SpeedupAt8 is the 8-shard leg's throughput over the 1-shard leg's.
-	SpeedupAt8 float64 `json:"speedup_at_8"`
-	// ReplicaSpeedup is the skewed-workload gain from mirroring the hot
-	// shard onto a replica store (sessions split across the two arms).
-	ReplicaSpeedup float64 `json:"replica_speedup"`
+	identical bool
 }
 
 // shardManifests adapts a built Env to the shard layer's reopen set.
@@ -82,6 +66,9 @@ func shardFingerprint(r *core.QueryResult) string {
 
 const shardScaleEta = 0.001
 
+// shardCounts is the sweep's shard counts; the last is the speedup gate's.
+var shardCounts = []int{1, 2, 4, 8}
+
 // shardScaleClients is the fixed harness width (the -clients default).
 const shardScaleClients = 8
 
@@ -91,13 +78,13 @@ const shardScaleClients = 8
 // another — the cost is simulated, so concurrency would only add
 // scheduling noise; each client still has its own routed session and its
 // own ring offset, exactly like RunServeClients.
-func runShardLeg(e *Env, shards int, ws []cells.CellID, perClient int, baseline map[cells.CellID]string) (ShardScaleLeg, *shard.Router, error) {
+func runShardLeg(e *Env, shards int, ws []cells.CellID, perClient int, baseline map[cells.CellID]string) (shardLeg, *shard.Router, error) {
 	r, err := shard.NewRouter(e.Scene, e.Disk, shardManifests(e), shard.Config{
 		Shards: shards,
 		Scheme: shard.SchemeIndexedVertical,
 	})
 	if err != nil {
-		return ShardScaleLeg{}, nil, err
+		return shardLeg{}, nil, err
 	}
 	leg, err := driveRouter(r, ws, perClient, baseline)
 	return leg, r, err
@@ -105,12 +92,12 @@ func runShardLeg(e *Env, shards int, ws []cells.CellID, perClient int, baseline 
 
 // driveRouter runs the standard workload against an existing topology
 // and measures the busiest-spindle throughput of that pass alone.
-func driveRouter(r *shard.Router, ws []cells.CellID, perClient int, baseline map[cells.CellID]string) (ShardScaleLeg, error) {
+func driveRouter(r *shard.Router, ws []cells.CellID, perClient int, baseline map[cells.CellID]string) (shardLeg, error) {
 	r.ResetStats()
-	leg := ShardScaleLeg{
-		Shards:    r.Shards(),
-		Queries:   shardScaleClients * perClient,
-		Identical: true,
+	leg := shardLeg{
+		shards:    r.Shards(),
+		queries:   shardScaleClients * perClient,
+		identical: true,
 	}
 	for i := 0; i < shardScaleClients; i++ {
 		s := r.Session()
@@ -121,7 +108,7 @@ func driveRouter(r *shard.Router, ws []cells.CellID, perClient int, baseline map
 				return leg, fmt.Errorf("client %d cell %d: %w", i, c, err)
 			}
 			if shardFingerprint(res) != baseline[c] {
-				leg.Identical = false
+				leg.identical = false
 			}
 		}
 	}
@@ -142,19 +129,21 @@ func driveRouter(r *shard.Router, ws []cells.CellID, perClient int, baseline map
 			maxSim = st.SimTime
 		}
 	}
-	leg.MaxShardSimMicros = float64(maxSim.Microseconds())
-	leg.TotalSimMicros = float64(totalSim.Microseconds())
+	leg.maxSimMicros = float64(maxSim.Microseconds())
+	leg.totalSimMicros = float64(totalSim.Microseconds())
 	if maxSim > 0 {
-		leg.ThroughputQPS = float64(leg.Queries) / maxSim.Seconds()
+		leg.qps = float64(leg.queries) / maxSim.Seconds()
 	}
 	return leg, nil
 }
 
-// CollectShardScale measures the shardscale reference for p: the shard
-// sweep at 1/2/4/8 shards under the 8-client harness, plus the
-// skewed-workload replica leg.
-func CollectShardScale(p Params) (*ShardScale, error) {
-	e := DefaultEnv(p)
+// collectShardScale measures the shardscale reference for p: the shard
+// sweep at 1/2/4/8 shards under the 8-client harness, the 8-shard leg's
+// throughput over the 1-shard leg's, and the skewed-workload gain from
+// mirroring the hot shard onto a replica store (sessions split across
+// the two arms).
+func collectShardScale(p Params) (*Reference, error) {
+	e := freshEnv(p)
 	ws := workingSet(e.Tree, 32)
 	perClient := p.ScalQueries
 	if perClient > 200 {
@@ -176,17 +165,28 @@ func CollectShardScale(p Params) (*ShardScale, error) {
 		baseline[c] = shardFingerprint(res)
 	}
 
-	out := &ShardScale{Workload: workloadTag(p), Clients: shardScaleClients}
-	for _, shards := range []int{1, 2, 4, 8} {
+	r := newReference("shardscale", workloadTag(p))
+	r.exact("clients", "clients", shardScaleClients)
+	var base, speedup float64
+	for _, shards := range shardCounts {
 		leg, _, err := runShardLeg(e, shards, ws, perClient, baseline)
 		if err != nil {
 			return nil, fmt.Errorf("bench: shardscale %d shards: %w", shards, err)
 		}
-		out.Legs = append(out.Legs, leg)
+		prefix := fmt.Sprintf("shards=%d/", shards)
+		r.exact(prefix+"queries", "queries", float64(leg.queries))
+		r.exact(prefix+"max_shard_sim_micros", "sim-us", leg.maxSimMicros)
+		r.exact(prefix+"total_sim_micros", "sim-us", leg.totalSimMicros)
+		r.exact(prefix+"throughput_qps", "q/sim-s", leg.qps)
+		r.exact(prefix+"identical", "bool", boolMetric(leg.identical))
+		if shards == 1 {
+			base = leg.qps
+		}
+		if base > 0 {
+			speedup = leg.qps / base
+		}
 	}
-	if base := out.Legs[0].ThroughputQPS; base > 0 {
-		out.SpeedupAt8 = out.Legs[len(out.Legs)-1].ThroughputQPS / base
-	}
+	r.exact("speedup_at_8", "x", speedup)
 
 	// Replica leg: every client hammers shard 0's range (a hot district).
 	// The first pass feeds the heat EMAs and sets the unreplicated
@@ -203,30 +203,32 @@ func CollectShardScale(p Params) (*ShardScale, error) {
 		}
 		baseline[c] = shardFingerprint(res)
 	}
+	var replicaSpeedup float64
 	if len(hot) > 0 {
-		_, r, err := runShardLeg(e, 4, hot, perClient, baseline)
+		_, router, err := runShardLeg(e, 4, hot, perClient, baseline)
 		if err != nil {
 			return nil, fmt.Errorf("bench: shardscale hot: %w", err)
 		}
-		before, err := driveRouter(r, hot, perClient, baseline)
+		before, err := driveRouter(router, hot, perClient, baseline)
 		if err != nil {
 			return nil, fmt.Errorf("bench: shardscale hot rerun: %w", err)
 		}
-		if _, err := r.PromoteHot(1); err != nil {
+		if _, err := router.PromoteHot(1); err != nil {
 			return nil, fmt.Errorf("bench: shardscale promote: %w", err)
 		}
-		after, err := driveRouter(r, hot, perClient, baseline)
+		after, err := driveRouter(router, hot, perClient, baseline)
 		if err != nil {
 			return nil, fmt.Errorf("bench: shardscale replicated: %w", err)
 		}
-		if !before.Identical || !after.Identical {
+		if !before.identical || !after.identical {
 			return nil, fmt.Errorf("bench: shardscale replica leg diverged from baseline")
 		}
-		if before.ThroughputQPS > 0 {
-			out.ReplicaSpeedup = after.ThroughputQPS / before.ThroughputQPS
+		if before.qps > 0 {
+			replicaSpeedup = after.qps / before.qps
 		}
 	}
-	return out, nil
+	r.exact("replica_speedup", "x", replicaSpeedup)
+	return r, nil
 }
 
 // hotWorkload returns the cells of shard 0's range under an n-shard
@@ -244,67 +246,16 @@ func hotWorkload(e *Env, shards int) []cells.CellID {
 	return out
 }
 
-// CompareShardScale checks a fresh run against the committed reference.
-// Two gates are absolute — every leg byte-identical, and ≥3x aggregate
-// throughput at 8 shards — and the rest are relative drift bounds.
-func CompareShardScale(ref, cur *ShardScale, tol float64) []string {
-	var bad []string
-	if ref.Workload != cur.Workload {
-		return []string{fmt.Sprintf("workload mismatch: reference %q vs current %q (regenerate the reference)",
-			ref.Workload, cur.Workload)}
+// checkShardScale holds the two gates: every routed answer identical to
+// the unsharded baseline, and >= 3x aggregate throughput at 8 shards.
+func checkShardScale(cur, _ *Reference) []Claim {
+	var claims []Claim
+	for _, shards := range shardCounts {
+		claims = append(claims, claim(cur.value(fmt.Sprintf("shards=%d/identical", shards)) == 1,
+			"%d shards: routed answers identical to the unsharded baseline (claim: true)", shards))
 	}
-	for _, leg := range cur.Legs {
-		if !leg.Identical {
-			bad = append(bad, fmt.Sprintf("%d shards: routed answers diverged from the unsharded baseline", leg.Shards))
-		}
-	}
-	if cur.SpeedupAt8 < 3.0 {
-		bad = append(bad, fmt.Sprintf("8-shard speedup %.2fx, gate 3.00x", cur.SpeedupAt8))
-	}
-	if ref.SpeedupAt8 > 0 && cur.SpeedupAt8 < ref.SpeedupAt8*(1-tol) {
-		bad = append(bad, fmt.Sprintf("8-shard speedup %.2fx, reference %.2fx (tolerance %.0f%%)",
-			cur.SpeedupAt8, ref.SpeedupAt8, 100*tol))
-	}
-	if ref.ReplicaSpeedup > 0 && cur.ReplicaSpeedup < ref.ReplicaSpeedup*(1-tol) {
-		bad = append(bad, fmt.Sprintf("replica speedup %.2fx, reference %.2fx (tolerance %.0f%%)",
-			cur.ReplicaSpeedup, ref.ReplicaSpeedup, 100*tol))
-	}
-	for i, want := range ref.Legs {
-		if i >= len(cur.Legs) {
-			bad = append(bad, fmt.Sprintf("%d shards: missing from current run", want.Shards))
-			continue
-		}
-		got := cur.Legs[i]
-		if got.ThroughputQPS < want.ThroughputQPS*(1-tol) {
-			bad = append(bad, fmt.Sprintf(
-				"%d shards: simulated throughput %.0f q/s, reference %.0f q/s (-%.0f%%, tolerance %.0f%%)",
-				got.Shards, got.ThroughputQPS, want.ThroughputQPS,
-				100*(1-got.ThroughputQPS/want.ThroughputQPS), 100*tol))
-		}
-	}
-	return bad
-}
-
-// LoadShardScale reads a committed reference file.
-func LoadShardScale(path string) (*ShardScale, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s ShardScale
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// WriteShardScale writes s to path in the committed format.
-func WriteShardScale(path string, s *ShardScale) error {
-	raw, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	x := cur.value("speedup_at_8")
+	return append(claims, claim(x >= 3, "8-shard speedup %.2fx (claim: >= 3x)", x))
 }
 
 // RunShardScale is the "shardscale" experiment: the shard-count sweep
@@ -312,31 +263,26 @@ func WriteShardScale(path string, s *ShardScale) error {
 // throughput, scaling, and answer fidelity, plus the hot-range replica
 // gain.
 func RunShardScale(w io.Writer, p Params) error {
-	s, err := CollectShardScale(p)
+	r, err := collectShardScale(p)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%d clients round-robin over 32 cells, indexed-vertical, uncached; throughput = queries / busiest-spindle simulated time\n\n", s.Clients)
+	fmt.Fprintf(w, "%d clients round-robin over 32 cells, indexed-vertical, uncached; throughput = queries / busiest-spindle simulated time\n\n", shardScaleClients)
 	fmt.Fprintf(w, "%-8s %-9s %-16s %-16s %-10s %s\n",
 		"shards", "queries", "busiest (ms)", "throughput", "speedup", "identical")
-	base := 0.0
-	for _, leg := range s.Legs {
-		if base == 0 {
-			base = leg.ThroughputQPS
-		}
+	base := r.value("shards=1/throughput_qps")
+	for _, shards := range shardCounts {
+		v := func(m string) float64 { return r.value(fmt.Sprintf("shards=%d/%s", shards, m)) }
 		speedup := 0.0
 		if base > 0 {
-			speedup = leg.ThroughputQPS / base
+			speedup = v("throughput_qps") / base
 		}
-		fmt.Fprintf(w, "%-8d %-9d %-16.1f %-16s %-10s %v\n",
-			leg.Shards, leg.Queries, leg.MaxShardSimMicros/1e3,
-			fmt.Sprintf("%.0f q/s", leg.ThroughputQPS),
-			fmt.Sprintf("%.2fx", speedup), leg.Identical)
+		fmt.Fprintf(w, "%-8d %-9.0f %-16.1f %-16s %-10s %v\n",
+			shards, v("queries"), v("max_shard_sim_micros")/1e3,
+			fmt.Sprintf("%.0f q/s", v("throughput_qps")),
+			fmt.Sprintf("%.2fx", speedup), v("identical") == 1)
 	}
-	fmt.Fprintf(w, "\nhot-range replica: skewed workload on one shard, %.2fx after PromoteHot (two arms serve the hot range)\n",
-		s.ReplicaSpeedup)
-	if s.SpeedupAt8 < 3.0 {
-		fmt.Fprintf(w, "WARNING: 8-shard speedup %.2fx below the 3x gate\n", s.SpeedupAt8)
-	}
-	return nil
+	fmt.Fprintf(w, "\nhot-range replica: skewed workload on one shard, %.2fx after PromoteHot (two arms serve the hot range)\n\n",
+		r.value("replica_speedup"))
+	return verdicts(w, "shardscale", checkShardScale(r, nil))
 }

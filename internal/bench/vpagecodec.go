@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/vstore"
@@ -21,8 +17,8 @@ import (
 // Two figures per scheme: the static V-page footprint (bytes per V-page
 // unit) and the end-to-end light-I/O cost (seek+transfer) of the
 // standard uncached query workload. Costs are simulated and
-// deterministic for a seeded dataset, like the BENCH_baseline.json
-// guard; the committed reference lives in BENCH_vpagecodec.json.
+// deterministic for a seeded dataset, so every metric of the committed
+// BENCH_vpagecodec.json is exact.
 
 // The headline gates: the codec must shrink V-page bytes at least 3x
 // and cut the workload's simulated light-I/O cost at least 1.5x.
@@ -31,28 +27,11 @@ const (
 	codecTransferGate = 1.5
 )
 
-// codecSchemes is the codec-layout rebuild of an Env's three schemes,
-// over the same VisData on the same disk.
-type codecSchemes struct {
-	H  *vstore.Horizontal
-	V  *vstore.Vertical
-	IV *vstore.IndexedVertical
-}
-
-var (
-	codecEnvMu    sync.Mutex
-	codecEnvCache = map[*Env]*codecSchemes{}
-)
-
-// codecEnv builds (or returns the cached) codec variants for e. The
-// build-time dyadic DoV snapping (core.Build) guarantees the variants
-// answer byte-identically to e.H/e.V/e.IV.
-func codecEnv(e *Env) (*codecSchemes, error) {
-	codecEnvMu.Lock()
-	defer codecEnvMu.Unlock()
-	if cs, ok := codecEnvCache[e]; ok {
-		return cs, nil
-	}
+// codecStores builds the codec-layout variants of e's three schemes,
+// over the same VisData on the same disk, in report order. The
+// build-time dyadic DoV snapping (core.Build) guarantees they answer
+// byte-identically to e.H/e.V/e.IV.
+func codecStores(e *Env) ([]core.VStore, error) {
 	opts := vstore.Options{Codec: true}
 	h, err := vstore.BuildHorizontalOpts(e.Disk, e.Vis, opts)
 	if err != nil {
@@ -66,201 +45,96 @@ func codecEnv(e *Env) (*codecSchemes, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: codec indexed-vertical: %w", err)
 	}
-	cs := &codecSchemes{H: h, V: v, IV: iv}
-	codecEnvCache[e] = cs
-	return cs, nil
+	return []core.VStore{h, v, iv}, nil
 }
 
-// CodecLeg is one layout's V-page footprint and per-query cost.
-type CodecLeg struct {
-	// VPageUnits/VPageBytes is the scheme's static V-page footprint:
-	// how many V-page units the build emitted and what they occupy on
-	// disk (codec: encoded bytes; raw: fixed-width bytes).
-	VPageUnits int64 `json:"vpage_units"`
-	VPageBytes int64 `json:"vpage_bytes"`
-	// BytesPerVPage is VPageBytes / VPageUnits.
-	BytesPerVPage float64 `json:"bytes_per_vpage"`
-	// SimMicrosPerQuery is the average simulated light-I/O cost
-	// (seek + transfer) per query on the standard uncached workload;
-	// LightIOPerQuery the average light page reads behind it.
-	SimMicrosPerQuery float64 `json:"sim_micros_per_query"`
-	LightIOPerQuery   float64 `json:"light_io_per_query"`
-}
-
-// CodecSchemeMetric is one scheme's two legs plus the headline ratios.
-type CodecSchemeMetric struct {
-	Raw   CodecLeg `json:"raw"`
-	Codec CodecLeg `json:"codec"`
-	// BytesReduction is Raw.BytesPerVPage / Codec.BytesPerVPage (the
-	// unit counts are identical by construction).
-	BytesReduction float64 `json:"bytes_reduction"`
-	// TransferReduction is Raw.SimMicrosPerQuery / Codec.SimMicrosPerQuery.
-	TransferReduction float64 `json:"transfer_reduction"`
-}
-
-// VPageCodec is the committed reference format (BENCH_vpagecodec.json).
-type VPageCodec struct {
-	Workload string                       `json:"workload"`
-	Schemes  map[string]CodecSchemeMetric `json:"schemes"`
-}
-
-// codecLeg profiles one layout: static footprint plus the uncached
-// per-query light-I/O cost of the standard workload.
-func codecLeg(e *Env, store core.VStore, queries int) (CodecLeg, error) {
-	var leg CodecLeg
-	type footprinter interface {
-		VPageFootprint() (units, bytes int64)
+// recordCodecLeg profiles one layout into r under prefix: the static
+// V-page footprint (units emitted by the build and the bytes they occupy
+// on disk — encoded for codec, fixed-width for raw), and the average
+// simulated light-I/O cost (seek + transfer) and light page reads per
+// query of the standard uncached workload. It returns bytes per V-page
+// and cost per query, the two figures the reductions compare.
+func recordCodecLeg(r *Reference, prefix string, e *Env, store core.VStore, queries int) (bytesPer, sim float64, err error) {
+	units, bytes := store.(interface{ VPageFootprint() (units, bytes int64) }).VPageFootprint()
+	if units > 0 {
+		bytesPer = float64(bytes) / float64(units)
 	}
-	if f, ok := store.(footprinter); ok {
-		leg.VPageUnits, leg.VPageBytes = f.VPageFootprint()
-		if leg.VPageUnits > 0 {
-			leg.BytesPerVPage = float64(leg.VPageBytes) / float64(leg.VPageUnits)
-		}
-	}
-	cells := workingSet(e.Tree, 32)
-	sim, light, err := queryCost(e, store, cells, queries, 0.001)
+	sim, light, err := queryCost(e, store, workingSet(e.Tree, 32), queries, 0.001)
 	if err != nil {
-		return leg, err
+		return 0, 0, err
 	}
-	leg.SimMicrosPerQuery = sim
-	leg.LightIOPerQuery = light
-	return leg, nil
+	r.exact(prefix+"/vpage_units", "units", float64(units))
+	r.exact(prefix+"/vpage_bytes", "B", float64(bytes))
+	r.exact(prefix+"/bytes_per_vpage", "B/vpage", bytesPer)
+	r.exact(prefix+"/sim_micros_per_query", "sim-us/query", sim)
+	r.exact(prefix+"/light_io_per_query", "light-io/query", light)
+	return bytesPer, sim, nil
 }
 
-// CollectVPageCodec measures both legs for every scheme.
-func CollectVPageCodec(p Params) (*VPageCodec, error) {
-	e := DefaultEnv(p)
-	cs, err := codecEnv(e)
+// collectVPageCodec measures both legs for every scheme, plus the two
+// headline ratios raw/codec: bytes per V-page (the unit counts are
+// identical by construction) and per-query light-I/O cost.
+func collectVPageCodec(p Params) (*Reference, error) {
+	e := freshEnv(p)
+	codec, err := codecStores(e)
 	if err != nil {
 		return nil, err
 	}
-	out := &VPageCodec{
-		Workload: workloadTag(p),
-		Schemes:  map[string]CodecSchemeMetric{},
-	}
-	for _, sc := range []struct {
-		name       string
-		raw, codec core.VStore
-	}{
-		{"horizontal", e.H, cs.H},
-		{"vertical", e.V, cs.V},
-		{"indexed-vertical", e.IV, cs.IV},
-	} {
-		var m CodecSchemeMetric
-		if m.Raw, err = codecLeg(e, sc.raw, p.ScalQueries); err != nil {
+	r := newReference("vpagecodec", workloadTag(p))
+	for i, sc := range schemeStores(e) {
+		rawBytes, rawSim, err := recordCodecLeg(r, sc.name+"/raw", e, sc.store, p.ScalQueries)
+		if err != nil {
 			return nil, fmt.Errorf("bench: vpagecodec %s raw: %w", sc.name, err)
 		}
-		if m.Codec, err = codecLeg(e, sc.codec, p.ScalQueries); err != nil {
+		codecBytes, codecSim, err := recordCodecLeg(r, sc.name+"/codec", e, codec[i], p.ScalQueries)
+		if err != nil {
 			return nil, fmt.Errorf("bench: vpagecodec %s codec: %w", sc.name, err)
 		}
-		if m.Codec.BytesPerVPage > 0 {
-			m.BytesReduction = m.Raw.BytesPerVPage / m.Codec.BytesPerVPage
+		var bytesRed, xferRed float64
+		if codecBytes > 0 {
+			bytesRed = rawBytes / codecBytes
 		}
-		if m.Codec.SimMicrosPerQuery > 0 {
-			m.TransferReduction = m.Raw.SimMicrosPerQuery / m.Codec.SimMicrosPerQuery
+		if codecSim > 0 {
+			xferRed = rawSim / codecSim
 		}
-		out.Schemes[sc.name] = m
+		r.exact(sc.name+"/bytes_reduction", "x", bytesRed)
+		r.exact(sc.name+"/transfer_reduction", "x", xferRed)
 	}
-	return out, nil
+	return r, nil
+}
+
+// checkVPageCodec holds the two headline gates per scheme: >= 3x V-page
+// byte reduction and >= 1.5x light-I/O (seek+transfer) cost reduction
+// against raw.
+func checkVPageCodec(cur, _ *Reference) []Claim {
+	var claims []Claim
+	for _, name := range schemeNames {
+		b, x := cur.value(name+"/bytes_reduction"), cur.value(name+"/transfer_reduction")
+		claims = append(claims,
+			claim(b >= codecBytesGate, "%-18s V-page bytes reduction %.1fx (claim: >= %.0fx)", name, b, codecBytesGate),
+			claim(x >= codecTransferGate, "%-18s light-I/O cost reduction %.1fx (claim: >= %.1fx)", name, x, codecTransferGate))
+	}
+	return claims
 }
 
 // RunVPageCodec prints the footprint and cost table and verdicts the
-// two headline gates per scheme: >= 3x V-page byte reduction and
-// >= 1.5x light-I/O (seek+transfer) cost reduction against raw.
+// headline gates.
 func RunVPageCodec(w io.Writer, p Params) error {
-	vc, err := CollectVPageCodec(p)
+	r, err := collectVPageCodec(p)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "uncached workload, %d queries over 32 cells, eta=0.001\n\n", p.ScalQueries)
 	fmt.Fprintf(w, "%-18s %-7s %-10s %-12s %-10s %-14s %-14s\n",
 		"scheme", "leg", "units", "bytes", "B/V-page", "lightIO/query", "simµs/query")
-	pass := true
-	for _, name := range []string{"horizontal", "vertical", "indexed-vertical"} {
-		m := vc.Schemes[name]
-		for _, leg := range []struct {
-			label string
-			l     CodecLeg
-		}{{"raw", m.Raw}, {"codec", m.Codec}} {
-			fmt.Fprintf(w, "%-18s %-7s %-10d %-12d %-10.1f %-14.2f %-14.0f\n",
-				name, leg.label, leg.l.VPageUnits, leg.l.VPageBytes, leg.l.BytesPerVPage,
-				leg.l.LightIOPerQuery, leg.l.SimMicrosPerQuery)
-		}
-		bytesVerdict := "PASS"
-		if m.BytesReduction < codecBytesGate {
-			bytesVerdict = "FAIL"
-			pass = false
-		}
-		xferVerdict := "PASS"
-		if m.TransferReduction < codecTransferGate {
-			xferVerdict = "FAIL"
-			pass = false
-		}
-		fmt.Fprintf(w, "%-18s V-page bytes reduction %.1fx (claim: >= %.0fx) %s; light-I/O cost reduction %.1fx (claim: >= %.1fx) %s\n\n",
-			name, m.BytesReduction, codecBytesGate, bytesVerdict,
-			m.TransferReduction, codecTransferGate, xferVerdict)
-	}
-	if !pass {
-		return fmt.Errorf("bench: vpagecodec: codec layout missed a reduction gate")
-	}
-	return nil
-}
-
-// CompareVPageCodec checks fresh codec metrics against the committed
-// reference and returns one line per regression beyond tol. The two
-// reduction ratios are the guarded quantities: a shrinking ratio means
-// the codec stopped earning its keep (wider fallback encodes, lost
-// packing, or a cost-model change that charges decoded bytes again).
-func CompareVPageCodec(ref, cur *VPageCodec, tol float64) []string {
-	var bad []string
-	if ref.Workload != cur.Workload {
-		return []string{fmt.Sprintf("workload mismatch: reference %q vs current %q (regenerate the reference)",
-			ref.Workload, cur.Workload)}
-	}
-	names := make([]string, 0, len(ref.Schemes))
-	for name := range ref.Schemes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		want := ref.Schemes[name]
-		got, ok := cur.Schemes[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: missing from current run", name))
-			continue
-		}
-		if got.BytesReduction < want.BytesReduction*(1-tol) {
-			bad = append(bad, fmt.Sprintf(
-				"%s: V-page bytes reduction %.2fx, reference %.2fx (tolerance %.0f%%)",
-				name, got.BytesReduction, want.BytesReduction, 100*tol))
-		}
-		if got.TransferReduction < want.TransferReduction*(1-tol) {
-			bad = append(bad, fmt.Sprintf(
-				"%s: light-I/O cost reduction %.2fx, reference %.2fx (tolerance %.0f%%)",
-				name, got.TransferReduction, want.TransferReduction, 100*tol))
+	for _, name := range schemeNames {
+		for _, leg := range []string{"raw", "codec"} {
+			v := func(m string) float64 { return r.value(name + "/" + leg + "/" + m) }
+			fmt.Fprintf(w, "%-18s %-7s %-10.0f %-12.0f %-10.1f %-14.2f %-14.0f\n",
+				name, leg, v("vpage_units"), v("vpage_bytes"), v("bytes_per_vpage"),
+				v("light_io_per_query"), v("sim_micros_per_query"))
 		}
 	}
-	return bad
-}
-
-// LoadVPageCodec reads a committed vpagecodec reference.
-func LoadVPageCodec(path string) (*VPageCodec, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var vc VPageCodec
-	if err := json.Unmarshal(raw, &vc); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &vc, nil
-}
-
-// WriteVPageCodec writes the reference in the committed format.
-func WriteVPageCodec(path string, vc *VPageCodec) error {
-	raw, err := json.MarshalIndent(vc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	fmt.Fprintln(w)
+	return verdicts(w, "vpagecodec", checkVPageCodec(r, nil))
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
-	"repro/internal/core"
 	"repro/internal/render"
 	"repro/internal/vstore"
 	"repro/internal/walkthrough"
@@ -21,60 +18,44 @@ import (
 //	warm      — coherent + shared buffer pool + async predictive
 //	            prefetching (+ the horizontal scheme's V-data cache)
 //
-// All costs are simulated and deterministic for a seeded workload, like
-// the BENCH_baseline.json guard; the committed reference lives in
-// BENCH_walkcoherence.json next to it.
+// All costs are simulated and deterministic for a seeded workload, so
+// every metric of the committed BENCH_walkcoherence.json is exact.
 
 // walkCoherencePool is the buffer-pool size of the warm leg: large
 // enough to hold the walk's working set, so the leg isolates what
 // coherence + prefetching contribute rather than eviction policy.
 const walkCoherencePool = 1 << 14
 
-// CoherenceLeg is one playback's demand-I/O profile.
-type CoherenceLeg struct {
-	// LightIOPerQuery is the average demand index reads per cell-entry
-	// query; PeakFrameLightIO the worst single frame — the spike the
-	// prefetcher exists to flatten.
-	LightIOPerQuery  float64 `json:"light_io_per_query"`
-	PeakFrameLightIO int64   `json:"peak_frame_light_io"`
-	// PrefetchIO is the background worker's page reads (off the frame
-	// loop); PrefetchHits/PrefetchWasted how many warmed pages a demand
+// coherenceProfile is one playback's demand-I/O profile.
+type coherenceProfile struct {
+	// lightIOPerQuery is the average demand index reads per cell-entry
+	// query; peak the worst single frame — the spike the prefetcher
+	// exists to flatten.
+	lightIOPerQuery float64
+	peak            int64
+	// prefetchIO is the background worker's page reads (off the frame
+	// loop); prefetchHits/prefetchWasted how many warmed pages a demand
 	// read used vs lost to eviction.
-	PrefetchIO     int64 `json:"prefetch_io,omitempty"`
-	PrefetchHits   int64 `json:"prefetch_hits,omitempty"`
-	PrefetchWasted int64 `json:"prefetch_wasted,omitempty"`
-	// VDCacheHits counts decoded-V-data cache hits (horizontal only).
-	VDCacheHits int64 `json:"vd_cache_hits,omitempty"`
+	prefetchIO, prefetchHits, prefetchWasted int64
+	// vdCacheHits counts decoded-V-data cache hits (horizontal only).
+	vdCacheHits int64
 
 	series []int64 // per-frame demand light I/O, for the printed profile
 }
 
-// CoherenceSchemeMetric is one scheme's three legs plus the headline
-// ratio: full-leg demand I/O per query over warm-leg.
-type CoherenceSchemeMetric struct {
-	Full     CoherenceLeg `json:"full"`
-	Coherent CoherenceLeg `json:"coherent"`
-	Warm     CoherenceLeg `json:"warm"`
-	// LightIOReduction is Full.LightIOPerQuery / Warm.LightIOPerQuery.
-	LightIOReduction float64 `json:"light_io_reduction"`
-	// RevisitVDCacheHits is the horizontal scheme's decoded-V-data cache
-	// hit count on a revisit-heavy session (session 3): the forward walk
-	// of the main legs never re-enters a cell, so the cache can only
-	// show its value where cells repeat.
-	RevisitVDCacheHits int64 `json:"revisit_vd_cache_hits,omitempty"`
-}
-
-// WalkCoherence is the committed reference format
-// (BENCH_walkcoherence.json).
-type WalkCoherence struct {
-	Workload string                           `json:"workload"`
-	Frames   int                              `json:"frames"`
-	Schemes  map[string]CoherenceSchemeMetric `json:"schemes"`
+// record adds the leg's figures to r under prefix.
+func (l coherenceProfile) record(r *Reference, prefix string) {
+	r.exact(prefix+"/light_io_per_query", "light-io/query", l.lightIOPerQuery)
+	r.exact(prefix+"/peak_frame_light_io", "light-io/frame", float64(l.peak))
+	r.exact(prefix+"/prefetch_io", "pages", float64(l.prefetchIO))
+	r.exact(prefix+"/prefetch_hits", "pages", float64(l.prefetchHits))
+	r.exact(prefix+"/prefetch_wasted", "pages", float64(l.prefetchWasted))
+	r.exact(prefix+"/vd_cache_hits", "hits", float64(l.vdCacheHits))
 }
 
 // coherenceLeg plays one leg on a fresh session tree and profiles it.
-func coherenceLeg(e *Env, s walkthrough.Session, coherent, warm bool) (CoherenceLeg, error) {
-	var leg CoherenceLeg
+func coherenceLeg(e *Env, s walkthrough.Session, coherent, warm bool) (coherenceProfile, error) {
+	var leg coherenceProfile
 	if warm {
 		e.Disk.SetCacheSize(walkCoherencePool)
 		defer e.Disk.SetCacheSize(0)
@@ -97,146 +78,130 @@ func coherenceLeg(e *Env, s walkthrough.Session, coherent, warm bool) (Coherence
 	for i, f := range res.Frames {
 		leg.series[i] = f.LightIO
 		total += f.LightIO
-		if f.LightIO > leg.PeakFrameLightIO {
-			leg.PeakFrameLightIO = f.LightIO
-		}
-		leg.PrefetchIO += f.PrefetchIO
+		leg.peak = max(leg.peak, f.LightIO)
+		leg.prefetchIO += f.PrefetchIO
 	}
 	if res.Queries > 0 {
-		leg.LightIOPerQuery = float64(total) / float64(res.Queries)
+		leg.lightIOPerQuery = float64(total) / float64(res.Queries)
 	}
 	// Read the pool counters before the deferred SetCacheSize(0) drops
 	// the pool (folded counters go with it).
 	d := e.Disk.Stats().Sub(before)
-	leg.PrefetchHits = d.PrefetchHits
-	leg.PrefetchWasted = d.PrefetchWasted
-	leg.VDCacheHits = d.VDCacheHits
+	leg.prefetchHits = d.PrefetchHits
+	leg.prefetchWasted = d.PrefetchWasted
+	leg.vdCacheHits = d.VDCacheHits
 	return leg, nil
 }
 
-// CollectWalkCoherence measures all three legs for every scheme.
-func CollectWalkCoherence(p Params) (*WalkCoherence, error) {
-	e := DefaultEnv(p)
+// collectWalkCoherence measures all three legs for every scheme. It
+// also returns each leg's per-frame profile, keyed "scheme/leg", for the
+// printed report.
+func collectWalkCoherence(p Params) (*Reference, map[string][]int64, error) {
+	e := freshEnv(p)
 	s := walkthrough.RecordNormal(e.Scene, p.Frames, p.Seed)
-	out := &WalkCoherence{
-		Workload: workloadTag(p),
-		Frames:   p.Frames,
-		Schemes:  map[string]CoherenceSchemeMetric{},
-	}
-	for _, sc := range []struct {
-		name  string
-		store core.VStore
-	}{
-		{"horizontal", e.H},
-		{"vertical", e.V},
-		{"indexed-vertical", e.IV},
-	} {
+	r := newReference("walkcoherence", workloadTag(p))
+	r.exact("frames", "frames", float64(p.Frames))
+	series := map[string][]int64{}
+	for _, sc := range schemeStores(e) {
 		e.Tree.SetVStore(sc.store)
-		var m CoherenceSchemeMetric
-		var err error
-		if m.Full, err = coherenceLeg(e, s, false, false); err != nil {
-			return nil, fmt.Errorf("bench: walkcoherence %s full: %w", sc.name, err)
+		full, err := coherenceLeg(e, s, false, false)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: walkcoherence %s full: %w", sc.name, err)
 		}
-		if m.Coherent, err = coherenceLeg(e, s, true, false); err != nil {
-			return nil, fmt.Errorf("bench: walkcoherence %s coherent: %w", sc.name, err)
+		coherent, err := coherenceLeg(e, s, true, false)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: walkcoherence %s coherent: %w", sc.name, err)
 		}
 		// The horizontal scheme additionally caches decoded V-data on
 		// the warm leg; sized to the node count so a cell's whole sweep
 		// stays resident.
-		if h, ok := sc.store.(*vstore.Horizontal); ok {
+		h, isH := sc.store.(*vstore.Horizontal)
+		if isH {
 			h.EnableVDCache(4 * e.Tree.NumNodes())
 			defer h.EnableVDCache(0)
 		}
-		if m.Warm, err = coherenceLeg(e, s, true, true); err != nil {
-			return nil, fmt.Errorf("bench: walkcoherence %s warm: %w", sc.name, err)
+		warm, err := coherenceLeg(e, s, true, true)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: walkcoherence %s warm: %w", sc.name, err)
 		}
-		if _, ok := sc.store.(*vstore.Horizontal); ok {
+		for _, leg := range []struct {
+			label string
+			l     coherenceProfile
+		}{{"full", full}, {"coherent", coherent}, {"warm", warm}} {
+			leg.l.record(r, sc.name+"/"+leg.label)
+			series[sc.name+"/"+leg.label] = leg.l.series
+		}
+		var reduction float64
+		if warm.lightIOPerQuery > 0 {
+			reduction = full.lightIOPerQuery / warm.lightIOPerQuery
+		}
+		r.exact(sc.name+"/light_io_reduction", "x", reduction)
+		if isH {
+			// The forward walk of the main legs never re-enters a cell,
+			// so the cache can only show its value on a revisit-heavy
+			// session (session 3), where cells repeat.
 			s3 := walkthrough.RecordBackForward(e.Scene, p.Frames, p.Seed+2)
 			revisit, err := coherenceLeg(e, s3, true, true)
 			if err != nil {
-				return nil, fmt.Errorf("bench: walkcoherence %s revisit: %w", sc.name, err)
+				return nil, nil, fmt.Errorf("bench: walkcoherence %s revisit: %w", sc.name, err)
 			}
-			m.RevisitVDCacheHits = revisit.VDCacheHits
+			r.exact(sc.name+"/revisit_vd_cache_hits", "hits", float64(revisit.vdCacheHits))
 		}
-		if m.Warm.LightIOPerQuery > 0 {
-			m.LightIOReduction = m.Full.LightIOPerQuery / m.Warm.LightIOPerQuery
-		}
-		out.Schemes[sc.name] = m
 	}
 	e.Tree.SetVStore(e.IV)
-	return out, nil
+	return r, series, nil
+}
+
+// collectWalkCoherenceRef is collectWalkCoherence without the profiles.
+func collectWalkCoherenceRef(p Params) (*Reference, error) {
+	r, _, err := collectWalkCoherence(p)
+	return r, err
+}
+
+// checkWalkCoherence holds the headline claim: the warm path must cut
+// demand light I/O at least 2x against the full-traversal leg.
+func checkWalkCoherence(cur, _ *Reference) []Claim {
+	var claims []Claim
+	for _, name := range schemeNames {
+		x := cur.value(name + "/light_io_reduction")
+		claims = append(claims, claim(x >= 2,
+			"%-18s demand light-I/O reduction %.1fx (claim: >= 2x)", name, x))
+	}
+	return claims
 }
 
 // RunWalkCoherence prints the per-frame I/O spike profile and the leg
-// summary, and verdicts the headline claim: the warm path must cut
-// demand light I/O at least 2x against the full-traversal leg (the
-// numbers recorded in BENCH_walkcoherence.json).
+// summary, and verdicts the headline claim.
 func RunWalkCoherence(w io.Writer, p Params) error {
-	wc, err := CollectWalkCoherence(p)
+	r, series, err := collectWalkCoherence(p)
 	if err != nil {
 		return err
 	}
+	step := max(p.Frames/20, 1)
 	fmt.Fprintf(w, "session 1 (%d frames), eta=0.001, pool %d pages on the warm leg\n\n",
-		wc.Frames, walkCoherencePool)
-	for _, name := range []string{"horizontal", "vertical", "indexed-vertical"} {
-		m := wc.Schemes[name]
-		fmt.Fprintf(w, "%s: per-frame demand light I/O (every %d frames)\n", name, maxi(p.Frames/20, 1))
+		p.Frames, walkCoherencePool)
+	for _, name := range schemeNames {
+		full, coherent, warm := series[name+"/full"], series[name+"/coherent"], series[name+"/warm"]
+		fmt.Fprintf(w, "%s: per-frame demand light I/O (every %d frames)\n", name, step)
 		fmt.Fprintf(w, "%-8s %-10s %-10s %-10s\n", "frame", "full", "coherent", "warm")
-		for i := 0; i < len(m.Full.series); i += maxi(p.Frames/20, 1) {
-			fmt.Fprintf(w, "%-8d %-10d %-10d %-10d\n",
-				i, m.Full.series[i], m.Coherent.series[i], m.Warm.series[i])
+		for i := 0; i < len(full); i += step {
+			fmt.Fprintf(w, "%-8d %-10d %-10d %-10d\n", i, full[i], coherent[i], warm[i])
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%-18s %-8s %-14s %-10s %-12s %-10s %-8s %-8s\n",
 		"scheme", "leg", "lightIO/query", "peak/frame", "prefetchIO", "pf hits", "wasted", "vdhits")
-	pass := true
-	for _, name := range []string{"horizontal", "vertical", "indexed-vertical"} {
-		m := wc.Schemes[name]
-		for _, leg := range []struct {
-			label string
-			l     CoherenceLeg
-		}{{"full", m.Full}, {"coherent", m.Coherent}, {"warm", m.Warm}} {
-			fmt.Fprintf(w, "%-18s %-8s %-14.2f %-10d %-12d %-10d %-8d %-8d\n",
-				name, leg.label, leg.l.LightIOPerQuery, leg.l.PeakFrameLightIO,
-				leg.l.PrefetchIO, leg.l.PrefetchHits, leg.l.PrefetchWasted, leg.l.VDCacheHits)
+	for _, name := range schemeNames {
+		for _, leg := range []string{"full", "coherent", "warm"} {
+			v := func(m string) float64 { return r.value(name + "/" + leg + "/" + m) }
+			fmt.Fprintf(w, "%-18s %-8s %-14.2f %-10.0f %-12.0f %-10.0f %-8.0f %-8.0f\n",
+				name, leg, v("light_io_per_query"), v("peak_frame_light_io"),
+				v("prefetch_io"), v("prefetch_hits"), v("prefetch_wasted"), v("vd_cache_hits"))
 		}
-		if m.RevisitVDCacheHits > 0 {
-			fmt.Fprintf(w, "%-18s V-data cache hits on revisit-heavy session 3: %d\n",
-				name, m.RevisitVDCacheHits)
+		if hits := r.value(name + "/revisit_vd_cache_hits"); hits > 0 {
+			fmt.Fprintf(w, "%-18s V-data cache hits on revisit-heavy session 3: %.0f\n", name, hits)
 		}
-		verdict := "PASS"
-		if m.LightIOReduction < 2 {
-			verdict = "FAIL"
-			pass = false
-		}
-		fmt.Fprintf(w, "%-18s demand light-I/O reduction %.1fx (claim: >= 2x) %s\n\n",
-			name, m.LightIOReduction, verdict)
 	}
-	if !pass {
-		return fmt.Errorf("bench: walkcoherence: warm path did not reach the 2x light-I/O reduction")
-	}
-	return nil
-}
-
-// LoadWalkCoherence reads a committed walkcoherence reference.
-func LoadWalkCoherence(path string) (*WalkCoherence, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var wc WalkCoherence
-	if err := json.Unmarshal(raw, &wc); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &wc, nil
-}
-
-// WriteWalkCoherence writes the reference in the committed format.
-func WriteWalkCoherence(path string, wc *WalkCoherence) error {
-	raw, err := json.MarshalIndent(wc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	fmt.Fprintln(w)
+	return verdicts(w, "walkcoherence", checkWalkCoherence(r, nil))
 }
