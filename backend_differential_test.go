@@ -2,9 +2,9 @@ package hdov
 
 // Backend differential suite: the same saved database, reopened on the
 // simulated in-memory disk and on the real file backend, must answer
-// every query mode identically — all three V-page schemes, raw and codec
-// layouts, serial, parallel and coherent traversal. The file backend may
-// only differ in wall-clock accounting (MeasuredTime).
+// every query mode identically — one database per V-page scheme, raw and
+// codec layouts, serial, parallel and coherent traversal. The file
+// backend may only differ in wall-clock accounting (MeasuredTime).
 
 import (
 	"math"
@@ -29,8 +29,8 @@ func sameItems(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// runDifferential drives one saved database through every scheme and
-// traversal mode on both backends.
+// runDifferential drives one saved database through every traversal mode
+// on both backends.
 func runDifferential(t *testing.T, dir string) {
 	sim, err := Open(dir)
 	if err != nil {
@@ -44,54 +44,51 @@ func runDifferential(t *testing.T, dir string) {
 	defer fb.Close()
 
 	cells := []int{0, sim.NumCells() / 3, sim.NumCells() - 1}
-	for _, scheme := range []Scheme{SchemeIndexedVertical, SchemeVertical, SchemeHorizontal} {
-		sim.SetScheme(scheme)
-		fb.SetScheme(scheme)
+	scheme := sim.Scheme()
 
-		// Serial.
-		for _, c := range cells {
-			a, err := sim.QueryCell(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := fb.QueryCell(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameItems(t, scheme.String()+"/serial", a, b)
+	// Serial.
+	for _, c := range cells {
+		a, err := sim.QueryCell(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, err := fb.QueryCell(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameItems(t, scheme.String()+"/serial", a, b)
+	}
 
-		// Parallel traversal fan-out.
-		sim.SetParallel(4)
-		fb.SetParallel(4)
-		for _, c := range cells {
-			a, err := sim.QueryCell(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := fb.QueryCell(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameItems(t, scheme.String()+"/parallel", a, b)
+	// Parallel traversal fan-out.
+	sim.SetParallel(4)
+	fb.SetParallel(4)
+	for _, c := range cells {
+		a, err := sim.QueryCell(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sim.SetParallel(1)
-		fb.SetParallel(1)
+		b, err := fb.QueryCell(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameItems(t, scheme.String()+"/parallel", a, b)
+	}
+	sim.SetParallel(1)
+	fb.SetParallel(1)
 
-		// Coherent session walk (delta/complement against the previous
-		// cell's cut).
-		ss, fs := sim.NewSession(), fb.NewSession()
-		for _, c := range cells {
-			a, err := ss.QueryCellCoherent(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := fs.QueryCellCoherent(c, 0.002)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameItems(t, scheme.String()+"/coherent", a, b)
+	// Coherent session walk (delta/complement against the previous
+	// cell's cut).
+	ss, fs := sim.NewSession(), fb.NewSession()
+	for _, c := range cells {
+		a, err := ss.QueryCellCoherent(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, err := fs.QueryCellCoherent(c, 0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameItems(t, scheme.String()+"/coherent", a, b)
 	}
 
 	// Only the measured wall-clock diverges between the backends.
@@ -103,13 +100,19 @@ func runDifferential(t *testing.T, dir string) {
 	}
 }
 
-func TestBackendDifferentialRaw(t *testing.T) {
-	db := testDB(t)
-	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
+// saveAndDiff saves each database and runs the differential on it.
+func saveAndDiff(t *testing.T, dbs []*DB) {
+	for _, db := range dbs {
+		dir := t.TempDir()
+		if err := db.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		runDifferential(t, dir)
 	}
-	runDifferential(t, dir)
+}
+
+func TestBackendDifferentialRaw(t *testing.T) {
+	saveAndDiff(t, testSchemeDBs(t))
 }
 
 func TestBackendDifferentialCodec(t *testing.T) {
@@ -119,16 +122,14 @@ func TestBackendDifferentialCodec(t *testing.T) {
 	cfg.DoVRays = 128
 	cfg.Scene.NominalBytes = 4 << 20
 	cfg.Codec = true
-	db, err := Build(cfg)
+	dbs, err := buildSchemes(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
+	for _, db := range dbs {
+		defer db.Close()
 	}
-	runDifferential(t, dir)
+	saveAndDiff(t, dbs)
 }
 
 // TestShardingFileBacked shards a file-backed database: every shard arm

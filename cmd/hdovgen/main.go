@@ -1,7 +1,9 @@
 // Command hdovgen generates a synthetic-city HDoV database and reports its
 // structure: object/node counts, visibility statistics, per-scheme storage
 // footprints. With -obj it also exports the city's finest-LoD geometry as
-// a Wavefront OBJ file for inspection in any 3D viewer.
+// a Wavefront OBJ file for inspection in any 3D viewer. With -save it
+// persists the database with its indexed-vertical layout, the one Open
+// serves.
 //
 // Usage:
 //
@@ -18,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbfile"
 	"repro/internal/mesh"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/vstore"
@@ -67,12 +68,20 @@ func main() {
 	fmt.Printf("cells: %d, avg visible nodes per cell %.1f\n",
 		tr.Grid.NumCells(), vis.AvgVisibleNodes())
 
-	h, err := vstore.BuildHorizontal(d, vis, 0)
+	// The horizontal and vertical layouts are laid out on a clone, for
+	// the footprint report only: the saved image holds just the
+	// indexed-vertical layout it serves.
+	report, err := d.Clone()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)
 		os.Exit(1)
 	}
-	v, err := vstore.BuildVertical(d, vis, 0)
+	h, err := vstore.BuildHorizontal(report, vis, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hdovgen:", err)
+		os.Exit(1)
+	}
+	v, err := vstore.BuildVertical(report, vis, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)
 		os.Exit(1)
@@ -88,15 +97,8 @@ func main() {
 		d.NumPages(), float64(d.SizeBytes())/(1<<20), float64(d.ResidentBytes())/(1<<20))
 
 	if *saveDir != "" {
-		nv, err := naive.Build(tr, vis, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdovgen:", err)
-			os.Exit(1)
-		}
-		err = dbfile.Save(*saveDir, &dbfile.Database{
-			Scene: sc, Disk: d, Tree: tr,
-			Horizontal: h, Vertical: v, Indexed: iv, Naive: nv,
-		})
+		tr.SetVStore(iv)
+		err = dbfile.Save(*saveDir, &dbfile.Database{Scene: sc, Disk: d, Tree: tr, Layout: iv})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hdovgen:", err)
 			os.Exit(1)

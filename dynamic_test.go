@@ -51,10 +51,19 @@ func dynAnswers(t *testing.T, s *Session) map[int]string {
 }
 
 func TestDynamicUpdateBasics(t *testing.T) {
-	db, err := Build(dynConfig())
+	dbs, err := buildSchemes(dynConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every scheme's DB takes the same batches and still answers.
+	for _, db := range dbs {
+		dynUpdateBasics(t, db)
+	}
+}
+
+func dynUpdateBasics(t *testing.T, db *DB) {
+	t.Helper()
+	sch := db.Scheme()
 	n0 := db.NumObjects()
 	if db.Epoch() != 0 {
 		t.Fatalf("fresh build at epoch %d", db.Epoch())
@@ -100,18 +109,32 @@ func TestDynamicUpdateBasics(t *testing.T) {
 		t.Fatal("empty batch succeeded")
 	}
 
-	// Every scheme still answers on the updated database.
-	for _, sch := range []Scheme{SchemeHorizontal, SchemeVertical, SchemeIndexedVertical} {
-		db.SetScheme(sch)
-		r, err := db.QueryCell(0, 0.001)
-		if err != nil {
-			t.Fatalf("%v: %v", sch, err)
+	// The scheme still answers on the updated database.
+	r, err := db.QueryCell(0, 0.001)
+	if err != nil {
+		t.Fatalf("%v: %v", sch, err)
+	}
+	for _, it := range r.Items {
+		if it.ObjectID == st.InsertedIDs[0] {
+			t.Fatalf("%v: deleted object %d still answered", sch, it.ObjectID)
 		}
-		for _, it := range r.Items {
-			if it.ObjectID == st.InsertedIDs[0] {
-				t.Fatalf("%v: deleted object %d still answered", sch, it.ObjectID)
-			}
-		}
+	}
+}
+
+// TestUpdatePagesAppendedCountsBatch: PagesAppended is the disk's page
+// delta across the whole batch, the V-page re-lay included.
+func TestUpdatePagesAppendedCountsBatch(t *testing.T) {
+	db, err := Build(dynConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.disk.NumPages()
+	st, err := db.Update(func(u *Updater) { u.Move(0, 2, 1, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta := db.disk.NumPages() - before; st.PagesAppended != delta || delta <= 0 {
+		t.Fatalf("PagesAppended = %d, disk grew by %d pages", st.PagesAppended, delta)
 	}
 }
 

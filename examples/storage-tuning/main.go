@@ -1,6 +1,7 @@
 // Storage-tuning: compare the three V-page storage schemes of the paper's
-// §4 on the same database — disk footprint (Table 2) and query cost
-// (Figure 7) — to pick a layout for a deployment.
+// §4 over the same dataset — disk footprint (Table 2) and query cost
+// (Figure 7) — to pick a layout for a deployment. A database lays out
+// one scheme, so the example builds one database per scheme.
 package main
 
 import (
@@ -18,27 +19,36 @@ func main() {
 	cfg.DoVRays = 2048
 	cfg.Scene.NominalBytes = 200 << 20
 
-	fmt.Println("building HDoV database with all three storage schemes...")
-	db, err := hdov.Build(cfg)
-	if err != nil {
-		log.Fatal(err)
+	schemes := []hdov.Scheme{hdov.SchemeHorizontal, hdov.SchemeVertical, hdov.SchemeIndexedVertical}
+	dbs := make([]*hdov.DB, len(schemes))
+	sizes := make([]int64, len(schemes))
+	for i, scheme := range schemes {
+		fmt.Printf("building HDoV database with the %s scheme...\n", scheme)
+		cfg.Scheme = scheme
+		db, err := hdov.Build(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer db.Close()
+		dbs[i] = db
+		// Only the field of the DB's own scheme is set.
+		sz := db.StorageSizes()
+		sizes[i] = sz.Horizontal + sz.Vertical + sz.IndexedVertical
 	}
 
-	sz := db.StorageSizes()
 	fmt.Printf("\nstorage footprint (Table 2):\n")
-	fmt.Printf("  %-18s %8.2f MB\n", "horizontal", float64(sz.Horizontal)/(1<<20))
-	fmt.Printf("  %-18s %8.2f MB\n", "vertical", float64(sz.Vertical)/(1<<20))
-	fmt.Printf("  %-18s %8.2f MB\n", "indexed-vertical", float64(sz.IndexedVertical)/(1<<20))
+	for i, scheme := range schemes {
+		fmt.Printf("  %-18s %8.2f MB\n", scheme, float64(sizes[i])/(1<<20))
+	}
 	fmt.Printf("  horizontal is %.1fx the indexed-vertical footprint\n",
-		float64(sz.Horizontal)/float64(sz.IndexedVertical))
+		float64(sizes[0])/float64(sizes[2]))
 
 	// Query-cost comparison: sweep every cell once per scheme at a few
 	// thresholds and accumulate simulated search time.
-	fmt.Printf("\nquery cost per scheme (avg over %d cells):\n", db.NumCells())
+	fmt.Printf("\nquery cost per scheme (avg over %d cells):\n", dbs[0].NumCells())
 	fmt.Printf("  %-18s %12s %12s %12s\n", "scheme", "eta=0", "eta=0.001", "eta=0.008")
-	for _, scheme := range []hdov.Scheme{hdov.SchemeHorizontal, hdov.SchemeVertical, hdov.SchemeIndexedVertical} {
-		db.SetScheme(scheme)
-		fmt.Printf("  %-18s", scheme)
+	for i, db := range dbs {
+		fmt.Printf("  %-18s", schemes[i])
 		for _, eta := range []float64{0, 0.001, 0.008} {
 			var total time.Duration
 			for c := 0; c < db.NumCells(); c++ {

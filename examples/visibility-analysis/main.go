@@ -60,16 +60,4 @@ func main() {
 	fmt.Println("    is ever lost — distant ones collapse into internal LoDs instead")
 	fmt.Println("  - I/O and time fall as eta grows; detail fidelity degrades gracefully")
 	fmt.Println("  - eta=0 degenerates to the (cell, list-of-objects) method")
-
-	// Also demonstrate the naive baseline equivalence at eta=0.
-	nres, err := db.QueryNaive(eye)
-	if err != nil {
-		log.Fatal(err)
-	}
-	zres, err := db.Query(eye, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nnaive baseline: %d items vs eta=0's %d items (same answer set)\n",
-		len(nres.Items), len(zres.Items))
 }

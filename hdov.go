@@ -14,8 +14,8 @@
 //   - an R-tree backbone with the Ang–Tan linear split,
 //   - ray-cast DoV precomputation over a viewing-cell grid,
 //   - the three V-page storage schemes of the paper (horizontal, vertical,
-//     indexed-vertical) over a simulated paged disk with seek/transfer
-//     cost accounting,
+//     indexed-vertical), one per database, over a simulated paged disk
+//     with seek/transfer cost accounting,
 //   - the threshold-based visibility query of Figure 3, and
 //   - walkthrough players for VISUAL (this system) and the REVIEW spatial
 //     baseline, with delta/complement search and semantic caching.
@@ -43,7 +43,6 @@ import (
 	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -65,30 +64,20 @@ func (p Point) String() string       { return p.vec().String() }
 func (p Point) Sub(q Point) Point    { return fromVec(p.vec().Sub(q.vec())) }
 func (p Point) Dist(q Point) float64 { return p.vec().Dist(q.vec()) }
 
-// Scheme selects the V-page storage layout of §4.
+// Scheme selects the V-page storage layout of §4. Its values are
+// internal/vstore's, so a Scheme converts to the layout it names.
 type Scheme int
 
 const (
 	// SchemeIndexedVertical is §4.3, the paper's recommended layout.
-	SchemeIndexedVertical Scheme = iota
+	SchemeIndexedVertical = Scheme(vstore.SchemeIndexedVertical)
 	// SchemeVertical is §4.2.
-	SchemeVertical
+	SchemeVertical = Scheme(vstore.SchemeVertical)
 	// SchemeHorizontal is §4.1.
-	SchemeHorizontal
+	SchemeHorizontal = Scheme(vstore.SchemeHorizontal)
 )
 
-func (s Scheme) String() string {
-	switch s {
-	case SchemeIndexedVertical:
-		return "indexed-vertical"
-	case SchemeVertical:
-		return "vertical"
-	case SchemeHorizontal:
-		return "horizontal"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
+func (s Scheme) String() string { return vstore.Scheme(s).String() }
 
 // SceneConfig shapes the procedural dataset.
 type SceneConfig struct {
@@ -120,7 +109,9 @@ type Config struct {
 	// SamplesPerCell is the per-axis viewpoint sample density for the
 	// conservative region DoV of equation 2.
 	SamplesPerCell int
-	// Scheme selects the storage layout used by Query.
+	// Scheme selects the one V-page layout Build lays out and Query
+	// serves. It is fixed for the DB's lifetime: Save persists it and
+	// Open restores it. Build one DB per scheme to compare layouts.
 	Scheme Scheme
 	// Eta is the default DoV threshold for Query (can be overridden per
 	// call).
@@ -133,7 +124,7 @@ type Config struct {
 	// BulkLoad packs the R-tree backbone with STR instead of the paper's
 	// one-by-one Ang–Tan insertion (fewer nodes, lower overlap).
 	BulkLoad bool
-	// Codec stores all three schemes in the compressed V-page layout
+	// Codec stores the scheme's V-pages in the compressed layout
 	// (DESIGN.md §13): fixed-point varint DoV entries in CRC-sealed,
 	// variable-length units instead of raw float64 slots. Query results
 	// are byte-identical to the raw layout; V-page bytes and light I/O
@@ -168,8 +159,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// DB is a built HDoV-tree database: scene, index, visibility data and all
-// three storage schemes over one simulated disk.
+// DB is a built HDoV-tree database: scene, index, visibility data and
+// the V-page layout of its Scheme over one paged disk.
 //
 // A DB is not itself a concurrent query handle: concurrent clients each
 // take a Session (NewSession is safe to call at any time, including while
@@ -179,14 +170,11 @@ func DefaultConfig() Config {
 type DB struct {
 	cfg    Config
 	disk   *storage.Disk
-	scene  *scene.Scene            // hdov:guarded-by mu
-	tree   *core.Tree              // hdov:guarded-by mu
-	vis    *core.VisData           // hdov:guarded-by mu
-	h      *vstore.Horizontal      // hdov:guarded-by mu
-	v      *vstore.Vertical        // hdov:guarded-by mu
-	iv     *vstore.IndexedVertical // hdov:guarded-by mu
-	naive  *naive.Store            // hdov:guarded-by mu
-	engine *visibility.Engine      // hdov:guarded-by mu
+	scene  *scene.Scene       // hdov:guarded-by mu
+	tree   *core.Tree         // hdov:guarded-by mu
+	vis    *core.VisData      // hdov:guarded-by mu
+	vs     vstore.Layout      // hdov:guarded-by mu
+	engine *visibility.Engine // hdov:guarded-by mu
 
 	// router, when non-nil, partitions the viewing-cell grid across
 	// shard stores and routes new sessions (see EnableSharding); shardCfg
@@ -194,7 +182,7 @@ type DB struct {
 	router   *shard.Router // hdov:guarded-by mu
 	shardCfg ShardConfig   // hdov:guarded-by mu
 
-	// mu guards the epoch swap: Update replaces scene/tree/vis/stores
+	// mu guards the epoch swap: Update replaces scene/tree/vis/layout
 	// under mu.Lock, NewSession pins the current tree under mu.RLock.
 	mu sync.RWMutex
 	// writeMu serializes writers (Update, CommitEpoch, Save).
@@ -208,7 +196,7 @@ type DB struct {
 }
 
 // Build generates the city, constructs the HDoV-tree, precomputes per-cell
-// DoV data and lays out all three storage schemes.
+// DoV data and lays out the V-pages in cfg.Scheme.
 func Build(cfg Config) (*DB, error) {
 	if cfg.Scene.Blocks < 1 {
 		cfg.Scene.Blocks = 4
@@ -268,31 +256,21 @@ func Build(cfg Config) (*DB, error) {
 	if err != nil {
 		return fail(fmt.Errorf("hdov: %w", err))
 	}
-	opts := vstore.Options{Codec: cfg.Codec}
-	h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+	vs, err := cfg.layout(d, vis)
 	if err != nil {
 		return fail(fmt.Errorf("hdov: %w", err))
 	}
-	v, err := vstore.BuildVerticalOpts(d, vis, opts)
-	if err != nil {
-		return fail(fmt.Errorf("hdov: %w", err))
-	}
-	iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
-	if err != nil {
-		return fail(fmt.Errorf("hdov: %w", err))
-	}
-	nv, err := naive.Build(tr, vis, 0)
-	if err != nil {
-		return fail(fmt.Errorf("hdov: %w", err))
-	}
-	db := &DB{
-		cfg: cfg, scene: sc, disk: d, tree: tr, vis: vis,
-		h: h, v: v, iv: iv, naive: nv,
+	tr.SetVStore(vs)
+	return &DB{
+		cfg: cfg, scene: sc, disk: d, tree: tr, vis: vis, vs: vs,
 		engine: visibility.NewEngine(sc, cfg.DoVRays),
 		tmpDir: tmpDir,
-	}
-	db.SetScheme(cfg.Scheme)
-	return db, nil
+	}, nil
+}
+
+// layout lays out vis on d in the configured scheme and V-page codec.
+func (cfg Config) layout(d *storage.Disk, vis *core.VisData) (vstore.Layout, error) {
+	return vstore.Build(d, vis, vstore.Scheme(cfg.Scheme), vstore.Options{Codec: cfg.Codec})
 }
 
 // snapshot returns the current epoch's tree and scene under the read
@@ -305,32 +283,8 @@ func (db *DB) snapshot() (*core.Tree, *scene.Scene) {
 	return db.tree, db.scene
 }
 
-// SetScheme switches the storage layout served to Query — on every
-// shard store too, when sharding is enabled.
-func (db *DB) SetScheme(s Scheme) {
-	db.mu.Lock()
-	switch s {
-	case SchemeHorizontal:
-		db.tree.SetVStore(db.h)
-	case SchemeVertical:
-		db.tree.SetVStore(db.v)
-	default:
-		db.tree.SetVStore(db.iv)
-	}
-	db.cfg.Scheme = s
-	r := db.router
-	db.mu.Unlock()
-	if r != nil {
-		r.SetScheme(shardScheme(s))
-	}
-}
-
-// Scheme returns the active storage layout.
-func (db *DB) Scheme() Scheme {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cfg.Scheme
-}
+// Scheme returns the V-page layout the DB was built with.
+func (db *DB) Scheme() Scheme { return db.cfg.Scheme }
 
 // NumObjects returns the object count of the dataset (tombstones
 // included; see NumAliveObjects).
@@ -389,19 +343,25 @@ func (db *DB) DefaultViewpoint() Point {
 	return Pt(cx, cy, z)
 }
 
-// StorageSizes reports each scheme's disk footprint — the Table 2 numbers.
+// StorageSizes reports V-page footprints per scheme — the Table 2
+// numbers.
 type StorageSizes struct {
 	Horizontal, Vertical, IndexedVertical int64
 }
 
-// StorageSizes returns the three schemes' footprints.
+// StorageSizes returns the footprint of the DB's one layout in the field
+// of its Scheme; the other two fields are 0. Build one DB per scheme to
+// compare them.
 func (db *DB) StorageSizes() StorageSizes {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
+	size := db.vs.SizeBytes()
+	db.mu.RUnlock()
+	var by [3]int64
+	by[db.cfg.Scheme] = size
 	return StorageSizes{
-		Horizontal:      db.h.SizeBytes(),
-		Vertical:        db.v.SizeBytes(),
-		IndexedVertical: db.iv.SizeBytes(),
+		Horizontal:      by[SchemeHorizontal],
+		Vertical:        by[SchemeVertical],
+		IndexedVertical: by[SchemeIndexedVertical],
 	}
 }
 

@@ -1,6 +1,7 @@
 package hdov
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -10,15 +11,20 @@ var (
 	dbFix  *DB
 )
 
+// testConfig is the shared fixture's configuration.
+func testConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Scene.Blocks = 2
+	cfg.GridCells = 6
+	cfg.DoVRays = 256
+	cfg.Scene.NominalBytes = 16 << 20
+	return cfg
+}
+
 func testDB(t *testing.T) *DB {
 	t.Helper()
 	dbOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.Scene.Blocks = 2
-		cfg.GridCells = 6
-		cfg.DoVRays = 256
-		cfg.Scene.NominalBytes = 16 << 20
-		db, err := Build(cfg)
+		db, err := Build(testConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -28,6 +34,50 @@ func testDB(t *testing.T) *DB {
 		t.Fatal("fixture failed")
 	}
 	return dbFix
+}
+
+// allSchemes lists the three V-page layouts.
+var allSchemes = []Scheme{SchemeIndexedVertical, SchemeVertical, SchemeHorizontal}
+
+// buildSchemes builds one DB per scheme from cfg, in allSchemes order. A
+// DB lays out only its own scheme, so comparing layouts takes one DB
+// each.
+func buildSchemes(cfg Config) ([]*DB, error) {
+	dbs := make([]*DB, 0, len(allSchemes))
+	for _, s := range allSchemes {
+		cfg.Scheme = s
+		db, err := Build(cfg)
+		if err != nil {
+			for _, d := range dbs {
+				d.Close()
+			}
+			return nil, fmt.Errorf("%v: %w", s, err)
+		}
+		dbs = append(dbs, db)
+	}
+	return dbs, nil
+}
+
+var (
+	schemesOnce sync.Once
+	schemesFix  []*DB
+)
+
+// testSchemeDBs returns the shared fixture built once per scheme, in
+// allSchemes order.
+func testSchemeDBs(t *testing.T) []*DB {
+	t.Helper()
+	schemesOnce.Do(func() {
+		dbs, err := buildSchemes(testConfig())
+		if err != nil {
+			panic(err)
+		}
+		schemesFix = dbs
+	})
+	if schemesFix == nil {
+		t.Fatal("fixture failed")
+	}
+	return schemesFix
 }
 
 func centerPoint(db *DB) Point {
@@ -47,7 +97,17 @@ func TestBuildShape(t *testing.T) {
 	if !(max.X > min.X && max.Y > min.Y && max.Z > min.Z) {
 		t.Fatal("degenerate bounds")
 	}
-	sz := db.StorageSizes()
+	// Each DB reports only its own layout's footprint.
+	var sz StorageSizes
+	for _, db := range testSchemeDBs(t) {
+		own := db.StorageSizes()
+		sz.Horizontal += own.Horizontal
+		sz.Vertical += own.Vertical
+		sz.IndexedVertical += own.IndexedVertical
+		if own.Horizontal+own.Vertical+own.IndexedVertical != db.vs.SizeBytes() {
+			t.Fatalf("%v: sizes %+v besides its own layout's", db.Scheme(), own)
+		}
+	}
 	if !(sz.Horizontal > sz.Vertical && sz.Vertical > 0 && sz.IndexedVertical > 0) {
 		t.Fatalf("sizes: %+v", sz)
 	}
@@ -90,32 +150,11 @@ func TestQueryAndFetch(t *testing.T) {
 	}
 }
 
-func TestQueryNaiveMatchesEtaZero(t *testing.T) {
-	db := testDB(t)
-	p := centerPoint(db)
-	nres, err := db.QueryNaive(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres, err := db.Query(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nres.Items) != len(hres.Items) {
-		t.Fatalf("naive %d items, eta=0 %d", len(nres.Items), len(hres.Items))
-	}
-	if _, err := db.QueryNaive(Pt(-999, 0, 0)); err != ErrOutsideCells {
-		t.Fatal("naive outside error wrong")
-	}
-}
-
 func TestSchemesAgreeThroughAPI(t *testing.T) {
-	db := testDB(t)
-	defer db.SetScheme(SchemeIndexedVertical)
-	p := centerPoint(db)
+	p := centerPoint(testDB(t))
 	var counts [3]int
-	for i, s := range []Scheme{SchemeIndexedVertical, SchemeVertical, SchemeHorizontal} {
-		db.SetScheme(s)
+	for i, db := range testSchemeDBs(t) {
+		s := allSchemes[i]
 		if db.Scheme() != s {
 			t.Fatalf("scheme not set: %v", db.Scheme())
 		}

@@ -38,15 +38,10 @@ type shardLeg struct {
 	identical bool
 }
 
-// shardManifests adapts a built Env to the shard layer's reopen set.
+// shardManifests adapts a built Env's indexed-vertical layout to the
+// shard layer's reopen set.
 func shardManifests(e *Env) shard.Manifests {
-	return shard.Manifests{
-		Tree:  e.Tree.Manifest(),
-		H:     e.H.Manifest(),
-		V:     e.V.Manifest(),
-		IV:    e.IV.Manifest(),
-		Naive: e.Naive.Manifest(),
-	}
+	return shard.Manifests{Tree: e.Tree.Manifest(), Layout: e.IV.LayoutManifest()}
 }
 
 // shardFingerprint renders the bytes that define an answer.
@@ -79,10 +74,7 @@ const shardScaleClients = 8
 // scheduling noise; each client still has its own routed session and its
 // own ring offset, exactly like RunServeClients.
 func runShardLeg(e *Env, shards int, ws []cells.CellID, perClient int, baseline map[cells.CellID]string) (shardLeg, *shard.Router, error) {
-	r, err := shard.NewRouter(e.Scene, e.Disk, shardManifests(e), shard.Config{
-		Shards: shards,
-		Scheme: shard.SchemeIndexedVertical,
-	})
+	r, err := shard.NewRouter(e.Scene, e.Disk, shardManifests(e), shard.Config{Shards: shards})
 	if err != nil {
 		return shardLeg{}, nil, err
 	}

@@ -8,28 +8,21 @@ import (
 
 	"repro/internal/dbfile"
 	"repro/internal/testenv"
+	"repro/internal/vstore"
 )
 
-// saveCodecFixture saves a codec-layout database to a temp directory.
-func saveCodecFixture(t *testing.T) (string, *testenv.Env) {
-	t.Helper()
+// codecConfig is the small test environment in the codec layout.
+func codecConfig() testenv.Config {
 	cfg := testenv.Small()
 	cfg.Codec = true
-	env := testenv.Get(cfg)
-	dir := t.TempDir()
-	db := &dbfile.Database{
-		Scene:      env.Scene,
-		Disk:       env.Disk,
-		Tree:       env.Tree,
-		Horizontal: env.H,
-		Vertical:   env.V,
-		Indexed:    env.IV,
-		Naive:      env.Naive,
-	}
-	if err := dbfile.Save(dir, db); err != nil {
-		t.Fatal(err)
-	}
-	return dir, env
+	return cfg
+}
+
+// saveCodecFixture saves a vertical codec-layout database to a temp
+// directory.
+func saveCodecFixture(t *testing.T) (string, *testenv.Env) {
+	t.Helper()
+	return saveLayoutFixture(t, codecConfig(), vstore.SchemeVertical)
 }
 
 // TestFsckCodecIntact: an undamaged codec database passes every check,
@@ -63,8 +56,8 @@ func TestFsckCodecTamperAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := db.Vertical.Manifest()
-	if !m.Codec {
+	m := db.Layout.LayoutManifest().Vertical
+	if m == nil || !m.Codec {
 		t.Fatal("fixture is not codec-built")
 	}
 	page, err := db.Disk.PeekPage(m.HeapBase)
@@ -160,25 +153,28 @@ func TestOpenBadQuarantineSidecar(t *testing.T) {
 	}
 }
 
-// TestCodecSaveOpenRoundTrip: a codec database round-trips through Save
-// and Open with identical query results against the in-memory original.
+// TestCodecSaveOpenRoundTrip: a codec database of every scheme
+// round-trips through Save and Open with its codec flag, size and V-page
+// footprint intact.
 func TestCodecSaveOpenRoundTrip(t *testing.T) {
-	dir, env := saveCodecFixture(t)
-	got, err := dbfile.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Horizontal.Codec() || !got.Vertical.Codec() || !got.Indexed.Codec() {
-		t.Fatal("codec flag lost through save/open")
-	}
-	if got.Horizontal.SizeBytes() != env.H.SizeBytes() ||
-		got.Vertical.SizeBytes() != env.V.SizeBytes() ||
-		got.Indexed.SizeBytes() != env.IV.SizeBytes() {
-		t.Fatal("codec scheme sizes changed through save/open")
-	}
-	hu, hb := env.H.VPageFootprint()
-	ghu, ghb := got.Horizontal.VPageFootprint()
-	if hu != ghu || hb != ghb {
-		t.Fatalf("horizontal footprint changed: (%d,%d) vs (%d,%d)", hu, hb, ghu, ghb)
+	type footprinter interface{ VPageFootprint() (units, bytes int64) }
+	for _, s := range []vstore.Scheme{vstore.SchemeHorizontal, vstore.SchemeVertical, vstore.SchemeIndexedVertical} {
+		dir, env := saveLayoutFixture(t, codecConfig(), s)
+		got, err := dbfile.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := envLayouts(env)[s]
+		if got.Layout.Scheme() != s || !got.Layout.Codec() {
+			t.Fatalf("%v: scheme or codec flag lost through save/open: %v codec=%v", s, got.Layout.Scheme(), got.Layout.Codec())
+		}
+		if got.Layout.SizeBytes() != want.SizeBytes() {
+			t.Fatalf("%v: codec layout size changed through save/open", s)
+		}
+		wu, wb := want.(footprinter).VPageFootprint()
+		gu, gb := got.Layout.(footprinter).VPageFootprint()
+		if wu != gu || wb != gb {
+			t.Fatalf("%v: footprint changed: (%d,%d) vs (%d,%d)", s, wu, wb, gu, gb)
+		}
 	}
 }

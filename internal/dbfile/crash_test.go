@@ -16,15 +16,7 @@ import (
 func crashFixtureDB(t *testing.T) *Database {
 	t.Helper()
 	env := testenv.Get(testenv.Small())
-	return &Database{
-		Scene:      env.Scene,
-		Disk:       env.Disk,
-		Tree:       env.Tree,
-		Horizontal: env.H,
-		Vertical:   env.V,
-		Indexed:    env.IV,
-		Naive:      env.Naive,
-	}
+	return &Database{Scene: env.Scene, Disk: env.Disk, Tree: env.Tree, Layout: env.IV}
 }
 
 func saveWithCrash(t *testing.T, dir, stage string, db *Database) {

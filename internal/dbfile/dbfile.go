@@ -7,8 +7,8 @@
 // A database directory holds two files, plus one per committed epoch:
 //
 //	manifest.json — dataset parameters and every layout pointer needed to
-//	                reattach the tree, the three storage schemes and the
-//	                naive baseline (JSON, human-inspectable, checksummed)
+//	                reattach the tree and the one V-page layout the
+//	                database serves (JSON, human-inspectable, checksummed)
 //	disk.img      — the simulated disk's pages (binary, checksummed)
 //	epoch-N.img   — the pages appended by incremental update epoch N
 //	                (binary, checksummed; absent on static databases)
@@ -50,7 +50,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/storage/filestore"
@@ -63,8 +62,10 @@ const (
 	// directories predate crash-safe saves and are rejected). Version 3
 	// added the codec V-page layout manifests and the page-quarantine
 	// sidecar (quarantine.json). Version 4 added dynamic scenes: the op
-	// log, the epoch counter, and the epoch-N.img delta chain.
-	FormatVersion = 4
+	// log, the epoch counter, and the epoch-N.img delta chain. Version 5
+	// stores one V-page layout, tagged with its scheme, instead of all
+	// three plus the naive baseline.
+	FormatVersion = 5
 	manifestName  = "manifest.json"
 	imageName     = "disk.img"
 	// deltaPrefix/deltaSuffix frame epoch delta file names (epoch-N.img).
@@ -88,10 +89,7 @@ type Manifest struct {
 	FormatVersion int
 	City          scene.CityParams
 	Tree          core.TreeManifest
-	Horizontal    vstore.HorizontalManifest
-	Vertical      vstore.VerticalManifest
-	Indexed       vstore.IndexedVerticalManifest
-	Naive         naive.Manifest
+	Layout        vstore.Manifest
 
 	// Epoch counts committed incremental update epochs; 0 is a freshly
 	// built (or Save-compacted) database. Ops is the dynamic-scene op
@@ -148,13 +146,11 @@ type DeltaManifest struct {
 
 // Database is a reopened (or about-to-be-saved) HDoV database.
 type Database struct {
-	Scene      *scene.Scene
-	Disk       *storage.Disk
-	Tree       *core.Tree
-	Horizontal *vstore.Horizontal
-	Vertical   *vstore.Vertical
-	Indexed    *vstore.IndexedVertical
-	Naive      *naive.Store
+	Scene *scene.Scene
+	Disk  *storage.Disk
+	Tree  *core.Tree
+	// Layout is the V-page layout the tree serves.
+	Layout vstore.Layout
 	// Epoch and Ops mirror the manifest's dynamic-scene state: how many
 	// update epochs have been applied and the full op log that evolves
 	// the generated base city into Scene.
@@ -194,7 +190,7 @@ func crashAt(stage string) error {
 // manifest rename the commit point; a crash anywhere before it leaves the
 // previous database state (or a rejectable partial directory) behind.
 func Save(dir string, db *Database) error {
-	if db == nil || db.Tree == nil || db.Disk == nil {
+	if db == nil || db.Tree == nil || db.Disk == nil || db.Layout == nil {
 		return fmt.Errorf("dbfile: save: incomplete database")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -217,10 +213,7 @@ func Save(dir string, db *Database) error {
 		FormatVersion:  FormatVersion,
 		City:           db.Scene.Params,
 		Tree:           db.Tree.Manifest(),
-		Horizontal:     db.Horizontal.Manifest(),
-		Vertical:       db.Vertical.Manifest(),
-		Indexed:        db.Indexed.Manifest(),
-		Naive:          db.Naive.Manifest(),
+		Layout:         db.Layout.LayoutManifest(),
 		Epoch:          db.Epoch,
 		Ops:            db.Ops,
 		AllocatedPages: db.Disk.NumPages(),
@@ -262,7 +255,7 @@ func DeltaFileName(n int) string {
 // The db must hold the post-update state (new tree, schemes, op log);
 // CommitEpoch derives the epoch number from the directory and returns it.
 func CommitEpoch(dir string, db *Database) (int, error) {
-	if db == nil || db.Tree == nil || db.Disk == nil {
+	if db == nil || db.Tree == nil || db.Disk == nil || db.Layout == nil {
 		return 0, fmt.Errorf("dbfile: commit: incomplete database")
 	}
 	prev, err := readManifest(dir)
@@ -324,10 +317,7 @@ func CommitEpoch(dir string, db *Database) (int, error) {
 		FormatVersion:  FormatVersion,
 		City:           db.Scene.Params,
 		Tree:           db.Tree.Manifest(),
-		Horizontal:     db.Horizontal.Manifest(),
-		Vertical:       db.Vertical.Manifest(),
-		Indexed:        db.Indexed.Manifest(),
-		Naive:          db.Naive.Manifest(),
+		Layout:         db.Layout.LayoutManifest(),
 		Epoch:          epoch,
 		Ops:            db.Ops,
 		Deltas:         append(append([]DeltaManifest(nil), prev.Deltas...), DeltaManifest{Name: name, Bytes: n, CRC32: h.Sum32()}),
@@ -528,33 +518,18 @@ func OpenWith(dir string, opts OpenOptions) (*Database, error) {
 	if err != nil {
 		return fail(fmt.Errorf("%w: %v", ErrBadDatabase, err))
 	}
-	h, err := vstore.OpenHorizontal(disk, tree.Grid, m.Horizontal)
+	l, err := vstore.Open(disk, tree.Grid, m.Layout)
 	if err != nil {
 		return fail(fmt.Errorf("%w: %v", ErrBadDatabase, err))
 	}
-	v, err := vstore.OpenVertical(disk, tree.Grid, m.Vertical)
-	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadDatabase, err))
-	}
-	iv, err := vstore.OpenIndexedVertical(disk, tree.Grid, m.Indexed)
-	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadDatabase, err))
-	}
-	nv, err := naive.Open(tree, m.Naive)
-	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadDatabase, err))
-	}
-	tree.SetVStore(iv)
+	tree.SetVStore(l)
 	return &Database{
-		Scene:      sc,
-		Disk:       disk,
-		Tree:       tree,
-		Horizontal: h,
-		Vertical:   v,
-		Indexed:    iv,
-		Naive:      nv,
-		Epoch:      m.Epoch,
-		Ops:        m.Ops,
+		Scene:  sc,
+		Disk:   disk,
+		Tree:   tree,
+		Layout: l,
+		Epoch:  m.Epoch,
+		Ops:    m.Ops,
 	}, nil
 }
 
@@ -634,51 +609,13 @@ func validateLayout(m *Manifest, disk *storage.Disk) error {
 			}
 		}
 	}
-	slotPages := func(s vstore.SlotTableManifest) int {
-		if s.PerPage <= 0 {
-			return 0
-		}
-		return (s.Count + s.PerPage - 1) / s.PerPage
+	ranges, err := m.Layout.PageRanges(m.Tree.Grid.NX*m.Tree.Grid.NY, pagesFor)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadDatabase, err)
 	}
-	numCells := m.Tree.Grid.NX * m.Tree.Grid.NY
-	if m.Horizontal.Codec {
-		if err := check("horizontal codec heap", m.Horizontal.HeapBase, pagesFor(m.Horizontal.HeapBytes)); err != nil {
+	for _, r := range ranges {
+		if err := check(r.What, r.Start, r.Pages); err != nil {
 			return err
-		}
-		if err := check("horizontal codec directory", m.Horizontal.DirBase,
-			pagesFor(8*int64(m.Horizontal.NumNodes)*int64(numCells))); err != nil {
-			return err
-		}
-	} else if err := check("horizontal V-pages", m.Horizontal.Slots.Base, slotPages(m.Horizontal.Slots)); err != nil {
-		return err
-	}
-	if m.Vertical.Codec {
-		if err := check("vertical codec heap", m.Vertical.HeapBase, pagesFor(m.Vertical.HeapBytes)); err != nil {
-			return err
-		}
-	} else {
-		if err := check("vertical V-pages", m.Vertical.Slots.Base, slotPages(m.Vertical.Slots)); err != nil {
-			return err
-		}
-		if err := check("vertical segments", m.Vertical.SegBase, m.Vertical.SegPages*numCells); err != nil {
-			return err
-		}
-	}
-	if m.Indexed.Codec {
-		if err := check("indexed codec heap", m.Indexed.HeapBase, pagesFor(m.Indexed.HeapBytes)); err != nil {
-			return err
-		}
-	} else {
-		if err := check("indexed V-pages", m.Indexed.Slots.Base, slotPages(m.Indexed.Slots)); err != nil {
-			return err
-		}
-		for cell, seg := range m.Indexed.Dir {
-			if seg.Start == storage.NilPage {
-				continue
-			}
-			if err := check(fmt.Sprintf("indexed segment for cell %d", cell), seg.Start, 1); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -10,25 +10,41 @@ import (
 	"repro/internal/cells"
 	"repro/internal/dbfile"
 	"repro/internal/testenv"
+	"repro/internal/vstore"
 )
 
+// saveFixture saves the small test environment with its indexed-vertical
+// layout.
 func saveFixture(t *testing.T) (string, *testenv.Env) {
 	t.Helper()
-	env := testenv.Get(testenv.Small())
+	return saveLayoutFixture(t, testenv.Small(), vstore.SchemeIndexedVertical)
+}
+
+// saveLayoutFixture saves the test environment built from cfg with the
+// layout of the given scheme.
+func saveLayoutFixture(t *testing.T, cfg testenv.Config, s vstore.Scheme) (string, *testenv.Env) {
+	t.Helper()
+	env := testenv.Get(cfg)
 	dir := t.TempDir()
 	db := &dbfile.Database{
-		Scene:      env.Scene,
-		Disk:       env.Disk,
-		Tree:       env.Tree,
-		Horizontal: env.H,
-		Vertical:   env.V,
-		Indexed:    env.IV,
-		Naive:      env.Naive,
+		Scene:  env.Scene,
+		Disk:   env.Disk,
+		Tree:   env.Tree,
+		Layout: envLayouts(env)[s],
 	}
 	if err := dbfile.Save(dir, db); err != nil {
 		t.Fatal(err)
 	}
 	return dir, env
+}
+
+// envLayouts indexes the environment's three layouts by scheme.
+func envLayouts(env *testenv.Env) map[vstore.Scheme]vstore.Layout {
+	return map[vstore.Scheme]vstore.Layout{
+		vstore.SchemeIndexedVertical: env.IV,
+		vstore.SchemeVertical:        env.V,
+		vstore.SchemeHorizontal:      env.H,
+	}
 }
 
 func TestSaveOpenRoundTrip(t *testing.T) {
@@ -70,12 +86,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Storage sizes preserved.
-	if got.Horizontal.SizeBytes() != env.H.SizeBytes() ||
-		got.Vertical.SizeBytes() != env.V.SizeBytes() ||
-		got.Indexed.SizeBytes() != env.IV.SizeBytes() ||
-		got.Naive.SizeBytes() != env.Naive.SizeBytes() {
-		t.Fatal("scheme sizes changed")
+	// The saved layout is restored with its scheme and size.
+	if got.Layout.Scheme() != vstore.SchemeIndexedVertical || got.Layout.SizeBytes() != env.IV.SizeBytes() {
+		t.Fatalf("layout changed: %v, %d bytes", got.Layout.Scheme(), got.Layout.SizeBytes())
 	}
 }
 
@@ -105,18 +118,6 @@ func TestReopenedQueriesIdentical(t *testing.T) {
 					math.Abs(a.DoV-b.DoV) > 1e-12 || a.Extent != b.Extent {
 					t.Fatalf("cell %d eta %v item %d: %+v vs %+v", c, eta, i, a, b)
 				}
-			}
-			// Naive agrees too.
-			nw, err := env.Naive.Query(cells.CellID(c))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nh, err := got.Naive.Query(cells.CellID(c))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(nw.Items) != len(nh.Items) {
-				t.Fatalf("cell %d: naive items differ", c)
 			}
 		}
 	}

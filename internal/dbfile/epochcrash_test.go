@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/vstore"
@@ -49,25 +48,19 @@ func buildDynFixture(t *testing.T) *dynFixture {
 	}
 	f := &dynFixture{vis: vis}
 	f.db = &Database{Scene: sc, Disk: d, Tree: tr}
-	f.rebuildSchemes(t)
+	f.relay(t)
 	return f
 }
 
-func (f *dynFixture) rebuildSchemes(t *testing.T) {
+// relay lays out the fixture's indexed-vertical layout over its current
+// visibility data and serves it.
+func (f *dynFixture) relay(t *testing.T) {
 	t.Helper()
 	var err error
-	if f.db.Horizontal, err = vstore.BuildHorizontalOpts(f.db.Disk, f.vis, vstore.Options{}); err != nil {
+	if f.db.Layout, err = vstore.Build(f.db.Disk, f.vis, vstore.SchemeIndexedVertical, vstore.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if f.db.Vertical, err = vstore.BuildVerticalOpts(f.db.Disk, f.vis, vstore.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if f.db.Indexed, err = vstore.BuildIndexedVerticalOpts(f.db.Disk, f.vis, vstore.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if f.db.Naive, err = naive.Build(f.db.Tree, f.vis, 0); err != nil {
-		t.Fatal(err)
-	}
+	f.db.Tree.SetVStore(f.db.Layout)
 }
 
 // evolve applies one update batch and rebuilds the derived stores, leaving
@@ -82,7 +75,7 @@ func (f *dynFixture) evolve(t *testing.T, ops []scene.Op) {
 	f.db.Scene = t2.Scene
 	f.db.Epoch++
 	f.db.Ops = append(f.db.Ops, ops...)
-	f.rebuildSchemes(t)
+	f.relay(t)
 }
 
 // dynOps is the batch every crash-stage run commits: one insert (visible

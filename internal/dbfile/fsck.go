@@ -26,7 +26,7 @@ type FsckReport struct {
 	// LayoutOK: every layout pointer in the manifest stays inside the
 	// image.
 	LayoutOK bool
-	// CodecOK: every codec unit in every scheme decodes and passes its
+	// CodecOK: every codec unit of the layout decodes and passes its
 	// CRC (pages already parked in quarantine.json are excused — they
 	// are known damage, not new damage). Trivially true for raw-layout
 	// databases.
@@ -160,8 +160,8 @@ func Fsck(dir string) (*FsckReport, error) {
 	return rep, nil
 }
 
-// checkCodec walks every codec unit of every scheme through the
-// unmetered peek path, recording failed units' pages and problems in
+// checkCodec walks every codec unit of the database's layout through
+// the unmetered peek path, recording failed units' pages and problems in
 // rep. Pages already parked by quarantine.json are applied first so
 // known (repaired) damage is not re-reported — a repaired database
 // comes back intact.
@@ -175,40 +175,16 @@ func checkCodec(dir string, m *Manifest, disk *storage.Disk, rep *FsckReport) {
 		rep.problemf("codec: grid: %v", err)
 		return
 	}
-	type checker interface {
-		CodecCheck() ([]storage.PageID, []string)
+	l, err := vstore.Open(disk, grid, m.Layout)
+	if err != nil {
+		rep.problemf("codec: open %v: %v", m.Layout.Scheme, err)
+		return
 	}
-	open := []struct {
-		name string
-		fn   func() (checker, error)
-	}{
-		{"horizontal", func() (checker, error) { return vstore.OpenHorizontal(disk, grid, m.Horizontal) }},
-		{"vertical", func() (checker, error) { return vstore.OpenVertical(disk, grid, m.Vertical) }},
-		{"indexed", func() (checker, error) { return vstore.OpenIndexedVertical(disk, grid, m.Indexed) }},
-	}
-	seen := map[storage.PageID]bool{}
-	ok := true
-	for _, o := range open {
-		s, err := o.fn()
-		if err != nil {
-			rep.problemf("codec: open %s: %v", o.name, err)
-			ok = false
-			continue
-		}
-		bad, problems := s.CodecCheck()
-		if len(problems) > 0 {
-			ok = false
-		}
-		rep.Problems = append(rep.Problems, problems...)
-		for _, id := range bad {
-			if !seen[id] {
-				seen[id] = true
-				rep.BadCodecPages = append(rep.BadCodecPages, id)
-			}
-		}
-	}
+	bad, problems := l.CodecCheck()
+	rep.Problems = append(rep.Problems, problems...)
+	rep.BadCodecPages = bad
 	sort.Slice(rep.BadCodecPages, func(i, j int) bool { return rep.BadCodecPages[i] < rep.BadCodecPages[j] })
-	rep.CodecOK = ok
+	rep.CodecOK = len(problems) == 0
 }
 
 // QuarantineDirName is where Repair moves damaged artifacts, inside the

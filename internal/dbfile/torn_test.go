@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/dbfile"
 	"repro/internal/storage"
+	"repro/internal/testenv"
+	"repro/internal/vstore"
 )
 
 // TestOpenTruncatedImage: a disk.img cut short (torn write, full disk)
@@ -86,11 +88,11 @@ func TestOpenLayoutPointersOutOfRange(t *testing.T) {
 			m.Tree.ObjExtents[0][0].Start = storage.PageID(1 << 40)
 		},
 		"vertical segments": func(m *dbfile.Manifest) {
-			m.Vertical.SegBase = storage.PageID(1 << 40)
+			m.Layout.Vertical.SegBase = storage.PageID(1 << 40)
 		},
 	}
 	for name, mutate := range mutations {
-		dir, _ := saveFixture(t)
+		dir, _ := saveLayoutFixture(t, testenv.Small(), vstore.SchemeVertical)
 		rewriteManifest(t, dir, true, mutate)
 		_, err := dbfile.Open(dir)
 		if !errors.Is(err, dbfile.ErrBadDatabase) {
@@ -180,5 +182,32 @@ func TestFsckClassifiesIntactVsDamaged(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		t.Fatalf("healthy manifest was removed: %v", err)
+	}
+}
+
+// TestOpenLayoutSchemeMismatch: a resealed manifest whose layout is
+// tagged with another scheme, or that is still at format version 4, is
+// rejected by Open, and fsck reports the mismatch as layout damage.
+func TestOpenLayoutSchemeMismatch(t *testing.T) {
+	dir, _ := saveFixture(t)
+	rewriteManifest(t, dir, true, func(m *dbfile.Manifest) {
+		m.Layout.Scheme = vstore.SchemeHorizontal
+	})
+	if _, err := dbfile.Open(dir); !errors.Is(err, dbfile.ErrBadDatabase) {
+		t.Fatalf("mislabelled layout: err = %v, want ErrBadDatabase", err)
+	}
+	rep, err := dbfile.Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.ManifestOK || !rep.ImageOK || rep.LayoutOK {
+		t.Fatalf("mislabelled layout not reported as layout damage: %+v", rep)
+	}
+
+	dir, _ = saveFixture(t)
+	rewriteManifest(t, dir, true, func(m *dbfile.Manifest) { m.FormatVersion = 4 })
+	_, err = dbfile.Open(dir)
+	if !errors.Is(err, dbfile.ErrBadDatabase) || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("version-4 manifest: err = %v, want ErrBadDatabase format version error", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/vstore"
@@ -25,11 +24,11 @@ type fixEnv struct {
 	sc   *scene.Scene
 	disk *storage.Disk
 	tree *core.Tree
-	// man[false] is the raw layout, man[true] the codec layout; both
-	// describe stores laid out on the same disk.
-	man map[bool]Manifests
+	// man[false] is the raw layout, man[true] the codec layout, each per
+	// scheme; all describe stores laid out on the same disk.
+	man map[bool]map[vstore.Scheme]Manifests
 	// stores[codec][scheme] is the baseline store for SetVStore.
-	stores map[bool]map[Scheme]core.VStore
+	stores map[bool]map[vstore.Scheme]core.VStore
 }
 
 var (
@@ -59,15 +58,10 @@ func fixture(t *testing.T) *fixEnv {
 			fixErr = err
 			return
 		}
-		nv, err := naive.Build(tr, vis, 0)
-		if err != nil {
-			fixErr = err
-			return
-		}
 		env := &fixEnv{
 			sc: sc, disk: d, tree: tr,
-			man:    map[bool]Manifests{},
-			stores: map[bool]map[Scheme]core.VStore{},
+			man:    map[bool]map[vstore.Scheme]Manifests{},
+			stores: map[bool]map[vstore.Scheme]core.VStore{},
 		}
 		for _, codec := range []bool{false, true} {
 			opts := vstore.Options{Codec: codec}
@@ -86,12 +80,11 @@ func fixture(t *testing.T) *fixEnv {
 				fixErr = err
 				return
 			}
-			env.man[codec] = Manifests{
-				Tree: tr.Manifest(), H: h.Manifest(), V: v.Manifest(),
-				IV: iv.Manifest(), Naive: nv.Manifest(),
-			}
-			env.stores[codec] = map[Scheme]core.VStore{
-				SchemeHorizontal: h, SchemeVertical: v, SchemeIndexedVertical: iv,
+			env.man[codec] = map[vstore.Scheme]Manifests{}
+			env.stores[codec] = map[vstore.Scheme]core.VStore{}
+			for _, l := range []vstore.Layout{h, v, iv} {
+				env.man[codec][l.Scheme()] = Manifests{Tree: tr.Manifest(), Layout: l.LayoutManifest()}
+				env.stores[codec][l.Scheme()] = l
 			}
 		}
 		fixVal = env
@@ -121,17 +114,17 @@ func fingerprint(r *core.QueryResult) string {
 
 var diffSchemes = []struct {
 	name string
-	s    Scheme
+	s    vstore.Scheme
 }{
-	{"horizontal", SchemeHorizontal},
-	{"vertical", SchemeVertical},
-	{"indexed-vertical", SchemeIndexedVertical},
+	{"horizontal", vstore.SchemeHorizontal},
+	{"vertical", vstore.SchemeVertical},
+	{"indexed-vertical", vstore.SchemeIndexedVertical},
 }
 
 const diffEta = 0.003
 
 // golden computes the single-store serial baseline for every cell.
-func golden(t *testing.T, env *fixEnv, codec bool, s Scheme) []string {
+func golden(t *testing.T, env *fixEnv, codec bool, s vstore.Scheme) []string {
 	t.Helper()
 	env.tree.SetVStore(env.stores[codec][s])
 	base := env.tree.Session()
@@ -160,8 +153,8 @@ func TestShardDifferential(t *testing.T) {
 			for _, shards := range []int{1, 2, 8} {
 				name := fmt.Sprintf("codec=%v/%s/shards=%d", codec, sch.name, shards)
 				t.Run(name, func(t *testing.T) {
-					r, err := NewRouter(env.sc, env.disk, env.man[codec], Config{
-						Shards: shards, Scheme: sch.s,
+					r, err := NewRouter(env.sc, env.disk, env.man[codec][sch.s], Config{
+						Shards: shards,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -251,7 +244,7 @@ func TestShardDifferentialDegraded(t *testing.T) {
 	n := env.tree.Grid.NumCells()
 	for _, codec := range []bool{false, true} {
 		t.Run(fmt.Sprintf("codec=%v", codec), func(t *testing.T) {
-			iv := env.stores[codec][SchemeIndexedVertical]
+			iv := env.stores[codec][vstore.SchemeIndexedVertical]
 			pager, ok := iv.(core.CellPager)
 			if !ok {
 				t.Fatal("indexed-vertical store is not a CellPager")
@@ -288,8 +281,8 @@ func TestShardDifferentialDegraded(t *testing.T) {
 
 			runs := make([][]string, 0, 3)
 			for _, shards := range []int{1, 2, 8} {
-				r, err := NewRouter(env.sc, env.disk, env.man[codec], Config{
-					Shards: shards, Scheme: SchemeIndexedVertical, FaultTolerant: true,
+				r, err := NewRouter(env.sc, env.disk, env.man[codec][vstore.SchemeIndexedVertical], Config{
+					Shards: shards, FaultTolerant: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -329,15 +322,15 @@ func TestShardDifferentialDegraded(t *testing.T) {
 // byte-identical.
 func TestShardTrimResidentBytes(t *testing.T) {
 	env := fixture(t)
-	want := golden(t, env, false, SchemeIndexedVertical)
-	full, err := NewRouter(env.sc, env.disk, env.man[false], Config{
-		Shards: 4, Scheme: SchemeIndexedVertical,
+	want := golden(t, env, false, vstore.SchemeIndexedVertical)
+	full, err := NewRouter(env.sc, env.disk, env.man[false][vstore.SchemeIndexedVertical], Config{
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed, err := NewRouter(env.sc, env.disk, env.man[false], Config{
-		Shards: 4, Scheme: SchemeIndexedVertical, Trim: true,
+	trimmed, err := NewRouter(env.sc, env.disk, env.man[false][vstore.SchemeIndexedVertical], Config{
+		Shards: 4, Trim: true,
 	})
 	if err != nil {
 		t.Fatal(err)

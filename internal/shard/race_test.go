@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/vstore"
 )
 
 // TestConcurrentQueriesDuringPromotion hammers the router with querying
@@ -16,9 +17,9 @@ import (
 // half-built store — and the run must be clean under -race.
 func TestConcurrentQueriesDuringPromotion(t *testing.T) {
 	env := fixture(t)
-	want := golden(t, env, false, SchemeIndexedVertical)
-	r, err := NewRouter(env.sc, env.disk, env.man[false], Config{
-		Shards: 4, Scheme: SchemeIndexedVertical, CachePagesPerShard: 256,
+	want := golden(t, env, false, vstore.SchemeIndexedVertical)
+	r, err := NewRouter(env.sc, env.disk, env.man[false][vstore.SchemeIndexedVertical], Config{
+		Shards: 4, CachePagesPerShard: 256,
 	})
 	if err != nil {
 		t.Fatal(err)

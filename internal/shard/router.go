@@ -14,8 +14,7 @@ import (
 type Config struct {
 	// Shards is the number of contiguous cell-range partitions.
 	Shards int
-	// Scheme, Parallel and FaultTolerant are applied to every store.
-	Scheme        Scheme
+	// Parallel and FaultTolerant are applied to every store.
 	Parallel      int
 	FaultTolerant bool
 	// CachePagesPerShard is each store's private buffer-pool capacity.
@@ -48,7 +47,7 @@ func (t *Table) storeAt(i, pick int) *Store {
 
 // Router owns the shard topology and routes sessions to stores. The
 // current Table is read via an atomic pointer; topology changes
-// (promotion, demotion, scheme flips) build the replacement off to the
+// (promotion, demotion) build the replacement off to the
 // side and swap it under mu — the mutex serializes writers only, and no
 // I/O ever happens while it is held.
 type Router struct {
@@ -101,7 +100,6 @@ func cellCount(man Manifests) (int, error) {
 // open builds one store under the current per-store settings.
 func (r *Router) open(m Map, idx int, cfg Config) (*Store, error) {
 	return OpenStore(r.sc, r.src, r.man, m, idx, StoreConfig{
-		Scheme:        cfg.Scheme,
 		Parallel:      cfg.Parallel,
 		FaultTolerant: cfg.FaultTolerant,
 		CachePages:    cfg.CachePagesPerShard,
@@ -120,7 +118,7 @@ func (r *Router) Shards() int { return r.Table().Map.Shards() }
 
 // PromoteHot mirrors the k hottest shard ranges (per the hit EMAs) onto
 // replica stores and publishes the new topology. The replicas are built
-// fully — cloned disk, reopened tree and schemes, warm-free pool —
+// fully — cloned disk, reopened tree and layout, warm-free pool —
 // before the table swap, so no session ever observes a half-built
 // store; sessions created before the swap keep their pinned table. It
 // returns the promoted shard indices (empty when no shard has traffic).
@@ -196,15 +194,6 @@ func (r *Router) forEachStore(fn func(*Store)) {
 			fn(st)
 		}
 	}
-}
-
-// SetScheme flips the active V-page layout on every store. Sessions
-// created afterwards see the new scheme.
-func (r *Router) SetScheme(s Scheme) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cfg.Scheme = s
-	r.forEachStore(func(st *Store) { st.SetScheme(s) })
 }
 
 // SetParallel bounds per-query traversal fan-out on every store.

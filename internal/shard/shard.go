@@ -1,7 +1,7 @@
 // Package shard partitions the viewing-cell grid into contiguous
 // cell-range shards, each served by its own store — a cloned simulated
 // disk with a private cost model, buffer pool and fault state, plus a
-// tree and all three storage schemes reopened over it (DESIGN.md §16).
+// tree and its V-page layout reopened over it (DESIGN.md §16).
 //
 // A Router owns the shard topology and publishes it copy-on-write: the
 // current Table (shard map, primary stores, replica stores) is swapped

@@ -5,35 +5,20 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/vstore"
 )
 
-// Scheme selects the V-page layout a store serves, mirroring the root
-// package's ordering (indexed-vertical is the zero value).
-type Scheme int
-
-const (
-	SchemeIndexedVertical Scheme = iota
-	SchemeVertical
-	SchemeHorizontal
-)
-
-// Manifests carries everything needed to reopen the tree and every
-// storage scheme over a cloned disk.
+// Manifests carries everything needed to reopen the tree and its V-page
+// layout over a cloned disk.
 type Manifests struct {
-	Tree  core.TreeManifest
-	H     vstore.HorizontalManifest
-	V     vstore.VerticalManifest
-	IV    vstore.IndexedVerticalManifest
-	Naive naive.Manifest
+	Tree   core.TreeManifest
+	Layout vstore.Manifest
 }
 
 // StoreConfig shapes one shard store.
 type StoreConfig struct {
-	Scheme        Scheme
 	Parallel      int
 	FaultTolerant bool
 	// CachePages is the store's private buffer-pool capacity (0 = none).
@@ -47,27 +32,24 @@ type StoreConfig struct {
 }
 
 // Store is one shard's complete serving state: a private disk clone with
-// the tree and all three schemes reopened over it. Queries against
+// the tree and its V-page layout reopened over it. Queries against
 // different stores never contend on a disk lock, buffer pool, or stream
 // head — that is the whole point of sharding.
 type Store struct {
-	Disk  *storage.Disk
-	Tree  *core.Tree
-	H     *vstore.Horizontal
-	V     *vstore.Vertical
-	IV    *vstore.IndexedVertical
-	Naive *naive.Store
+	Disk   *storage.Disk
+	Tree   *core.Tree
+	Layout vstore.Layout
 	// Shard is the owning shard index; Replica marks a hot-range mirror.
 	Shard   int
 	Replica bool
 }
 
 // OpenStore builds shard idx's store: clone the source disk, reopen the
-// tree and schemes over the clone, select the active scheme, optionally
-// trim foreign V-pages, and install the private buffer pool. A clone of
-// the simulated disk shares immutable page slices with the source, so
-// opening a store is cheap; a file-backed clone copies its written pages
-// into a sibling file (one real file per shard arm). No simulated I/O is
+// tree and its layout over the clone, optionally trim foreign V-pages,
+// and install the private buffer pool. A clone of the simulated disk
+// shares immutable page slices with the source, so opening a store is
+// cheap; a file-backed clone copies its written pages into a sibling
+// file (one real file per shard arm). No simulated I/O is
 // charged either way (opening is setup, not workload).
 func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, m Map, idx int, cfg StoreConfig) (*Store, error) {
 	d, err := src.Clone()
@@ -78,24 +60,12 @@ func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, m Map, idx int
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", idx, err)
 	}
-	h, err := vstore.OpenHorizontal(d, t.Grid, man.H)
+	l, err := vstore.Open(d, t.Grid, man.Layout)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", idx, err)
 	}
-	v, err := vstore.OpenVertical(d, t.Grid, man.V)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", idx, err)
-	}
-	iv, err := vstore.OpenIndexedVertical(d, t.Grid, man.IV)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", idx, err)
-	}
-	nv, err := naive.Open(t, man.Naive)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", idx, err)
-	}
-	st := &Store{Disk: d, Tree: t, H: h, V: v, IV: iv, Naive: nv, Shard: idx}
-	st.SetScheme(cfg.Scheme)
+	t.SetVStore(l)
+	st := &Store{Disk: d, Tree: t, Layout: l, Shard: idx}
 	t.FaultTolerant = cfg.FaultTolerant
 	t.SetParallel(cfg.Parallel)
 	if cfg.Trim {
@@ -113,40 +83,24 @@ func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, m Map, idx int
 	return st, nil
 }
 
-// SetScheme switches the store's active V-page layout.
-func (s *Store) SetScheme(sch Scheme) {
-	switch sch {
-	case SchemeHorizontal:
-		s.Tree.SetVStore(s.H)
-	case SchemeVertical:
-		s.Tree.SetVStore(s.V)
-	default:
-		s.Tree.SetVStore(s.IV)
-	}
-}
-
 // trimForeign releases V-pages that belong exclusively to cells outside
-// the store's owned range, across all three schemes. Pages shared with
-// an owned cell (horizontal V-pages pack several nodes; vertical
-// segments pack neighboring cells) are kept.
+// the store's owned range. Pages shared with an owned cell (horizontal
+// V-pages pack several nodes; vertical segments pack neighboring cells)
+// are kept.
 func (s *Store) trimForeign(m Map) error {
-	pagers := []core.CellPager{s.H, s.V, s.IV}
 	keep := make(map[storage.PageID]bool)
 	var foreign []storage.PageID
 	for c := 0; c < m.NumCells; c++ {
-		owned := m.Owner(cells.CellID(c)) == s.Shard
-		for _, p := range pagers {
-			ids, err := p.CellPages(s.Disk, cells.CellID(c))
-			if err != nil {
-				return err
-			}
-			if owned {
-				for _, id := range ids {
-					keep[id] = true
-				}
-			} else {
-				foreign = append(foreign, ids...)
-			}
+		ids, err := s.Layout.CellPages(s.Disk, cells.CellID(c))
+		if err != nil {
+			return err
+		}
+		if m.Owner(cells.CellID(c)) != s.Shard {
+			foreign = append(foreign, ids...)
+			continue
+		}
+		for _, id := range ids {
+			keep[id] = true
 		}
 	}
 	drop := foreign[:0]

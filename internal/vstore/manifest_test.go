@@ -120,3 +120,65 @@ func TestManifestValidation(t *testing.T) {
 	}
 	_ = geom.V(0, 0, 0) // keep geom imported for fixture growth
 }
+
+// TestLayoutBuildOpen: Build lays out exactly the requested scheme, and
+// Open over its LayoutManifest restores that scheme with the same
+// footprint and V-data; a manifest whose scheme and layout disagree is
+// refused.
+func TestLayoutBuildOpen(t *testing.T) {
+	vis := sparseVisData(t, 50, 4, 4, 0.3, 5)
+	for _, codec := range []bool{false, true} {
+		for _, s := range []Scheme{SchemeIndexedVertical, SchemeVertical, SchemeHorizontal} {
+			d := storage.NewDisk(0, storage.DefaultCostModel())
+			l, err := Build(d, vis, s, Options{Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := l.LayoutManifest()
+			if l.Scheme() != s || l.Name() != s.String() || m.Scheme != s || l.Codec() != codec {
+				t.Fatalf("%v codec=%v: built %v (%s), manifest %v, codec=%v", s, codec, l.Scheme(), l.Name(), m.Scheme, l.Codec())
+			}
+			re, err := Open(d, vis.Grid, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re.Scheme() != s || re.SizeBytes() != l.SizeBytes() || re.Codec() != codec {
+				t.Fatalf("%v codec=%v: reopened as %v, %d vs %d bytes", s, codec, re.Scheme(), re.SizeBytes(), l.SizeBytes())
+			}
+			for c := 0; c < vis.Grid.NumCells(); c++ {
+				if err := l.SetCell(cells.CellID(c)); err != nil {
+					t.Fatal(err)
+				}
+				if err := re.SetCell(cells.CellID(c)); err != nil {
+					t.Fatal(err)
+				}
+				for id := 0; id < 50; id++ {
+					va, oka, ea := l.NodeVD(core.NodeID(id))
+					vb, okb, eb := re.NodeVD(core.NodeID(id))
+					if ea != nil || eb != nil || oka != okb || len(va) != len(vb) {
+						t.Fatalf("%v: reopened layout diverges at cell %d node %d", s, c, id)
+					}
+					for i := range va {
+						if va[i] != vb[i] {
+							t.Fatalf("%v: reopened layout diverges at cell %d node %d entry %d", s, c, id, i)
+						}
+					}
+				}
+			}
+			if _, err := m.PageRanges(vis.Grid.NumCells(), d.PagesFor); err != nil {
+				t.Fatal(err)
+			}
+			bad := m
+			bad.Scheme = (s + 1) % 3
+			if _, err := Open(d, vis.Grid, bad); err == nil {
+				t.Fatalf("%v: manifest relabelled %v opened", s, bad.Scheme)
+			}
+			if _, err := bad.PageRanges(vis.Grid.NumCells(), d.PagesFor); err == nil {
+				t.Fatalf("%v: manifest relabelled %v listed page ranges", s, bad.Scheme)
+			}
+		}
+	}
+	if _, err := Build(storage.NewDisk(0, storage.DefaultCostModel()), vis, Scheme(7), Options{}); err == nil {
+		t.Fatal("unknown scheme built")
+	}
+}

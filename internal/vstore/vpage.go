@@ -20,6 +20,12 @@
 // one V-page access". All three schemes serve the same core.VStore
 // interface and return byte-identical VD data; integration tests assert
 // exactly that.
+//
+// A database serves one layout. Build and Open are its single entry
+// point: they take a Scheme (or a Manifest that records one) and return
+// a Layout, so callers never switch on the scheme themselves. The
+// per-scheme constructors remain for experiments that compare the three
+// side by side.
 package vstore
 
 import (

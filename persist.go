@@ -47,15 +47,12 @@ func (db *DB) database() *dbfile.Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return &dbfile.Database{
-		Scene:      db.scene,
-		Disk:       db.disk,
-		Tree:       db.tree,
-		Horizontal: db.h,
-		Vertical:   db.v,
-		Indexed:    db.iv,
-		Naive:      db.naive,
-		Epoch:      db.epoch,
-		Ops:        db.ops,
+		Scene:  db.scene,
+		Disk:   db.disk,
+		Tree:   db.tree,
+		Layout: db.vs,
+		Epoch:  db.epoch,
+		Ops:    db.ops,
 	}
 }
 
@@ -72,7 +69,8 @@ func Open(dir string) (*DB, error) {
 }
 
 // fromDatabase wraps a reopened dbfile database into a DB handle,
-// reconstructing the build configuration from the manifest-backed state.
+// reconstructing the build configuration — the layout's scheme and codec
+// included — from the manifest-backed state.
 func fromDatabase(d *dbfile.Database) *DB {
 	cfg := Config{
 		Scene: SceneConfig{
@@ -85,22 +83,17 @@ func fromDatabase(d *dbfile.Database) *DB {
 		GridCells:      d.Tree.Grid.NX,
 		DoVRays:        d.Tree.Params.DirsPerViewpoint,
 		SamplesPerCell: d.Tree.Params.SamplesPerCell,
-		Scheme:         SchemeIndexedVertical,
-		Codec:          d.Indexed.Manifest().Codec,
+		Scheme:         Scheme(d.Layout.Scheme()),
+		Codec:          d.Layout.Codec(),
 	}
-	db := &DB{
+	return &DB{
 		cfg:    cfg,
 		scene:  d.Scene,
 		disk:   d.Disk,
 		tree:   d.Tree,
-		h:      d.Horizontal,
-		v:      d.Vertical,
-		iv:     d.Indexed,
-		naive:  d.Naive,
+		vs:     d.Layout,
 		engine: visibility.NewEngine(d.Scene, d.Tree.Params.DirsPerViewpoint),
 		epoch:  d.Epoch,
 		ops:    d.Ops,
 	}
-	db.SetScheme(SchemeIndexedVertical)
-	return db
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/render"
 )
@@ -140,19 +139,6 @@ func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
 	return db.QueryCellContext(context.Background(), cell, eta)
 }
 
-// QueryNaive answers with the (cell, list-of-objects) baseline of §5.3.
-func (db *DB) QueryNaive(p Point) (*Result, error) {
-	cell := db.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	r, err := db.naive.Query(cell)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(r), nil
-}
-
 // Fetch charges the heavy-weight I/O of retrieving every item's payload
 // and updates the result's I/O and time accounting. In fault-tolerant
 // mode an unreadable payload degrades the item to a coarser readable
@@ -259,9 +245,6 @@ type DiskStats struct {
 	// the speculative I/O: hits flattened a cell-entry spike, wasted ones
 	// were pure overhead.
 	PrefetchHits, PrefetchWasted int64
-	// VDCacheHits counts V-data decodes served from the horizontal
-	// scheme's per-view cell cache (zero unless EnableVDCache).
-	VDCacheHits int64
 	// CoalescedReads counts buffer-pool misses that piggybacked on
 	// another session's in-flight read of the same page instead of
 	// performing a second physical read (zero without a pool).

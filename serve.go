@@ -149,9 +149,9 @@ func (s *Session) ResetStats() {
 }
 
 // NewSession returns a fresh query session on the database. The session
-// sees the scheme, parallelism settings, scene epoch and shard topology
-// in effect now; SetScheme, SetParallel, Update or EnableSharding calls
-// after creation affect only future sessions.
+// sees the parallelism settings, scene epoch and shard topology in
+// effect now; SetParallel, Update or EnableSharding calls after creation
+// affect only future sessions.
 func (db *DB) NewSession() *Session {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -424,7 +424,6 @@ func diskStatsFrom(s storage.Stats) DiskStats {
 		PoolMisses:     s.PoolLightMisses + s.PoolHeavyMisses,
 		PrefetchHits:   s.PrefetchHits,
 		PrefetchWasted: s.PrefetchWasted,
-		VDCacheHits:    s.VDCacheHits,
 		CoalescedReads: s.CoalescedReads,
 	}
 }

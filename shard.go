@@ -14,8 +14,8 @@ import (
 // Sharded serving (DESIGN.md §16): EnableSharding partitions the
 // viewing-cell grid into contiguous cell-range shards, each served by a
 // private store — a clone of the database disk with its own cost model,
-// stream heads and buffer pool, and the tree plus all three storage
-// schemes reopened over it. Sessions created afterwards route every
+// stream heads and buffer pool, and the tree plus its V-page layout
+// reopened over it. Sessions created afterwards route every
 // query to its owning shard; answers are byte-identical to the
 // unsharded baseline (the differential suite enforces this), but N
 // shards give the workload N independent disk arms, which is where the
@@ -63,20 +63,12 @@ func (db *DB) EnableSharding(cfg ShardConfig) error {
 func (db *DB) buildRouter(cfg ShardConfig) (*shard.Router, error) {
 	db.mu.RLock()
 	sc, tree := db.scene, db.tree
-	man := shard.Manifests{
-		Tree:  tree.Manifest(),
-		H:     db.h.Manifest(),
-		V:     db.v.Manifest(),
-		IV:    db.iv.Manifest(),
-		Naive: db.naive.Manifest(),
-	}
-	scheme := db.cfg.Scheme
+	man := shard.Manifests{Tree: tree.Manifest(), Layout: db.vs.LayoutManifest()}
 	parallel := tree.Parallel
 	ft := tree.FaultTolerant
 	db.mu.RUnlock()
 	r, err := shard.NewRouter(sc, db.disk, man, shard.Config{
 		Shards:             cfg.Shards,
-		Scheme:             shardScheme(scheme),
 		Parallel:           parallel,
 		FaultTolerant:      ft,
 		CachePagesPerShard: cfg.CachePagesPerShard,
@@ -111,18 +103,6 @@ func (db *DB) currentRouter() *shard.Router {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.router
-}
-
-// shardScheme maps the public scheme to the shard layer's.
-func shardScheme(s Scheme) shard.Scheme {
-	switch s {
-	case SchemeHorizontal:
-		return shard.SchemeHorizontal
-	case SchemeVertical:
-		return shard.SchemeVertical
-	default:
-		return shard.SchemeIndexedVertical
-	}
 }
 
 // RebalanceHotCells mirrors the k hottest shard ranges — ranked by the
@@ -234,10 +214,7 @@ func (db *DB) SaveSharded(dir string) error {
 		sdb := db.database()
 		sdb.Disk = st.Disk
 		sdb.Tree = st.Tree
-		sdb.Horizontal = st.H
-		sdb.Vertical = st.V
-		sdb.Indexed = st.IV
-		sdb.Naive = st.Naive
+		sdb.Layout = st.Layout
 		if err := dbfile.Save(filepath.Join(dir, sub), sdb); err != nil {
 			return fmt.Errorf("hdov: SaveSharded shard %d: %w", i, err)
 		}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/scene"
 	"repro/internal/visibility"
-	"repro/internal/vstore"
 )
 
 // Dynamic scenes: a built database can evolve through inserts, deletes
@@ -15,8 +13,8 @@ import (
 // operations as one atomic epoch: the R-tree backbone is updated in
 // place, internal LoDs are rebuilt only where the topology changed,
 // per-cell DoV fields are re-cast only for cells that can see a changed
-// object, and all three V-page schemes are re-laid over the new
-// visibility data. Every page written is freshly allocated, so Sessions
+// object, and the DB's V-page layout is re-laid over the new visibility
+// data. Every page written is freshly allocated, so Sessions
 // created before the update keep answering from their pinned epoch.
 //
 // The differential guarantee (enforced by TestUpdateDifferential): after
@@ -76,8 +74,9 @@ type UpdateStats struct {
 	// was adopted from the previous epoch vs. re-simplified.
 	LoDReused  int
 	LoDRebuilt int
-	// PagesAppended is the number of simulated-disk pages the batch
-	// allocated (tree records, fresh payloads, V-pages).
+	// PagesAppended is the number of disk pages the batch allocated
+	// (tree records, fresh payloads, the re-laid V-page layout): the
+	// disk's page count after the batch minus before it.
 	PagesAppended int64
 	// InsertedIDs are the object IDs assigned to this batch's inserts, in
 	// batch order.
@@ -100,36 +99,16 @@ func (db *DB) Update(fn func(*Updater)) (*UpdateStats, error) {
 		return nil, fmt.Errorf("hdov: update: empty batch")
 	}
 
+	pagesBefore := db.disk.NumPages()
 	t2, vis2, effects, cs, err := core.ApplyOps(db.tree, db.vis, u.ops)
 	if err != nil {
 		return nil, fmt.Errorf("hdov: update: %w", err)
 	}
-
-	opts := vstore.Options{Codec: db.cfg.Codec}
-	h, err := vstore.BuildHorizontalOpts(db.disk, vis2, opts)
+	vs, err := db.cfg.layout(db.disk, vis2)
 	if err != nil {
 		return nil, fmt.Errorf("hdov: update: %w", err)
 	}
-	v, err := vstore.BuildVerticalOpts(db.disk, vis2, opts)
-	if err != nil {
-		return nil, fmt.Errorf("hdov: update: %w", err)
-	}
-	iv, err := vstore.BuildIndexedVerticalOpts(db.disk, vis2, opts)
-	if err != nil {
-		return nil, fmt.Errorf("hdov: update: %w", err)
-	}
-	nv, err := naive.Build(t2, vis2, 0)
-	if err != nil {
-		return nil, fmt.Errorf("hdov: update: %w", err)
-	}
-	switch db.cfg.Scheme {
-	case SchemeHorizontal:
-		t2.SetVStore(h)
-	case SchemeVertical:
-		t2.SetVStore(v)
-	default:
-		t2.SetVStore(iv)
-	}
+	t2.SetVStore(vs)
 	eng := visibility.NewEngine(t2.Scene, t2.Params.DirsPerViewpoint)
 
 	stats := &UpdateStats{
@@ -138,7 +117,7 @@ func (db *DB) Update(fn func(*Updater)) (*UpdateStats, error) {
 		TotalCells:    cs.TotalCells,
 		LoDReused:     cs.LoDReused,
 		LoDRebuilt:    cs.LoDRebuilt,
-		PagesAppended: cs.PagesAppended,
+		PagesAppended: db.disk.NumPages() - pagesBefore,
 	}
 	for _, e := range effects {
 		if e.Kind == scene.OpInsert {
@@ -153,7 +132,7 @@ func (db *DB) Update(fn func(*Updater)) (*UpdateStats, error) {
 	db.scene = t2.Scene
 	db.tree = t2
 	db.vis = vis2
-	db.h, db.v, db.iv, db.naive = h, v, iv, nv
+	db.vs = vs
 	db.engine = eng
 	db.epoch++
 	db.ops = append(db.ops, u.ops...)
