@@ -7,9 +7,12 @@ package hdov
 // backend may only differ in wall-clock accounting (MeasuredTime).
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -133,8 +136,8 @@ func TestBackendDifferentialCodec(t *testing.T) {
 }
 
 // TestShardingFileBacked shards a file-backed database: every shard arm
-// clones the media into its own sibling page file, answers must match
-// the unsharded ones, and Close must remove the ephemeral clone files.
+// is a view of the one page file, so sharding writes no page file of its
+// own, and answers must match the unsharded ones.
 func TestShardingFileBacked(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
@@ -157,12 +160,12 @@ func TestShardingFileBacked(t *testing.T) {
 	if err := fb.EnableSharding(ShardConfig{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	clones, err := filepath.Glob(filepath.Join(dir, "pages.dat.clone*"))
+	pageFiles, err := filepath.Glob(filepath.Join(dir, "pages.dat*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clones) != 2 {
-		t.Fatalf("sharding created %d clone page files, want 2: %v", len(clones), clones)
+	if len(pageFiles) != 1 {
+		t.Fatalf("sharding left page files %v, want only pages.dat", pageFiles)
 	}
 	ss := fb.NewSession()
 	for c := range base {
@@ -177,11 +180,160 @@ func TestShardingFileBacked(t *testing.T) {
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range clones {
-		if _, err := os.Stat(c); !os.IsNotExist(err) {
-			t.Fatalf("clone page file %s survived Close: %v", c, err)
+}
+
+// TestShardedUpdateFileBacked combines sharding, Update and the file
+// backend. A file-backed database is sharded, updated twice, re-sharded
+// and unsharded; at every epoch each cell answers (Items and
+// Degradations) exactly as an unsharded serial twin on the simulated
+// disk, sessions pinned before an Update keep their answers, the page
+// directory never holds more than pages.dat, and Close releases every
+// descriptor the database opened.
+func TestShardedUpdateFileBacked(t *testing.T) {
+	fdsBefore, countFDs := openFDs()
+	cfg := DefaultConfig()
+	cfg.Scene.Blocks = 2
+	cfg.GridCells = 4
+	cfg.DoVRays = 128
+	cfg.Scene.NominalBytes = 4 << 20
+	ref, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := t.TempDir()
+	cfg.Storage = StorageConfig{Backend: BackendFile, Dir: pages}
+	db, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func(s *Session) ([]string, error) {
+		out := make([]string, db.NumCells())
+		for c := range out {
+			res, err := s.QueryCell(c, 0.003)
+			if err != nil {
+				return nil, fmt.Errorf("cell %d: %w", c, err)
+			}
+			out[c] = publicFingerprint(res)
+		}
+		return out, nil
+	}
+	// pinned holds sessions opened at earlier steps with the answers they
+	// gave then.
+	type pinnedSession struct {
+		s    *Session
+		want []string
+	}
+	var pinned []pinnedSession
+	step := func(name string) {
+		t.Helper()
+		want, err := answers(ref.NewSession())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.NewSession()
+		got, err := answers(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("%s: cell %d diverged from the unsharded serial reference:\n got %s\nwant %s",
+					name, c, got[c], want[c])
+			}
+		}
+		for i, p := range pinned {
+			if got, err := answers(p.s); err != nil || !slices.Equal(got, p.want) {
+				t.Fatalf("%s: session pinned at step %d changed its answers (err %v)", name, i, err)
+			}
+		}
+		pinned = append(pinned, pinnedSession{s, got})
+		ents, err := os.ReadDir(pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != "pages.dat" {
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("%s: page directory holds %v, want only pages.dat", name, names)
 		}
 	}
+	// update moves one object in both databases while a reader keeps
+	// querying the newest pinned session, so the shared page file grows
+	// under concurrent reads through the shard views.
+	update := func(id int64, dx float64) {
+		t.Helper()
+		p := pinned[len(pinned)-1]
+		stop := make(chan struct{})
+		readErr := make(chan error, 1)
+		go func() {
+			for {
+				got, err := answers(p.s)
+				if err == nil && !slices.Equal(got, p.want) {
+					err = errors.New("pinned session changed its answers during an update")
+				}
+				select {
+				case <-stop:
+					readErr <- err
+					return
+				default:
+				}
+				if err != nil {
+					readErr <- err
+					return
+				}
+			}
+		}()
+		var moveErr error
+		for _, d := range []*DB{ref, db} {
+			if moveErr = d.Move(id, dx, 1, 0); moveErr != nil {
+				break
+			}
+		}
+		close(stop)
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
+		if moveErr != nil {
+			t.Fatal(moveErr)
+		}
+	}
+
+	if err := db.EnableSharding(ShardConfig{Shards: 2, CachePagesPerShard: 16}); err != nil {
+		t.Fatal(err)
+	}
+	step("shards=2")
+	update(0, 2)
+	step("shards=2, epoch 1")
+	update(3, -2)
+	step("shards=2, epoch 2")
+	if err := db.EnableSharding(ShardConfig{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	step("shards=4, epoch 2")
+	db.DisableSharding()
+	step("unsharded, epoch 2")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("page directory holds %d entries after Close, want only pages.dat", len(ents))
+	}
+	if fdsAfter, _ := openFDs(); countFDs && fdsAfter != fdsBefore {
+		t.Fatalf("%d descriptors open after Close, %d before Build", fdsAfter, fdsBefore)
+	}
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd is absent.
+func openFDs() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
 }
 
 // TestBuildFileBacked exercises the other entry point: Build directly

@@ -22,6 +22,15 @@ var (
 	dbErr  error
 )
 
+// TestMain removes the shared savedDB fixture once every test is done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if dbDir != "" {
+		_ = os.RemoveAll(filepath.Dir(dbDir))
+	}
+	os.Exit(code)
+}
+
 // savedDB builds one tiny database and saves it once; tests copy it into
 // their own scratch directories to damage at will.
 func savedDB(t *testing.T) string {

@@ -68,14 +68,10 @@ func main() {
 	fmt.Printf("cells: %d, avg visible nodes per cell %.1f\n",
 		tr.Grid.NumCells(), vis.AvgVisibleNodes())
 
-	// The horizontal and vertical layouts are laid out on a clone, for
-	// the footprint report only: the saved image holds just the
-	// indexed-vertical layout it serves.
-	report, err := d.Clone()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hdovgen:", err)
-		os.Exit(1)
-	}
+	// The horizontal and vertical layouts are laid out on a fresh
+	// simulated disk, for the footprint report only: the saved image
+	// holds just the indexed-vertical layout it serves.
+	report := storage.NewDisk(d.PageSize(), storage.DefaultCostModel())
 	h, err := vstore.BuildHorizontal(report, vis, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)

@@ -7,10 +7,6 @@ import (
 	hdov "repro"
 )
 
-func tempDir() (string, error) {
-	return os.MkdirTemp("", "hdov-example-*")
-}
-
 // The examples build a tiny database so they run in testing time; real
 // deployments use DefaultConfig or larger.
 func exampleConfig() hdov.Config {
@@ -95,10 +91,11 @@ func ExampleDB_Save() {
 	if err != nil {
 		panic(err)
 	}
-	dir, err := tempDir()
+	dir, err := os.MkdirTemp("", "hdov-example-*")
 	if err != nil {
 		panic(err)
 	}
+	defer os.RemoveAll(dir)
 	if err := db.Save(dir); err != nil {
 		panic(err)
 	}

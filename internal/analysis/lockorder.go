@@ -26,8 +26,8 @@ import (
 // the function rather than releasing it mid-body.
 //
 // internal/shard is in scope too: the router's topology mutex serializes
-// only pointer swaps and replica publication — rule 3 keeps store opens,
-// clones and any other I/O out of its critical sections, so a promotion
+// only pointer swaps and replica publication — rule 3 keeps store opens
+// and any other I/O out of its critical sections, so a promotion
 // can never stall in-flight queries.
 type LockOrderPass struct {
 	// Packages restricts the pass (import-path suffix match). Empty means

@@ -17,7 +17,7 @@ import (
 // bounded by the *busiest* spindle rather than the only one. The metric
 // is deterministic — simulated disk time for a seeded dataset and a
 // fixed workload — so the guard catches routing regressions (work
-// collapsing back onto one store, broken trimming, a merge that
+// collapsing back onto one store, a merge that
 // re-serializes shards) without depending on host speed. Every routed
 // answer is also checked byte-identical to the unsharded baseline. Every
 // metric of the committed BENCH_shardscale.json is exact.

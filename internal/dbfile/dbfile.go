@@ -80,8 +80,7 @@ const (
 // PagesFileName is the page file a file-backed open materializes inside
 // the database directory. It is derived state — rebuilt from disk.img and
 // the delta chain on every OpenWith — never part of the commit protocol,
-// so fsck classifies it (and its .cloneN shard siblings) as Derived, not
-// Stray.
+// so fsck classifies it as Derived, not Stray.
 const PagesFileName = "pages.dat"
 
 // Manifest is the JSON document describing a saved database.
@@ -492,8 +491,8 @@ func OpenWith(dir string, opts OpenOptions) (*Database, error) {
 		}
 	}
 	if disk.NumPages() != m.AllocatedPages {
-		return nil, fmt.Errorf("%w: %d pages after deltas, manifest committed %d",
-			ErrBadDatabase, disk.NumPages(), m.AllocatedPages)
+		return fail(fmt.Errorf("%w: %d pages after deltas, manifest committed %d",
+			ErrBadDatabase, disk.NumPages(), m.AllocatedPages))
 	}
 	if err := validateLayout(m, disk); err != nil {
 		return fail(err)

@@ -114,6 +114,22 @@ func TestOpenWithFileBackedMatchesSimulated(t *testing.T) {
 		if !found {
 			t.Fatalf("Derived = %v, want %s listed", rep.Derived, PagesFileName)
 		}
+		// A page file beside pages.dat is a leftover per-shard copy, not
+		// derived state.
+		leftover := PagesFileName + ".clone1"
+		if err := os.WriteFile(filepath.Join(dir, leftover), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err = Fsck(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Stray) != 1 || rep.Stray[0] != leftover {
+			t.Fatalf("Stray = %v, want [%s]", rep.Stray, leftover)
+		}
+		if err := os.Remove(filepath.Join(dir, leftover)); err != nil {
+			t.Fatal(err)
+		}
 		// Close before the next iteration reopens (and truncates) the
 		// same page file.
 		if err := fb.Close(); err != nil {

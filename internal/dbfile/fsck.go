@@ -42,15 +42,15 @@ type FsckReport struct {
 	// Problems describes each failed check, in check order.
 	Problems []string
 	// Stray lists leftover temporary files from interrupted saves and
-	// commits, plus epoch delta files no manifest references (the residue
+	// commits, epoch delta files no manifest references (the residue
 	// of a crash between an epoch's delta rename and its manifest
-	// rename, or of a Save compaction).
+	// rename, or of a Save compaction), and page files other than
+	// pages.dat (per-shard copies left by releases that made them).
 	Stray []string
 	// Derived lists regenerable artifacts of a file-backed open — the
-	// pages.dat page file and its .cloneN shard siblings. They are rebuilt
-	// from disk.img and the delta chain on every OpenWith, carry no
-	// committed state, and are deliberately neither damage nor Stray
-	// (Repair leaves them alone).
+	// pages.dat page file. It is rebuilt from disk.img and the delta chain
+	// on every OpenWith, carries no committed state, and is deliberately
+	// neither damage nor Stray (Repair leaves it alone).
 	Derived []string
 	// Epoch, OpsLogged and DeltasApplied summarize the dynamic-scene
 	// state of an intact manifest: the committed epoch counter, the op
@@ -85,11 +85,11 @@ func Fsck(dir string) (*FsckReport, error) {
 	var epochFiles []string
 	for _, e := range entries {
 		name := e.Name()
-		if name == PagesFileName || strings.HasPrefix(name, PagesFileName+".clone") {
+		if name == PagesFileName {
 			rep.Derived = append(rep.Derived, name)
 			continue
 		}
-		if strings.HasSuffix(name, ".tmp") {
+		if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, PagesFileName+".") {
 			rep.Stray = append(rep.Stray, name)
 		}
 		if strings.HasPrefix(name, deltaPrefix) && strings.HasSuffix(name, deltaSuffix) {

@@ -211,3 +211,35 @@ func TestOpenLayoutSchemeMismatch(t *testing.T) {
 		t.Fatalf("version-4 manifest: err = %v, want ErrBadDatabase format version error", err)
 	}
 }
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd is absent.
+func openFDs() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
+}
+
+// TestOpenAllocationMismatchReleasesPageFile: a manifest whose committed
+// allocation disagrees with its image (resealed, so only the post-delta
+// page count can tell) is rejected, and a file-backed open closes the
+// page file it had already materialized.
+func TestOpenAllocationMismatchReleasesPageFile(t *testing.T) {
+	dir, _ := saveFixture(t)
+	rewriteManifest(t, dir, true, func(m *dbfile.Manifest) {
+		m.AllocatedPages++
+	})
+	before, ok := openFDs()
+	if !ok {
+		t.Skip("no /proc/self/fd to count descriptors")
+	}
+	_, err := dbfile.OpenWith(dir, dbfile.OpenOptions{FileBacked: true})
+	if !errors.Is(err, dbfile.ErrBadDatabase) {
+		t.Fatalf("err = %v, want ErrBadDatabase", err)
+	}
+	if !strings.Contains(err.Error(), "pages after deltas") {
+		t.Fatalf("missing allocation diagnostic: %v", err)
+	}
+	if after, _ := openFDs(); after > before {
+		t.Fatalf("failed open leaked %d descriptors", after-before)
+	}
+}

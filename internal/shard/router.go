@@ -19,8 +19,6 @@ type Config struct {
 	FaultTolerant bool
 	// CachePagesPerShard is each store's private buffer-pool capacity.
 	CachePagesPerShard int
-	// Trim releases foreign V-pages from every store (see StoreConfig).
-	Trim bool
 }
 
 // Table is one immutable shard topology: the map plus the store set.
@@ -65,7 +63,7 @@ type Router struct {
 }
 
 // NewRouter partitions the grid into cfg.Shards contiguous ranges and
-// opens one primary store per shard over clones of src.
+// opens one primary store per shard over views of src.
 func NewRouter(sc *scene.Scene, src *storage.Disk, man Manifests, cfg Config) (*Router, error) {
 	numCells, err := cellCount(man)
 	if err != nil {
@@ -78,7 +76,7 @@ func NewRouter(sc *scene.Scene, src *storage.Disk, man Manifests, cfg Config) (*
 	r := &Router{sc: sc, src: src, man: man, cfg: cfg, heat: NewHeat(numCells)}
 	tab := &Table{Map: m, Primaries: make([]*Store, m.Shards()), Replicas: make([][]*Store, m.Shards())}
 	for i := 0; i < m.Shards(); i++ {
-		st, err := r.open(m, i, cfg)
+		st, err := r.open(i, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -98,12 +96,11 @@ func cellCount(man Manifests) (int, error) {
 }
 
 // open builds one store under the current per-store settings.
-func (r *Router) open(m Map, idx int, cfg Config) (*Store, error) {
-	return OpenStore(r.sc, r.src, r.man, m, idx, StoreConfig{
+func (r *Router) open(idx int, cfg Config) (*Store, error) {
+	return OpenStore(r.sc, r.src, r.man, idx, StoreConfig{
 		Parallel:      cfg.Parallel,
 		FaultTolerant: cfg.FaultTolerant,
 		CachePages:    cfg.CachePagesPerShard,
-		Trim:          cfg.Trim,
 	})
 }
 
@@ -118,7 +115,7 @@ func (r *Router) Shards() int { return r.Table().Map.Shards() }
 
 // PromoteHot mirrors the k hottest shard ranges (per the hit EMAs) onto
 // replica stores and publishes the new topology. The replicas are built
-// fully — cloned disk, reopened tree and layout, warm-free pool —
+// fully — disk view, reopened tree and layout, warm-free pool —
 // before the table swap, so no session ever observes a half-built
 // store; sessions created before the swap keep their pinned table. It
 // returns the promoted shard indices (empty when no shard has traffic).
@@ -139,7 +136,7 @@ func (r *Router) PromoteHot(k int) ([]int, error) {
 		if len(next.Replicas[i]) > 0 {
 			continue
 		}
-		st, err := r.open(old.Map, i, r.cfg)
+		st, err := r.open(i, r.cfg)
 		if err != nil {
 			return promoted, err
 		}
@@ -233,23 +230,6 @@ func (r *Router) ClearFaults() {
 		st.Disk.ClearFaults()
 		st.Disk.ClearQuarantine()
 	})
-}
-
-// Close releases every store's storage media in the current table —
-// file-backed clones hold real file handles and ephemeral sibling files;
-// simulated clones are no-ops. Stores pinned by older tables (sessions
-// that predate a promotion or demotion) are not tracked here; callers
-// drain sessions before closing. The router must not route afterwards.
-func (r *Router) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var first error
-	r.forEachStore(func(st *Store) {
-		if err := st.Disk.Close(); err != nil && first == nil {
-			first = err
-		}
-	})
-	return first
 }
 
 // ShardStats returns each shard's primary-store accounting, indexed by

@@ -1,7 +1,8 @@
 // Package shard partitions the viewing-cell grid into contiguous
-// cell-range shards, each served by its own store — a cloned simulated
-// disk with a private cost model, buffer pool and fault state, plus a
-// tree and its V-page layout reopened over it (DESIGN.md §16).
+// cell-range shards, each served by its own store — a view of the
+// database disk (shared media, private cost model, buffer pool and fault
+// state), plus a tree and its V-page layout reopened over it (DESIGN.md
+// §16).
 //
 // A Router owns the shard topology and publishes it copy-on-write: the
 // current Table (shard map, primary stores, replica stores) is swapped
@@ -11,8 +12,8 @@
 // to its owning shard; a multi-cell frame scatters only across the
 // shards it actually straddles, and results are reassembled in input
 // order so sharded answers stay byte-identical to the single-store
-// baseline — Degradation events included, because every clone carries
-// the same corruption marks over the same page layout.
+// baseline — Degradation events included, because every view carries
+// the same corruption marks over the same pages.
 package shard
 
 import (

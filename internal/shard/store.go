@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/scene"
 	"repro/internal/storage"
@@ -11,7 +10,7 @@ import (
 )
 
 // Manifests carries everything needed to reopen the tree and its V-page
-// layout over a cloned disk.
+// layout over a view of the database disk.
 type Manifests struct {
 	Tree   core.TreeManifest
 	Layout vstore.Manifest
@@ -23,18 +22,12 @@ type StoreConfig struct {
 	FaultTolerant bool
 	// CachePages is the store's private buffer-pool capacity (0 = none).
 	CachePages int
-	// Trim releases the V-pages of cells the shard does not own,
-	// shrinking the store's resident footprint to roughly its own range.
-	// Trimmed pages read back zero-filled, so a trimmed store must only
-	// ever be asked about owned cells — which is what the router
-	// guarantees.
-	Trim bool
 }
 
-// Store is one shard's complete serving state: a private disk clone with
-// the tree and its V-page layout reopened over it. Queries against
-// different stores never contend on a disk lock, buffer pool, or stream
-// head — that is the whole point of sharding.
+// Store is one shard's complete serving state: a view of the database
+// disk with the tree and its V-page layout reopened over it. Queries
+// against different stores never contend on a disk lock, buffer pool, or
+// stream head — that is the whole point of sharding.
 type Store struct {
 	Disk   *storage.Disk
 	Tree   *core.Tree
@@ -44,18 +37,13 @@ type Store struct {
 	Replica bool
 }
 
-// OpenStore builds shard idx's store: clone the source disk, reopen the
-// tree and its layout over the clone, optionally trim foreign V-pages,
-// and install the private buffer pool. A clone of the simulated disk
-// shares immutable page slices with the source, so opening a store is
-// cheap; a file-backed clone copies its written pages into a sibling
-// file (one real file per shard arm). No simulated I/O is
-// charged either way (opening is setup, not workload).
-func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, m Map, idx int, cfg StoreConfig) (*Store, error) {
-	d, err := src.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: clone: %w", idx, err)
-	}
+// OpenStore builds shard idx's store: take a view of the source disk,
+// reopen the tree and its layout over it, and install the private buffer
+// pool. The view shares the source's media, so opening a store copies no
+// pages on either backend and owns nothing that needs closing. No
+// simulated I/O is charged (opening is setup, not workload).
+func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, idx int, cfg StoreConfig) (*Store, error) {
+	d := src.View()
 	t, err := core.OpenTree(sc, d, man.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", idx, err)
@@ -65,50 +53,14 @@ func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, m Map, idx int
 		return nil, fmt.Errorf("shard %d: %w", idx, err)
 	}
 	t.SetVStore(l)
-	st := &Store{Disk: d, Tree: t, Layout: l, Shard: idx}
 	t.FaultTolerant = cfg.FaultTolerant
 	t.SetParallel(cfg.Parallel)
-	if cfg.Trim {
-		if err := st.trimForeign(m); err != nil {
-			return nil, fmt.Errorf("shard %d: trim: %w", idx, err)
-		}
-	}
 	if cfg.CachePages > 0 {
 		d.SetCacheSize(cfg.CachePages)
 	}
-	// Enumeration during trim charged reads; a store starts with clean
+	// Reopening may have charged reads; a store starts with clean
 	// accounting.
 	d.ResetStats()
 	t.IO.ResetStats()
-	return st, nil
-}
-
-// trimForeign releases V-pages that belong exclusively to cells outside
-// the store's owned range. Pages shared with an owned cell (horizontal
-// V-pages pack several nodes; vertical segments pack neighboring cells)
-// are kept.
-func (s *Store) trimForeign(m Map) error {
-	keep := make(map[storage.PageID]bool)
-	var foreign []storage.PageID
-	for c := 0; c < m.NumCells; c++ {
-		ids, err := s.Layout.CellPages(s.Disk, cells.CellID(c))
-		if err != nil {
-			return err
-		}
-		if m.Owner(cells.CellID(c)) != s.Shard {
-			foreign = append(foreign, ids...)
-			continue
-		}
-		for _, id := range ids {
-			keep[id] = true
-		}
-	}
-	drop := foreign[:0]
-	for _, id := range foreign {
-		if !keep[id] {
-			drop = append(drop, id)
-		}
-	}
-	s.Disk.ReleasePages(drop)
-	return nil
+	return &Store{Disk: d, Tree: t, Layout: l, Shard: idx}, nil
 }

@@ -17,8 +17,10 @@ package storage
 //     what turns the read-coalescing and prefetch batches into single
 //     syscalls.
 //   - WritePage takes ownership of data (exactly one full page); callers
-//     never mutate the slice afterwards. This preserves the zero-copy
-//     slice-sharing that Clone and the image writers rely on.
+//     never mutate the slice afterwards.
+//   - A Backend may be shared by several Disks: a source and its views
+//     (Disk.View). Only the source writes, and only above every view's
+//     watermark, so a committed page never changes under a reader.
 //   - Allocate is grow-only: a call with a smaller total than a previous
 //     one is a no-op, so concurrent growers may land out of order.
 //   - The Disk performs all range, quarantine, and fault checks before
@@ -47,15 +49,10 @@ type Backend interface {
 	// StoredPages returns the IDs of materialized pages >= from, in
 	// ascending order — the image/delta writers' enumeration.
 	StoredPages(from PageID) []PageID
-	// StoredCount returns how many pages hold materialized content.
-	StoredCount() int64
 	// Sync flushes buffered writes to durable media. The in-memory
 	// backend is a no-op; the file backend fsyncs, which is what makes
 	// the dbfile rename commit point durable.
 	Sync() error
-	// Clone returns an independent backend with the same page content;
-	// writes to either side after the clone are invisible to the other.
-	Clone() (Backend, error)
 	// Stats returns the media-level operation counters.
 	Stats() BackendStats
 	// Timed reports whether operations perform real I/O whose wall-clock

@@ -2,7 +2,7 @@ package storage_test
 
 // Backend differential coverage: the same Disk workload over the
 // simulated in-memory media and the real file media must be
-// byte-identical — page reads, serialized images, epoch deltas, clones —
+// byte-identical — page reads, serialized images, epoch deltas, views —
 // with the only divergence being MeasuredTime (zero on simulated media,
 // positive on real I/O).
 
@@ -143,49 +143,126 @@ func TestImageRoundTripIntoFileBackend(t *testing.T) {
 	}
 }
 
-// TestCloneFileBacked extends the Clone differential to backend-backed
-// stores: a clone of a file-backed disk shares content at clone time and
-// is isolated afterwards, exactly like the simulated clone.
-func TestCloneFileBacked(t *testing.T) {
-	_, fd := diskPair(t, 128)
-	fill(t, fd)
-	c, err := fd.Clone()
-	if err != nil {
-		t.Fatal(err)
+// TestViewIsolatesDynamics: a view reads its source's pages and copies
+// its corruption and quarantine marks at View time, but its stats, buffer
+// pool and fault marks are its own from then on, on either media. It
+// never writes the shared media, and closing it leaves the source open.
+func TestViewIsolatesDynamics(t *testing.T) {
+	mem, fd := diskPair(t, 128)
+	fill(t, mem, fd)
+	for _, d := range []*storage.Disk{mem, fd} {
+		d.CorruptPage(2)
+		d.Quarantine(4)
+		d.SetCacheSize(8)
+		if _, err := d.ReadPage(0, storage.ClassLight); err != nil {
+			t.Fatal(err)
+		}
+		v := d.View()
+		if v.PageSize() != d.PageSize() || v.NumPages() != d.NumPages() || v.Timed() != d.Timed() {
+			t.Fatalf("view geometry %d pages × %d bytes, source %d × %d",
+				v.NumPages(), v.PageSize(), d.NumPages(), d.PageSize())
+		}
+		if s := v.Stats(); s != (storage.Stats{}) {
+			t.Fatalf("view inherited stats: %+v", s)
+		}
+		if v.PoolEnabled() {
+			t.Fatal("view inherited the buffer pool")
+		}
+		if _, err := v.ReadPage(2, storage.ClassLight); err == nil {
+			t.Fatal("view lost the corruption mark")
+		}
+		if !v.IsQuarantined(4) {
+			t.Fatal("view lost the quarantine mark")
+		}
+		want, err := d.ReadPage(6, storage.ClassLight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := d.Stats()
+		v.SetCacheSize(4)
+		for i := 0; i < 2; i++ {
+			got, err := v.ReadPage(6, storage.ClassLight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("view reads different bytes than its source")
+			}
+		}
+		if d.Stats() != before {
+			t.Fatalf("view reads charged the source: %+v -> %+v", before, d.Stats())
+		}
+		if ps := v.PoolStats(); ps.LightHits != 1 || ps.LightMisses != 1 {
+			t.Fatalf("view pool %+v, want 1 hit and 1 miss", ps)
+		}
+		// Marks made after View stay on the side that made them.
+		v.CorruptPage(8)
+		v.Quarantine(10)
+		d.CorruptPage(12)
+		if _, err := d.ReadPage(8, storage.ClassLight); err != nil {
+			t.Fatalf("view corruption mark leaked into source: %v", err)
+		}
+		if d.IsQuarantined(10) {
+			t.Fatal("view quarantine leaked into source")
+		}
+		if _, err := v.ReadPage(12, storage.ClassLight); err != nil {
+			t.Fatalf("source corruption mark leaked into view: %v", err)
+		}
+		v.InjectPageFault(14, storage.FaultPermanent, 1)
+		if _, err := d.ReadPage(14, storage.ClassLight); err != nil {
+			t.Fatalf("view fault leaked into source: %v", err)
+		}
+		if err := v.WritePage(0, []byte("x")); err == nil {
+			t.Fatal("view wrote the shared media")
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadBytes(16, 16*128, storage.ClassHeavy); err != nil {
+			t.Fatalf("closing a view closed the source's media: %v", err)
+		}
 	}
-	defer c.Close()
-	var a, b bytes.Buffer
-	if _, err := fd.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("file-backed clone image differs from source")
-	}
-	if err := fd.WritePage(0, bytes.Repeat([]byte{0xEE}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.ReadPage(0, storage.ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[0] == 0xEE {
-		t.Fatal("source write leaked into file-backed clone")
-	}
-	if err := c.WritePage(1, bytes.Repeat([]byte{0xDD}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	p, err = fd.ReadPage(1, storage.ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[0] == 0xDD {
-		t.Fatal("clone write leaked into file-backed source")
-	}
-	if n := c.ReleasePages([]storage.PageID{2}); n != 1 {
-		t.Fatalf("clone released %d pages, want 1", n)
+}
+
+// TestViewBoundedByWatermark: pages the source appends after View lie
+// above the view's watermark. The view cannot read them, and its image
+// and resident bytes leave them out, so the image still opens.
+func TestViewBoundedByWatermark(t *testing.T) {
+	mem, fd := diskPair(t, 128)
+	fill(t, mem, fd)
+	for _, d := range []*storage.Disk{mem, fd} {
+		var want bytes.Buffer
+		if _, err := d.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		resident := d.ResidentBytes()
+		v := d.View()
+		base := d.AllocPages(4)
+		for i := 0; i < 4; i++ {
+			if err := d.WritePage(base+storage.PageID(i), []byte{0xAB}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := v.ReadPage(base, storage.ClassLight); !storage.IsOutOfRange(err) {
+			t.Fatalf("view read page %d above its watermark: err = %v", base, err)
+		}
+		if got := v.ResidentBytes(); got != resident {
+			t.Fatalf("view resident bytes %d, want %d", got, resident)
+		}
+		var img bytes.Buffer
+		if _, err := v.WriteTo(&img); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img.Bytes(), want.Bytes()) {
+			t.Fatal("view image holds pages above its watermark")
+		}
+		re, err := storage.ReadImage(bytes.NewReader(img.Bytes()), storage.DefaultCostModel())
+		if err != nil {
+			t.Fatalf("view image does not reopen: %v", err)
+		}
+		if re.NumPages() != v.NumPages() {
+			t.Fatalf("reopened view image has %d pages, want %d", re.NumPages(), v.NumPages())
+		}
 	}
 }
 

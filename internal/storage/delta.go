@@ -52,7 +52,7 @@ func (d *Disk) WriteDeltaTo(w io.Writer, from PageID) (int64, error) {
 	if from < 0 || from > allocated {
 		return 0, fmt.Errorf("%w: watermark %d outside [0, %d]", ErrBadDelta, from, allocated)
 	}
-	ids := d.media.StoredPages(from)
+	ids := d.storedPages(from, allocated)
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), imageBufSize(pageSize))

@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +193,9 @@ type Disk struct {
 	// timed caches media.Timed(): charge wall-clock MeasuredTime per
 	// media operation iff the backend does real I/O.
 	timed bool
+	// view marks a disk sharing another disk's media (View): it never
+	// writes or closes it.
+	view bool
 
 	// mu guards the structural state: corruption and quarantine sets,
 	// the allocation watermark, and the pool/faults pointers.
@@ -276,12 +280,14 @@ func (d *Disk) Sync() error {
 }
 
 // Close releases the media backend's OS resources (no-op for the
-// simulated backend). The disk must not be used afterwards.
-func (d *Disk) Close() error { return d.media.Close() }
-
-// MediaStats returns the backend's operation counters — the
-// syscall's-eye view beneath the cost-model accounting.
-func (d *Disk) MediaStats() BackendStats { return d.media.Stats() }
+// simulated backend, and for a view, whose media belongs to its source).
+// The disk must not be used afterwards.
+func (d *Disk) Close() error {
+	if d.view {
+		return nil
+	}
+	return d.media.Close()
+}
 
 // mediaRead performs the physical backend read — outside every Disk
 // lock — charging wall-clock MeasuredTime when the backend is real
@@ -322,9 +328,17 @@ func (d *Disk) NumPages() int64 {
 func (d *Disk) SizeBytes() int64 { return d.NumPages() * int64(d.pageSize) }
 
 // ResidentBytes returns the bytes actually materialized on the media
-// (written, non-sparse pages); always ≤ SizeBytes.
+// (written, non-sparse pages) below the watermark; always ≤ SizeBytes.
 func (d *Disk) ResidentBytes() int64 {
-	return d.media.StoredCount() * int64(d.pageSize)
+	return int64(len(d.storedPages(0, PageID(d.NumPages())))) * int64(d.pageSize)
+}
+
+// storedPages returns the materialized page IDs in [from, below),
+// ascending. Callers bound the enumeration by their own watermark: a
+// view's source may have appended pages above it on the shared media.
+func (d *Disk) storedPages(from, below PageID) []PageID {
+	ids := d.media.StoredPages(from)
+	return ids[:sort.Search(len(ids), func(i int) bool { return ids[i] >= below })]
 }
 
 // Stats returns the accounting snapshot. Every counter — I/O, retries,
@@ -510,6 +524,9 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 	d.mu.RUnlock()
 	if gerr != nil {
 		return fmt.Errorf("storage: write page %d: media allocation failed: %w", id, gerr)
+	}
+	if d.view {
+		return fmt.Errorf("storage: write page %d: a view never writes its shared media", id)
 	}
 	if id < 0 || id >= allocated {
 		return fmt.Errorf("storage: write page %d: %w", id, errOutOfRange)

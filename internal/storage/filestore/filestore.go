@@ -10,11 +10,11 @@
 //
 // The file is sparse: Allocate only truncates (with headroom, so builds
 // that grow page by page do not remap per allocation), never-written
-// pages read back as holes (zeros), and Release punches holes so trimmed
-// shard stores shrink their real footprint too. A written-page set is
-// kept in memory for StoredPages/StoredCount — the store always starts
-// empty (Create truncates) and is repopulated by replaying an image, so
-// the set is exact.
+// pages read back as holes (zeros), and Release punches holes. A
+// written-page set is kept in memory for StoredPages — the store always
+// starts empty (Create truncates) and is repopulated by replaying an
+// image, so the set is exact. Shard stores share the one file through
+// views of the database disk (storage.Disk.View).
 package filestore
 
 import (
@@ -42,9 +42,6 @@ type Options struct {
 	// no separate fsync is needed at commit points (at the price of
 	// slower writes). Without it, writes are buffered and Sync fsyncs.
 	OSync bool
-	// ephemeral removes the file on Close — clone siblings use it so
-	// shard arms clean up after themselves.
-	ephemeral bool
 }
 
 // minPages is the initial/minimum file capacity (in pages) a store is
@@ -61,8 +58,6 @@ type Store struct {
 	pageSize int
 	f        *os.File
 	nommap   bool
-	osync    bool
-	ephem    bool
 
 	// mu guards written, capPages, and mm. Mapped-window copies happen
 	// under the read lock so remapping (which unmaps the old window) is
@@ -73,14 +68,11 @@ type Store struct {
 	mm       []byte
 	closed   bool
 
-	clones atomic.Int64
-
 	reads, pagesRead, bytesRead, mmapReads, writes, syncs atomic.Int64
 }
 
 // Create creates (or truncates) the page file at path and returns a
-// store over it. The caller owns the path; Close closes the fd (and for
-// clone siblings removes the file).
+// store over it. The caller owns the path; Close closes the fd.
 func Create(path string, pageSize int, opts Options) (*Store, error) {
 	if pageSize <= 0 {
 		pageSize = storage.DefaultPageSize
@@ -98,8 +90,6 @@ func Create(path string, pageSize int, opts Options) (*Store, error) {
 		pageSize: pageSize,
 		f:        f,
 		nommap:   opts.NoMmap,
-		osync:    opts.OSync,
-		ephem:    opts.ephemeral,
 		written:  make(map[storage.PageID]struct{}),
 	}
 	if err := s.Allocate(minPages); err != nil {
@@ -288,13 +278,6 @@ func (s *Store) StoredPages(from storage.PageID) []storage.PageID {
 	return ids
 }
 
-// StoredCount returns how many pages hold written content.
-func (s *Store) StoredCount() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return int64(len(s.written))
-}
-
 // Sync fsyncs the file. With OSync writes are already synchronous and
 // this only flushes metadata.
 func (s *Store) Sync() error {
@@ -303,40 +286,6 @@ func (s *Store) Sync() error {
 	}
 	s.syncs.Add(1)
 	return nil
-}
-
-// Clone copies the written pages into a sibling file (path.cloneN) and
-// returns an independent store over it. The sibling is ephemeral: its
-// Close removes the file. Shard stores clone the database disk through
-// this, giving every shard a genuinely separate set of OS pages.
-func (s *Store) Clone() (storage.Backend, error) {
-	path := fmt.Sprintf("%s.clone%d", s.path, s.clones.Add(1))
-	c, err := Create(path, s.pageSize, Options{NoMmap: s.nommap, OSync: s.osync, ephemeral: true})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	capPages := s.capPages
-	s.mu.RUnlock()
-	if err := c.Allocate(capPages); err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	buf := make([]byte, s.pageSize)
-	for _, id := range s.StoredPages(0) {
-		if err := s.ReadPage(id, buf); err != nil {
-			_ = c.Close()
-			return nil, err
-		}
-		if _, err := c.f.WriteAt(buf, int64(id)*int64(s.pageSize)); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("filestore: clone page %d: %w", id, err)
-		}
-		c.mu.Lock()
-		c.written[id] = struct{}{}
-		c.mu.Unlock()
-	}
-	return c, nil
 }
 
 // Stats returns the media-level operation counters.
@@ -355,8 +304,7 @@ func (s *Store) Stats() storage.BackendStats {
 // wall-clock MeasuredTime beside the simulated cost.
 func (s *Store) Timed() bool { return true }
 
-// Close unmaps the window and closes the file (removing it for clone
-// siblings). Idempotent.
+// Close unmaps the window and closes the file. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,13 +316,7 @@ func (s *Store) Close() error {
 		_ = munmapFile(s.mm)
 		s.mm = nil
 	}
-	err := s.f.Close()
-	if s.ephem {
-		if rmErr := os.Remove(s.path); rmErr != nil && err == nil {
-			err = rmErr
-		}
-	}
-	if err != nil {
+	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("filestore: close %s: %w", s.path, err)
 	}
 	return nil

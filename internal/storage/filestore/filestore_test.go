@@ -2,7 +2,6 @@ package filestore
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -147,8 +146,8 @@ func TestStoredPagesAndRelease(t *testing.T) {
 	if n := s.Release([]storage.PageID{2, 7, 100}); n != 2 {
 		t.Fatalf("released %d, want 2", n)
 	}
-	if s.StoredCount() != 2 {
-		t.Fatalf("stored count %d, want 2", s.StoredCount())
+	if got := s.StoredPages(0); len(got) != 2 || got[0] != 4 || got[1] != 9 {
+		t.Fatalf("StoredPages(0) after release = %v, want [4 9]", got)
 	}
 	buf := page(0xFF, 64)
 	if err := s.ReadPage(2, buf); err != nil {
@@ -156,55 +155,6 @@ func TestStoredPagesAndRelease(t *testing.T) {
 	}
 	if !bytes.Equal(buf, page(0, 64)) {
 		t.Fatal("released page does not read back zero")
-	}
-}
-
-func TestCloneIsIndependentAndEphemeral(t *testing.T) {
-	s := newStore(t, Options{})
-	if err := s.WritePage(2, page(0x33, 64)); err != nil {
-		t.Fatal(err)
-	}
-	cb, err := s.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cb.(*Store)
-	buf := make([]byte, 64)
-	if err := c.ReadPage(2, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, page(0x33, 64)) {
-		t.Fatal("clone missing source content")
-	}
-	// Writes after the clone are invisible across the boundary, both ways.
-	if err := s.WritePage(2, page(0x44, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReadPage(2, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, page(0x33, 64)) {
-		t.Fatal("source write leaked into clone")
-	}
-	if err := c.WritePage(3, page(0x55, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if s.StoredCount() != 1 {
-		t.Fatal("clone write leaked into source")
-	}
-	path := c.Path()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("ephemeral clone file survived Close: %v", err)
-	}
-	// Close is idempotent.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

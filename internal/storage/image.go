@@ -57,7 +57,7 @@ func (d *Disk) WriteTo(w io.Writer) (int64, error) {
 	allocated := d.allocated
 	pageSize := d.pageSize
 	d.mu.RUnlock()
-	ids := d.media.StoredPages(0)
+	ids := d.storedPages(0, allocated)
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), imageBufSize(pageSize))

@@ -10,15 +10,12 @@ import (
 // MemBackend is the in-memory simulated media: a sparse page map with no
 // real I/O. It is the Backend every Disk uses unless a real one is
 // supplied (NewDiskOn), and preserves the historical simulated-disk
-// semantics exactly — written pages hold real bytes, allocated-but-never-
-// written extents read back zero-filled, and Clone shares page slices
-// zero-copy (WritePage installs fresh slices, never mutates in place).
+// semantics exactly — written pages hold real bytes, and allocated-but-
+// never-written extents read back zero-filled.
 type MemBackend struct {
 	mu       sync.RWMutex
 	pageSize int
-	// pages is the grow-only allocation high-water mark.
-	pages int64
-	data  map[PageID][]byte
+	data     map[PageID][]byte
 
 	reads, pagesRead, writes atomic.Int64
 }
@@ -78,16 +75,9 @@ func (b *MemBackend) WritePage(id PageID, data []byte) error {
 	return nil
 }
 
-// Allocate records the grow-only allocation watermark (no real space is
-// reserved — the map is sparse by design).
-func (b *MemBackend) Allocate(totalPages int64) error {
-	b.mu.Lock()
-	if totalPages > b.pages {
-		b.pages = totalPages
-	}
-	b.mu.Unlock()
-	return nil
-}
+// Allocate is a no-op: the map is sparse by design, and the Disk keeps
+// the allocation watermark.
+func (b *MemBackend) Allocate(int64) error { return nil }
 
 // Release drops the materialized content of the given pages.
 func (b *MemBackend) Release(ids []PageID) int {
@@ -117,29 +107,8 @@ func (b *MemBackend) StoredPages(from PageID) []PageID {
 	return ids
 }
 
-// StoredCount returns how many pages hold materialized content.
-func (b *MemBackend) StoredCount() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return int64(len(b.data))
-}
-
 // Sync is a no-op: memory is as durable as this media gets.
 func (b *MemBackend) Sync() error { return nil }
-
-// Clone returns an independent backend sharing page slices zero-copy:
-// WritePage always installs a freshly built slice and readers copy out,
-// so sharing is safe, and a clone of a multi-gigabyte simulated database
-// costs only the page map.
-func (b *MemBackend) Clone() (Backend, error) {
-	b.mu.RLock()
-	c := &MemBackend{pageSize: b.pageSize, pages: b.pages, data: make(map[PageID][]byte, len(b.data))}
-	for id, p := range b.data {
-		c.data[id] = p
-	}
-	b.mu.RUnlock()
-	return c, nil
-}
 
 // Stats returns the media-level operation counters.
 func (b *MemBackend) Stats() BackendStats {

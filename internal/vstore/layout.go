@@ -28,8 +28,8 @@ func (s Scheme) String() string {
 }
 
 // Layout is the one V-page layout a database serves: the query-time
-// core.VStore plus what the prefetcher, shard trimming, persistence and
-// fsck need from it. Build and Open are the only places that know which
+// core.VStore plus what the prefetcher, persistence and fsck need from
+// it. Build and Open are the only places that know which
 // concrete scheme stands behind it.
 type Layout interface {
 	core.VStore

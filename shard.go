@@ -13,9 +13,9 @@ import (
 
 // Sharded serving (DESIGN.md §16): EnableSharding partitions the
 // viewing-cell grid into contiguous cell-range shards, each served by a
-// private store — a clone of the database disk with its own cost model,
-// stream heads and buffer pool, and the tree plus its V-page layout
-// reopened over it. Sessions created afterwards route every
+// private store — a view of the database disk that shares its page media
+// but has its own cost model, stream heads and buffer pool, and the tree
+// plus its V-page layout reopened over it. Sessions created afterwards route every
 // query to its owning shard; answers are byte-identical to the
 // unsharded baseline (the differential suite enforces this), but N
 // shards give the workload N independent disk arms, which is where the
@@ -30,13 +30,6 @@ type ShardConfig struct {
 	// pages on every store (0 = none). SetCacheSize after enabling
 	// splits its aggregate budget evenly instead.
 	CachePagesPerShard int
-	// TrimVPages releases each store's foreign V-pages — pages owned
-	// exclusively by cells of other shards — so a shard's resident
-	// footprint approaches its own range. Answers are unchanged (the
-	// router never asks a store about foreign cells), but SaveSharded
-	// rejects trimmed topologies: a trimmed image would fail the
-	// per-shard codec fsck.
-	TrimVPages bool
 }
 
 // EnableSharding partitions the current epoch across cfg.Shards stores
@@ -72,7 +65,6 @@ func (db *DB) buildRouter(cfg ShardConfig) (*shard.Router, error) {
 		Parallel:           parallel,
 		FaultTolerant:      ft,
 		CachePagesPerShard: cfg.CachePagesPerShard,
-		Trim:               cfg.TrimVPages,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hdov: sharding: %w", err)
@@ -188,17 +180,11 @@ type shardMapManifest struct {
 // complete dbfile directory per shard (shard-000, shard-001, ...), each
 // independently openable and fsck-able — hdovfsck verifies every shard
 // image and that the map exactly partitions the grid. Requires an
-// active, untrimmed shard topology.
+// active shard topology.
 func (db *DB) SaveSharded(dir string) error {
 	r := db.currentRouter()
 	if r == nil {
 		return fmt.Errorf("hdov: SaveSharded: sharding is not enabled")
-	}
-	db.mu.RLock()
-	trimmed := db.shardCfg.TrimVPages
-	db.mu.RUnlock()
-	if trimmed {
-		return fmt.Errorf("hdov: SaveSharded: trimmed stores cannot be persisted (foreign V-pages are released)")
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()

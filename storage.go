@@ -104,26 +104,17 @@ func OpenWith(dir string, st StorageConfig) (*DB, error) {
 }
 
 // Close releases the database's storage media: the page file handle and
-// mmap window of a file backend, every shard store's cloned media when
-// sharding is enabled, and the temporary directory of an unnamed
-// file-backed Build. On the simulated backend it is a cheap no-op, so
-// defer db.Close() is always safe. The DB must not be used afterwards.
+// mmap window of a file backend, which shard stores share as views and
+// so never hold open themselves, and the temporary directory of an
+// unnamed file-backed Build. On the simulated backend it is a cheap
+// no-op, so defer db.Close() is always safe. The DB must not be used
+// afterwards.
 func (db *DB) Close() error {
 	db.mu.Lock()
-	r := db.router
-	db.router = nil
 	tmp := db.tmpDir
 	db.tmpDir = ""
 	db.mu.Unlock()
-	var first error
-	if r != nil {
-		if err := r.Close(); err != nil {
-			first = err
-		}
-	}
-	if err := db.disk.Close(); err != nil && first == nil {
-		first = err
-	}
+	first := db.disk.Close()
 	if tmp != "" {
 		if err := os.RemoveAll(tmp); err != nil && first == nil {
 			first = err
