@@ -1,13 +1,14 @@
 // Command hdovfsck checks saved HDoV database directories: it verifies the
-// manifest's self-checksum, the disk image's committed size and CRC, every
-// layout pointer, and — for codec-layout databases — every codec unit's
+// manifest's self-checksum, every page run's committed size and CRC (the
+// disk image and each epoch's run, chained in order), every layout
+// pointer, and — for codec-layout databases — every codec unit's
 // header and CRC, and reports intact vs damaged. With -repair, damaged
 // artifacts and stray temporaries from interrupted saves are moved into a
 // quarantine/ subdirectory, and codec-invalid pages are parked in
 // quarantine.json so reopened databases fail their reads fast instead of
 // decoding garbage — the next save starts clean without destroying
 // evidence. For every readable manifest a dynamicscene line reports the
-// committed epoch counter, op-log length and delta-chain depth, so an
+// committed epoch counter, op-log length and number of epoch runs, so an
 // interrupted CommitEpoch is visible at a glance (strays with epoch=0
 // deltas=0 mean the commit never landed).
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -178,7 +179,13 @@ func TestServeAPI(t *testing.T) {
 		t.Fatalf("shared pool saw no hits across 3 walkthrough clients: %+v", ps)
 	}
 
-	if _, err := db.Serve(WalkOptions{UseREVIEW: true}, 2); err == nil {
-		t.Fatal("Serve accepted UseREVIEW")
+	for name, opts := range map[string]WalkOptions{
+		"UseREVIEW":     {UseREVIEW: true},
+		"Coherent":      {Coherent: true},
+		"AsyncPrefetch": {AsyncPrefetch: true},
+	} {
+		if _, err := db.Serve(opts, 2); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Serve with %s: err = %v, want a rejection naming the option", name, err)
+		}
 	}
 }

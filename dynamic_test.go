@@ -347,7 +347,7 @@ func TestDynamicPersistRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A Save into the same directory compacts: the delta chain is
+	// A Save into the same directory compacts: the epoch runs are
 	// superseded and the database still opens to the same answers.
 	if err := re2.Save(dir); err != nil {
 		t.Fatal(err)

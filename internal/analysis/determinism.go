@@ -27,7 +27,7 @@ import (
 // cannot leak, which is exactly the review trail the invariant wants.
 //
 // internal/dbfile is in scope too: the persistence layer serializes the
-// manifest, the op log and the delta chain, and a map-order- or
+// manifest, the op log and the page-run chain, and a map-order- or
 // clock-dependent write there would make a committed epoch irreproducible
 // (the crash-point harness compares recovered directories byte-for-byte
 // against what the commit protocol promised).

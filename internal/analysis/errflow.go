@@ -19,10 +19,11 @@ import (
 //     flushes (Sync — on the file backend a dropped Sync error silently
 //     forfeits the fsync-at-commit durability guarantee) whose error is
 //     assigned to the blank identifier or ignored as a statement;
-//   - the incremental-update write path (ApplyOp / ApplyOps / WriteDeltaTo
-//     / ApplyDelta / CommitEpoch): a dropped error there either publishes
-//     an epoch that never applied or commits a delta that never landed,
-//     exactly the torn states the crash-point harness exists to rule out.
+//   - the persistence and incremental-update write path (ApplyOp /
+//     ApplyOps / WriteRunTo / ApplyRun / CommitEpoch): a dropped error
+//     there either publishes an epoch that never applied or commits a
+//     page run that never landed, exactly the torn states the
+//     crash-point harness exists to rule out.
 //
 // The pass runs on the shared CFG/dataflow engine, which adds two
 // path-sensitive checks the statement-local walk could not see: a
@@ -49,12 +50,12 @@ var watchedWriters = map[string]bool{
 	// Media flushes: the file backend's durability hinges on the fsync at
 	// the commit point actually being checked.
 	"Sync": true,
-	// The incremental-update write path.
-	"ApplyOp":      true,
-	"ApplyOps":     true,
-	"WriteDeltaTo": true,
-	"ApplyDelta":   true,
-	"CommitEpoch":  true,
+	// The persistence and incremental-update write path.
+	"ApplyOp":     true,
+	"ApplyOps":    true,
+	"WriteRunTo":  true,
+	"ApplyRun":    true,
+	"CommitEpoch": true,
 }
 
 // Run implements Pass.

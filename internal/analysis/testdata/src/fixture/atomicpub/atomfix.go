@@ -14,7 +14,7 @@ type DB struct {
 	// tree is the published root pointer; readers snapshot it with an
 	// atomic load, so writers must publish with an atomic store.
 	// hdov:guarded-by atomic
-	tree *int
+	tree    *int
 	statsMu sync.RWMutex
 	// hits counts lookups under the stats lock.
 	// hdov:guarded-by statsMu

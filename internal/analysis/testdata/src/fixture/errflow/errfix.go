@@ -100,7 +100,7 @@ func CheckedDecodeSegment(b []byte) ([]int64, []int32, error) {
 }
 
 // The incremental-update write path (dynamic scenes): op application,
-// delta serialization and the epoch commit. A dropped error on any of
+// page-run serialization and the epoch commit. A dropped error on any of
 // these publishes state that never durably applied.
 
 // ApplyOps mirrors core.ApplyOps: evolved state plus error.
@@ -108,13 +108,13 @@ func ApplyOps(ops []int) ([]int, error) {
 	return ops, nil
 }
 
-// WriteDeltaTo mirrors storage.Disk.WriteDeltaTo.
-func (d *Disk) WriteDeltaTo(w *bytes.Buffer, from int64) (int64, error) {
+// WriteRunTo mirrors storage.Disk.WriteRunTo.
+func (d *Disk) WriteRunTo(w *bytes.Buffer, from int64) (int64, error) {
 	return 0, nil
 }
 
-// ApplyDelta mirrors storage.Disk.ApplyDelta.
-func (d *Disk) ApplyDelta(b []byte) error {
+// ApplyRun mirrors storage.Disk.ApplyRun.
+func (d *Disk) ApplyRun(b []byte) error {
 	return nil
 }
 
@@ -130,14 +130,14 @@ func BlankApplyOps(ops []int) []int {
 	return t
 }
 
-// IgnoredDelta drops the delta-write error as a bare statement.
-func IgnoredDelta(d *Disk, buf *bytes.Buffer) {
-	d.WriteDeltaTo(buf, 0) // want errflow
+// IgnoredRun drops the run-write error as a bare statement.
+func IgnoredRun(d *Disk, buf *bytes.Buffer) {
+	d.WriteRunTo(buf, 0) // want errflow
 }
 
-// BlankApplyDelta blanks the delta-application error.
-func BlankApplyDelta(d *Disk, b []byte) {
-	_ = d.ApplyDelta(b) // want errflow
+// BlankApplyRun blanks the run-application error.
+func BlankApplyRun(d *Disk, b []byte) {
+	_ = d.ApplyRun(b) // want errflow
 }
 
 // BlankCommit blanks the commit error while keeping the epoch number —
@@ -154,7 +154,7 @@ func DeferredCommit(d *Disk) {
 
 // CheckedCommit propagates: clean.
 func CheckedCommit(d *Disk) (int, error) {
-	if err := d.ApplyDelta(nil); err != nil {
+	if err := d.ApplyRun(nil); err != nil {
 		return 0, err
 	}
 	return d.CommitEpoch("dir")

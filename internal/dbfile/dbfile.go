@@ -4,42 +4,39 @@
 // layout) takes orders of magnitude longer than a query session, so a
 // production deployment builds once and ships the files.
 //
-// A database directory holds two files, plus one per committed epoch:
+// A database directory holds a manifest and a chain of page runs:
 //
-//	manifest.json — dataset parameters and every layout pointer needed to
+//	manifest.json — dataset parameters, every layout pointer needed to
 //	                reattach the tree and the one V-page layout the
-//	                database serves (JSON, human-inspectable, checksummed)
-//	disk.img      — the simulated disk's pages (binary, checksummed)
-//	epoch-N.img   — the pages appended by incremental update epoch N
-//	                (binary, checksummed; absent on static databases)
+//	                database serves, and the run list (JSON,
+//	                human-inspectable, checksummed)
+//	disk.img      — run 0: every page of the disk (binary, checksummed)
+//	epoch-N.img   — the run of incremental update epoch N: the pages it
+//	                appended past the previous watermark (absent on
+//	                static databases)
 //
-// The scene's meshes are not stored twice: the city regenerates
-// deterministically from its CityParams (plus, for dynamic scenes, a
-// replay of the manifest's op log), and payload meshes live in the disk
-// image.
+// Every run has the one storage page-run format; the disk reopens by
+// applying the runs in order. The scene's meshes are not stored twice:
+// the city regenerates deterministically from its CityParams (plus, for
+// dynamic scenes, a replay of the manifest's op log), and payload meshes
+// live in the runs.
 //
 // # Crash safety
 //
-// Save is atomic at the manifest rename: the image is written to a
-// temporary file, fsynced and renamed into place first; the manifest —
-// which embeds the image's byte size and CRC and carries its own
-// checksum — is written, fsynced and renamed last. A crash at any write
-// boundary leaves either the old database intact or a directory with no
-// (or a stale) manifest; Open cross-checks manifest checksum, image size,
-// and image CRC, so every torn state is rejected with ErrBadDatabase.
-//
-// CommitEpoch extends the same protocol to incremental updates: the
-// epoch's appended pages are committed as an epoch-N.img delta (tmp +
-// fsync + rename), and only then is the manifest — which pins every
-// delta's size and CRC and carries the new op log — renamed into place.
-// A crash before the manifest rename leaves the previous epoch fully
-// intact (the unreferenced delta file is garbage fsck sweeps); a crash
-// after it leaves the new epoch committed. There is no reachable torn
-// state.
+// Save and CommitEpoch are one commit: a run is written to a temporary
+// file, fsynced and renamed into place first; the manifest — which pins
+// every run's byte size and CRC and carries its own checksum — is
+// written, fsynced and renamed last. Save writes run 0 and replaces the
+// run list; CommitEpoch writes the run from the committed watermark and
+// appends it. The manifest rename is the commit point: a crash at any
+// write boundary before it leaves the previous version intact (with at
+// worst an unreferenced run or temp file for fsck to sweep) or, in a
+// fresh directory, no manifest at all. Open cross-checks the manifest
+// checksum and every run's size and CRC, so every torn state is
+// rejected with ErrBadDatabase.
 package dbfile
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 
 	"repro/internal/core"
@@ -64,11 +62,12 @@ const (
 	// sidecar (quarantine.json). Version 4 added dynamic scenes: the op
 	// log, the epoch counter, and the epoch-N.img delta chain. Version 5
 	// stores one V-page layout, tagged with its scheme, instead of all
-	// three plus the naive baseline.
-	FormatVersion = 5
+	// three plus the naive baseline. Version 6 writes disk.img in the
+	// one page-run format and pins it as Runs[0].
+	FormatVersion = 6
 	manifestName  = "manifest.json"
 	imageName     = "disk.img"
-	// deltaPrefix/deltaSuffix frame epoch delta file names (epoch-N.img).
+	// deltaPrefix/deltaSuffix frame epoch run file names (epoch-N.img).
 	deltaPrefix = "epoch-"
 	deltaSuffix = ".img"
 	// quarantineName is the optional page-quarantine sidecar: disk pages
@@ -78,9 +77,9 @@ const (
 )
 
 // PagesFileName is the page file a file-backed open materializes inside
-// the database directory. It is derived state — rebuilt from disk.img and
-// the delta chain on every OpenWith — never part of the commit protocol,
-// so fsck classifies it as Derived, not Stray.
+// the database directory. It is derived state — rebuilt from the page
+// runs on every OpenWith — never part of the commit protocol, so fsck
+// classifies it as Derived, not Stray.
 const PagesFileName = "pages.dat"
 
 // Manifest is the JSON document describing a saved database.
@@ -91,22 +90,19 @@ type Manifest struct {
 	Layout        vstore.Manifest
 
 	// Epoch counts committed incremental update epochs; 0 is a freshly
-	// built (or Save-compacted) database. Ops is the dynamic-scene op
-	// log: the scene is reconstructed as Generate(City) + Replay(Ops).
+	// built database. Ops is the dynamic-scene op log: the scene is
+	// reconstructed as Generate(City) + Replay(Ops).
 	Epoch int        `json:",omitempty"`
 	Ops   []scene.Op `json:",omitempty"`
-	// Deltas lists the epoch delta images applied on top of disk.img, in
-	// commit order; AllocatedPages is the disk's total allocation after
-	// all of them — the watermark the next epoch's delta starts at. Save
-	// compacts: a full image, no deltas.
-	Deltas         []DeltaManifest `json:",omitempty"`
+	// Runs lists the page runs the disk is rebuilt from, in commit
+	// order: Runs[0] is disk.img, each later run an epoch's epoch-N.img.
+	// Pinning every run's size and CRC means a manifest renamed into
+	// place next to a stale or torn run fails the cross-check.
+	// AllocatedPages is the disk's total allocation after all of them —
+	// the watermark the next epoch's run starts at. Save compacts to one
+	// run.
+	Runs           []RunManifest
 	AllocatedPages int64
-
-	// ImageBytes and ImageCRC32 pin the disk.img this manifest commits:
-	// a manifest renamed into place next to a stale or torn image fails
-	// the cross-check.
-	ImageBytes int64
-	ImageCRC32 uint32
 	// Checksum is the IEEE CRC32 of this document serialized with
 	// Checksum itself zero (see Seal).
 	Checksum uint32
@@ -134,10 +130,9 @@ func (m *Manifest) computeChecksum() (uint32, error) {
 	return crc32.ChecksumIEEE(raw), nil
 }
 
-// DeltaManifest pins one committed epoch delta file: name, byte size and
-// file-level CRC, the same cross-check ImageBytes/ImageCRC32 give the
-// base image.
-type DeltaManifest struct {
+// RunManifest pins one committed page-run file: name, byte size and
+// file-level CRC.
+type RunManifest struct {
 	Name  string
 	Bytes int64
 	CRC32 uint32
@@ -170,221 +165,198 @@ func (db *Database) Close() error {
 // ErrBadDatabase is wrapped into open-time validation failures.
 var ErrBadDatabase = errors.New("dbfile: bad database")
 
-// crashPoint aborts Save at a named write boundary (crash-injection
+// crashPoint aborts a commit at a named write boundary (crash-injection
 // tests). Empty in production.
 var crashPoint string
+
+// crashSeen, when non-nil, records every stage crashAt is reached at, so
+// a test can pin its crash tables to the protocol. Nil in production.
+var crashSeen map[string]bool
 
 // errCrash marks an injected crash.
 var errCrash = errors.New("dbfile: injected crash")
 
 func crashAt(stage string) error {
+	if stage == "" {
+		return nil
+	}
+	if crashSeen != nil {
+		crashSeen[stage] = true
+	}
 	if crashPoint == stage {
 		return fmt.Errorf("%w at %s", errCrash, stage)
 	}
 	return nil
 }
 
-// Save writes the database to dir (created if absent). The write order —
-// image first, checksummed manifest renamed into place last — makes the
-// manifest rename the commit point; a crash anywhere before it leaves the
+// commitStages names the crash-injection boundaries of one commit kind:
+// after the run's temp file is written, after its rename, after the
+// manifest's temp file is written, and after the manifest rename (the
+// commit point; "" for none).
+type commitStages struct{ runTmp, runRename, manifestTmp, committed string }
+
+var (
+	saveStages  = commitStages{"image-tmp", "image-rename", "manifest-tmp", ""}
+	epochStages = commitStages{"epoch-tmp", "epoch-rename", "epoch-manifest-tmp", "epoch-manifest-rename"}
+)
+
+// Save writes the database to dir (created if absent) as a single run:
+// disk.img holds every page, and the manifest it commits supersedes any
+// epoch chain the directory held. The write order — run first,
+// checksummed manifest renamed into place last — makes the manifest
+// rename the commit point; a crash anywhere before it leaves the
 // previous database state (or a rejectable partial directory) behind.
 func Save(dir string, db *Database) error {
-	if db == nil || db.Tree == nil || db.Disk == nil || db.Layout == nil {
-		return fmt.Errorf("dbfile: save: incomplete database")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dbfile: %w", err)
-	}
-
-	imgBytes, imgCRC, err := writeImage(dir, db.Disk)
-	if err != nil {
-		return err
-	}
-	// Flush the live media before the manifest rename declares the save
-	// committed: on a file-backed disk this fsyncs pages.dat, so the state
-	// the image snapshotted is also durable in the page file (a no-op on
-	// simulated media).
-	if err := db.Disk.Sync(); err != nil {
-		return fmt.Errorf("dbfile: save: sync media: %w", err)
-	}
-
-	m := Manifest{
-		FormatVersion:  FormatVersion,
-		City:           db.Scene.Params,
-		Tree:           db.Tree.Manifest(),
-		Layout:         db.Layout.LayoutManifest(),
-		Epoch:          db.Epoch,
-		Ops:            db.Ops,
-		AllocatedPages: db.Disk.NumPages(),
-		ImageBytes:     imgBytes,
-		ImageCRC32:     imgCRC,
-	}
-	return commitManifest(dir, &m, "manifest-tmp")
-}
-
-// commitManifest seals, serializes and atomically installs a manifest.
-func commitManifest(dir string, m *Manifest, stage string) error {
-	if err := m.Seal(); err != nil {
-		return fmt.Errorf("dbfile: manifest: %w", err)
-	}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("dbfile: manifest: %w", err)
-	}
-	if err := writeFileAtomic(dir, manifestName, raw, stage); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// DeltaFileName returns the file name of epoch n's delta image.
-func DeltaFileName(n int) string {
-	return fmt.Sprintf("%s%d%s", deltaPrefix, n, deltaSuffix)
+	_, err := commit(dir, db, false)
+	return err
 }
 
 // CommitEpoch commits one incremental update epoch to an existing
 // database directory: the pages the update appended (everything past the
-// previously committed allocation watermark) are written as an epoch
-// delta image, then the manifest — carrying the new layout pointers, the
-// extended op log and the delta's size and CRC — is atomically renamed
-// into place. The manifest rename is the commit point: a crash anywhere
-// before it leaves the previous epoch intact, with at worst an
-// unreferenced delta or temp file for fsck to sweep.
+// previously committed allocation watermark) are written as the run
+// epoch-N.img, then the manifest — carrying the new layout pointers, the
+// extended op log and the run list with the new run appended — is
+// atomically renamed into place. The manifest rename is the commit
+// point: a crash anywhere before it leaves the previous epoch intact,
+// with at worst an unreferenced run or temp file for fsck to sweep.
 //
-// The db must hold the post-update state (new tree, schemes, op log);
-// CommitEpoch derives the epoch number from the directory and returns it.
+// The db must hold the post-update state (new tree, layout, op log) of
+// the database the directory holds: the same city and build parameters,
+// and an op log that extends the committed one. Anything else is refused
+// before the directory is touched. CommitEpoch derives the epoch number
+// from the directory and returns it.
 func CommitEpoch(dir string, db *Database) (int, error) {
-	if db == nil || db.Tree == nil || db.Disk == nil || db.Layout == nil {
+	return commit(dir, db, true)
+}
+
+// DeltaFileName returns the file name of epoch n's run.
+func DeltaFileName(n int) string {
+	return fmt.Sprintf("%s%d%s", deltaPrefix, n, deltaSuffix)
+}
+
+// commit is Save (epoch false) and CommitEpoch (epoch true). The two
+// differ only in the watermark their run starts at — 0, or the committed
+// allocation — and in whether the committed run list is kept.
+func commit(dir string, db *Database, epoch bool) (int, error) {
+	if db == nil || db.Scene == nil || db.Tree == nil || db.Disk == nil || db.Layout == nil {
 		return 0, fmt.Errorf("dbfile: commit: incomplete database")
 	}
-	prev, err := readManifest(dir)
-	if err != nil {
-		return 0, fmt.Errorf("dbfile: commit: %w", err)
+	m := Manifest{
+		FormatVersion: FormatVersion,
+		City:          db.Scene.Params,
+		Tree:          db.Tree.Manifest(),
+		Layout:        db.Layout.LayoutManifest(),
+		Epoch:         db.Epoch,
+		Ops:           db.Ops,
 	}
-	if len(db.Ops) < len(prev.Ops) {
-		return 0, fmt.Errorf("dbfile: commit: op log shrank (%d < %d committed)", len(db.Ops), len(prev.Ops))
-	}
-	watermark := storage.PageID(prev.AllocatedPages)
-	if db.Disk.NumPages() < prev.AllocatedPages {
-		return 0, fmt.Errorf("dbfile: commit: disk has %d pages, %d committed (wrong directory?)",
-			db.Disk.NumPages(), prev.AllocatedPages)
-	}
-	epoch := prev.Epoch + 1
-	name := DeltaFileName(epoch)
-
-	// Delta image first: tmp + fsync + rename, like the base image.
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("dbfile: delta: %w", err)
-	}
-	h := crc32.NewIEEE()
-	n, err := db.Disk.WriteDeltaTo(io.MultiWriter(f, h), watermark)
-	if err != nil {
-		f.Close()
-		return 0, fmt.Errorf("dbfile: delta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("dbfile: delta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("dbfile: delta: %w", err)
-	}
-	if err := crashAt("epoch-tmp"); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return 0, fmt.Errorf("dbfile: delta: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	if err := crashAt("epoch-rename"); err != nil {
-		return 0, err
+	name, from, stages := imageName, storage.PageID(0), saveStages
+	if epoch {
+		prev, err := readManifest(dir)
+		if err != nil {
+			return 0, fmt.Errorf("dbfile: commit: %w", err)
+		}
+		if err := checkExtends(prev, &m, db.Disk.NumPages()); err != nil {
+			return 0, fmt.Errorf("dbfile: commit: %w", err)
+		}
+		m.Epoch = prev.Epoch + 1
+		m.Runs = prev.Runs
+		name, from, stages = DeltaFileName(m.Epoch), storage.PageID(prev.AllocatedPages), epochStages
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("dbfile: %w", err)
 	}
 
-	// Flush the live media before the commit point, mirroring Save: the
-	// epoch's appended pages are durable in a file-backed page file before
-	// the manifest that references them lands.
+	rm, err := writeRun(dir, name, db.Disk, from, stages)
+	if err != nil {
+		return 0, err
+	}
+	// Flush the live media before the manifest rename declares the
+	// commit: on a file-backed disk this fsyncs pages.dat, so the state
+	// the run snapshotted is also durable in the page file (a no-op on
+	// simulated media).
 	if err := db.Disk.Sync(); err != nil {
 		return 0, fmt.Errorf("dbfile: commit: sync media: %w", err)
 	}
-
-	// Manifest last — its rename commits the epoch.
-	m := Manifest{
-		FormatVersion:  FormatVersion,
-		City:           db.Scene.Params,
-		Tree:           db.Tree.Manifest(),
-		Layout:         db.Layout.LayoutManifest(),
-		Epoch:          epoch,
-		Ops:            db.Ops,
-		Deltas:         append(append([]DeltaManifest(nil), prev.Deltas...), DeltaManifest{Name: name, Bytes: n, CRC32: h.Sum32()}),
-		AllocatedPages: db.Disk.NumPages(),
-		ImageBytes:     prev.ImageBytes,
-		ImageCRC32:     prev.ImageCRC32,
+	m.Runs = append(m.Runs, rm)
+	m.AllocatedPages = db.Disk.NumPages()
+	if err := m.Seal(); err != nil {
+		return 0, fmt.Errorf("dbfile: manifest: %w", err)
 	}
-	if err := commitManifest(dir, &m, "epoch-manifest-tmp"); err != nil {
+	raw, err := json.MarshalIndent(&m, "", "  ")
+	if err != nil {
+		return 0, fmt.Errorf("dbfile: manifest: %w", err)
+	}
+	if err := writeFileAtomic(dir, manifestName, stages.manifestTmp, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}); err != nil {
 		return 0, err
 	}
-	if err := crashAt("epoch-manifest-rename"); err != nil {
+	if err := crashAt(stages.committed); err != nil {
 		return 0, err
 	}
-	return epoch, nil
+	return m.Epoch, nil
 }
 
-// writeImage writes disk.img via a temporary file and atomic rename,
-// returning the byte count and CRC of what landed on disk.
-func writeImage(dir string, d *storage.Disk) (int64, uint32, error) {
-	tmp := filepath.Join(dir, imageName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dbfile: image: %w", err)
+// checkExtends reports why next — the manifest an epoch commit would write
+// for a disk of pages pages — does not continue the database prev
+// commits: another city, other build parameters, another layout scheme
+// or codec, an op log that is not prev's extended, or a disk smaller
+// than the committed watermark.
+func checkExtends(prev, next *Manifest, pages int64) error {
+	switch {
+	case !reflect.DeepEqual(prev.City, next.City):
+		return fmt.Errorf("city parameters differ from the committed database's")
+	case prev.Tree.Params != next.Tree.Params || prev.Tree.Grid != next.Tree.Grid:
+		return fmt.Errorf("build parameters differ from the committed database's")
+	case prev.Layout.Scheme != next.Layout.Scheme || prev.Layout.Codec() != next.Layout.Codec():
+		return fmt.Errorf("layout %v (codec %v) differs from the committed %v (codec %v)",
+			next.Layout.Scheme, next.Layout.Codec(), prev.Layout.Scheme, prev.Layout.Codec())
+	case len(next.Ops) < len(prev.Ops):
+		return fmt.Errorf("op log shrank (%d < %d committed)", len(next.Ops), len(prev.Ops))
+	case pages < prev.AllocatedPages:
+		return fmt.Errorf("disk has %d pages, %d committed (wrong directory?)", pages, prev.AllocatedPages)
 	}
+	for i, op := range prev.Ops {
+		if !reflect.DeepEqual(op, next.Ops[i]) {
+			return fmt.Errorf("op %d differs from the committed log (diverged history?)", i)
+		}
+	}
+	return nil
+}
+
+// writeRun writes d's pages from watermark from as the run file name,
+// returning the manifest entry that pins what landed.
+func writeRun(dir, name string, d *storage.Disk, from storage.PageID, stages commitStages) (RunManifest, error) {
+	rm := RunManifest{Name: name}
 	h := crc32.NewIEEE()
-	n, err := d.WriteTo(io.MultiWriter(f, h))
-	if err != nil {
-		f.Close()
-		return 0, 0, fmt.Errorf("dbfile: image: %w", err)
+	if err := writeFileAtomic(dir, name, stages.runTmp, func(w io.Writer) error {
+		n, err := d.WriteRunTo(io.MultiWriter(w, h), from)
+		rm.Bytes = n
+		return err
+	}); err != nil {
+		return rm, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, 0, fmt.Errorf("dbfile: image: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, 0, fmt.Errorf("dbfile: image: %w", err)
-	}
-	if err := crashAt("image-tmp"); err != nil {
-		return 0, 0, err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, imageName)); err != nil {
-		return 0, 0, fmt.Errorf("dbfile: image: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, 0, err
-	}
-	if err := crashAt("image-rename"); err != nil {
-		return 0, 0, err
-	}
-	return n, h.Sum32(), nil
+	rm.CRC32 = h.Sum32()
+	return rm, crashAt(stages.runRename)
 }
 
-// writeFileAtomic writes name under dir via tmp-file + fsync + rename.
-func writeFileAtomic(dir, name string, raw []byte, stage string) error {
+// writeFileAtomic writes name under dir via tmp-file + fsync + rename +
+// directory fsync; write fills the temporary file. stage is the crash
+// boundary between the fsync and the rename.
+func writeFileAtomic(dir, name, stage string, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("dbfile: %s: %w", name, err)
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return fmt.Errorf("dbfile: %s: %w", name, err)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("dbfile: %s: %w", name, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("dbfile: %s: %w", name, err)
 	}
 	if err := crashAt(stage); err != nil {
@@ -393,7 +365,7 @@ func writeFileAtomic(dir, name string, raw []byte, stage string) error {
 	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("dbfile: %s: %w", name, err)
 	}
-	return nil
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames within it are durable. Filesystems
@@ -413,9 +385,9 @@ func syncDir(dir string) error {
 // OpenOptions selects the storage media a database is reopened onto.
 // The zero value reproduces Open: the simulated in-memory disk.
 type OpenOptions struct {
-	// FileBacked materializes the committed image and delta chain into a
-	// page file (PagesFileName) inside the database directory and serves
-	// reads through the real-file backend — mmap window, vectored preads,
+	// FileBacked materializes the committed page runs into a page file
+	// (PagesFileName) inside the database directory and serves reads
+	// through the real-file backend — mmap window, vectored preads,
 	// wall-clock MeasuredTime — instead of the simulated in-memory media.
 	// The page file is derived state: it is truncated and rebuilt on every
 	// open, so a torn previous page file is harmless, and fsck never
@@ -426,22 +398,22 @@ type OpenOptions struct {
 	// NoMmap disables the file backend's mmap read window (pure pread).
 	// Meaningful only with FileBacked.
 	NoMmap bool
-	// OSync opens the page file O_SYNC, making every page write durable
-	// when it returns. Meaningful only with FileBacked.
-	OSync bool
 	// Cost overrides the simulator cost model the disk is opened with
 	// (e.g. one fitted by hardware calibration). Nil keeps the default.
 	Cost *storage.CostModel
 }
 
 // Open reopens a database directory saved by Save onto the simulated
-// in-memory disk. The manifest's own checksum, the image's size and CRC,
+// in-memory disk. The manifest's own checksum, every run's size and CRC,
 // and every layout pointer are verified before anything is trusted; the
 // city is regenerated from its parameters and tree and scheme layouts are
-// revalidated against the image.
+// revalidated against the disk.
 func Open(dir string) (*Database, error) {
 	return OpenWith(dir, OpenOptions{})
 }
+
+// memMedia builds the simulated in-memory media for a run's page size.
+func memMedia(pageSize int) (storage.Backend, error) { return storage.NewMemBackend(pageSize), nil }
 
 // OpenWith is Open with explicit media selection: the same validation and
 // reattachment, onto either the simulated disk or a real page file inside
@@ -451,31 +423,17 @@ func OpenWith(dir string, opts OpenOptions) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, imageName))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadDatabase, err)
-	}
-	if int64(len(raw)) != m.ImageBytes {
-		return nil, fmt.Errorf("%w: image is %d bytes, manifest committed %d (torn save?)",
-			ErrBadDatabase, len(raw), m.ImageBytes)
-	}
-	if sum := crc32.ChecksumIEEE(raw); sum != m.ImageCRC32 {
-		return nil, fmt.Errorf("%w: image CRC %08x, manifest committed %08x (stale or torn image)",
-			ErrBadDatabase, sum, m.ImageCRC32)
-	}
 	cost := storage.DefaultCostModel()
 	if opts.Cost != nil {
 		cost = *opts.Cost
 	}
-	var newBackend func(pageSize int, pages int64) (storage.Backend, error)
+	media := memMedia
 	if opts.FileBacked {
-		newBackend = func(pageSize int, pages int64) (storage.Backend, error) {
-			return filestore.Create(filepath.Join(dir, PagesFileName), pageSize,
-				filestore.Options{NoMmap: opts.NoMmap, OSync: opts.OSync})
+		media = func(pageSize int) (storage.Backend, error) {
+			return filestore.Create(filepath.Join(dir, PagesFileName), pageSize, filestore.Options{NoMmap: opts.NoMmap})
 		}
 	}
-	disk, err := storage.ReadImageInto(bytes.NewReader(raw), cost, newBackend)
+	disk, _, err := loadDisk(dir, m, media, cost)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDatabase, err)
 	}
@@ -484,15 +442,6 @@ func OpenWith(dir string, opts OpenOptions) (*Database, error) {
 	fail := func(err error) (*Database, error) {
 		_ = disk.Close()
 		return nil, err
-	}
-	for _, dm := range m.Deltas {
-		if err := applyDeltaFile(dir, dm, disk); err != nil {
-			return fail(err)
-		}
-	}
-	if disk.NumPages() != m.AllocatedPages {
-		return fail(fmt.Errorf("%w: %d pages after deltas, manifest committed %d",
-			ErrBadDatabase, disk.NumPages(), m.AllocatedPages))
 	}
 	if err := validateLayout(m, disk); err != nil {
 		return fail(err)
@@ -532,30 +481,57 @@ func OpenWith(dir string, opts OpenOptions) (*Database, error) {
 	}, nil
 }
 
-// applyDeltaFile verifies one committed epoch delta against its manifest
-// pin (size, file CRC) and applies it to the disk; the delta's own
-// checksum and chaining watermark are enforced by storage.ApplyDelta.
-func applyDeltaFile(dir string, dm DeltaManifest, disk *storage.Disk) error {
-	raw, err := os.ReadFile(filepath.Join(dir, dm.Name))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDatabase, err)
+// loadDisk rebuilds the disk m commits from its page runs: run 0's page
+// size picks the media (built by media), then every run is checked
+// against its manifest pin and applied in order. On failure it releases
+// what it built and returns the index of the run at fault — the last one
+// when the chain ends at another allocation than the manifest commits.
+func loadDisk(dir string, m *Manifest, media func(pageSize int) (storage.Backend, error), cost storage.CostModel) (*storage.Disk, int, error) {
+	var disk *storage.Disk
+	fail := func(i int, format string, args ...any) (*storage.Disk, int, error) {
+		if disk != nil {
+			_ = disk.Close()
+		}
+		label := "image"
+		if i > 0 {
+			label = "delta " + m.Runs[i].Name
+		}
+		return nil, i, fmt.Errorf("%s: %s", label, fmt.Sprintf(format, args...))
 	}
-	if int64(len(raw)) != dm.Bytes {
-		return fmt.Errorf("%w: delta %s is %d bytes, manifest committed %d (torn commit?)",
-			ErrBadDatabase, dm.Name, len(raw), dm.Bytes)
+	for i, rm := range m.Runs {
+		raw, err := os.ReadFile(filepath.Join(dir, rm.Name))
+		if err != nil {
+			return fail(i, "%v", err)
+		}
+		if int64(len(raw)) != rm.Bytes {
+			return fail(i, "%d bytes, manifest committed %d (torn commit?)", len(raw), rm.Bytes)
+		}
+		if sum := crc32.ChecksumIEEE(raw); sum != rm.CRC32 {
+			return fail(i, "CRC %08x, manifest committed %08x (stale or torn image)", sum, rm.CRC32)
+		}
+		run, err := storage.ParseRun(raw)
+		if err != nil {
+			return fail(i, "%v", err)
+		}
+		if disk == nil {
+			b, err := media(run.PageSize)
+			if err != nil {
+				return fail(i, "%v", err)
+			}
+			disk = storage.NewDiskOn(b, cost)
+		}
+		if err := disk.ApplyRun(run); err != nil {
+			return fail(i, "%v", err)
+		}
 	}
-	if sum := crc32.ChecksumIEEE(raw); sum != dm.CRC32 {
-		return fmt.Errorf("%w: delta %s CRC %08x, manifest committed %08x",
-			ErrBadDatabase, dm.Name, sum, dm.CRC32)
+	if disk.NumPages() != m.AllocatedPages {
+		return fail(len(m.Runs)-1, "%d pages after deltas, manifest committed %d", disk.NumPages(), m.AllocatedPages)
 	}
-	if err := disk.ApplyDelta(bytes.NewReader(raw)); err != nil {
-		return fmt.Errorf("%w: delta %s: %v", ErrBadDatabase, dm.Name, err)
-	}
-	return nil
+	return disk, -1, nil
 }
 
 // readManifest loads and structurally verifies manifest.json (parse,
-// version, self-checksum) without touching the image.
+// version, self-checksum, run list) without touching the runs.
 func readManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -574,6 +550,9 @@ func readManifest(dir string) (*Manifest, error) {
 	}
 	if sum != m.Checksum {
 		return nil, fmt.Errorf("%w: manifest checksum %08x, stored %08x", ErrBadDatabase, sum, m.Checksum)
+	}
+	if len(m.Runs) == 0 || m.Runs[0].Name != imageName {
+		return nil, fmt.Errorf("%w: manifest: run list does not start at %s", ErrBadDatabase, imageName)
 	}
 	return &m, nil
 }
@@ -678,8 +657,11 @@ func writeQuarantine(dir string, pages []storage.PageID) ([]storage.PageID, erro
 	if err != nil {
 		return nil, fmt.Errorf("dbfile: %s: %w", quarantineName, err)
 	}
-	if err := writeFileAtomic(dir, quarantineName, raw, "quarantine-tmp"); err != nil {
+	if err := writeFileAtomic(dir, quarantineName, "quarantine-tmp", func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	return merged, syncDir(dir)
+	return merged, nil
 }

@@ -3,14 +3,13 @@ package dbfile
 // Crash-point table tests for the incremental commit protocol: CommitEpoch
 // is killed at every write boundary in turn, and the directory must always
 // recover to exactly the old epoch or the new one — never a torn state.
-// The table mirrors the crashAt call sites in CommitEpoch; a new stage
+// The table mirrors the crashAt stages CommitEpoch passes; a new stage
 // added to the protocol without a row here fails TestEpochCrashStagesCovered.
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/cells"
@@ -105,33 +104,40 @@ var epochCrashStages = []struct {
 	{"epoch-manifest-rename", true, nil},
 }
 
-// TestEpochCrashStagesCovered pins the table to the implementation: every
-// "epoch-*" crashAt call site in CommitEpoch must have a row, so adding a
+// TestEpochCrashStagesCovered pins the crash tables to the protocol: a
+// clean Save and a clean CommitEpoch record every crashAt stage they pass,
+// and each commit's stages must be exactly its table's rows, so adding a
 // write boundary without deciding its recovery semantics fails loudly.
 func TestEpochCrashStagesCovered(t *testing.T) {
-	raw, err := os.ReadFile("dbfile.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inTable := map[string]bool{}
-	for _, s := range epochCrashStages {
-		inTable[s.stage] = true
-	}
-	src := string(raw)
-	for _, stage := range []string{"epoch-tmp", "epoch-rename", "epoch-manifest-tmp", "epoch-manifest-rename"} {
-		if !strings.Contains(src, `"`+stage+`"`) {
-			t.Errorf("stage %q in the table but not in dbfile.go", stage)
+	f := buildDynFixture(t)
+	dir := t.TempDir()
+	defer func() { crashSeen = nil }()
+	check := func(what string, table []string, run func() error) {
+		t.Helper()
+		crashSeen = map[string]bool{}
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		delete(inTable, stage)
+		for _, stage := range table {
+			if !crashSeen[stage] {
+				t.Errorf("%s: stage %q in the table but never reached", what, stage)
+			}
+			delete(crashSeen, stage)
+		}
+		for stage := range crashSeen {
+			t.Errorf("%s: crashAt stage %q has no row in the table", what, stage)
+		}
 	}
-	for stage := range inTable {
-		t.Errorf("stage %q in the table but unknown to this test's stage list", stage)
+	check("Save", crashStages, func() error { return Save(dir, f.db) })
+	var epochTable []string
+	for _, s := range epochCrashStages {
+		epochTable = append(epochTable, s.stage)
 	}
-	// Count the crashAt call sites mentioning epoch stages: a new one
-	// must be added to both lists above.
-	if n := strings.Count(src, `crashAt("epoch-`); n != 3 {
-		t.Errorf("dbfile.go has %d crashAt(\"epoch-…\") sites, table knows 3 (epoch-manifest-tmp routes through writeFileAtomic)", n)
-	}
+	f.evolve(t, dynOps())
+	check("CommitEpoch", epochTable, func() error {
+		_, err := CommitEpoch(dir, f.db)
+		return err
+	})
 }
 
 // TestCommitEpochCrashTable kills CommitEpoch at each write boundary and

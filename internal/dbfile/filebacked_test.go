@@ -1,7 +1,7 @@
 package dbfile
 
 // File-backend integration: OpenWith(FileBacked) materializes the
-// committed image + delta chain into a real page file and must agree
+// committed page runs into a real page file and must agree
 // byte-for-byte with the simulated open. The crash-point harness is
 // replayed against it — the fsync-at-commit protocol makes the manifest
 // rename the durable commit point on real media too — and the derived
@@ -34,10 +34,10 @@ func openFileBacked(t *testing.T, dir string, opts OpenOptions) *Database {
 func sameImage(t *testing.T, a, b *Database) bool {
 	t.Helper()
 	var ia, ib bytes.Buffer
-	if _, err := a.Disk.WriteTo(&ia); err != nil {
+	if _, err := a.Disk.WriteRunTo(&ia, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Disk.WriteTo(&ib); err != nil {
+	if _, err := b.Disk.WriteRunTo(&ib, 0); err != nil {
 		t.Fatal(err)
 	}
 	return bytes.Equal(ia.Bytes(), ib.Bytes())

@@ -1,9 +1,7 @@
 package dbfile
 
 import (
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,9 +17,10 @@ type FsckReport struct {
 	// ManifestOK: manifest.json exists, parses, has the right format
 	// version and a valid self-checksum.
 	ManifestOK bool
-	// ImageOK: disk.img exists, matches the manifest's committed size and
-	// CRC, and parses as a disk image (internal checksum included) —
-	// and every committed epoch delta verifies and chains onto it.
+	// ImageOK: every committed page run — disk.img, then each epoch's
+	// epoch-N.img — exists, matches the manifest's committed size and
+	// CRC, parses (internal checksum included) and chains onto the one
+	// before it.
 	ImageOK bool
 	// LayoutOK: every layout pointer in the manifest stays inside the
 	// image.
@@ -35,26 +34,26 @@ type FsckReport struct {
 	// failed validation, deduplicated and sorted; Repair parks them in
 	// quarantine.json.
 	BadCodecPages []storage.PageID
-	// BadDeltas lists committed epoch delta files that failed
-	// verification (missing, size/CRC mismatch, or broken chaining);
-	// Repair quarantines them together with the manifest that pins them.
+	// BadDeltas lists committed epoch runs that failed verification
+	// (missing, size/CRC mismatch, or broken chaining); Repair
+	// quarantines them together with the manifest that pins them.
 	BadDeltas []string
 	// Problems describes each failed check, in check order.
 	Problems []string
 	// Stray lists leftover temporary files from interrupted saves and
-	// commits, epoch delta files no manifest references (the residue
-	// of a crash between an epoch's delta rename and its manifest
-	// rename, or of a Save compaction), and page files other than
-	// pages.dat (per-shard copies left by releases that made them).
+	// commits, epoch run files no manifest references (the residue of
+	// a crash between an epoch's run rename and its manifest rename, or
+	// of a Save compaction), and page files other than pages.dat
+	// (per-shard copies left by releases that made them).
 	Stray []string
 	// Derived lists regenerable artifacts of a file-backed open — the
-	// pages.dat page file. It is rebuilt from disk.img and the delta chain
-	// on every OpenWith, carries no committed state, and is deliberately
+	// pages.dat page file. It is rebuilt from the page runs on every
+	// OpenWith, carries no committed state, and is deliberately
 	// neither damage nor Stray (Repair leaves it alone).
 	Derived []string
 	// Epoch, OpsLogged and DeltasApplied summarize the dynamic-scene
 	// state of an intact manifest: the committed epoch counter, the op
-	// log length, and how many delta images the image chain carries.
+	// log length, and how many epoch runs follow disk.img.
 	Epoch         int
 	OpsLogged     int
 	DeltasApplied int
@@ -72,10 +71,10 @@ func (r *FsckReport) problemf(format string, args ...any) {
 }
 
 // Fsck checks a database directory without fully opening it: manifest
-// parse + checksum, image size/CRC (file-level and internal), and layout
-// pointer validation. It is read-only. The returned error covers only
-// inability to inspect the directory itself, never a damaged database —
-// damage is reported in the FsckReport.
+// parse + checksum, every page run's size/CRC (file-level and internal)
+// and chaining, and layout pointer validation. It is read-only. The
+// returned error covers only inability to inspect the directory itself,
+// never a damaged database — damage is reported in the FsckReport.
 func Fsck(dir string) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir}
 	entries, err := os.ReadDir(dir)
@@ -100,7 +99,7 @@ func Fsck(dir string) (*FsckReport, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		rep.problemf("manifest: %v", err)
-		// With no manifest to reference them, every epoch delta is
+		// With no manifest to reference them, every epoch run is
 		// garbage from an interrupted commit.
 		rep.Stray = append(rep.Stray, epochFiles...)
 		return rep, nil
@@ -108,10 +107,10 @@ func Fsck(dir string) (*FsckReport, error) {
 	rep.ManifestOK = true
 	rep.Epoch = m.Epoch
 	rep.OpsLogged = len(m.Ops)
-	rep.DeltasApplied = len(m.Deltas)
+	rep.DeltasApplied = len(m.Runs) - 1
 	referenced := map[string]bool{}
-	for _, dm := range m.Deltas {
-		referenced[dm.Name] = true
+	for _, rm := range m.Runs {
+		referenced[rm.Name] = true
 	}
 	for _, name := range epochFiles {
 		if !referenced[name] {
@@ -119,33 +118,12 @@ func Fsck(dir string) (*FsckReport, error) {
 		}
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, imageName))
+	disk, bad, err := loadDisk(dir, m, memMedia, storage.DefaultCostModel())
 	if err != nil {
-		rep.problemf("image: %v", err)
-		return rep, nil
-	}
-	if int64(len(raw)) != m.ImageBytes {
-		rep.problemf("image: %d bytes, manifest committed %d (torn save?)", len(raw), m.ImageBytes)
-		return rep, nil
-	}
-	if sum := crc32.ChecksumIEEE(raw); sum != m.ImageCRC32 {
-		rep.problemf("image: CRC %08x, manifest committed %08x (stale or torn image)", sum, m.ImageCRC32)
-		return rep, nil
-	}
-	disk, err := storage.ReadImage(bytes.NewReader(raw), storage.DefaultCostModel())
-	if err != nil {
-		rep.problemf("image: %v", err)
-		return rep, nil
-	}
-	for _, dm := range m.Deltas {
-		if err := applyDeltaFile(dir, dm, disk); err != nil {
-			rep.problemf("delta %s: %v", dm.Name, err)
-			rep.BadDeltas = append(rep.BadDeltas, dm.Name)
-			return rep, nil
+		rep.problemf("%v", err)
+		if bad > 0 {
+			rep.BadDeltas = append(rep.BadDeltas, m.Runs[bad].Name)
 		}
-	}
-	if disk.NumPages() != m.AllocatedPages {
-		rep.problemf("image: %d pages after deltas, manifest committed %d", disk.NumPages(), m.AllocatedPages)
 		return rep, nil
 	}
 	rep.ImageOK = true
@@ -204,8 +182,8 @@ func Repair(dir string, rep *FsckReport) ([]string, error) {
 	case !rep.ManifestOK:
 		doomed = append(doomed, manifestName)
 	case !rep.ImageOK && len(rep.BadDeltas) > 0:
-		// The base image checked out but a committed delta did not: the
-		// base is fine, the manifest that pins the bad delta is not.
+		// Run 0 checked out but a committed epoch run did not: disk.img
+		// is fine, the manifest that pins the bad run is not.
 		doomed = append(doomed, manifestName)
 		doomed = append(doomed, rep.BadDeltas...)
 	case !rep.ImageOK:

@@ -53,8 +53,6 @@ type Backend interface {
 	// backend is a no-op; the file backend fsyncs, which is what makes
 	// the dbfile rename commit point durable.
 	Sync() error
-	// Stats returns the media-level operation counters.
-	Stats() BackendStats
 	// Timed reports whether operations perform real I/O whose wall-clock
 	// latency is worth measuring. The Disk charges Stats.MeasuredTime
 	// only for timed backends, so simulated accounting stays
@@ -62,23 +60,4 @@ type Backend interface {
 	Timed() bool
 	// Close releases OS resources. The Disk must not be used afterwards.
 	Close() error
-}
-
-// BackendStats counts media-level operations — the syscall's-eye view
-// that sits beneath the Disk's cost-model accounting. For the in-memory
-// backend Reads/Writes count map operations; for the file backend they
-// split into mmap copies and preads, making the vectored-read win
-// (fewer, larger preads) directly visible.
-type BackendStats struct {
-	// Reads counts media read operations (one vectored read is one
-	// operation); PagesRead and BytesRead total their size.
-	Reads     int64
-	PagesRead int64
-	BytesRead int64
-	// MmapReads is how many of Reads were served by the mmap window
-	// (file backend only; the rest were preads).
-	MmapReads int64
-	// Writes counts page writes; Syncs counts explicit fsyncs.
-	Writes int64
-	Syncs  int64
 }

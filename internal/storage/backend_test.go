@@ -2,7 +2,7 @@ package storage_test
 
 // Backend differential coverage: the same Disk workload over the
 // simulated in-memory media and the real file media must be
-// byte-identical — page reads, serialized images, epoch deltas, views —
+// byte-identical — page reads, serialized page runs, views —
 // with the only divergence being MeasuredTime (zero on simulated media,
 // positive on real I/O).
 
@@ -28,6 +28,35 @@ func diskPair(t *testing.T, pageSize int) (*storage.Disk, *storage.Disk) {
 	fd := storage.NewDiskOn(fs, storage.DefaultCostModel())
 	t.Cleanup(func() { _ = fd.Close() })
 	return mem, fd
+}
+
+// runOf serializes d's pages from watermark from.
+func runOf(t *testing.T, d *storage.Disk, from storage.PageID) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := d.WriteRunTo(&buf, from); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openRun rebuilds a disk from one serialized run 0 on media built for
+// its page size.
+func openRun(t *testing.T, raw []byte, media func(pageSize int) (storage.Backend, error)) *storage.Disk {
+	t.Helper()
+	r, err := storage.ParseRun(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := media(r.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := storage.NewDiskOn(b, storage.DefaultCostModel())
+	if err := d.ApplyRun(r); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // fill writes the same page workload to both disks.
@@ -91,54 +120,27 @@ func TestBackendsReadIdentical(t *testing.T) {
 func TestBackendsImageIdentical(t *testing.T) {
 	mem, fd := diskPair(t, 128)
 	fill(t, mem, fd)
-	var a, b bytes.Buffer
-	if _, err := mem.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fd.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("serialized images differ across backends")
-	}
-	// The delta writer must agree too.
-	a.Reset()
-	b.Reset()
-	if _, err := mem.WriteDeltaTo(&a, 32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fd.WriteDeltaTo(&b, 32); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("serialized deltas differ across backends")
+	// Run 0 (the whole disk) and an epoch run from watermark 32.
+	for _, from := range []storage.PageID{0, 32} {
+		if !bytes.Equal(runOf(t, mem, from), runOf(t, fd, from)) {
+			t.Fatalf("serialized runs from %d differ across backends", from)
+		}
 	}
 }
 
 func TestImageRoundTripIntoFileBackend(t *testing.T) {
 	mem, _ := diskPair(t, 128)
 	fill(t, mem)
-	var img bytes.Buffer
-	if _, err := mem.WriteTo(&img); err != nil {
-		t.Fatal(err)
-	}
+	img := runOf(t, mem, 0)
 	dir := t.TempDir()
-	fd, err := storage.ReadImageInto(bytes.NewReader(img.Bytes()), storage.DefaultCostModel(),
-		func(pageSize int, pages int64) (storage.Backend, error) {
-			return filestore.Create(filepath.Join(dir, "pages.dat"), pageSize, filestore.Options{})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd := openRun(t, img, func(pageSize int) (storage.Backend, error) {
+		return filestore.Create(filepath.Join(dir, "pages.dat"), pageSize, filestore.Options{})
+	})
 	defer fd.Close()
 	if fd.NumPages() != mem.NumPages() {
 		t.Fatalf("allocation %d, want %d", fd.NumPages(), mem.NumPages())
 	}
-	var img2 bytes.Buffer
-	if _, err := fd.WriteTo(&img2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img.Bytes(), img2.Bytes()) {
+	if !bytes.Equal(img, runOf(t, fd, 0)) {
 		t.Fatal("image round trip through file backend not byte-identical")
 	}
 }
@@ -231,10 +233,7 @@ func TestViewBoundedByWatermark(t *testing.T) {
 	mem, fd := diskPair(t, 128)
 	fill(t, mem, fd)
 	for _, d := range []*storage.Disk{mem, fd} {
-		var want bytes.Buffer
-		if _, err := d.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
+		want := runOf(t, d, 0)
 		resident := d.ResidentBytes()
 		v := d.View()
 		base := d.AllocPages(4)
@@ -249,17 +248,13 @@ func TestViewBoundedByWatermark(t *testing.T) {
 		if got := v.ResidentBytes(); got != resident {
 			t.Fatalf("view resident bytes %d, want %d", got, resident)
 		}
-		var img bytes.Buffer
-		if _, err := v.WriteTo(&img); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img.Bytes(), want.Bytes()) {
+		img := runOf(t, v, 0)
+		if !bytes.Equal(img, want) {
 			t.Fatal("view image holds pages above its watermark")
 		}
-		re, err := storage.ReadImage(bytes.NewReader(img.Bytes()), storage.DefaultCostModel())
-		if err != nil {
-			t.Fatalf("view image does not reopen: %v", err)
-		}
+		re := openRun(t, img, func(pageSize int) (storage.Backend, error) {
+			return storage.NewMemBackend(pageSize), nil
+		})
 		if re.NumPages() != v.NumPages() {
 			t.Fatalf("reopened view image has %d pages, want %d", re.NumPages(), v.NumPages())
 		}

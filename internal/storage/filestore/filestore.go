@@ -1,19 +1,18 @@
 // Package filestore is the real-hardware page media behind
 // storage.Backend (DESIGN.md §17): a page-granular OS file, read through
 // a shared read-only mmap window when the platform supports it and plain
-// preads otherwise, written with pwrites (optionally O_SYNC) and made
-// durable by fsync. The Disk's vectored reads land here as single
-// syscalls — one pread (or one memcpy out of the mapping) per extent or
-// coalesced batch, however many pages it spans — which is what turns the
-// codec's byte reduction and the prefetcher's warm path into wall-clock
-// wins.
+// preads otherwise, written with pwrites and made durable by fsync. The
+// Disk's vectored reads land here as single syscalls — one pread (or one
+// memcpy out of the mapping) per extent or coalesced batch, however many
+// pages it spans — which is what turns the codec's byte reduction and the
+// prefetcher's warm path into wall-clock wins.
 //
 // The file is sparse: Allocate only truncates (with headroom, so builds
 // that grow page by page do not remap per allocation), never-written
 // pages read back as holes (zeros), and Release punches holes. A
 // written-page set is kept in memory for StoredPages — the store always
-// starts empty (Create truncates) and is repopulated by replaying an
-// image, so the set is exact. Shard stores share the one file through
+// starts empty (Create truncates) and is repopulated by replaying the
+// database's page runs, so the set is exact. Shard stores share the one file through
 // views of the database disk (storage.Disk.View).
 package filestore
 
@@ -24,7 +23,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -38,10 +36,6 @@ func sortPageIDs(ids []storage.PageID) {
 type Options struct {
 	// NoMmap forces the pread path even where mmap is available.
 	NoMmap bool
-	// OSync opens the file O_SYNC: every page write is synchronous, so
-	// no separate fsync is needed at commit points (at the price of
-	// slower writes). Without it, writes are buffered and Sync fsyncs.
-	OSync bool
 }
 
 // minPages is the initial/minimum file capacity (in pages) a store is
@@ -67,8 +61,6 @@ type Store struct {
 	capPages int64 // file capacity in pages (>= the disk's watermark)
 	mm       []byte
 	closed   bool
-
-	reads, pagesRead, bytesRead, mmapReads, writes, syncs atomic.Int64
 }
 
 // Create creates (or truncates) the page file at path and returns a
@@ -77,11 +69,7 @@ func Create(path string, pageSize int, opts Options) (*Store, error) {
 	if pageSize <= 0 {
 		pageSize = storage.DefaultPageSize
 	}
-	flag := os.O_RDWR | os.O_CREATE | os.O_TRUNC
-	if opts.OSync {
-		flag |= os.O_SYNC
-	}
-	f, err := os.OpenFile(path, flag, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("filestore: %w", err)
 	}
@@ -142,19 +130,15 @@ func (s *Store) ReadPages(start storage.PageID, n int, dst []byte) error {
 		// window cannot vanish mid-copy.
 		copy(dst[:want], s.mm[off:end])
 		s.mu.RUnlock()
-		s.reads.Add(1)
-		s.mmapReads.Add(1)
-		s.pagesRead.Add(int64(n))
-		s.bytesRead.Add(int64(want))
 		return nil
 	}
 	s.mu.RUnlock()
-	return s.pread(off, dst[:want], n)
+	return s.pread(off, dst[:want])
 }
 
 // pread issues one positioned read, zero-filling past EOF (pages beyond
 // the file's current size are unwritten holes by definition).
-func (s *Store) pread(off int64, dst []byte, pages int) error {
+func (s *Store) pread(off int64, dst []byte) error {
 	n, err := s.f.ReadAt(dst, off)
 	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 		clear(dst[n:])
@@ -163,9 +147,6 @@ func (s *Store) pread(off int64, dst []byte, pages int) error {
 	if err != nil {
 		return fmt.Errorf("filestore: pread %d bytes at %d: %w", len(dst), off, err)
 	}
-	s.reads.Add(1)
-	s.pagesRead.Add(int64(pages))
-	s.bytesRead.Add(int64(len(dst)))
 	return nil
 }
 
@@ -183,7 +164,6 @@ func (s *Store) WritePage(id storage.PageID, data []byte) error {
 	s.mu.Lock()
 	s.written[id] = struct{}{}
 	s.mu.Unlock()
-	s.writes.Add(1)
 	return nil
 }
 
@@ -278,26 +258,12 @@ func (s *Store) StoredPages(from storage.PageID) []storage.PageID {
 	return ids
 }
 
-// Sync fsyncs the file. With OSync writes are already synchronous and
-// this only flushes metadata.
+// Sync fsyncs the file.
 func (s *Store) Sync() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("filestore: sync %s: %w", s.path, err)
 	}
-	s.syncs.Add(1)
 	return nil
-}
-
-// Stats returns the media-level operation counters.
-func (s *Store) Stats() storage.BackendStats {
-	return storage.BackendStats{
-		Reads:     s.reads.Load(),
-		PagesRead: s.pagesRead.Load(),
-		BytesRead: s.bytesRead.Load(),
-		MmapReads: s.mmapReads.Load(),
-		Writes:    s.writes.Load(),
-		Syncs:     s.syncs.Load(),
-	}
 }
 
 // Timed reports true: this media does real I/O, so the Disk charges

@@ -27,7 +27,7 @@ func page(b byte, size int) []byte {
 }
 
 func TestRoundTripAndZeroFill(t *testing.T) {
-	for _, opts := range []Options{{}, {NoMmap: true}, {OSync: true}} {
+	for _, opts := range []Options{{}, {NoMmap: true}} {
 		s := newStore(t, opts)
 		if err := s.Allocate(16); err != nil {
 			t.Fatal(err)
@@ -87,11 +87,19 @@ func TestMmapAndPreadAgree(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("mmap and pread paths disagree")
 	}
-	if mm.Stats().MmapReads == 0 {
-		t.Fatal("mapped store served no reads from the window")
+	for i := storage.PageID(0); i < 40; i++ {
+		want := page(0, 64)
+		if i%3 == 0 {
+			want = page(byte(i+1), 64)
+		}
+		if !bytes.Equal(a[i*64:(i+1)*64], want) {
+			t.Fatalf("page %d reads back wrong", i)
+		}
 	}
-	if pr.Stats().MmapReads != 0 {
-		t.Fatal("NoMmap store counted mmap reads")
+	// The reads stayed inside the window, so the mapped store still
+	// serves from it and the pread store never mapped.
+	if !mm.Mapped() || pr.Mapped() {
+		t.Fatalf("after reads: mapped store Mapped=%v, NoMmap store Mapped=%v", mm.Mapped(), pr.Mapped())
 	}
 }
 
@@ -159,19 +167,23 @@ func TestStoredPagesAndRelease(t *testing.T) {
 }
 
 func TestTimedAndStats(t *testing.T) {
-	s := newStore(t, Options{})
-	if !s.Timed() {
-		t.Fatal("file store must report Timed")
-	}
-	if err := s.WritePage(0, page(1, 64)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 3*64)
-	if err := s.ReadPages(0, 3, buf); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Writes != 1 || st.Reads == 0 || st.PagesRead < 3 || st.BytesRead < 3*64 {
-		t.Fatalf("stats %+v", st)
+	for _, opts := range []Options{{}, {NoMmap: true}} {
+		s := newStore(t, opts)
+		if !s.Timed() {
+			t.Fatal("file store must report Timed")
+		}
+		if err := s.WritePage(0, page(1, 64)); err != nil {
+			t.Fatal(err)
+		}
+		buf := page(0xFF, 3*64)
+		if err := s.ReadPages(0, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := append(page(1, 64), page(0, 2*64)...); !bytes.Equal(buf, want) {
+			t.Fatalf("opts %+v: vectored read after one write returned the wrong bytes", opts)
+		}
+		if opts.NoMmap && s.Mapped() {
+			t.Fatal("NoMmap store reports a mapping")
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // MemBackend is the in-memory simulated media: a sparse page map with no
@@ -16,8 +15,6 @@ type MemBackend struct {
 	mu       sync.RWMutex
 	pageSize int
 	data     map[PageID][]byte
-
-	reads, pagesRead, writes atomic.Int64
 }
 
 // NewMemBackend returns an empty in-memory media with the given page size
@@ -58,8 +55,6 @@ func (b *MemBackend) ReadPages(start PageID, n int, dst []byte) error {
 		}
 	}
 	b.mu.RUnlock()
-	b.reads.Add(1)
-	b.pagesRead.Add(int64(n))
 	return nil
 }
 
@@ -71,7 +66,6 @@ func (b *MemBackend) WritePage(id PageID, data []byte) error {
 	b.mu.Lock()
 	b.data[id] = data
 	b.mu.Unlock()
-	b.writes.Add(1)
 	return nil
 }
 
@@ -109,17 +103,6 @@ func (b *MemBackend) StoredPages(from PageID) []PageID {
 
 // Sync is a no-op: memory is as durable as this media gets.
 func (b *MemBackend) Sync() error { return nil }
-
-// Stats returns the media-level operation counters.
-func (b *MemBackend) Stats() BackendStats {
-	pr := b.pagesRead.Load()
-	return BackendStats{
-		Reads:     b.reads.Load(),
-		PagesRead: pr,
-		BytesRead: pr * int64(b.pageSize),
-		Writes:    b.writes.Load(),
-	}
-}
 
 // Timed reports false: simulated media has no wall-clock latency worth
 // measuring, which keeps Stats deterministic.

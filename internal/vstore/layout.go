@@ -129,6 +129,19 @@ func (m Manifest) PageRanges(numCells int, pagesFor func(int64) int) ([]PageRang
 	return sm.pageRanges(numCells, pagesFor), nil
 }
 
+// Codec reports whether m describes a codec layout.
+func (m Manifest) Codec() bool {
+	switch {
+	case m.Horizontal != nil:
+		return m.Horizontal.Codec
+	case m.Vertical != nil:
+		return m.Vertical.Codec
+	case m.Indexed != nil:
+		return m.Indexed.Codec
+	}
+	return false
+}
+
 // pages is the number of disk pages the slot table spans.
 func (s SlotTableManifest) pages() int {
 	if s.PerPage <= 0 {

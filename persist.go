@@ -8,15 +8,16 @@ import (
 // Save persists the database to a directory (manifest.json + disk.img).
 // The expensive precomputation — R-tree construction, internal-LoD
 // generation, per-cell DoV evaluation, V-page layout — is all captured, so
-// Open is fast. The write is crash-safe: the image is committed (fsync +
-// atomic rename) before the checksummed manifest, whose rename is the
+// Open is fast. The write is crash-safe: the page run is committed (fsync
+// + atomic rename) before the checksummed manifest, whose rename is the
 // commit point — a Save killed at any boundary leaves either the previous
 // committed version or a directory Open cleanly rejects.
 //
 // Save compacts: the full disk (base pages plus every epoch's appends) is
-// rewritten as one image and the delta chain in the directory is
-// superseded. The op log still rides along in the manifest, because the
-// scene is always reconstructed as generate + replay.
+// rewritten as one page run, disk.img, and the epoch runs in the
+// directory are superseded. The op log still rides along in the
+// manifest, because the scene is always reconstructed as generate +
+// replay.
 func (db *DB) Save(dir string) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -26,15 +27,16 @@ func (db *DB) Save(dir string) error {
 // CommitEpoch durably commits the database's current epoch into a
 // directory previously written by Save (or by an earlier CommitEpoch):
 // only the pages appended since the directory's committed allocation
-// watermark are written, as an epoch delta image, and the manifest —
-// carrying the full op log and delta chain — is atomically replaced. The
+// watermark are written, as the epoch's page run, and the manifest —
+// carrying the full op log and run list — is atomically replaced. The
 // manifest rename is the commit point: a crash at any step leaves the
 // directory opening as either the previous epoch or the new one, never a
 // torn mix (hdovfsck verifies this, and quarantines leftovers).
 //
-// It returns the committed epoch number. Committing a database whose op
-// log is not a superset of the directory's fails without touching
-// anything — CommitEpoch appends history, Save rewrites it.
+// It returns the committed epoch number. Committing a database that is
+// not the directory's extended — another city or build parameters, or an
+// op log that does not start with the committed one — fails without
+// touching anything: CommitEpoch appends history, Save rewrites it.
 func (db *DB) CommitEpoch(dir string) (int, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -57,9 +59,10 @@ func (db *DB) database() *dbfile.Database {
 }
 
 // Open reopens a database saved with Save (plus any epochs committed with
-// CommitEpoch — the base image, delta chain and op log are replayed). The
-// disk image is checksum-verified and the tree structure revalidated;
-// queries on the reopened database return byte-identical answers.
+// CommitEpoch — the page runs are applied in order and the op log
+// replayed). Every run is checksum-verified and the tree structure
+// revalidated; queries on the reopened database return byte-identical
+// answers.
 func Open(dir string) (*DB, error) {
 	d, err := dbfile.Open(dir)
 	if err != nil {

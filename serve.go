@@ -287,7 +287,9 @@ type ClientStats struct {
 // Serve plays n concurrent walkthrough clients against the database, each
 // with its own recorded motion path (seeded from opts.Seed + client
 // index), and returns the aggregate and per-client accounting. It is the
-// multi-client form of Walkthrough; opts.UseREVIEW is not supported here.
+// multi-client form of Walkthrough; opts.UseREVIEW, opts.Coherent and
+// opts.AsyncPrefetch are not supported here and are rejected with an
+// error naming the option.
 func (db *DB) Serve(opts WalkOptions, n int) (*ServeStats, error) {
 	return db.ServeContext(context.Background(), opts, n)
 }
@@ -302,8 +304,13 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 	if n < 1 {
 		n = 1
 	}
-	if opts.UseREVIEW {
-		return nil, fmt.Errorf("hdov: Serve supports only the VISUAL system")
+	switch {
+	case opts.UseREVIEW:
+		return nil, fmt.Errorf("hdov: Serve supports only the VISUAL system (UseREVIEW)")
+	case opts.Coherent:
+		return nil, fmt.Errorf("hdov: Serve does not support Coherent")
+	case opts.AsyncPrefetch:
+		return nil, fmt.Errorf("hdov: Serve does not support AsyncPrefetch")
 	}
 	if opts.Frames <= 0 {
 		opts.Frames = 600

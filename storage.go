@@ -50,10 +50,6 @@ type StorageConfig struct {
 	Dir string
 	// NoMmap disables the file backend's mmap read window (pure pread).
 	NoMmap bool
-	// OSync opens the page file O_SYNC, making every page write durable
-	// when it returns (normally durability comes from the fsync at the
-	// Save/CommitEpoch commit point).
-	OSync bool
 }
 
 // newDisk builds the disk Build lays the database out on, honoring the
@@ -74,7 +70,7 @@ func newDisk(st StorageConfig) (*storage.Disk, string, error) {
 		return nil, "", fmt.Errorf("hdov: storage: %w", err)
 	}
 	fs, err := filestore.Create(filepath.Join(dir, dbfile.PagesFileName), 0,
-		filestore.Options{NoMmap: st.NoMmap, OSync: st.OSync})
+		filestore.Options{NoMmap: st.NoMmap})
 	if err != nil {
 		if tmp != "" {
 			_ = os.RemoveAll(tmp)
@@ -93,7 +89,6 @@ func OpenWith(dir string, st StorageConfig) (*DB, error) {
 	d, err := dbfile.OpenWith(dir, dbfile.OpenOptions{
 		FileBacked: st.Backend == BackendFile,
 		NoMmap:     st.NoMmap,
-		OSync:      st.OSync,
 	})
 	if err != nil {
 		return nil, err

@@ -50,11 +50,12 @@ type WalkOptions struct {
 	Prefetch bool
 	// Coherent answers cell-entry queries through a retained traversal
 	// cut (see Session.QueryCoherent) instead of descending from the
-	// root each time (VISUAL only).
+	// root each time (VISUAL Walkthrough only; Serve rejects it).
 	Coherent bool
 	// AsyncPrefetch warms the shared buffer pool with the V-data pages
-	// of predicted next cells from a background worker (VISUAL only;
-	// effective only with SetCacheSize).
+	// of predicted next cells from a background worker (VISUAL
+	// Walkthrough only, effective only with SetCacheSize; Serve rejects
+	// it).
 	AsyncPrefetch bool
 	// UseREVIEW plays the session on the REVIEW spatial baseline instead
 	// of the HDoV-tree.
