@@ -180,9 +180,8 @@ func TestServeAPI(t *testing.T) {
 	}
 
 	for name, opts := range map[string]WalkOptions{
-		"UseREVIEW":     {UseREVIEW: true},
-		"Coherent":      {Coherent: true},
-		"AsyncPrefetch": {AsyncPrefetch: true},
+		"UseREVIEW": {UseREVIEW: true},
+		"Coherent":  {Coherent: true},
 	} {
 		if _, err := db.Serve(opts, 2); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("Serve with %s: err = %v, want a rejection naming the option", name, err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cells"
+	"repro/internal/core"
 	"repro/internal/overload"
 	"repro/internal/storage"
 )
@@ -100,19 +101,26 @@ func (db *DB) BreakerStats() BreakerStats {
 // context.DeadlineExceeded. With a background context the answer is
 // byte-identical to Query's.
 func (db *DB) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := db.tree.Grid.Locate(p.vec())
+	t, _ := db.snapshot()
+	cell := t.Grid.Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
-	return db.QueryCellContext(ctx, int(cell), eta)
+	return queryCellOn(ctx, t, int(cell), eta)
 }
 
 // QueryCellContext is QueryContext for an explicit cell index.
 func (db *DB) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= db.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, db.NumCells())
+	t, _ := db.snapshot()
+	return queryCellOn(ctx, t, cell, eta)
+}
+
+// queryCellOn answers the DB-level query for cell on one epoch's tree.
+func queryCellOn(ctx context.Context, t *core.Tree, cell int, eta float64) (*Result, error) {
+	if n := t.Grid.NumCells(); cell < 0 || cell >= n {
+		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, n)
 	}
-	r, err := db.tree.QueryContext(ctx, cells.CellID(cell), eta)
+	r, err := t.QueryContext(ctx, cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +130,8 @@ func (db *DB) QueryCellContext(ctx context.Context, cell int, eta float64) (*Res
 // FetchContext is Fetch bounded by ctx; an expired deadline aborts the
 // remaining payload reads (items already fetched keep their accounting).
 func (db *DB) FetchContext(ctx context.Context, r *Result) error {
-	return fetchOn(ctx, db.tree, r)
+	t, _ := db.snapshot()
+	return fetchOn(ctx, t, r)
 }
 
 // QueryContext is Session.Query bounded by ctx; see DB.QueryContext.

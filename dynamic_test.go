@@ -363,3 +363,83 @@ func TestDynamicPersistRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestDBReadersRaceUpdate: DB-level reads — QueryCell, Fetch, LoadMesh
+// and Walkthrough, none of which hold a Session — run beside a writer
+// publishing epochs. Each must load the current tree and scene under
+// the DB's lock, so under -race this fails on any unsynchronized read
+// of the fields Update swaps. The race fires only when a read lands
+// inside the swap window, so CI runs it with -count=20.
+func TestDBReadersRaceUpdate(t *testing.T) {
+	db, err := Build(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 6
+	done := make(chan struct{})
+	errs := make(chan error, 2) // one per reader
+	var wg sync.WaitGroup
+	// The DB's own tree is not a concurrent query handle, so the two
+	// readers take turns with each other; neither is ordered against
+	// the writer.
+	var turn sync.Mutex
+
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			turn.Lock()
+			r, err := db.QueryCell(i%db.NumCells(), 0.001)
+			if err == nil {
+				err = db.Fetch(r)
+			}
+			if err == nil && len(r.Items) > 0 {
+				_, err = db.LoadMesh(r.Items[i%len(r.Items)])
+			}
+			turn.Unlock()
+			if err != nil {
+				errs <- fmt.Errorf("query reader, round %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			opts := WalkOptions{Frames: 20, Eta: 0.001, Delta: true, Coherent: i%2 == 1, Seed: int64(i)}
+			turn.Lock()
+			_, err := db.Walkthrough(opts)
+			turn.Unlock()
+			if err != nil {
+				errs <- fmt.Errorf("walk reader, round %d: %w", i, err)
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < batches; i++ {
+		if _, err := db.Update(func(u *Updater) { u.Move(0, 1, 1, 0) }); err != nil {
+			t.Errorf("update %d: %v", i, err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if db.Epoch() != batches {
+		t.Fatalf("epoch %d after %d updates", db.Epoch(), batches)
+	}
+}

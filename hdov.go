@@ -457,11 +457,3 @@ func (db *DB) ClearFaults() {
 		r.ClearFaults()
 	}
 }
-
-// fidelityTruth computes the ground-truth point DoV field at p.
-func (db *DB) fidelityTruth(p Point) []float64 {
-	db.mu.RLock()
-	eng := db.engine
-	db.mu.RUnlock()
-	return eng.PointDoV(p.vec())
-}

@@ -218,7 +218,7 @@ func All() []Experiment {
 		{ID: "serve", Title: "Extension: multi-client serving throughput with the shared buffer pool", Run: RunServe},
 		{ID: "baseline", Title: "Regression baseline: uncached per-query cost per scheme, cached serving hit rate", Run: RunBaseline,
 			Ref: &RefHook{Collect: collectBaseline}},
-		{ID: "walkcoherence", Title: "Extension: frame-coherent traversal with predictive V-page prefetching", Run: RunWalkCoherence,
+		{ID: "walkcoherence", Title: "Extension: frame-coherent traversal warmed by the buffer pool", Run: RunWalkCoherence,
 			Ref: &RefHook{Collect: collectWalkCoherenceRef, Check: checkWalkCoherence}},
 		{ID: "vpagecodec", Title: "Extension: compressed V-page layout, bytes and light-I/O cost vs raw", Run: RunVPageCodec,
 			Ref: &RefHook{Collect: collectVPageCodec, Check: checkVPageCodec}},

@@ -23,8 +23,7 @@ var docQuotes = []struct {
 	{exp: "walkcoherence", pattern: `horizontal \S+ → # light pages/query`, metrics: "horizontal/warm/light_io_per_query"},
 	{exp: "walkcoherence", pattern: `light pages/query \(#×`, metrics: "horizontal/light_io_reduction"},
 	{exp: "walkcoherence", pattern: `peak frame spike # →`, metrics: "horizontal/full/peak_frame_light_io"},
-	{exp: "walkcoherence", pattern: `peak frame spike \S+ → #;`, metrics: "horizontal/warm/peak_frame_light_io"},
-	{exp: "walkcoherence", pattern: `plus # VD-cache hits`, metrics: "horizontal/revisit_vd_cache_hits"},
+	{exp: "walkcoherence", pattern: `peak frame spike \S+ → #\)`, metrics: "horizontal/warm/peak_frame_light_io"},
 	{exp: "walkcoherence", pattern: `vertical and indexed-vertical # →`,
 		metrics: "vertical/full/light_io_per_query,indexed-vertical/full/light_io_per_query"},
 	{exp: "walkcoherence", pattern: `vertical and indexed-vertical \S+ → # \(`,
@@ -35,7 +34,6 @@ var docQuotes = []struct {
 		metrics: "vertical/full/peak_frame_light_io,indexed-vertical/full/peak_frame_light_io"},
 	{exp: "walkcoherence", pattern: `peak \S+ → #\)`,
 		metrics: "vertical/warm/peak_frame_light_io,indexed-vertical/warm/peak_frame_light_io"},
-	{exp: "walkcoherence", pattern: `absorbing # reads`, metrics: "vertical/warm/prefetch_io,indexed-vertical/warm/prefetch_io"},
 
 	{exp: "vpagecodec", pattern: `# V-page units`, metrics: "horizontal/raw/vpage_units,horizontal/codec/vpage_units," +
 		"vertical/raw/vpage_units,vertical/codec/vpage_units,indexed-vertical/raw/vpage_units,indexed-vertical/codec/vpage_units"},

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/render"
-	"repro/internal/vstore"
 	"repro/internal/walkthrough"
 )
 
@@ -15,30 +14,23 @@ import (
 //
 //	full      — from-root traversal every cell entry (the seed behavior)
 //	coherent  — incremental cut maintenance (Session.QueryCoherent)
-//	warm      — coherent + shared buffer pool + async predictive
-//	            prefetching (+ the horizontal scheme's V-data cache)
+//	warm      — coherent + a shared buffer pool that holds the walk's
+//	            working set
 //
 // All costs are simulated and deterministic for a seeded workload, so
 // every metric of the committed BENCH_walkcoherence.json is exact.
 
 // walkCoherencePool is the buffer-pool size of the warm leg: large
 // enough to hold the walk's working set, so the leg isolates what
-// coherence + prefetching contribute rather than eviction policy.
+// coherence + pooling contribute rather than eviction policy.
 const walkCoherencePool = 1 << 14
 
 // coherenceProfile is one playback's demand-I/O profile.
 type coherenceProfile struct {
 	// lightIOPerQuery is the average demand index reads per cell-entry
-	// query; peak the worst single frame — the spike the prefetcher
-	// exists to flatten.
+	// query; peak the worst single frame — the cell-entry spike.
 	lightIOPerQuery float64
 	peak            int64
-	// prefetchIO is the background worker's page reads (off the frame
-	// loop); prefetchHits/prefetchWasted how many warmed pages a demand
-	// read used vs lost to eviction.
-	prefetchIO, prefetchHits, prefetchWasted int64
-	// vdCacheHits counts decoded-V-data cache hits (horizontal only).
-	vdCacheHits int64
 
 	series []int64 // per-frame demand light I/O, for the printed profile
 }
@@ -47,10 +39,6 @@ type coherenceProfile struct {
 func (l coherenceProfile) record(r *Reference, prefix string) {
 	r.exact(prefix+"/light_io_per_query", "light-io/query", l.lightIOPerQuery)
 	r.exact(prefix+"/peak_frame_light_io", "light-io/frame", float64(l.peak))
-	r.exact(prefix+"/prefetch_io", "pages", float64(l.prefetchIO))
-	r.exact(prefix+"/prefetch_hits", "pages", float64(l.prefetchHits))
-	r.exact(prefix+"/prefetch_wasted", "pages", float64(l.prefetchWasted))
-	r.exact(prefix+"/vd_cache_hits", "hits", float64(l.vdCacheHits))
 }
 
 // coherenceLeg plays one leg on a fresh session tree and profiles it.
@@ -60,14 +48,12 @@ func coherenceLeg(e *Env, s walkthrough.Session, coherent, warm bool) (coherence
 		e.Disk.SetCacheSize(walkCoherencePool)
 		defer e.Disk.SetCacheSize(0)
 	}
-	before := e.Disk.Stats()
 	p := &walkthrough.VisualPlayer{
-		Tree:          e.Tree.Session(),
-		Eta:           0.001,
-		Delta:         true,
-		Coherent:      coherent,
-		AsyncPrefetch: warm,
-		Render:        render.DefaultConfig(),
+		Tree:     e.Tree.Session(),
+		Eta:      0.001,
+		Delta:    true,
+		Coherent: coherent,
+		Render:   render.DefaultConfig(),
 	}
 	res, err := p.Play(s)
 	if err != nil {
@@ -79,17 +65,10 @@ func coherenceLeg(e *Env, s walkthrough.Session, coherent, warm bool) (coherence
 		leg.series[i] = f.LightIO
 		total += f.LightIO
 		leg.peak = max(leg.peak, f.LightIO)
-		leg.prefetchIO += f.PrefetchIO
 	}
 	if res.Queries > 0 {
 		leg.lightIOPerQuery = float64(total) / float64(res.Queries)
 	}
-	// Read the pool counters before the deferred SetCacheSize(0) drops
-	// the pool (folded counters go with it).
-	d := e.Disk.Stats().Sub(before)
-	leg.prefetchHits = d.PrefetchHits
-	leg.prefetchWasted = d.PrefetchWasted
-	leg.vdCacheHits = d.VDCacheHits
 	return leg, nil
 }
 
@@ -112,14 +91,6 @@ func collectWalkCoherence(p Params) (*Reference, map[string][]int64, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: walkcoherence %s coherent: %w", sc.name, err)
 		}
-		// The horizontal scheme additionally caches decoded V-data on
-		// the warm leg; sized to the node count so a cell's whole sweep
-		// stays resident.
-		h, isH := sc.store.(*vstore.Horizontal)
-		if isH {
-			h.EnableVDCache(4 * e.Tree.NumNodes())
-			defer h.EnableVDCache(0)
-		}
 		warm, err := coherenceLeg(e, s, true, true)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: walkcoherence %s warm: %w", sc.name, err)
@@ -136,17 +107,6 @@ func collectWalkCoherence(p Params) (*Reference, map[string][]int64, error) {
 			reduction = full.lightIOPerQuery / warm.lightIOPerQuery
 		}
 		r.exact(sc.name+"/light_io_reduction", "x", reduction)
-		if isH {
-			// The forward walk of the main legs never re-enters a cell,
-			// so the cache can only show its value on a revisit-heavy
-			// session (session 3), where cells repeat.
-			s3 := walkthrough.RecordBackForward(e.Scene, p.Frames, p.Seed+2)
-			revisit, err := coherenceLeg(e, s3, true, true)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: walkcoherence %s revisit: %w", sc.name, err)
-			}
-			r.exact(sc.name+"/revisit_vd_cache_hits", "hits", float64(revisit.vdCacheHits))
-		}
 	}
 	e.Tree.SetVStore(e.IV)
 	return r, series, nil
@@ -189,17 +149,12 @@ func RunWalkCoherence(w io.Writer, p Params) error {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "%-18s %-8s %-14s %-10s %-12s %-10s %-8s %-8s\n",
-		"scheme", "leg", "lightIO/query", "peak/frame", "prefetchIO", "pf hits", "wasted", "vdhits")
+	fmt.Fprintf(w, "%-18s %-8s %-14s %-10s\n", "scheme", "leg", "lightIO/query", "peak/frame")
 	for _, name := range schemeNames {
 		for _, leg := range []string{"full", "coherent", "warm"} {
 			v := func(m string) float64 { return r.value(name + "/" + leg + "/" + m) }
-			fmt.Fprintf(w, "%-18s %-8s %-14.2f %-10.0f %-12.0f %-10.0f %-8.0f %-8.0f\n",
-				name, leg, v("light_io_per_query"), v("peak_frame_light_io"),
-				v("prefetch_io"), v("prefetch_hits"), v("prefetch_wasted"), v("vd_cache_hits"))
-		}
-		if hits := r.value(name + "/revisit_vd_cache_hits"); hits > 0 {
-			fmt.Fprintf(w, "%-18s V-data cache hits on revisit-heavy session 3: %.0f\n", name, hits)
+			fmt.Fprintf(w, "%-18s %-8s %-14.2f %-10.0f\n",
+				name, leg, v("light_io_per_query"), v("peak_frame_light_io"))
 		}
 	}
 	fmt.Fprintln(w)

@@ -129,7 +129,7 @@ func (g *Grid) SamplePoints(id CellID, n int) []geom.Vec3 {
 }
 
 // Neighbors returns the IDs of the up-to-8 cells adjacent to id (including
-// diagonals). Walkthrough prefetching warms these.
+// diagonals).
 func (g *Grid) Neighbors(id CellID) []CellID {
 	ix := int(id) % g.NX
 	iy := int(id) / g.NX

@@ -130,17 +130,6 @@ type VStoreViewer interface {
 	View(io *storage.Client) VStore
 }
 
-// CellPager is implemented by storage schemes that can enumerate the disk
-// pages holding a cell's visibility data — segment pages first, then
-// V-pages — without disturbing the scheme's current-cell cursor. The
-// walkthrough prefetcher uses it to warm the buffer pool for a predicted
-// cell while queries against the current cell are still running, so
-// implementations must be read-only with respect to the receiver and
-// charge every lookup read to r, never to the scheme's own handle.
-type CellPager interface {
-	CellPages(r storage.Reader, cell cells.CellID) ([]storage.PageID, error)
-}
-
 // VisData is the precomputed visibility field handed from the build
 // pipeline to the storage schemes: for every cell, for every node (indexed
 // by NodeID), the VD values aligned with the node's entries, or nil when

@@ -244,33 +244,19 @@ func TestShardDifferentialDegraded(t *testing.T) {
 	n := env.tree.Grid.NumCells()
 	for _, codec := range []bool{false, true} {
 		t.Run(fmt.Sprintf("codec=%v", codec), func(t *testing.T) {
-			iv := env.stores[codec][vstore.SchemeIndexedVertical]
-			pager, ok := iv.(core.CellPager)
-			if !ok {
-				t.Fatal("indexed-vertical store is not a CellPager")
-			}
-			// Find a page owned by exactly one cell, so quarantine state
-			// cannot couple queries of different cells across stores.
-			victim := cells.CellID(5)
-			owned := map[storage.PageID]int{}
-			for c := 0; c < n; c++ {
-				ids, err := pager.CellPages(env.disk, cells.CellID(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, id := range ids {
-					owned[id]++
-				}
-			}
-			ids, err := pager.CellPages(env.disk, victim)
+			// Corrupt cell 5's index segment: a page only that cell reads,
+			// so quarantine state cannot couple queries of different cells
+			// across stores. The codec layout packs segments into a shared
+			// heap and has no such page.
+			m := env.man[codec][vstore.SchemeIndexedVertical].Layout
+			ranges, err := m.PageRanges(n, env.disk.PagesFor)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var page storage.PageID = storage.NilPage
-			for _, id := range ids {
-				if owned[id] == 1 {
-					page = id
-					break
+			for _, pr := range ranges {
+				if pr.What == "indexed segment for cell 5" {
+					page = pr.Start
 				}
 			}
 			if page == storage.NilPage {

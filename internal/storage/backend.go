@@ -14,7 +14,7 @@ package storage
 //     (sparse extents).
 //   - ReadPages is vectored: it fills dst with n consecutive pages in one
 //     media operation — a single pread/memcpy on real hardware — which is
-//     what turns the read-coalescing and prefetch batches into single
+//     what turns coalesced reads and payload extents into single
 //     syscalls.
 //   - WritePage takes ownership of data (exactly one full page); callers
 //     never mutate the slice afterwards.

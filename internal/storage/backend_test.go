@@ -9,7 +9,6 @@ package storage_test
 import (
 	"bytes"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -258,47 +257,5 @@ func TestViewBoundedByWatermark(t *testing.T) {
 		if re.NumPages() != v.NumPages() {
 			t.Fatalf("reopened view image has %d pages, want %d", re.NumPages(), v.NumPages())
 		}
-	}
-}
-
-// TestPrefetcherQuiesceDrainsRealIO is the race test for the Quiesce
-// fix: on a timed backend warms run on background workers, and Quiesce
-// must fence their real-I/O completions, not just the resolver. Run
-// under -race this also exercises the warm fan-out for data races.
-func TestPrefetcherQuiesceDrainsRealIO(t *testing.T) {
-	_, fd := diskPair(t, 128)
-	fill(t, fd)
-	fd.SetCacheSize(256)
-	p := storage.NewPrefetcher(fd, 64)
-	defer p.Close()
-
-	const jobs = 24
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := 0; j < jobs/3; j++ {
-				pages := make([]storage.PageID, 8)
-				for i := range pages {
-					pages[i] = storage.PageID((g*8 + j + i) % 64)
-				}
-				p.Enqueue(func(r storage.Reader) ([]storage.PageID, error) {
-					return pages, nil
-				})
-			}
-		}(g)
-	}
-	wg.Wait()
-	p.Quiesce()
-	// Every accepted job's warms must have completed by now: pending is
-	// zero and the warm counter is final. Dropped jobs never warmed.
-	warmedAt := p.Warmed()
-	if warmedAt == 0 && p.Dropped() < jobs {
-		t.Fatal("no pages warmed despite accepted jobs")
-	}
-	p.Quiesce()
-	if got := p.Warmed(); got != warmedAt {
-		t.Fatalf("warms completed after Quiesce returned: %d -> %d", warmedAt, got)
 	}
 }

@@ -49,17 +49,12 @@ type PoolStats struct {
 	LightHits, LightMisses int64
 	HeavyHits, HeavyMisses int64
 	Evictions              int64
-	// PrefetchHits counts demand reads served by a frame the background
-	// prefetcher loaded; PrefetchWasted counts prefetched frames evicted
-	// or invalidated before any demand read used them.
-	PrefetchHits, PrefetchWasted int64
 	// Pages and Pinned are the current resident and pinned frame counts;
 	// Capacity is the configured limit.
 	Pages, Pinned, Capacity int
 	// ResidentBytes is the on-disk (encoded) byte footprint of the
 	// resident frames. With the codec V-page layout the decoded working
-	// set is larger than this — the schemes report that side via their
-	// DecodedResidentBytes methods.
+	// set is larger than this.
 	ResidentBytes int64
 }
 
@@ -71,13 +66,9 @@ func (p PoolStats) Misses() int64 { return p.LightMisses + p.HeavyMisses }
 
 // bufFrame is one cached page copy with its pin count.
 type bufFrame struct {
-	id   PageID
-	data []byte
-	pins int
-	// prefetched marks a frame loaded by the background prefetcher that
-	// no demand read has used yet; the first demand hit clears it and
-	// counts a prefetch hit, eviction while still set counts it wasted.
-	prefetched bool
+	id         PageID
+	data       []byte
+	pins       int
 	prev, next *bufFrame
 }
 
@@ -137,40 +128,35 @@ func (b *bufferPool) caches(class Class) bool {
 
 func (b *bufferPool) shard(id PageID) *poolShard { return b.shards[id&b.mask] }
 
-// get returns the cached copy of id, promoting it to MRU. prefetched
-// reports whether this hit is the first demand use of a prefetcher-warmed
-// frame; the caller charges the hit/miss and prefetch-hit counters.
-func (b *bufferPool) get(id PageID, class Class) (data []byte, ok, prefetched bool) {
+// get returns the cached copy of id, promoting it to MRU; the caller
+// charges the hit/miss counters.
+func (b *bufferPool) get(id PageID) (data []byte, ok bool) {
 	s := b.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.frames[id]
 	if !ok {
-		return nil, false, false
-	}
-	if f.prefetched {
-		f.prefetched = false
-		prefetched = true
+		return nil, false
 	}
 	s.moveToFront(f)
-	return f.data, true, prefetched
+	return f.data, true
 }
 
 // put inserts (or refreshes) a page copy, evicting the LRU unpinned frame
 // if the shard is full. Pinned frames are never evicted; if every frame is
 // pinned the shard temporarily exceeds capacity rather than stall. The
-// returned eviction/wasted-prefetch counts are charged by the caller.
-func (b *bufferPool) put(id PageID, data []byte) (evictions, wasted int64) {
+// returned eviction count is charged by the caller.
+func (b *bufferPool) put(id PageID, data []byte) (evictions int64) {
 	s := b.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 {
-		return 0, 0
+		return 0
 	}
 	if f, ok := s.frames[id]; ok {
 		f.data = data
 		s.moveToFront(f)
-		return 0, 0
+		return 0
 	}
 	f := &bufFrame{id: id, data: data}
 	s.frames[id] = f
@@ -186,22 +172,8 @@ func (b *bufferPool) put(id PageID, data []byte) (evictions, wasted int64) {
 		s.unlink(victim)
 		delete(s.frames, victim.id)
 		evictions++
-		if victim.prefetched {
-			wasted++
-		}
 	}
-	return evictions, wasted
-}
-
-// markPrefetched flags a resident frame as loaded by the background
-// prefetcher (no-op if the page is not resident).
-func (b *bufferPool) markPrefetched(id PageID) {
-	s := b.shard(id)
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		f.prefetched = true
-	}
-	s.mu.Unlock()
+	return evictions
 }
 
 // pin looks up id and, on a hit, increments its pin count so the frame
@@ -233,25 +205,20 @@ func (b *bufferPool) release(id PageID) {
 // invalidate drops a page (called on writes, corruption marks and
 // quarantines so readers never see stale data). A pinned frame is dropped
 // from the map too: the pin holder keeps its immutable data slice, but no
-// future lookup may serve the superseded copy. The returned wasted count
-// (an invalidated prefetch-warmed frame) is charged by the caller.
-func (b *bufferPool) invalidate(id PageID) (wasted int64) {
+// future lookup may serve the superseded copy.
+func (b *bufferPool) invalidate(id PageID) {
 	s := b.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.frames[id]; ok {
 		s.unlink(f)
 		delete(s.frames, id)
-		if f.prefetched {
-			wasted++
-		}
 	}
-	return wasted
 }
 
 // gauges walks the shards for the structural snapshot: resident and pinned
 // frame counts and byte footprint. The flow counters (hits, misses,
-// evictions, prefetch outcomes) live in Disk.stats, not here.
+// evictions) live in Disk.stats, not here.
 func (b *bufferPool) gauges() PoolStats {
 	var out PoolStats
 	out.Capacity = b.cfg.Pages
@@ -340,7 +307,7 @@ func (d *Disk) CacheStats() (hits, misses int64) {
 }
 
 // PoolStats returns the pool's per-class accounting (zero when disabled).
-// The flow counters (hits, misses, evictions, prefetch outcomes) come from
+// The flow counters (hits, misses, evictions) come from
 // one snapshot of the disk's stats lock, so they are mutually consistent
 // with each other and with Stats(); the structural gauges (resident pages,
 // pins, bytes) are read from the shards afterwards.
@@ -358,7 +325,6 @@ func (d *Disk) PoolStats() PoolStats {
 	out.LightHits, out.LightMisses = s.PoolLightHits, s.PoolLightMisses
 	out.HeavyHits, out.HeavyMisses = s.PoolHeavyHits, s.PoolHeavyMisses
 	out.Evictions = s.PoolEvictions
-	out.PrefetchHits, out.PrefetchWasted = s.PrefetchHits, s.PrefetchWasted
 	return out
 }
 

@@ -106,15 +106,6 @@ type Stats struct {
 	PoolLightHits, PoolLightMisses int64
 	PoolHeavyHits, PoolHeavyMisses int64
 	PoolEvictions                  int64
-	// Prefetch accounting (zero with no pool or no prefetcher). A
-	// prefetched page that a demand read later hits counts as a
-	// PrefetchHit; one evicted or invalidated before any demand read
-	// counts as PrefetchWasted. Together they make the spike-flattening
-	// vs extra-I/O trade of background prefetching measurable.
-	PrefetchHits, PrefetchWasted int64
-	// VDCacheHits counts V-page reads answered from a scheme's decoded
-	// V-data cache (vstore), costing no page I/O.
-	VDCacheHits int64
 	// CoalescedReads counts buffer-pool misses that piggybacked on an
 	// in-flight read of the same page instead of hitting the media —
 	// N sessions entering the same cell pay one physical read, not N.
@@ -138,9 +129,6 @@ func (s Stats) Sub(o Stats) Stats {
 		PoolHeavyHits:   s.PoolHeavyHits - o.PoolHeavyHits,
 		PoolHeavyMisses: s.PoolHeavyMisses - o.PoolHeavyMisses,
 		PoolEvictions:   s.PoolEvictions - o.PoolEvictions,
-		PrefetchHits:    s.PrefetchHits - o.PrefetchHits,
-		PrefetchWasted:  s.PrefetchWasted - o.PrefetchWasted,
-		VDCacheHits:     s.VDCacheHits - o.VDCacheHits,
 		CoalescedReads:  s.CoalescedReads - o.CoalescedReads,
 	}
 }
@@ -164,9 +152,6 @@ func (s Stats) add(o Stats) Stats {
 		PoolHeavyHits:   s.PoolHeavyHits + o.PoolHeavyHits,
 		PoolHeavyMisses: s.PoolHeavyMisses + o.PoolHeavyMisses,
 		PoolEvictions:   s.PoolEvictions + o.PoolEvictions,
-		PrefetchHits:    s.PrefetchHits + o.PrefetchHits,
-		PrefetchWasted:  s.PrefetchWasted + o.PrefetchWasted,
-		VDCacheHits:     s.VDCacheHits + o.VDCacheHits,
 		CoalescedReads:  s.CoalescedReads + o.CoalescedReads,
 	}
 }
@@ -342,7 +327,7 @@ func (d *Disk) storedPages(from, below PageID) []PageID {
 }
 
 // Stats returns the accounting snapshot. Every counter — I/O, retries,
-// buffer-pool flow, prefetch outcomes — is read under the one stats lock,
+// buffer-pool flow — is read under the one stats lock,
 // so a snapshot taken mid-run is mutually consistent: a pool miss is never
 // visible without the miss counter that preceded it, and Reads never
 // exceeds the misses that caused them.
@@ -440,17 +425,13 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // damaged media. A successful WritePage lifts the quarantine (the sector
 // was remapped by the rewrite).
 func (d *Disk) Quarantine(id PageID) {
-	var wasted int64
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if id >= 0 && id < d.allocated {
 		d.quarantined[id] = true
 		if d.pool != nil {
-			wasted = d.pool.invalidate(id)
+			d.pool.invalidate(id)
 		}
-	}
-	d.mu.Unlock()
-	if wasted > 0 {
-		d.charge(Stats{PrefetchWasted: wasted}, nil)
 	}
 }
 
@@ -546,15 +527,14 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 	if d.faults != nil {
 		d.faults.heal(id)
 	}
-	var wasted int64
 	if d.pool != nil {
-		wasted = d.pool.invalidate(id)
+		d.pool.invalidate(id)
 	}
 	if d.breaker != nil {
 		d.breaker.heal(id)
 	}
 	d.mu.Unlock()
-	d.charge(Stats{Writes: 1, PrefetchWasted: wasted}, nil)
+	d.charge(Stats{Writes: 1}, nil)
 	return nil
 }
 
@@ -580,13 +560,10 @@ func (d *Disk) readPage(id PageID, class Class, sink *Client) ([]byte, error) {
 	if pool == nil || !pool.caches(class) {
 		return d.readPageMedia(id, class, sink, nil)
 	}
-	if p, ok, prefetched := pool.get(id, class); ok {
+	if p, ok := pool.get(id); ok {
 		delta := Stats{PoolLightHits: 1}
 		if class == ClassHeavy {
 			delta = Stats{PoolHeavyHits: 1}
-		}
-		if prefetched {
-			delta.PrefetchHits = 1
 		}
 		d.charge(delta, sink)
 		return p, nil
@@ -629,9 +606,8 @@ func (d *Disk) readPageMedia(id PageID, class Class, sink *Client, pool *bufferP
 		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	if pool != nil {
-		ev, wasted := pool.put(id, page)
-		if ev > 0 || wasted > 0 {
-			d.charge(Stats{PoolEvictions: ev, PrefetchWasted: wasted}, nil)
+		if ev := pool.put(id, page); ev > 0 {
+			d.charge(Stats{PoolEvictions: ev}, nil)
 		}
 	}
 	return page, nil
@@ -845,15 +821,11 @@ func (d *Disk) readExtent(start PageID, n int, class Class, sink *Client) error 
 // CorruptPage marks a page as unreadable — the failure-injection hook used
 // by recovery tests.
 func (d *Disk) CorruptPage(id PageID) {
-	var wasted int64
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.corrupt[id] = true
 	if d.pool != nil {
-		wasted = d.pool.invalidate(id)
-	}
-	d.mu.Unlock()
-	if wasted > 0 {
-		d.charge(Stats{PrefetchWasted: wasted}, nil)
+		d.pool.invalidate(id)
 	}
 }
 
@@ -975,12 +947,3 @@ func (c *Client) ReadExtent(start PageID, n int, class Class) error {
 func (c *Client) PinPage(id PageID, class Class) (*PinnedPage, error) {
 	return c.d.pinPage(id, class, c)
 }
-
-// RecordVDCacheHit charges one decoded-V-data cache hit (a V-page access
-// answered from memory, costing no page I/O). The vstore schemes call it
-// through whichever read handle their view charges to.
-func (d *Disk) RecordVDCacheHit() { d.charge(Stats{VDCacheHits: 1}, nil) }
-
-// RecordVDCacheHit mirrors Disk.RecordVDCacheHit with per-client
-// attribution.
-func (c *Client) RecordVDCacheHit() { c.d.charge(Stats{VDCacheHits: 1}, c) }

@@ -5,7 +5,7 @@
 // Disk's vectored reads land here as single syscalls — one pread (or one
 // memcpy out of the mapping) per extent or coalesced batch, however many
 // pages it spans — which is what turns the codec's byte reduction and the
-// prefetcher's warm path into wall-clock wins.
+// buffer pool's warm path into wall-clock wins.
 //
 // The file is sparse: Allocate only truncates (with headroom, so builds
 // that grow page by page do not remap per allocation), never-written

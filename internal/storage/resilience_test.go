@@ -290,126 +290,6 @@ func TestBreakerRemoval(t *testing.T) {
 	}
 }
 
-// --- prefetcher under faults and cancellation ---
-
-// TestPrefetchFaultsNeverSurface: seeded transient and permanent faults
-// on prefetched pages never become query-visible errors — warming just
-// skips the bad pages, and only the counters record the difference.
-func TestPrefetchFaultsNeverSurface(t *testing.T) {
-	d, start := faultDisk(t, 64)
-	d.SetCacheSize(256)
-	d.InjectFaults(FaultConfig{Seed: 9, PageProb: 0.5, TransientFrac: 0.5})
-	p := NewPrefetcher(d, 32)
-	defer p.Close()
-
-	for i := 0; i < 64; i += 8 {
-		base := start + PageID(i)
-		p.Enqueue(func(r Reader) ([]PageID, error) {
-			ids := make([]PageID, 8)
-			for j := range ids {
-				ids[j] = base + PageID(j)
-			}
-			return ids, nil
-		})
-	}
-	p.Quiesce()
-	if p.Warmed() == 0 {
-		t.Fatal("no pages warmed despite mostly-readable media")
-	}
-	// Every page the prefetcher warmed — or skipped — must still be
-	// readable or fail only on its own (sticky permanent) fault; the
-	// demand path decides, the prefetcher stays silent either way.
-	var demandErrs int
-	for i := 0; i < 64; i++ {
-		if _, err := d.ReadPage(start+PageID(i), ClassLight); err != nil {
-			demandErrs++
-		}
-	}
-	if demandErrs == 0 {
-		t.Log("all demand reads clean (permanent faults already absorbed by retries)")
-	}
-}
-
-// TestPrefetchCancelPending: canceling invalidates queued jobs — they
-// are discarded and counted, never resolved — while Quiesce still
-// returns because stale entries complete for its accounting.
-func TestPrefetchCancelPending(t *testing.T) {
-	d, start := faultDisk(t, 16)
-	d.SetCacheSize(64)
-	p := NewPrefetcher(d, 64)
-	defer p.Close()
-
-	var resolved sync.Map
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	// First job parks the worker so everything behind it stays queued —
-	// and signals once it is actually running, so the cancellation below
-	// is guaranteed to hit only the 16 queued jobs.
-	p.Enqueue(func(r Reader) ([]PageID, error) {
-		close(entered)
-		<-block
-		return nil, nil
-	})
-	<-entered
-	for i := 0; i < 16; i++ {
-		i := i
-		p.Enqueue(func(r Reader) ([]PageID, error) {
-			resolved.Store(i, true)
-			return []PageID{start + PageID(i)}, nil
-		})
-	}
-	p.CancelPending()
-	close(block)
-	p.Quiesce()
-
-	if got := p.Canceled(); got != 16 {
-		t.Fatalf("Canceled = %d, want 16", got)
-	}
-	resolved.Range(func(k, v any) bool {
-		t.Errorf("canceled job %v still resolved", k)
-		return true
-	})
-
-	// Jobs enqueued after the cancellation run normally.
-	p.Enqueue(func(r Reader) ([]PageID, error) {
-		return []PageID{start}, nil
-	})
-	p.Quiesce()
-	if p.Warmed() == 0 {
-		t.Fatal("post-cancel job did not warm its page")
-	}
-}
-
-// TestPrefetchFaultsRacingQuiesce: faults firing on the worker while
-// Quiesce waits must neither deadlock the barrier nor surface anywhere.
-// Run with -race.
-func TestPrefetchFaultsRacingQuiesce(t *testing.T) {
-	d, start := faultDisk(t, 64)
-	d.SetCacheSize(32)
-	d.InjectFaults(FaultConfig{Seed: 21, PageProb: 0.3, TransientFrac: 0.3})
-	p := NewPrefetcher(d, 8)
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	for round := 0; round < 8; round++ {
-		wg.Add(1)
-		go func(round int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				id := start + PageID((round*8+i)%64)
-				p.Enqueue(func(r Reader) ([]PageID, error) {
-					return []PageID{id}, nil
-				})
-			}
-			if round%2 == 0 {
-				p.CancelPending()
-			}
-			p.Quiesce()
-		}(round)
-	}
-	wg.Wait()
-}
-
 // --- snapshot consistency (the PR's bugfix regression test) ---
 
 // TestStatsSnapshotConsistency: Stats() is one critical section, so a

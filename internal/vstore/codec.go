@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -471,13 +472,15 @@ func peekHeapUnit(d *storage.Disk, base storage.PageID, heapBytes int64, ref hea
 	return out, nil
 }
 
-// heapUnitPages appends the disk pages a unit occupies to out (deduped) —
-// the prefetcher's page enumeration for codec layouts.
+// heapUnitPages appends the disk pages a unit occupies to out, skipping
+// pages out already lists — the page list of a failed codec unit.
 func heapUnitPages(out []storage.PageID, base storage.PageID, psz int64, ref heapRef) []storage.PageID {
 	first := base + storage.PageID(ref.off/psz)
 	last := base + storage.PageID((ref.off+int64(ref.n)-1)/psz)
 	for p := first; p <= last; p++ {
-		out = dedupePages(out, p)
+		if !slices.Contains(out, p) {
+			out = append(out, p)
+		}
 	}
 	return out
 }

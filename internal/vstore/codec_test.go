@@ -353,62 +353,6 @@ func TestCodecManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// CellPages coverage proof for codec layouts: warming exactly the listed
-// pages must make a fresh view's SetCell + full NodeVD sweep free.
-func TestCodecCellPagesCoverDemandReads(t *testing.T) {
-	vis := dyadicVisData(t, 150, 4, 4, 0.2, 6)
-	d, _, codec := buildBothLayouts(t, vis)
-	d.SetCacheSize(int(d.NumPages()) + 1)
-	defer d.SetCacheSize(0)
-
-	for _, s := range codec {
-		pager := s.(core.CellPager)
-		viewer := s.(core.VStoreViewer)
-		t.Run(s.Name(), func(t *testing.T) {
-			for _, cell := range []cells.CellID{0, 7, 15} {
-				pages, err := pager.CellPages(d, cell)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seen := map[storage.PageID]bool{}
-				for _, p := range pages {
-					if seen[p] {
-						t.Fatalf("cell %d: page %d listed twice", cell, p)
-					}
-					seen[p] = true
-					if err := d.PrefetchPage(p, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-				c := d.NewClient()
-				view := viewer.View(c)
-				if err := view.SetCell(cell); err != nil {
-					t.Fatal(err)
-				}
-				visible := 0
-				for id := 0; id < vis.NumNodes; id++ {
-					_, ok, err := view.NodeVD(core.NodeID(id))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok {
-						visible++
-					}
-				}
-				if st := c.Stats(); st.Reads != 0 {
-					t.Fatalf("cell %d: %d demand reads missed the warmed pool (%d pages listed)",
-						cell, st.Reads, len(pages))
-				}
-				if visible == 0 {
-					t.Fatalf("cell %d: no visible nodes — coverage proof is vacuous", cell)
-				}
-				d.SetCacheSize(0)
-				d.SetCacheSize(int(d.NumPages()) + 1)
-			}
-		})
-	}
-}
-
 // CodecCheck must pin tampered heap bytes to their pages, and must excuse
 // pages already parked in the disk's quarantine set (known damage).
 func TestCodecCheckDetectsTamper(t *testing.T) {
@@ -449,43 +393,5 @@ func TestCodecCheckDetectsTamper(t *testing.T) {
 	d.ClearQuarantine()
 	if err := d.WritePage(cv.heapBase, page); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Decoded-resident accounting: a view that decodes V-data reports the
-// bytes it holds, separate from the pool's encoded-resident bytes.
-func TestCodecDecodedResidentBytes(t *testing.T) {
-	vis := dyadicVisData(t, 100, 4, 4, 0.3, 10)
-	d, _, codec := buildBothLayouts(t, vis)
-
-	ch := *codec[0].(*Horizontal)
-	ch.EnableVDCache(1024)
-	view := ch.View(d.NewClient()).(*Horizontal)
-	if view.DecodedResidentBytes() != 0 {
-		t.Fatal("fresh view reports resident decoded bytes")
-	}
-	if err := view.SetCell(0); err != nil {
-		t.Fatal(err)
-	}
-	entries := 0
-	for id := 0; id < vis.NumNodes; id++ {
-		vd, ok, err := view.NodeVD(core.NodeID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			entries += len(vd)
-		}
-	}
-	if want := int64(entries) * vdMemBytes; view.DecodedResidentBytes() != want {
-		t.Fatalf("DecodedResidentBytes = %d, want %d", view.DecodedResidentBytes(), want)
-	}
-
-	cv := codec[1].(*Vertical).View(d.NewClient()).(*Vertical)
-	if err := cv.SetCell(0); err != nil {
-		t.Fatal(err)
-	}
-	if cv.DecodedResidentBytes() <= 0 {
-		t.Fatal("vertical view reports no resident flip state")
 	}
 }

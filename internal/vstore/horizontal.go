@@ -26,11 +26,6 @@ type Horizontal struct {
 	cur        cells.CellID
 	hasCell    bool
 	sizeBytes  int64
-	// vdCacheCap > 0 enables the decoded-V-data cache (EnableVDCache);
-	// each view gets its own cache of this capacity, so cached slices are
-	// never shared across sessions.
-	vdCacheCap int
-	vdCache    *vdCache
 
 	// Codec layout (DESIGN.md §13): variable-length units packed into a
 	// byte heap in node-major (ascending slot) order, located by a
@@ -163,32 +158,7 @@ func (h *Horizontal) View(io *storage.Client) core.VStore {
 	cp := *h
 	cp.io = io
 	cp.hasCell = false
-	cp.vdCache = newVDCache(cp.vdCacheCap)
 	return &cp
-}
-
-// EnableVDCache turns on a bounded cache of decoded V-page entries for
-// this scheme and the views derived from it after the call (capacity in
-// V-pages; <= 0 disables). Off by default: the cache masks the horizontal
-// scheme's defining cost — scattered single-V-page reads — so the paper's
-// Figure 7 comparison must run without it. Walkthrough warm paths opt in.
-func (h *Horizontal) EnableVDCache(capacity int) {
-	if capacity <= 0 {
-		h.vdCacheCap = 0
-		h.vdCache = nil
-		return
-	}
-	h.vdCacheCap = capacity
-	h.vdCache = newVDCache(capacity)
-}
-
-// VDCacheHits reports this view's decoded-V-data cache hits (test hook;
-// aggregate accounting flows through Stats.VDCacheHits).
-func (h *Horizontal) VDCacheHits() int64 {
-	if h.vdCache == nil {
-		return 0
-	}
-	return h.vdCache.hits
 }
 
 // SizeBytes implements core.VStore — the Table 2 storage cost.
@@ -222,14 +192,6 @@ func (h *Horizontal) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
 		if ref.n == 0 {
 			return nil, false, nil
 		}
-		if h.vdCache != nil {
-			if vd, ok := h.vdCache.get(slot); ok {
-				if rec, ok := h.io.(interface{ RecordVDCacheHit() }); ok {
-					rec.RecordVDCacheHit()
-				}
-				return vd, vd != nil, nil
-			}
-		}
 		buf, err := readHeapUnit(h.io, h.heapBase, h.heapBytes, ref)
 		if err != nil {
 			return nil, false, err
@@ -238,18 +200,7 @@ func (h *Horizontal) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if h.vdCache != nil {
-			h.vdCache.put(slot, vd)
-		}
 		return vd, vd != nil, nil
-	}
-	if h.vdCache != nil {
-		if vd, ok := h.vdCache.get(slot); ok {
-			if rec, ok := h.io.(interface{ RecordVDCacheHit() }); ok {
-				rec.RecordVDCacheHit()
-			}
-			return vd, vd != nil, nil
-		}
 	}
 	buf, err := h.slots.read(h.io, slot, storage.ClassLight)
 	if err != nil {
@@ -258,9 +209,6 @@ func (h *Horizontal) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
 	vd, err := decodeVPage(buf)
 	if err != nil {
 		return nil, false, err
-	}
-	if h.vdCache != nil {
-		h.vdCache.put(slot, vd)
 	}
 	if vd == nil {
 		return nil, false, nil
@@ -275,16 +223,6 @@ func (h *Horizontal) Codec() bool { return h.codec }
 // byte footprint — the numerator and denominator of the vpagecodec
 // experiment's bytes-per-V-page metric.
 func (h *Horizontal) VPageFootprint() (units, bytes int64) { return h.units, h.unitBytes }
-
-// DecodedResidentBytes reports the in-memory footprint of decoded V-data
-// this view keeps resident (the VD cache), as opposed to the encoded
-// bytes the buffer pool holds (PoolStats.ResidentBytes).
-func (h *Horizontal) DecodedResidentBytes() int64 {
-	if h.vdCache == nil {
-		return 0
-	}
-	return h.vdCache.bytes
-}
 
 // CodecCheck decodes every codec unit through the unmetered peek path,
 // returning the disk pages of units that fail validation and one problem

@@ -306,15 +306,6 @@ func (iv *IndexedVertical) Codec() bool { return iv.codec }
 // VPageFootprint reports the stored V-page count and total on-disk bytes.
 func (iv *IndexedVertical) VPageFootprint() (units, bytes int64) { return iv.units, iv.unitBytes }
 
-// DecodedResidentBytes reports the in-memory footprint of this view's
-// flipped segment — the decoded-resident side of the size accounting.
-func (iv *IndexedVertical) DecodedResidentBytes() int64 {
-	if iv.codec {
-		return int64(len(iv.curRef)) * (8 + 12)
-	}
-	return int64(len(iv.curMap)) * (8 + 8)
-}
-
 // CodecCheck decodes every codec segment and unit through the unmetered
 // peek path, returning the pages of failing units and a problem string
 // per failure.

@@ -28,12 +28,11 @@ func (s Scheme) String() string {
 }
 
 // Layout is the one V-page layout a database serves: the query-time
-// core.VStore plus what the prefetcher, persistence and fsck need from
-// it. Build and Open are the only places that know which
-// concrete scheme stands behind it.
+// core.VStore plus what persistence and fsck need from it. Build and
+// Open are the only places that know which concrete scheme stands
+// behind it.
 type Layout interface {
 	core.VStore
-	core.CellPager
 	Scheme() Scheme
 	// Codec reports whether the layout stores compressed V-page units.
 	Codec() bool

@@ -323,15 +323,6 @@ func (v *Vertical) Codec() bool { return v.codec }
 // VPageFootprint reports the stored V-page count and total on-disk bytes.
 func (v *Vertical) VPageFootprint() (units, bytes int64) { return v.units, v.unitBytes }
 
-// DecodedResidentBytes reports the in-memory footprint of this view's
-// flipped segment — the decoded-resident side of the size accounting.
-func (v *Vertical) DecodedResidentBytes() int64 {
-	if v.codec {
-		return int64(len(v.curOffs))*8 + int64(len(v.curLens))*4
-	}
-	return int64(len(v.curSeg)) * 8
-}
-
 // CodecCheck decodes every codec segment and unit through the unmetered
 // peek path, returning the pages of failing units and a problem string
 // per failure.

@@ -3,7 +3,6 @@ package walkthrough_test
 import (
 	"testing"
 
-	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/render"
@@ -43,47 +42,6 @@ func TestCacheByteBudgetRegression(t *testing.T) {
 	}
 	if c.Len() == 0 {
 		t.Fatal("eviction emptied the cache entirely; nearest entries should fit")
-	}
-}
-
-// Straight-line motion must predict the cells ahead; a parked viewer must
-// predict nothing.
-func TestPredictorMarchesAhead(t *testing.T) {
-	env := testenv.Get(testenv.Small())
-	grid := env.Tree.Grid
-	// walk along +X through the middle of the region
-	mid := grid.Bounds.Center()
-	step := grid.CellSize().X / 4
-	var p walkthrough.Predictor
-	eye := geom.V(grid.Bounds.Min.X+2*step, mid.Y, mid.Z)
-	for i := 0; i < 6; i++ {
-		p.Observe(eye)
-		eye = eye.Add(geom.V(step, 0, 0))
-	}
-	got := p.Predict(grid, eye, 2)
-	if len(got) == 0 {
-		t.Fatal("steady +X motion predicted no cells")
-	}
-	cur := grid.Locate(eye)
-	for _, c := range got {
-		if c == cur {
-			t.Fatal("prediction included the current cell")
-		}
-		if c == cells.NoCell {
-			t.Fatal("prediction included NoCell")
-		}
-	}
-	// The nearest prediction is the +X neighbor.
-	if want := grid.Locate(eye.Add(geom.V(grid.CellSize().X, 0, 0))); want != cells.NoCell && got[0] != want {
-		t.Fatalf("first prediction = %d, want +X neighbor %d", got[0], want)
-	}
-
-	var parked walkthrough.Predictor
-	for i := 0; i < 4; i++ {
-		parked.Observe(eye)
-	}
-	if got := parked.Predict(grid, eye, 2); len(got) != 0 {
-		t.Fatalf("parked viewer predicted %v", got)
 	}
 }
 
@@ -133,42 +91,5 @@ func TestVisualCoherentMatchesFull(t *testing.T) {
 	}
 	if cohLight >= fullLight {
 		t.Fatalf("coherent walk read no less: %d vs %d light I/Os", cohLight, fullLight)
-	}
-}
-
-// Async prefetch must warm the shared buffer pool ahead of the walker:
-// prefetch hit counters move, and the walk completes with the same trace
-// shape. Runs with a pool installed, as in production.
-func TestVisualAsyncPrefetchWarmsPool(t *testing.T) {
-	env := testenv.Get(testenv.Medium())
-	env.Disk.SetCacheSize(4096)
-	defer env.Disk.SetCacheSize(0)
-
-	s := walkthrough.RecordNormal(env.Scene, 400, 3)
-	sess := env.Tree.Session()
-	p := &walkthrough.VisualPlayer{
-		Tree:          sess,
-		Eta:           0.001,
-		Delta:         true,
-		Coherent:      true,
-		AsyncPrefetch: true,
-		Render:        render.DefaultConfig(),
-	}
-	res, err := p.Play(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("walk crossed no cells")
-	}
-	var prefetchIO int64
-	for _, f := range res.Frames {
-		prefetchIO += f.PrefetchIO
-	}
-	if prefetchIO == 0 {
-		t.Fatal("async prefetcher issued no I/O over a moving walk")
-	}
-	if hits := env.Disk.Stats().PrefetchHits; hits == 0 {
-		t.Fatal("no demand read ever hit a prefetched page")
 	}
 }

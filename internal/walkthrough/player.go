@@ -174,14 +174,6 @@ type VisualPlayer struct {
 	// root. Answer sets are byte-identical to full traversal; superseded
 	// results are recycled into the session's free list.
 	Coherent bool
-	// AsyncPrefetch starts a background storage.Prefetcher that warms the
-	// disk's shared buffer pool with the V-data pages of predicted next
-	// cells (motion-vector prediction, see Predictor). Unlike Prefetch it
-	// moves no query state off the frame loop — the worker sees only page
-	// IDs — and it only helps when a buffer pool is installed
-	// (storage.Disk.SetCacheSize). Works with any scheme implementing
-	// core.CellPager; silently inert otherwise.
-	AsyncPrefetch bool
 	// CacheBudget bounds the payload cache (0 = unlimited).
 	CacheBudget int64
 	Render      render.Config
@@ -204,10 +196,9 @@ type VisualPlayer struct {
 	// Route, when set, resolves the tree session serving each cell (the
 	// sharded serve path wires the shard router's per-cell routing here;
 	// nil, or a nil return, serves the cell from Tree). The demand query,
-	// payload fetch, scheme-cursor restore and async page warms all
-	// follow the routed tree, so a walk crossing a shard boundary hands
-	// off between stores mid-session; answers are byte-identical either
-	// way.
+	// payload fetch and scheme-cursor restore all follow the routed
+	// tree, so a walk crossing a shard boundary hands off between stores
+	// mid-session; answers are byte-identical either way.
 	Route func(cells.CellID) *core.Tree
 }
 
@@ -228,8 +219,7 @@ func (p *VisualPlayer) Play(s Session) (*Result, error) {
 
 // PlayContext runs the session and returns the trace. The context bounds
 // the whole playback: cancellation aborts between frames (and inside any
-// in-flight query at its next traversal checkpoint), with pending
-// prefetch work canceled rather than drained.
+// in-flight query at its next traversal checkpoint).
 func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, error) {
 	cache := NewCache(p.CacheBudget)
 	out := &Result{System: fmt.Sprintf("VISUAL(eta=%g)", p.Eta), Session: s.Name}
@@ -239,44 +229,13 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 	residentTree := p.Tree // the tree that produced resident, for Recycle
 	var prevEye geom.Vec3
 	haveVel := false
-	// Async prefetch state: the motion predictor, the background workers
-	// (one per distinct disk the routing touches — a single one when
-	// unrouted), and the set of cells already handed to them (cleared per
-	// cell entry so a revisited cell can be warmed again later).
-	var pred Predictor
-	var pfs *prefetchSet
-	var lastPF storage.Stats
-	var enqueued map[cells.CellID]bool
-	if p.AsyncPrefetch {
-		if _, ok := p.Tree.VStoreScheme().(core.CellPager); ok {
-			pfs = newPrefetchSet()
-			defer pfs.close()
-			// On an aborted playback the queued warms are for cells nobody
-			// will visit: cancel them so close does not pay for them. (Runs
-			// before the deferred close — defers are LIFO.)
-			defer func() {
-				if ctx.Err() != nil {
-					pfs.cancelPending()
-				}
-			}()
-			enqueued = make(map[cells.CellID]bool)
-		}
-	}
 	for _, pose := range s.Frames {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("walkthrough: playback aborted: %w", err)
 		}
 		var fs FrameStat
-		pred.Observe(pose.Eye)
 		cell := p.Tree.Grid.Locate(pose.Eye)
 		if cell != cells.NoCell && cell != cur {
-			if pfs != nil {
-				// Let queued warms land before the demand query: the frames
-				// since they were enqueued represent far more simulated time
-				// than the warms cost, so the worker would have finished long
-				// ago on a real clock.
-				pfs.quiesce()
-			}
 			fctx, fcancel := ctx, context.CancelFunc(func() {})
 			if p.FrameBudget > 0 {
 				fctx, fcancel = context.WithTimeout(ctx, p.FrameBudget)
@@ -340,7 +299,6 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 					resident = res
 					residentTree = qt
 					cur = cell
-					delete(enqueued, cell) // demand-entered: re-warmable later
 				} else if fctx.Err() != nil && ctx.Err() == nil {
 					// The frame budget expired mid-query: skip the frame,
 					// keep the previous geometry, retry next frame. The
@@ -357,29 +315,6 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 				}
 			}
 			fcancel()
-		}
-		// Background warm-up of the cells the motion predictor expects
-		// next. The enqueued closure captures only the pager and a cell ID
-		// — never query state — and a full queue drops predictions rather
-		// than stalling the frame. Warms go to the predicted cell's own
-		// store, so a routed walk pre-warms the shard it is about to enter.
-		if pfs != nil && cur != cells.NoCell {
-			for _, next := range pred.Predict(p.Tree.Grid, pose.Eye, 2) {
-				if next == cur || enqueued[next] {
-					continue
-				}
-				nt := p.treeFor(next)
-				cp, ok := nt.VStoreScheme().(core.CellPager)
-				if !ok {
-					continue
-				}
-				target := next
-				if pfs.get(nt.Disk).Enqueue(func(r storage.Reader) ([]storage.PageID, error) {
-					return cp.CellPages(r, target)
-				}) {
-					enqueued[next] = true
-				}
-			}
 		}
 		// Speculative prefetch of the cell ahead, overlapped with
 		// rendering (not added to frame time).
@@ -430,15 +365,6 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 		if resident != nil {
 			fs.Polygons = resident.Stats.TotalPolygons
 		}
-		if pfs != nil {
-			// Attribute the workers' I/O since the last frame to this one.
-			// The workers are asynchronous, so the per-frame split is
-			// approximate; the playback total matches the prefetchers'
-			// clients exactly.
-			now := pfs.stats()
-			fs.PrefetchIO += now.Sub(lastPF).Reads
-			lastPF = now
-		}
 		fs.RenderTime = p.Render.RenderTime(fs.Polygons)
 		fs.Total = p.Render.FrameTime(fs.Polygons, fs.QueryTime)
 		fs.CacheBytes = cache.Bytes()
@@ -461,56 +387,6 @@ func (p *VisualPlayer) queryCell(ctx context.Context, t *core.Tree, cell cells.C
 		return t.QueryCoherentContext(ctx, cell, p.Eta)
 	}
 	return t.QueryContext(ctx, cell, p.Eta)
-}
-
-// prefetchSet lazily manages one background Prefetcher per distinct disk
-// a routed playback touches (exactly one when unrouted).
-type prefetchSet struct {
-	list   []*storage.Prefetcher
-	byDisk map[*storage.Disk]*storage.Prefetcher
-}
-
-func newPrefetchSet() *prefetchSet {
-	return &prefetchSet{byDisk: make(map[*storage.Disk]*storage.Prefetcher)}
-}
-
-// get returns (starting if needed) the prefetcher warming disk d.
-func (ps *prefetchSet) get(d *storage.Disk) *storage.Prefetcher {
-	if pf, ok := ps.byDisk[d]; ok {
-		return pf
-	}
-	pf := storage.NewPrefetcher(d, 0)
-	ps.byDisk[d] = pf
-	ps.list = append(ps.list, pf)
-	return pf
-}
-
-func (ps *prefetchSet) quiesce() {
-	for _, pf := range ps.list {
-		pf.Quiesce()
-	}
-}
-
-func (ps *prefetchSet) cancelPending() {
-	for _, pf := range ps.list {
-		pf.CancelPending()
-	}
-}
-
-func (ps *prefetchSet) close() {
-	for _, pf := range ps.list {
-		pf.Close()
-	}
-}
-
-// stats sums the workers' accounting (monotonic, so frame deltas via
-// Sub stay correct).
-func (ps *prefetchSet) stats() storage.Stats {
-	var out storage.Stats
-	for _, pf := range ps.list {
-		out = out.Add(pf.Stats())
-	}
-	return out
 }
 
 // isOverloaded reports whether err is an explicit admission rejection —

@@ -156,18 +156,19 @@ type Mesh struct {
 // LoadMesh decodes the actual geometry of a result item (charging heavy
 // I/O), for rendering or export.
 func (db *DB) LoadMesh(it Item) (*Mesh, error) {
+	t, _ := db.snapshot()
 	var inner core.ResultItem
 	found := false
 	// Relocate the payload extent from the item identity.
 	if it.ObjectID >= 0 {
-		exts := db.tree.ObjExtents[it.ObjectID]
+		exts := t.ObjExtents[it.ObjectID]
 		if it.Level < 0 || it.Level >= len(exts) {
 			return nil, fmt.Errorf("hdov: level %d out of range", it.Level)
 		}
 		inner = core.ResultItem{ObjectID: it.ObjectID, NodeID: core.NilNode, Level: it.Level, Extent: exts[it.Level]}
 		found = true
-	} else if int(it.NodeID) >= 0 && int(it.NodeID) < db.tree.NumNodes() {
-		n := db.tree.Nodes[it.NodeID]
+	} else if int(it.NodeID) >= 0 && int(it.NodeID) < t.NumNodes() {
+		n := t.Nodes[it.NodeID]
 		if it.Level < 0 || it.Level >= len(n.InternalExtents) {
 			return nil, fmt.Errorf("hdov: level %d out of range", it.Level)
 		}
@@ -177,7 +178,7 @@ func (db *DB) LoadMesh(it Item) (*Mesh, error) {
 	if !found {
 		return nil, fmt.Errorf("hdov: item identifies neither object nor node")
 	}
-	m, err := db.tree.LoadMesh(inner)
+	m, err := t.LoadMesh(inner)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +214,11 @@ type Fidelity struct {
 // at viewpoint p. Computing ground truth casts DoVRays rays, so this is an
 // analysis call, not a per-frame one.
 func (db *DB) Fidelity(p Point, r *Result) Fidelity {
-	truth := db.fidelityTruth(p)
-	f := render.Evaluate(db.tree, r.inner.Items, truth)
+	// The tree and the ground-truth engine come from one epoch.
+	db.mu.RLock()
+	t, eng := db.tree, db.engine
+	db.mu.RUnlock()
+	f := render.Evaluate(t, r.inner.Items, eng.PointDoV(p.vec()))
 	return Fidelity{
 		VisibleObjects: f.VisibleObjects,
 		CoveredObjects: f.CoveredObjects,
@@ -239,12 +243,6 @@ type DiskStats struct {
 	// PoolHits and PoolMisses count buffer-pool lookups (zero unless
 	// SetCacheSize installed a pool). Hits charge no seek or transfer.
 	PoolHits, PoolMisses int64
-	// PrefetchHits counts demand reads served by a page the background
-	// prefetcher warmed; PrefetchWasted counts warmed pages evicted or
-	// invalidated before any demand read used them. Together they price
-	// the speculative I/O: hits flattened a cell-entry spike, wasted ones
-	// were pure overhead.
-	PrefetchHits, PrefetchWasted int64
 	// CoalescedReads counts buffer-pool misses that piggybacked on
 	// another session's in-flight read of the same page instead of
 	// performing a second physical read (zero without a pool).

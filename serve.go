@@ -239,8 +239,11 @@ func (db *DB) PoolStats() PoolStats {
 // Affects DB queries and sessions created afterwards, on every shard
 // store when sharding is enabled.
 func (db *DB) SetParallel(n int) {
+	db.mu.Lock()
 	db.tree.SetParallel(n)
-	if r := db.currentRouter(); r != nil {
+	r := db.router
+	db.mu.Unlock()
+	if r != nil {
 		r.SetParallel(n)
 	}
 }
@@ -287,9 +290,9 @@ type ClientStats struct {
 // Serve plays n concurrent walkthrough clients against the database, each
 // with its own recorded motion path (seeded from opts.Seed + client
 // index), and returns the aggregate and per-client accounting. It is the
-// multi-client form of Walkthrough; opts.UseREVIEW, opts.Coherent and
-// opts.AsyncPrefetch are not supported here and are rejected with an
-// error naming the option.
+// multi-client form of Walkthrough; opts.UseREVIEW and opts.Coherent
+// are not supported here and are rejected with an error naming the
+// option.
 func (db *DB) Serve(opts WalkOptions, n int) (*ServeStats, error) {
 	return db.ServeContext(context.Background(), opts, n)
 }
@@ -309,26 +312,25 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 		return nil, fmt.Errorf("hdov: Serve supports only the VISUAL system (UseREVIEW)")
 	case opts.Coherent:
 		return nil, fmt.Errorf("hdov: Serve does not support Coherent")
-	case opts.AsyncPrefetch:
-		return nil, fmt.Errorf("hdov: Serve does not support AsyncPrefetch")
 	}
 	if opts.Frames <= 0 {
 		opts.Frames = 600
 	}
+	tree, sc := db.snapshot()
 	sessions := make([]walkthrough.Session, n)
 	for i := range sessions {
 		seed := opts.Seed + int64(i)
 		switch opts.Session {
 		case SessionTurning:
-			sessions[i] = walkthrough.RecordTurning(db.scene, opts.Frames, seed+1)
+			sessions[i] = walkthrough.RecordTurning(sc, opts.Frames, seed+1)
 		case SessionBackForward:
-			sessions[i] = walkthrough.RecordBackForward(db.scene, opts.Frames, seed+2)
+			sessions[i] = walkthrough.RecordBackForward(sc, opts.Frames, seed+2)
 		default:
-			sessions[i] = walkthrough.RecordNormal(db.scene, opts.Frames, seed)
+			sessions[i] = walkthrough.RecordNormal(sc, opts.Frames, seed)
 		}
 	}
 	m := &walkthrough.SessionManager{
-		Base:        db.tree,
+		Base:        tree,
 		Eta:         opts.Eta,
 		Delta:       opts.Delta,
 		Prefetch:    opts.Prefetch,
@@ -429,8 +431,6 @@ func diskStatsFrom(s storage.Stats) DiskStats {
 		MeasuredTime:   s.MeasuredTime,
 		PoolHits:       s.PoolLightHits + s.PoolHeavyHits,
 		PoolMisses:     s.PoolLightMisses + s.PoolHeavyMisses,
-		PrefetchHits:   s.PrefetchHits,
-		PrefetchWasted: s.PrefetchWasted,
 		CoalescedReads: s.CoalescedReads,
 	}
 }

@@ -52,11 +52,6 @@ type WalkOptions struct {
 	// cut (see Session.QueryCoherent) instead of descending from the
 	// root each time (VISUAL Walkthrough only; Serve rejects it).
 	Coherent bool
-	// AsyncPrefetch warms the shared buffer pool with the V-data pages
-	// of predicted next cells from a background worker (VISUAL
-	// Walkthrough only, effective only with SetCacheSize; Serve rejects
-	// it).
-	AsyncPrefetch bool
 	// UseREVIEW plays the session on the REVIEW spatial baseline instead
 	// of the HDoV-tree.
 	UseREVIEW bool
@@ -106,8 +101,8 @@ type WalkStats struct {
 	// Retries is the summed transient-fault retries across the playback.
 	Retries int64
 	// TotalLightIO is the summed index page reads charged to queries, and
-	// TotalPrefetchIO the pages the prefetchers (speculative and async)
-	// read off the frame loop.
+	// TotalPrefetchIO the pages the speculative prefetch read off the
+	// frame loop.
 	TotalLightIO, TotalPrefetchIO int64
 	// Coherence reports the warm-path accounting when Coherent was set.
 	Coherence CoherenceStats
@@ -132,14 +127,15 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 	if opts.ReviewBoxDepth <= 0 {
 		opts.ReviewBoxDepth = 400
 	}
+	tree, sc := db.snapshot()
 	var s walkthrough.Session
 	switch opts.Session {
 	case SessionTurning:
-		s = walkthrough.RecordTurning(db.scene, opts.Frames, opts.Seed+1)
+		s = walkthrough.RecordTurning(sc, opts.Frames, opts.Seed+1)
 	case SessionBackForward:
-		s = walkthrough.RecordBackForward(db.scene, opts.Frames, opts.Seed+2)
+		s = walkthrough.RecordBackForward(sc, opts.Frames, opts.Seed+2)
 	default:
-		s = walkthrough.RecordNormal(db.scene, opts.Frames, opts.Seed)
+		s = walkthrough.RecordNormal(sc, opts.Frames, opts.Seed)
 	}
 
 	var res *walkthrough.Result
@@ -149,29 +145,27 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 		cfg := review.DefaultConfig()
 		cfg.QueryBoxDepth = opts.ReviewBoxDepth
 		p := &walkthrough.ReviewPlayer{
-			Sys:         review.New(db.tree, cfg),
+			Sys:         review.New(tree, cfg),
 			Complement:  opts.Delta,
 			CacheBudget: opts.CacheBudget,
 			Render:      render.DefaultConfig(),
 		}
 		res, err = p.PlayContext(ctx, s)
 	} else {
-		tree := db.tree
-		if opts.Coherent || opts.AsyncPrefetch {
+		if opts.Coherent {
 			// The cut and the result free list are per-session state;
 			// playing on a private session keeps the shared tree clean.
-			tree = db.tree.Session()
+			tree = tree.Session()
 		}
 		p := &walkthrough.VisualPlayer{
-			Tree:          tree,
-			Eta:           opts.Eta,
-			Delta:         opts.Delta,
-			Prefetch:      opts.Prefetch,
-			Coherent:      opts.Coherent,
-			AsyncPrefetch: opts.AsyncPrefetch,
-			CacheBudget:   opts.CacheBudget,
-			Render:        render.DefaultConfig(),
-			FrameBudget:   opts.FrameBudget,
+			Tree:        tree,
+			Eta:         opts.Eta,
+			Delta:       opts.Delta,
+			Prefetch:    opts.Prefetch,
+			Coherent:    opts.Coherent,
+			CacheBudget: opts.CacheBudget,
+			Render:      render.DefaultConfig(),
+			FrameBudget: opts.FrameBudget,
 		}
 		var routed *shard.Session
 		if r := db.currentRouter(); r != nil {
@@ -182,18 +176,8 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 			p.Route = routed.RouteTree
 		}
 		res, err = p.PlayContext(ctx, s)
-		if err == nil && opts.Coherent && routed != nil {
-			cs := routed.CoherenceStats()
-			coherence = CoherenceStats{
-				Incremental: cs.Incremental, Full: cs.Full,
-				NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
-			}
-		} else if err == nil && opts.Coherent {
-			cs := tree.CoherenceStats()
-			coherence = CoherenceStats{
-				Incremental: cs.Incremental, Full: cs.Full,
-				NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
-			}
+		if err == nil && opts.Coherent {
+			coherence = (&Session{tree: tree, sh: routed}).CoherenceStats()
 		}
 	}
 	if err != nil {
