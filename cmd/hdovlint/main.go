@@ -3,9 +3,8 @@
 //
 //	go run ./cmd/hdovlint ./...
 //
-// Passes: pinrelease (buffer-pool pin/release contract), lockorder
-// (Disk.mu before Disk.statsMu, no nested locks, no unknown calls under
-// mu), determinism (no wall clock, randomness, or map-order dependence in
+// Passes: lockorder (Disk.mu before Disk.statsMu, no nested locks, no
+// unknown calls under mu), determinism (no wall clock, randomness, or map-order dependence in
 // the query/result path), errflow (no dropped serialization or storage
 // write errors), ctxflow (no severed or dropped context.Context on the
 // traversal path — deadlines set at the public API must reach the

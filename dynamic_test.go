@@ -443,3 +443,50 @@ func TestDBReadersRaceUpdate(t *testing.T) {
 		t.Fatalf("epoch %d after %d updates", db.Epoch(), batches)
 	}
 }
+
+// TestDBQueryRaceNewSession: a DB-level query moves the shared store's
+// cell cursor while NewSession and a coherent Walkthrough derive session
+// views from that store. A view must copy only the immutable layout, so
+// under -race this fails on any view that reads the cursor. The race
+// fires only when a view lands inside a flip, so CI runs it with
+// -count=20.
+func TestDBQueryRaceNewSession(t *testing.T) {
+	db, err := Build(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := db.QueryCell(i%db.NumCells(), 0.001); err != nil {
+				errs <- fmt.Errorf("DB query, round %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := db.NewSession().QueryCell((i+1)%db.NumCells(), 0.001); err != nil {
+				errs <- fmt.Errorf("session query, round %d: %w", i, err)
+				return
+			}
+			if i%8 == 0 {
+				opts := WalkOptions{Frames: 10, Eta: 0.001, Delta: true, Coherent: true, Seed: int64(i)}
+				if _, err := db.Walkthrough(opts); err != nil {
+					errs <- fmt.Errorf("coherent walk, round %d: %w", i, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -1,12 +1,11 @@
 // Package analysis implements hdovlint, the project-invariant static
 // analyzer. The HDoV codebase carries invariants that ordinary Go vetting
-// cannot see — pinned buffer-pool pages must reach Release on every path,
-// Disk.mu must never be acquired under Disk.statsMu, query traversal must
-// stay deterministic so the differential suite's byte-identical guarantee
-// holds, and decoder/write errors must not be dropped. Each invariant is a
-// Pass; the driver type-checks packages with the standard library only
-// (go/parser + go/types with a source importer, no module dependencies)
-// and reports findings with file:line positions.
+// cannot see — Disk.mu must never be acquired under Disk.statsMu, query
+// traversal must stay deterministic so the differential suite's
+// byte-identical guarantee holds, and decoder/write errors must not be
+// dropped. Each invariant is a Pass; the driver type-checks packages with
+// the standard library only (go/parser + go/types with a source importer,
+// no module dependencies) and reports findings with file:line positions.
 //
 // A finding can be suppressed with a comment on the same line or the line
 // directly above it:
@@ -70,7 +69,6 @@ type Pass interface {
 // committed API snapshot for the apisnapshot pass (empty disables it).
 func Passes(apiGoldenPath string) []Pass {
 	ps := []Pass{
-		&PinReleasePass{},
 		&LockOrderPass{},
 		&DeterminismPass{},
 		&ErrFlowPass{},

@@ -53,12 +53,9 @@ func TestPassFixtures(t *testing.T) {
 		pass Pass
 		path string
 	}{
-		{&PinReleasePass{}, "fixture/pinrelease"},
 		{&LockOrderPass{}, "fixture/internal/storage"},
 		{&DeterminismPass{}, "fixture/internal/core"},
 		{&DeterminismPass{}, "fixture/internal/dbfile"},
-		{&DeterminismPass{}, "fixture/prefetch/internal/storage"},
-		{&DeterminismPass{}, "fixture/prefetch/internal/walkthrough"},
 		{&ErrFlowPass{}, "fixture/errflow"},
 		{&CtxFlowPass{}, "fixture/ctxflow/internal/core"},
 		{&SnapFreezePass{}, "fixture/snapfreeze"},
@@ -116,7 +113,7 @@ func renderFindings(fs []Finding) string {
 // so its staleness is unknowable here.
 func TestSuppression(t *testing.T) {
 	l := fixtureLoader(t)
-	findings, err := Run(l, []Pass{&PinReleasePass{}}, []string{"fixture/suppress"})
+	findings, err := Run(l, []Pass{&ErrFlowPass{}}, []string{"fixture/suppress"})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -124,12 +121,12 @@ func TestSuppression(t *testing.T) {
 	for _, f := range findings {
 		byPass[f.Pass]++
 	}
-	// WrongPass, Malformed, and UnknownPass leak through (3 pinrelease);
+	// WrongPass, Malformed, and UnknownPass leak through (3 errflow);
 	// the malformed directive, the unknown-pass directive, and the stale
 	// Unused directive are reported (3 suppress); Good and Wildcard are
 	// silent.
-	if byPass["pinrelease"] != 3 || byPass["suppress"] != 3 || len(findings) != 6 {
-		t.Fatalf("want 3 pinrelease + 3 suppress, got:\n%s", renderFindings(findings))
+	if byPass["errflow"] != 3 || byPass["suppress"] != 3 || len(findings) != 6 {
+		t.Fatalf("want 3 errflow + 3 suppress, got:\n%s", renderFindings(findings))
 	}
 	var sawUnused, sawUnknown bool
 	for _, f := range findings {

@@ -6,15 +6,14 @@ import (
 )
 
 // This file is the shared control-flow layer under the path-sensitive
-// passes (pinrelease, errflow, atomicpub): a per-function CFG over the
-// raw go/ast, built without any dependency outside the standard library.
+// passes (errflow, atomicpub): a per-function CFG over the raw go/ast,
+// built without any dependency outside the standard library.
 //
 // The graph decomposes short-circuit conditions, so every edge out of a
 // condition block carries the *leaf* comparison that is known true (or
 // false, when Negate is set) on that edge — exactly what a dataflow
-// client needs to refine facts like "err is non-nil here" or "the pin is
-// nil on this path". Loops, labeled break/continue, goto, switch (with
-// fallthrough), type switch, and select are all wired; `defer` keeps its
+// client needs to refine facts like "err is non-nil here". Loops,
+// labeled break/continue, goto, switch (with fallthrough), type switch, and select are all wired; `defer` keeps its
 // syntactic position as an ordinary node (the registration point is what
 // obligation-style passes reason about) and is additionally collected in
 // CFG.Defers. A `panic(...)` statement terminates its path without an

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -37,13 +36,6 @@ import (
 // baseline, so shard iteration, scatter grouping and stats aggregation
 // must walk slices in index order — a map range over shards would
 // reorder per-store access sequences between runs.
-//
-// The pass additionally enforces prefetch isolation (DESIGN.md §12): the
-// background prefetcher must never see query state, or its timing could
-// leak into answers. In internal/storage, goroutine bodies may not
-// reference core.QueryResult; in internal/storage and
-// internal/walkthrough, closures handed to an Enqueue call may not
-// either — jobs carry page and cell identifiers only.
 type DeterminismPass struct {
 	// Packages restricts the pass (import-path suffix match, "" entry
 	// meaning the module root). Empty means the query-path default.
@@ -83,10 +75,10 @@ var bannedCalls = map[string]string{
 
 // Run implements Pass.
 func (p *DeterminismPass) Run(pkg *Package) []Finding {
-	out := p.prefetchIsolation(pkg)
 	if !p.scope(pkg) {
-		return out
+		return nil
 	}
+	var out []Finding
 	for _, file := range pkg.Files {
 		for _, imp := range file.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
@@ -114,108 +106,6 @@ func (p *DeterminismPass) Run(pkg *Package) []Finding {
 		})
 	}
 	return out
-}
-
-// prefetchIsolation is the prefetcher's no-query-state contract: the
-// worker goroutine and every enqueued job see page IDs, never results.
-func (p *DeterminismPass) prefetchIsolation(pkg *Package) []Finding {
-	isStorage := strings.HasSuffix(pkg.Path, "internal/storage")
-	isWalk := strings.HasSuffix(pkg.Path, "internal/walkthrough")
-	if !isStorage && !isWalk {
-		return nil
-	}
-	var out []Finding
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.GoStmt:
-				// Walkthrough players legitimately move results across
-				// goroutines (the session manager); only storage-side
-				// goroutines are the prefetch worker's domain.
-				if !isStorage {
-					return true
-				}
-				if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-					if pos, name := queryResultRef(pkg, fl.Body); name != "" {
-						out = append(out, finding("determinism", pkg.Fset, pos,
-							"goroutine in internal/storage references core.QueryResult (%s): the prefetch worker must see only page IDs", name))
-					}
-				}
-			case *ast.CallExpr:
-				sel, ok := x.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Enqueue" {
-					return true
-				}
-				for _, arg := range x.Args {
-					fl, ok := arg.(*ast.FuncLit)
-					if !ok {
-						continue
-					}
-					if pos, name := queryResultRef(pkg, fl.Body); name != "" {
-						out = append(out, finding("determinism", pkg.Fset, pos,
-							"prefetch job references core.QueryResult (%s): enqueued closures may capture only page and cell identifiers", name))
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// queryResultRef finds the first identifier in body whose type involves
-// core's QueryResult.
-func queryResultRef(pkg *Package, body *ast.BlockStmt) (token.Pos, string) {
-	var pos token.Pos
-	var name string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if name != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pkg.Info.Uses[id]
-		if obj == nil {
-			obj = pkg.Info.Defs[id]
-		}
-		if obj == nil {
-			return true
-		}
-		if mentionsQueryResult(obj.Type()) {
-			pos, name = id.Pos(), id.Name
-			return false
-		}
-		return true
-	})
-	return pos, name
-}
-
-// mentionsQueryResult unwraps reference-like wrappers and reports whether
-// the underlying named type is internal/core's QueryResult.
-func mentionsQueryResult(t types.Type) bool {
-	for i := 0; i < 8; i++ {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Slice:
-			t = x.Elem()
-		case *types.Array:
-			t = x.Elem()
-		case *types.Chan:
-			t = x.Elem()
-		case *types.Map:
-			t = x.Elem()
-		case *types.Named:
-			obj := x.Obj()
-			return obj.Name() == "QueryResult" && obj.Pkg() != nil &&
-				strings.HasSuffix(obj.Pkg().Path(), "internal/core")
-		default:
-			return false
-		}
-	}
-	return false
 }
 
 // bannedCall matches pkg-qualified calls against the banned set.

@@ -45,10 +45,3 @@ func SuppressedWalk(m map[int]int) int {
 	}
 	return s
 }
-
-// QueryResult mirrors the real core.QueryResult for the prefetch
-// isolation fixtures: its package path ends in internal/core, which is
-// what the rule matches on.
-type QueryResult struct {
-	Items []int
-}

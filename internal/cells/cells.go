@@ -128,27 +128,6 @@ func (g *Grid) SamplePoints(id CellID, n int) []geom.Vec3 {
 	return pts
 }
 
-// Neighbors returns the IDs of the up-to-8 cells adjacent to id (including
-// diagonals).
-func (g *Grid) Neighbors(id CellID) []CellID {
-	ix := int(id) % g.NX
-	iy := int(id) / g.NX
-	out := make([]CellID, 0, 8)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			nx, ny := ix+dx, iy+dy
-			if nx < 0 || nx >= g.NX || ny < 0 || ny >= g.NY {
-				continue
-			}
-			out = append(out, CellID(ny*g.NX+nx))
-		}
-	}
-	return out
-}
-
 // Validate checks grid consistency.
 func (g *Grid) Validate() error {
 	if g.NX < 1 || g.NY < 1 {

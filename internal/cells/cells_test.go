@@ -139,33 +139,6 @@ func TestSamplePoints(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g := testGrid()
-	// Corner cell: 3 neighbors.
-	if n := g.Neighbors(0); len(n) != 3 {
-		t.Fatalf("corner neighbors = %d", len(n))
-	}
-	// Edge cell: 5 neighbors.
-	if n := g.Neighbors(5); len(n) != 5 {
-		t.Fatalf("edge neighbors = %d", len(n))
-	}
-	// Interior cell: 8 neighbors.
-	inner := CellID(3*10 + 5)
-	n := g.Neighbors(inner)
-	if len(n) != 8 {
-		t.Fatalf("interior neighbors = %d", len(n))
-	}
-	for _, id := range n {
-		if id == inner {
-			t.Fatal("cell is its own neighbor")
-		}
-		// Neighbor bounds must touch the cell bounds.
-		if !g.CellBounds(id).Intersects(g.CellBounds(inner)) {
-			t.Fatalf("neighbor %d does not touch %d", id, inner)
-		}
-	}
-}
-
 func TestPropLocateConsistent(t *testing.T) {
 	g := testGrid()
 	f := func(seed int64) bool {

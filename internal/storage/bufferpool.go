@@ -1,11 +1,11 @@
 package storage
 
-// Buffer pool: an optional sharded LRU cache over disk pages with a
-// pin/unpin discipline. The paper's prototype deliberately runs without
-// node caching ("None of the two systems caches the tree nodes in the
-// queries", §5.4), so the pool is disabled by default; the ablation suite
-// (DESIGN.md D6) and the concurrent serving path (DESIGN.md §10) measure
-// what a buffer manager adds.
+// Buffer pool: an optional sharded LRU cache over disk pages. The paper's
+// prototype deliberately runs without node caching ("None of the two
+// systems caches the tree nodes in the queries", §5.4), so the pool is
+// disabled by default; the ablation suite (DESIGN.md D6) and the
+// concurrent serving path (DESIGN.md §10) measure what a buffer manager
+// adds.
 //
 // Admission is class-aware: light-class (index) pages — tree nodes,
 // V-pages, V-page-index segments — are always admitted, because they are
@@ -17,17 +17,12 @@ package storage
 //
 // Concurrency: the pool is safe for concurrent use. It is split into
 // power-of-two shards, each with its own mutex, LRU list and map, so
-// concurrent sessions hitting disjoint pages do not serialize. A frame
-// with a positive pin count is never evicted; Release drops the pin.
-// Page data slices are immutable once inserted (WritePage invalidates
-// rather than mutates), so a data slice returned by a lookup stays valid
-// after eviction — pinning is about guaranteed residency (and honest
-// memory accounting), not use-after-free.
+// concurrent sessions hitting disjoint pages do not serialize. Page data
+// slices are immutable once inserted (WritePage invalidates rather than
+// mutates), so a data slice returned by a lookup stays valid after
+// eviction.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // PoolConfig configures the disk's buffer pool.
 type PoolConfig struct {
@@ -49,9 +44,9 @@ type PoolStats struct {
 	LightHits, LightMisses int64
 	HeavyHits, HeavyMisses int64
 	Evictions              int64
-	// Pages and Pinned are the current resident and pinned frame counts;
-	// Capacity is the configured limit.
-	Pages, Pinned, Capacity int
+	// Pages is the current resident frame count; Capacity is the
+	// configured limit.
+	Pages, Capacity int
 	// ResidentBytes is the on-disk (encoded) byte footprint of the
 	// resident frames. With the codec V-page layout the decoded working
 	// set is larger than this.
@@ -64,11 +59,10 @@ func (p PoolStats) Hits() int64 { return p.LightHits + p.HeavyHits }
 // Misses returns total misses across classes.
 func (p PoolStats) Misses() int64 { return p.LightMisses + p.HeavyMisses }
 
-// bufFrame is one cached page copy with its pin count.
+// bufFrame is one cached page copy.
 type bufFrame struct {
 	id         PageID
 	data       []byte
-	pins       int
 	prev, next *bufFrame
 }
 
@@ -142,10 +136,8 @@ func (b *bufferPool) get(id PageID) (data []byte, ok bool) {
 	return f.data, true
 }
 
-// put inserts (or refreshes) a page copy, evicting the LRU unpinned frame
-// if the shard is full. Pinned frames are never evicted; if every frame is
-// pinned the shard temporarily exceeds capacity rather than stall. The
-// returned eviction count is charged by the caller.
+// put inserts (or refreshes) a page copy, evicting the LRU frame if the
+// shard is full. The returned eviction count is charged by the caller.
 func (b *bufferPool) put(id PageID, data []byte) (evictions int64) {
 	s := b.shard(id)
 	s.mu.Lock()
@@ -163,12 +155,6 @@ func (b *bufferPool) put(id PageID, data []byte) (evictions int64) {
 	s.pushFront(f)
 	for len(s.frames) > s.capacity {
 		victim := s.tail
-		for victim != nil && victim.pins > 0 {
-			victim = victim.prev
-		}
-		if victim == nil {
-			break // every frame pinned: run over capacity
-		}
 		s.unlink(victim)
 		delete(s.frames, victim.id)
 		evictions++
@@ -176,36 +162,8 @@ func (b *bufferPool) put(id PageID, data []byte) (evictions int64) {
 	return evictions
 }
 
-// pin looks up id and, on a hit, increments its pin count so the frame
-// cannot be evicted until release. Pin does not count a hit or miss — it
-// is a residency guarantee, not an I/O.
-func (b *bufferPool) pin(id PageID) ([]byte, bool) {
-	s := b.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok {
-		return nil, false
-	}
-	f.pins++
-	s.moveToFront(f)
-	return f.data, true
-}
-
-// release drops one pin from id (no-op if the frame is gone or unpinned).
-func (b *bufferPool) release(id PageID) {
-	s := b.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.frames[id]; ok && f.pins > 0 {
-		f.pins--
-	}
-}
-
 // invalidate drops a page (called on writes, corruption marks and
-// quarantines so readers never see stale data). A pinned frame is dropped
-// from the map too: the pin holder keeps its immutable data slice, but no
-// future lookup may serve the superseded copy.
+// quarantines so readers never see stale data).
 func (b *bufferPool) invalidate(id PageID) {
 	s := b.shard(id)
 	s.mu.Lock()
@@ -216,8 +174,8 @@ func (b *bufferPool) invalidate(id PageID) {
 	}
 }
 
-// gauges walks the shards for the structural snapshot: resident and pinned
-// frame counts and byte footprint. The flow counters (hits, misses,
+// gauges walks the shards for the structural snapshot: resident frame
+// count and byte footprint. The flow counters (hits, misses,
 // evictions) live in Disk.stats, not here.
 func (b *bufferPool) gauges() PoolStats {
 	var out PoolStats
@@ -226,9 +184,6 @@ func (b *bufferPool) gauges() PoolStats {
 		s.mu.Lock()
 		out.Pages += len(s.frames)
 		for f := s.head; f != nil; f = f.next {
-			if f.pins > 0 {
-				out.Pinned++
-			}
 			out.ResidentBytes += int64(len(f.data))
 		}
 		s.mu.Unlock()
@@ -310,7 +265,7 @@ func (d *Disk) CacheStats() (hits, misses int64) {
 // The flow counters (hits, misses, evictions) come from
 // one snapshot of the disk's stats lock, so they are mutually consistent
 // with each other and with Stats(); the structural gauges (resident pages,
-// pins, bytes) are read from the shards afterwards.
+// bytes) are read from the shards afterwards.
 func (d *Disk) PoolStats() PoolStats {
 	d.mu.RLock()
 	pool := d.pool
@@ -326,66 +281,4 @@ func (d *Disk) PoolStats() PoolStats {
 	out.HeavyHits, out.HeavyMisses = s.PoolHeavyHits, s.PoolHeavyMisses
 	out.Evictions = s.PoolEvictions
 	return out
-}
-
-// PinnedPage is a page held resident in the buffer pool. The Data slice
-// is immutable; Release drops the residency guarantee. Release is
-// idempotent and safe to call concurrently: exactly one call decrements
-// the pin count, every other is a no-op.
-type PinnedPage struct {
-	d        *Disk
-	id       PageID
-	released atomic.Bool
-	// Data is the page content at pin time.
-	Data []byte
-}
-
-// Release unpins the page, making its frame evictable again. The
-// compare-and-swap guarantees a double (or racing) Release cannot
-// decrement the frame's pin count twice — an extra decrement would let
-// the pool evict a frame some other holder still relies on.
-func (p *PinnedPage) Release() {
-	if p == nil || !p.released.CompareAndSwap(false, true) {
-		return
-	}
-	p.d.mu.RLock()
-	pool := p.d.pool
-	p.d.mu.RUnlock()
-	if pool != nil {
-		pool.release(p.id)
-	}
-}
-
-// PinPage reads a page (through the pool, charging I/O only on a miss)
-// and pins its frame so it stays resident until Release. With no pool
-// installed it degrades to a plain ReadPage — the returned page is valid
-// but nothing is held.
-func (d *Disk) PinPage(id PageID, class Class) (*PinnedPage, error) {
-	return d.pinPage(id, class, nil)
-}
-
-func (d *Disk) pinPage(id PageID, class Class, sink *Client) (*PinnedPage, error) {
-	d.mu.RLock()
-	pool := d.pool
-	d.mu.RUnlock()
-	if pool != nil && pool.caches(class) {
-		if data, ok := pool.pin(id); ok {
-			return &PinnedPage{d: d, id: id, Data: data}, nil
-		}
-	}
-	data, err := d.readPage(id, class, sink)
-	if err != nil {
-		return nil, err
-	}
-	out := &PinnedPage{d: d, id: id, Data: data}
-	if pool != nil && pool.caches(class) {
-		if pinned, ok := pool.pin(id); ok {
-			out.Data = pinned
-		} else {
-			out.released.Store(true) // not resident (pool races or admission off)
-		}
-	} else {
-		out.released.Store(true)
-	}
-	return out, nil
 }

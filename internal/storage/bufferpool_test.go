@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
 
@@ -136,67 +135,4 @@ func TestBufferPoolCorruptPropagates(t *testing.T) {
 	if _, err := d.ReadPage(p, ClassLight); err != nil {
 		t.Fatal("healed read failed")
 	}
-}
-
-// TestPinnedPageDoubleRelease is the regression test for the idempotent
-// Release contract: a second (even concurrent) Release must not decrement
-// the frame's pin count again, or the pool could evict a frame another
-// pin holder still depends on.
-func TestPinnedPageDoubleRelease(t *testing.T) {
-	d := newTestDisk()
-	id := d.AllocPages(1)
-	_ = d.WriteBytes(id, []byte("pinned"))
-	d.SetCacheSize(8)
-
-	// Two independent pins on the same page: pin count 2.
-	p1, err := d.PinPage(id, ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := d.PinPage(id, ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.PoolStats().Pinned; got != 1 {
-		t.Fatalf("pinned frames = %d, want 1", got)
-	}
-
-	// Hammer Release on p1 from many goroutines: exactly one decrement.
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p1.Release()
-		}()
-	}
-	wg.Wait()
-	p1.Release() // and a late sequential double-release for good measure
-
-	// p2's pin must still hold the frame.
-	if got := d.PoolStats().Pinned; got != 1 {
-		t.Fatalf("after releasing p1 %d times, pinned frames = %d, want 1 (p2 still holds)", 17, got)
-	}
-	p2.Release()
-	if got := d.PoolStats().Pinned; got != 0 {
-		t.Fatalf("after releasing both pins, pinned frames = %d, want 0", got)
-	}
-
-	// A released frame must be evictable again: fill the pool past
-	// capacity and check the page can be evicted (no stuck pin).
-	for i := 0; i < 16; i++ {
-		pg := d.AllocPages(1)
-		if _, err := d.ReadPage(pg, ClassLight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ev := d.PoolStats().Evictions; ev == 0 {
-		t.Fatalf("expected evictions after over-filling an unpinned pool, got 0")
-	}
-}
-
-// TestPinnedPageNilRelease: Release on a nil pin is a documented no-op.
-func TestPinnedPageNilRelease(t *testing.T) {
-	var p *PinnedPage
-	p.Release()
 }

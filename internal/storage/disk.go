@@ -133,11 +133,9 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Add returns s + o, for aggregating accounting across shard stores.
-func (s Stats) Add(o Stats) Stats { return s.add(o) }
-
-// add returns s + o.
-func (s Stats) add(o Stats) Stats {
+// Add returns s + o, for charging a read's delta and for aggregating
+// accounting across shard stores.
+func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Reads:           s.Reads + o.Reads,
 		Writes:          s.Writes + o.Writes,
@@ -349,7 +347,7 @@ func (d *Disk) ResetStats() {
 // client issued the I/O, to that client's counters.
 func (d *Disk) charge(delta Stats, sink *Client) {
 	d.statsMu.Lock()
-	d.stats = d.stats.add(delta)
+	d.stats = d.stats.Add(delta)
 	d.statsMu.Unlock()
 	if sink != nil {
 		sink.add(delta)
@@ -679,7 +677,7 @@ func (d *Disk) account(id PageID, n int64, class Class, sink *Client) {
 	default:
 		delta.LightReads = n
 	}
-	d.stats = d.stats.add(delta)
+	d.stats = d.stats.Add(delta)
 	d.statsMu.Unlock()
 	if sink != nil {
 		sink.add(delta)
@@ -869,7 +867,7 @@ func (c *Client) Disk() *Disk { return c.d }
 // add accumulates a charged delta.
 func (c *Client) add(delta Stats) {
 	c.mu.Lock()
-	c.s = c.s.add(delta)
+	c.s = c.s.Add(delta)
 	c.mu.Unlock()
 }
 
@@ -941,9 +939,4 @@ func (c *Client) ReadBytes(start PageID, length int, class Class) ([]byte, error
 // ReadExtent mirrors Disk.ReadExtent with per-client attribution.
 func (c *Client) ReadExtent(start PageID, n int, class Class) error {
 	return c.d.readExtent(start, n, class, c)
-}
-
-// PinPage mirrors Disk.PinPage with per-client attribution.
-func (c *Client) PinPage(id PageID, class Class) (*PinnedPage, error) {
-	return c.d.pinPage(id, class, c)
 }

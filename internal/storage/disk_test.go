@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,6 +178,31 @@ func TestStatsSubAndReset(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Fatal("reset did not zero stats")
+	}
+}
+
+// TestStatsAddSubEveryField gives every Stats field a distinct non-zero
+// value and checks Add and Sub field by field, so a counter added to
+// Stats but left out of either hand-written list fails here.
+func TestStatsAddSubEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is %s; extend this test", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+		va.Field(i).SetInt(int64(i+1) * 1000)
+		vb.Field(i).SetInt(int64(i + 1))
+	}
+	sum, diff := reflect.ValueOf(a.Add(b)), reflect.ValueOf(a.Sub(b))
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		if got, want := sum.Field(i).Int(), int64(i+1)*1001; got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+		if got, want := diff.Field(i).Int(), int64(i+1)*999; got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
 	}
 }
 

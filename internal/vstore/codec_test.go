@@ -3,6 +3,7 @@ package vstore
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cells"
@@ -220,6 +221,45 @@ func buildBothLayouts(t *testing.T, vis *core.VisData) (d *storage.Disk, raw, co
 		t.Fatal(err)
 	}
 	return d, [3]core.VStore{h, v, iv}, [3]core.VStore{ch, cv, civ}
+}
+
+// TestViewCopiesLayoutNotCursor checks every scheme's View field by
+// field: a view shares all of the layout, charges its own client, and
+// starts with an empty cursor even when the base store has flipped —
+// View must not read the cursor, which a concurrent query may be moving.
+func TestViewCopiesLayoutNotCursor(t *testing.T) {
+	vis := dyadicVisData(t, 60, 4, 4, 0.25, 3)
+	d, raw, codec := buildBothLayouts(t, vis)
+	c := d.NewClient()
+	for _, s := range append(raw[:], codec[:]...) {
+		if err := s.SetCell(3); err != nil {
+			t.Fatal(err)
+		}
+		view := s.(core.VStoreViewer).View(c)
+		var want, got any
+		switch b := s.(type) {
+		case *Horizontal:
+			w := *b
+			w.io, w.cur, w.hasCell = c, 0, false
+			want, got = w, *view.(*Horizontal)
+		case *Vertical:
+			w := *b
+			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
+			w.curSeg, w.curOffs, w.curLens = nil, nil, nil
+			want, got = w, *view.(*Vertical)
+		case *IndexedVertical:
+			w := *b
+			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
+			w.curMap, w.curRef = nil, nil
+			want, got = w, *view.(*IndexedVertical)
+		default:
+			t.Fatalf("unexpected scheme %T", s)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s (codec %v): view differs from the base layout with an empty cursor",
+				s.Name(), s.(interface{ Codec() bool }).Codec())
+		}
+	}
 }
 
 // Codec schemes must answer every (cell, node) query identically to their

@@ -153,12 +153,26 @@ func (h *Horizontal) slotOf(id core.NodeID, cell cells.CellID) int64 {
 func (h *Horizontal) Name() string { return "horizontal" }
 
 // View implements core.VStoreViewer: a per-session view sharing the
-// on-disk layout but owning its cell cursor and charging reads to io.
+// on-disk layout but owning its cell cursor and charging reads to io. It
+// copies only the layout, which is immutable after build or open: the
+// cursor belongs to whichever query owns h and may be moving right now.
 func (h *Horizontal) View(io *storage.Client) core.VStore {
-	cp := *h
-	cp.io = io
-	cp.hasCell = false
-	return &cp
+	return &Horizontal{
+		disk:       h.disk,
+		io:         io,
+		grid:       h.grid,
+		numNodes:   h.numNodes,
+		slots:      h.slots,
+		vpageBytes: h.vpageBytes,
+		sizeBytes:  h.sizeBytes,
+		codec:      h.codec,
+		heapBase:   h.heapBase,
+		heapBytes:  h.heapBytes,
+		dirBase:    h.dirBase,
+		dir:        h.dir,
+		units:      h.units,
+		unitBytes:  h.unitBytes,
+	}
 }
 
 // SizeBytes implements core.VStore — the Table 2 storage cost.

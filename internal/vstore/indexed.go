@@ -187,15 +187,26 @@ func (iv *IndexedVertical) Name() string { return "indexed-vertical" }
 
 // View implements core.VStoreViewer: a per-session view sharing the
 // on-disk layout and directory but owning its flipped segment map and
-// charging reads to io.
+// charging reads to io. It copies only the layout, which is immutable
+// after build or open: the cursor belongs to whichever query owns iv and
+// may be moving right now.
 func (iv *IndexedVertical) View(io *storage.Client) core.VStore {
-	cp := *iv
-	cp.io = io
-	cp.hasCell = false
-	cp.curMap = nil
-	cp.curRef = nil
-	cp.flips = 0
-	return &cp
+	return &IndexedVertical{
+		disk:       iv.disk,
+		io:         io,
+		grid:       iv.grid,
+		numNodes:   iv.numNodes,
+		slots:      iv.slots,
+		vpageBytes: iv.vpageBytes,
+		dir:        iv.dir,
+		size:       iv.size,
+		codec:      iv.codec,
+		heapBase:   iv.heapBase,
+		heapBytes:  iv.heapBytes,
+		cdir:       iv.cdir,
+		units:      iv.units,
+		unitBytes:  iv.unitBytes,
+	}
 }
 
 // SizeBytes implements core.VStore.

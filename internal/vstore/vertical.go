@@ -195,15 +195,26 @@ func (v *Vertical) Name() string { return "vertical" }
 
 // View implements core.VStoreViewer: a per-session view sharing the
 // on-disk layout but owning its flipped segment and charging reads to io.
+// It copies only the layout, which is immutable after build or open: the
+// cursor belongs to whichever query owns v and may be moving right now.
 func (v *Vertical) View(io *storage.Client) core.VStore {
-	cp := *v
-	cp.io = io
-	cp.hasCell = false
-	cp.curSeg = nil
-	cp.curOffs = nil
-	cp.curLens = nil
-	cp.flips = 0
-	return &cp
+	return &Vertical{
+		disk:       v.disk,
+		io:         io,
+		grid:       v.grid,
+		numNodes:   v.numNodes,
+		segBase:    v.segBase,
+		segPages:   v.segPages,
+		slots:      v.slots,
+		vpageBytes: v.vpageBytes,
+		size:       v.size,
+		codec:      v.codec,
+		heapBase:   v.heapBase,
+		heapBytes:  v.heapBytes,
+		cdir:       v.cdir,
+		units:      v.units,
+		unitBytes:  v.unitBytes,
+	}
 }
 
 // SizeBytes implements core.VStore.
