@@ -51,11 +51,11 @@ func runDifferential(t *testing.T, dir string) {
 
 	// Serial.
 	for _, c := range cells {
-		a, err := sim.QueryCell(c, 0.002)
+		a, err := sim.NewSession().QueryCell(c, 0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fb.QueryCell(c, 0.002)
+		b, err := fb.NewSession().QueryCell(c, 0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +66,11 @@ func runDifferential(t *testing.T, dir string) {
 	sim.SetParallel(4)
 	fb.SetParallel(4)
 	for _, c := range cells {
-		a, err := sim.QueryCell(c, 0.002)
+		a, err := sim.NewSession().QueryCell(c, 0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fb.QueryCell(c, 0.002)
+		b, err := fb.NewSession().QueryCell(c, 0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestShardedUpdateFileBacked(t *testing.T) {
 		}()
 		var moveErr error
 		for _, d := range []*DB{ref, db} {
-			if moveErr = d.Move(id, dx, 1, 0); moveErr != nil {
+			if _, moveErr = d.Update(func(u *Updater) { u.Move(id, dx, 1, 0) }); moveErr != nil {
 				break
 			}
 		}
@@ -355,11 +355,12 @@ func TestBuildFileBacked(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(pagesDir, "pages.dat")); err != nil {
 		t.Fatalf("page file not created: %v", err)
 	}
-	res, err := db.QueryCell(0, 0.002)
+	s := db.NewSession()
+	res, err := s.QueryCell(0, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Fetch(res); err != nil {
+	if err := s.Fetch(res); err != nil {
 		t.Fatal(err)
 	}
 	if db.DiskStats().MeasuredTime <= 0 {
@@ -374,11 +375,11 @@ func TestBuildFileBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	a, err := db.QueryCell(1, 0.002)
+	a, err := db.NewSession().QueryCell(1, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := re.QueryCell(1, 0.002)
+	b, err := re.NewSession().QueryCell(1, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}

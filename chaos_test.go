@@ -56,7 +56,7 @@ func TestServeChaosSmoke(t *testing.T) {
 	db.ClearFaults()
 	db.SetBreaker(BreakerConfig{})
 	db.SetFaultTolerant(false)
-	res, err := db.Query(centerPoint(db), 0.001)
+	res, err := db.NewSession().QueryCell(db.CellOf(centerPoint(db)), 0.001)
 	if err != nil {
 		t.Fatalf("post-chaos query failed: %v", err)
 	}

@@ -157,7 +157,9 @@ func TestFsckGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pos := range [][2]float64{{30, 30}, {95, 60}} {
-		if _, err := dynDB.Insert(hdov.InsertSpec{Seed: int64(i + 1), X: pos[0], Y: pos[1], Radius: 1.5}); err != nil {
+		if _, err := dynDB.Update(func(u *hdov.Updater) {
+			u.Insert(hdov.InsertSpec{Seed: int64(i + 1), X: pos[0], Y: pos[1], Radius: 1.5})
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := dynDB.CommitEpoch(dyn); err != nil {

@@ -131,7 +131,7 @@ func TestConcurrentQueriesAndSave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
-		got, err := re.QueryCell(cell, 0.001)
+		got, err := re.NewSession().QueryCell(cell, 0.001)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -181,10 +181,114 @@ func TestServeAPI(t *testing.T) {
 
 	for name, opts := range map[string]WalkOptions{
 		"UseREVIEW": {UseREVIEW: true},
-		"Coherent":  {Coherent: true},
 	} {
 		if _, err := db.Serve(opts, 2); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("Serve with %s: err = %v, want a rejection naming the option", name, err)
 		}
+	}
+
+	// Coherent serving: each client keeps its own retained cut, so with
+	// no pool it reads no more pages than the same client walking the
+	// same path from the root at every cell.
+	db.SetCacheSize(0)
+	full, err := db.Serve(WalkOptions{Frames: 60, Eta: 0.001, Delta: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := db.Serve(WalkOptions{Frames: 60, Eta: 0.001, Delta: true, Coherent: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warmReads, fullReads int64
+	for i, w := range warm.PerClient {
+		f := full.PerClient[i]
+		warmReads, fullReads = warmReads+w.Reads, fullReads+f.Reads
+		if w.Err != "" || f.Err != "" {
+			t.Fatalf("client %d: coherent err %q, full err %q", i, w.Err, f.Err)
+		}
+		if w.Queries != f.Queries {
+			t.Fatalf("client %d: coherent walk ran %d queries, full walk %d", i, w.Queries, f.Queries)
+		}
+		if w.Reads > f.Reads {
+			t.Fatalf("client %d: coherent walk read %d pages, full walk %d", i, w.Reads, f.Reads)
+		}
+	}
+	if warmReads >= fullReads {
+		t.Fatalf("coherent clients read %d pages in all, full-traversal clients %d: the cut saved nothing", warmReads, fullReads)
+	}
+
+	// Walkthrough is Serve with one client: client 0's path, queries and
+	// page reads.
+	ws, err := db.Walkthrough(WalkOptions{Frames: 60, Eta: 0.001, Delta: true, Coherent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := warm.PerClient[0]
+	if ws.Queries != c0.Queries || ws.TotalLightIO+ws.TotalHeavyIO != c0.Reads {
+		t.Fatalf("Walkthrough ran %d queries reading %d pages; Serve's client 0 %d and %d",
+			ws.Queries, ws.TotalLightIO+ws.TotalHeavyIO, c0.Queries, c0.Reads)
+	}
+	if ws.Coherence.Incremental == 0 {
+		t.Fatal("coherent Walkthrough recorded no cut activity")
+	}
+}
+
+// TestConcurrentWalkthroughsRace: two non-coherent VISUAL walkthroughs,
+// a REVIEW walkthrough and a session's query, fetch and LoadMesh run at
+// once on one DB. Each walk plays on its own session, so under -race
+// this fails on any walk that moves a cell cursor another reader uses,
+// and each VISUAL walk charges exactly the pages it charges alone. CI
+// runs it with -count=20.
+func TestConcurrentWalkthroughsRace(t *testing.T) {
+	db := testDB(t)
+	visual := WalkOptions{Frames: 40, Eta: 0.001, Delta: true}
+	ref, err := db.Walkthrough(visual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws, err := db.Walkthrough(visual)
+			if err == nil && (ws.Queries != ref.Queries || ws.TotalLightIO != ref.TotalLightIO || ws.TotalHeavyIO != ref.TotalHeavyIO) {
+				err = fmt.Errorf("%d queries, %d light and %d heavy pages; alone %d, %d and %d",
+					ws.Queries, ws.TotalLightIO, ws.TotalHeavyIO, ref.Queries, ref.TotalLightIO, ref.TotalHeavyIO)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("VISUAL walk %d: %w", g, err)
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, err := db.Walkthrough(WalkOptions{Frames: 40, UseREVIEW: true, Delta: true}); err != nil {
+			errs <- fmt.Errorf("REVIEW walk: %w", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		s := db.NewSession()
+		for c := 0; c < db.NumCells(); c += 5 {
+			r, err := s.QueryCell(c, 0.001)
+			if err == nil {
+				err = s.Fetch(r)
+			}
+			if err == nil && len(r.Items) > 0 {
+				_, err = db.LoadMesh(r.Items[0])
+			}
+			if err != nil {
+				errs <- fmt.Errorf("session reader, cell %d: %w", c, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -2,20 +2,20 @@ package hdov
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/cells"
-	"repro/internal/core"
 	"repro/internal/overload"
 	"repro/internal/storage"
 )
 
 // Deadlines, cancellation, and overload control — the public surface of
-// DESIGN.md §14. Every query entry point has a Context-taking form;
-// the plain forms run unbounded and behave exactly as before. Overload
-// machinery (admission, shedding, the circuit breaker) is opt-in per
-// call or per DB and reports every shed or rejected request explicitly.
+// DESIGN.md §14. Every read runs on a Session, and each of its query and
+// fetch forms has a Context-taking twin (QueryCellContext,
+// QueryCellCoherentContext, FetchContext), as do Walkthrough and Serve;
+// the plain forms run unbounded. Overload machinery (admission, shedding,
+// the circuit breaker) is opt-in per call or per DB and reports every
+// shed or rejected request explicitly.
 
 // ErrOverloaded is returned (wrapped) when admission control rejects a
 // request: the serving stack is saturated and the wait queue is full, or
@@ -94,56 +94,12 @@ func (db *DB) BreakerStats() BreakerStats {
 	}
 }
 
-// QueryContext is Query bounded by ctx: the traversal observes
+// QueryCellContext is QueryCell bounded by ctx: the traversal observes
 // cancellation or deadline expiry within one node expansion, and reads
 // that would start after the deadline fail fast without paying seek,
 // transfer, or retry cost. The error wraps context.Canceled or
 // context.DeadlineExceeded. With a background context the answer is
-// byte-identical to Query's.
-func (db *DB) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	t, _ := db.snapshot()
-	cell := t.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return queryCellOn(ctx, t, int(cell), eta)
-}
-
-// QueryCellContext is QueryContext for an explicit cell index.
-func (db *DB) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	t, _ := db.snapshot()
-	return queryCellOn(ctx, t, cell, eta)
-}
-
-// queryCellOn answers the DB-level query for cell on one epoch's tree.
-func queryCellOn(ctx context.Context, t *core.Tree, cell int, eta float64) (*Result, error) {
-	if n := t.Grid.NumCells(); cell < 0 || cell >= n {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, n)
-	}
-	r, err := t.QueryContext(ctx, cells.CellID(cell), eta)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(r), nil
-}
-
-// FetchContext is Fetch bounded by ctx; an expired deadline aborts the
-// remaining payload reads (items already fetched keep their accounting).
-func (db *DB) FetchContext(ctx context.Context, r *Result) error {
-	t, _ := db.snapshot()
-	return fetchOn(ctx, t, r)
-}
-
-// QueryContext is Session.Query bounded by ctx; see DB.QueryContext.
-func (s *Session) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return s.QueryCellContext(ctx, int(cell), eta)
-}
-
-// QueryCellContext is Session.QueryCell bounded by ctx.
+// byte-identical to QueryCell's.
 func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
 	t, err := s.route(cell)
 	if err != nil {
@@ -156,18 +112,9 @@ func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (
 	return wrapResult(r), nil
 }
 
-// QueryCoherentContext is Session.QueryCoherent bounded by ctx. A
+// QueryCellCoherentContext is QueryCellCoherent bounded by ctx. A
 // canceled warm-path query aborts outright — it does not fall back to a
 // second, full traversal the caller no longer wants.
-func (s *Session) QueryCoherentContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
-	}
-	return s.QueryCellCoherentContext(ctx, int(cell), eta)
-}
-
-// QueryCellCoherentContext is Session.QueryCellCoherent bounded by ctx.
 func (s *Session) QueryCellCoherentContext(ctx context.Context, cell int, eta float64) (*Result, error) {
 	t, err := s.route(cell)
 	if err != nil {
@@ -180,11 +127,34 @@ func (s *Session) QueryCellCoherentContext(ctx context.Context, cell int, eta fl
 	return wrapResult(r), nil
 }
 
-// FetchContext is Session.Fetch bounded by ctx.
+// FetchContext is Fetch bounded by ctx: an expired deadline aborts the
+// remaining payload reads, and items fetched before it keep their
+// accounting.
 func (s *Session) FetchContext(ctx context.Context, r *Result) error {
 	t, err := s.route(int(r.inner.Cell))
 	if err != nil {
 		return err
 	}
-	return fetchOn(ctx, t, r)
+	before := t.IO.Stats()
+	_, ferr := t.FetchPayloadsContext(ctx, r.inner, nil)
+	if ferr != nil && ctx.Err() == nil {
+		// Media fault: same contract as the unbounded path — the caller
+		// gets the error and the Result stays untouched.
+		return ferr
+	}
+	d := t.IO.Stats().Sub(before)
+	r.HeavyIO += d.HeavyReads
+	r.SimTime += d.SimTime
+	r.Retries += d.Retries
+	if ferr != nil {
+		return ferr
+	}
+	// Payload faults absorbed during the fetch may have degraded items to
+	// coarser levels and appended degradation records: re-mirror both.
+	if len(r.inner.Degradations) > len(r.Degradations) {
+		fresh := wrapResult(r.inner)
+		r.Items = fresh.Items
+		r.Degradations = fresh.Degradations
+	}
+	return nil
 }

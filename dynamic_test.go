@@ -89,17 +89,17 @@ func dynUpdateBasics(t *testing.T, db *DB) {
 		t.Fatal("insert appended no pages")
 	}
 
-	if err := db.Delete(st.InsertedIDs[0]); err != nil {
+	if _, err := db.Update(func(u *Updater) { u.Delete(st.InsertedIDs[0]) }); err != nil {
 		t.Fatal(err)
 	}
 	if db.NumObjects() != n0+2 || db.NumAliveObjects() != n0+1 {
 		t.Fatalf("object counts %d/%d after delete (tombstone must keep IDs dense)",
 			db.NumObjects(), db.NumAliveObjects())
 	}
-	if err := db.Delete(st.InsertedIDs[0]); err == nil {
+	if _, err := db.Update(func(u *Updater) { u.Delete(st.InsertedIDs[0]) }); err == nil {
 		t.Fatal("double delete succeeded")
 	}
-	if err := db.Move(st.InsertedIDs[1], 5, -3, 0); err != nil {
+	if _, err := db.Update(func(u *Updater) { u.Move(st.InsertedIDs[1], 5, -3, 0) }); err != nil {
 		t.Fatal(err)
 	}
 	if db.Epoch() != 3 {
@@ -110,7 +110,7 @@ func dynUpdateBasics(t *testing.T, db *DB) {
 	}
 
 	// The scheme still answers on the updated database.
-	r, err := db.QueryCell(0, 0.001)
+	r, err := db.NewSession().QueryCell(0, 0.001)
 	if err != nil {
 		t.Fatalf("%v: %v", sch, err)
 	}
@@ -239,7 +239,7 @@ func TestDynamicWriterReaderStress(t *testing.T) {
 				s := db.NewSession()
 				n := s.tree.Grid.NumCells()
 				for c := 0; c < n; c++ {
-					res, err := s.QueryCoherent(db.CellViewpoint(c), 0.001)
+					res, err := s.QueryCellCoherent(db.CellOf(db.CellViewpoint(c)), 0.001)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d cell %d: %w", r, c, err)
 						return
@@ -364,11 +364,11 @@ func TestDynamicPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDBReadersRaceUpdate: DB-level reads — QueryCell, Fetch, LoadMesh
-// and Walkthrough, none of which hold a Session — run beside a writer
-// publishing epochs. Each must load the current tree and scene under
-// the DB's lock, so under -race this fails on any unsynchronized read
-// of the fields Update swaps. The race fires only when a read lands
+// TestDBReadersRaceUpdate: reads — fresh sessions' QueryCell and
+// Fetch, LoadMesh, and Walkthrough — run beside a writer publishing
+// epochs. Each must derive its session from the current tree and scene
+// under the DB's lock, so under -race this fails on any unsynchronized
+// read of the fields Update swaps. The race fires only when a read lands
 // inside the swap window, so CI runs it with -count=20.
 func TestDBReadersRaceUpdate(t *testing.T) {
 	db, err := Build(testConfig())
@@ -379,10 +379,6 @@ func TestDBReadersRaceUpdate(t *testing.T) {
 	done := make(chan struct{})
 	errs := make(chan error, 2) // one per reader
 	var wg sync.WaitGroup
-	// The DB's own tree is not a concurrent query handle, so the two
-	// readers take turns with each other; neither is ordered against
-	// the writer.
-	var turn sync.Mutex
 
 	wg.Add(2)
 	go func() {
@@ -393,15 +389,14 @@ func TestDBReadersRaceUpdate(t *testing.T) {
 				return
 			default:
 			}
-			turn.Lock()
-			r, err := db.QueryCell(i%db.NumCells(), 0.001)
+			s := db.NewSession()
+			r, err := s.QueryCell(i%db.NumCells(), 0.001)
 			if err == nil {
-				err = db.Fetch(r)
+				err = s.Fetch(r)
 			}
 			if err == nil && len(r.Items) > 0 {
 				_, err = db.LoadMesh(r.Items[i%len(r.Items)])
 			}
-			turn.Unlock()
 			if err != nil {
 				errs <- fmt.Errorf("query reader, round %d: %w", i, err)
 				return
@@ -417,10 +412,7 @@ func TestDBReadersRaceUpdate(t *testing.T) {
 			default:
 			}
 			opts := WalkOptions{Frames: 20, Eta: 0.001, Delta: true, Coherent: i%2 == 1, Seed: int64(i)}
-			turn.Lock()
-			_, err := db.Walkthrough(opts)
-			turn.Unlock()
-			if err != nil {
+			if _, err := db.Walkthrough(opts); err != nil {
 				errs <- fmt.Errorf("walk reader, round %d: %w", i, err)
 				return
 			}
@@ -444,12 +436,13 @@ func TestDBReadersRaceUpdate(t *testing.T) {
 	}
 }
 
-// TestDBQueryRaceNewSession: a DB-level query moves the shared store's
-// cell cursor while NewSession and a coherent Walkthrough derive session
-// views from that store. A view must copy only the immutable layout, so
-// under -race this fails on any view that reads the cursor. The race
-// fires only when a view lands inside a flip, so CI runs it with
-// -count=20.
+// TestDBQueryRaceNewSession: one goroutine's session queries and
+// non-coherent walks move their sessions' cell cursors while another
+// goroutine derives fresh sessions and coherent walks from the same
+// store. A session view must copy only the immutable layout, and no walk
+// may play on the store shared with the DB's template tree, so under
+// -race this fails on any view that reads a cursor. The race fires only
+// when a view lands inside a flip, so CI runs it with -count=20.
 func TestDBQueryRaceNewSession(t *testing.T) {
 	db, err := Build(testConfig())
 	if err != nil {
@@ -459,31 +452,24 @@ func TestDBQueryRaceNewSession(t *testing.T) {
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if _, err := db.QueryCell(i%db.NumCells(), 0.001); err != nil {
-				errs <- fmt.Errorf("DB query, round %d: %w", i, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if _, err := db.NewSession().QueryCell((i+1)%db.NumCells(), 0.001); err != nil {
-				errs <- fmt.Errorf("session query, round %d: %w", i, err)
-				return
-			}
-			if i%8 == 0 {
-				opts := WalkOptions{Frames: 10, Eta: 0.001, Delta: true, Coherent: true, Seed: int64(i)}
-				if _, err := db.Walkthrough(opts); err != nil {
-					errs <- fmt.Errorf("coherent walk, round %d: %w", i, err)
+	for g, coherent := range []bool{false, true} {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := db.NewSession().QueryCell((i+g)%db.NumCells(), 0.001); err != nil {
+					errs <- fmt.Errorf("session query %d, round %d: %w", g, i, err)
 					return
 				}
+				if i%8 == g {
+					opts := WalkOptions{Frames: 10, Eta: 0.001, Delta: true, Coherent: coherent, Seed: int64(i)}
+					if _, err := db.Walkthrough(opts); err != nil {
+						errs <- fmt.Errorf("walk %d, round %d: %w", g, i, err)
+						return
+					}
+				}
 			}
-		}
-	}()
+		}()
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {

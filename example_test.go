@@ -24,13 +24,14 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := db.Query(db.DefaultViewpoint(), 0.001)
+	s := db.NewSession()
+	res, err := s.QueryCell(db.CellOf(db.DefaultViewpoint()), 0.001)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("answered:", len(res.Items) > 0)
 	fmt.Println("charged index I/O:", res.LightIO > 0)
-	if err := db.Fetch(res); err != nil {
+	if err := s.Fetch(res); err != nil {
 		panic(err)
 	}
 	fmt.Println("charged payload I/O:", res.HeavyIO > 0)
@@ -40,16 +41,17 @@ func Example() {
 	// charged payload I/O: true
 }
 
-// ExampleDB_Query demonstrates the η knob: a larger threshold answers with
-// coarser data and less I/O, never losing a visible object.
-func ExampleDB_Query() {
+// ExampleSession_QueryCell demonstrates the η knob: a larger threshold
+// answers with coarser data and less I/O, never losing a visible object.
+func ExampleSession_QueryCell() {
 	db, err := hdov.Build(exampleConfig())
 	if err != nil {
 		panic(err)
 	}
 	eye := db.CellViewpoint(db.CellOf(db.DefaultViewpoint()))
-	fine, _ := db.Query(eye, 0)
-	coarse, _ := db.Query(eye, 0.01)
+	s := db.NewSession()
+	fine, _ := s.QueryCell(db.CellOf(eye), 0)
+	coarse, _ := s.QueryCell(db.CellOf(eye), 0.01)
 	fmt.Println("coarser answer not bigger:", len(coarse.Items) <= len(fine.Items))
 	fmt.Println("coarser answer lighter:", coarse.LightIO <= fine.LightIO)
 	f := db.Fidelity(eye, coarse)
@@ -103,8 +105,8 @@ func ExampleDB_Save() {
 	if err != nil {
 		panic(err)
 	}
-	a, _ := db.Query(db.DefaultViewpoint(), 0.001)
-	b, _ := db2.Query(db2.DefaultViewpoint(), 0.001)
+	a, _ := db.NewSession().QueryCell(db.CellOf(db.DefaultViewpoint()), 0.001)
+	b, _ := db2.NewSession().QueryCell(db2.CellOf(db2.DefaultViewpoint()), 0.001)
 	fmt.Println("same answer set:", len(a.Items) == len(b.Items))
 	// Output:
 	// same answer set: true

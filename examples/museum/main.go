@@ -31,7 +31,7 @@ func main() {
 
 	// Stand in a middle room.
 	eye := db.DefaultViewpoint()
-	res, err := db.Query(eye, 0.001)
+	res, err := db.NewSession().QueryCell(db.CellOf(eye), 0.001)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,11 +57,11 @@ func main() {
 
 	// Same answers.
 	eye := db.DefaultViewpoint()
-	a, err := db.Query(eye, 0.001)
+	a, err := db.NewSession().QueryCell(db.CellOf(eye), 0.001)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := db2.Query(eye, 0.001)
+	b, err := db2.NewSession().QueryCell(db2.CellOf(eye), 0.001)
 	if err != nil {
 		log.Fatal(err)
 	}

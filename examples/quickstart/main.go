@@ -28,7 +28,8 @@ func main() {
 	// Stand at a street intersection near the city center.
 	eye := db.DefaultViewpoint()
 
-	res, err := db.Query(eye, 0.001)
+	s := db.NewSession()
+	res, err := s.QueryCell(db.CellOf(eye), 0.001)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// Retrieve the payloads (heavy I/O) and decode one mesh.
-	if err := db.Fetch(res); err != nil {
+	if err := s.Fetch(res); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfetched payloads: %d heavy pages, total simulated time %v\n",

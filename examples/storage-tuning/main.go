@@ -49,14 +49,15 @@ func main() {
 	fmt.Printf("  %-18s %12s %12s %12s\n", "scheme", "eta=0", "eta=0.001", "eta=0.008")
 	for i, db := range dbs {
 		fmt.Printf("  %-18s", schemes[i])
+		s := db.NewSession()
 		for _, eta := range []float64{0, 0.001, 0.008} {
 			var total time.Duration
 			for c := 0; c < db.NumCells(); c++ {
-				res, err := db.QueryCell(c, eta)
+				res, err := s.QueryCell(c, eta)
 				if err != nil {
 					log.Fatal(err)
 				}
-				if err := db.Fetch(res); err != nil {
+				if err := s.Fetch(res); err != nil {
 					log.Fatal(err)
 				}
 				total += res.SimTime

@@ -32,13 +32,14 @@ func main() {
 	fmt.Printf("%-10s %6s %9s %10s %9s %9s %9s %9s %8s\n",
 		"eta", "items", "internal", "polygons", "light IO", "total IO", "time ms", "coverage", "detail")
 	etas := []float64{0, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.016}
+	s := db.NewSession()
 	for _, eta := range etas {
-		res, err := db.Query(eye, eta)
+		res, err := s.QueryCell(db.CellOf(eye), eta)
 		if err != nil {
 			log.Fatal(err)
 		}
 		light := res.LightIO
-		if err := db.Fetch(res); err != nil {
+		if err := s.Fetch(res); err != nil {
 			log.Fatal(err)
 		}
 		f := db.Fidelity(eye, res)

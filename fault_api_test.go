@@ -16,7 +16,7 @@ func TestTransientFaultsThroughAPI(t *testing.T) {
 	db := testDB(t)
 	restoreFaultState(t, db)
 	db.InjectFaults(FaultPlan{Seed: 11, PageProb: 1, TransientFrac: 1, MaxRetries: 4})
-	res, err := db.Query(centerPoint(db), 0.001)
+	res, err := db.NewSession().QueryCell(db.CellOf(centerPoint(db)), 0.001)
 	if err != nil {
 		t.Fatalf("transient-only faults failed a query: %v", err)
 	}
@@ -40,11 +40,12 @@ func TestDegradedModeThroughAPI(t *testing.T) {
 		t.Fatal("SetFaultTolerant did not stick")
 	}
 	db.InjectFaults(FaultPlan{Seed: 7, PageProb: 0.3, TransientFrac: 0})
-	res, err := db.Query(p, 0.001)
+	s := db.NewSession()
+	res, err := s.QueryCell(db.CellOf(p), 0.001)
 	if err != nil {
 		t.Fatalf("degraded mode aborted: %v", err)
 	}
-	if err := db.Fetch(res); err != nil {
+	if err := s.Fetch(res); err != nil {
 		t.Fatalf("degraded fetch aborted: %v", err)
 	}
 	if len(res.Degradations) == 0 {
@@ -62,7 +63,7 @@ func TestDegradedModeThroughAPI(t *testing.T) {
 	db.SetFaultTolerant(false)
 	sawError := false
 	for cell := 0; cell < db.NumCells() && !sawError; cell++ {
-		if _, err := db.QueryCell(cell, 0.001); err != nil {
+		if _, err := db.NewSession().QueryCell(cell, 0.001); err != nil {
 			sawError = true
 		}
 	}

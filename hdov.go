@@ -20,17 +20,19 @@
 //   - walkthrough players for VISUAL (this system) and the REVIEW spatial
 //     baseline, with delta/complement search and semantic caching.
 //
-// One open DB serves many clients concurrently: NewSession gives each
-// client a private query handle with its own I/O accounting, SetCacheSize
-// installs a shared buffer pool whose hits charge no simulated I/O,
-// SetParallel bounds the per-query traversal fan-out, and Serve plays N
-// concurrent walkthrough clients end to end (see DESIGN.md §10).
+// One open DB serves many clients concurrently: every read runs on a
+// Session, and NewSession gives each client a private query handle with
+// its own I/O accounting; SetCacheSize installs a shared buffer pool
+// whose hits charge no simulated I/O, SetParallel bounds the per-query
+// traversal fan-out, and Serve plays N concurrent walkthrough clients
+// end to end (see DESIGN.md §10).
 //
 // Quick start:
 //
 //	db, err := hdov.Build(hdov.DefaultConfig())
 //	if err != nil { ... }
-//	res, err := db.Query(hdov.Pt(150, 150, 1.7), 0.001)
+//	s := db.NewSession()
+//	res, err := s.QueryCell(db.CellOf(hdov.Pt(150, 150, 1.7)), 0.001)
 //	for _, item := range res.Items { ... }
 package hdov
 
@@ -109,12 +111,12 @@ type Config struct {
 	// SamplesPerCell is the per-axis viewpoint sample density for the
 	// conservative region DoV of equation 2.
 	SamplesPerCell int
-	// Scheme selects the one V-page layout Build lays out and Query
-	// serves. It is fixed for the DB's lifetime: Save persists it and
+	// Scheme selects the one V-page layout Build lays out and sessions
+	// serve. It is fixed for the DB's lifetime: Save persists it and
 	// Open restores it. Build one DB per scheme to compare layouts.
 	Scheme Scheme
-	// Eta is the default DoV threshold for Query (can be overridden per
-	// call).
+	// Eta is a default DoV threshold for callers to pass on; queries
+	// take their threshold per call and do not read it.
 	Eta float64
 	// UseItemBuffer precomputes DoV with the cube-map rasterizer (the
 	// literal software form of the paper's hardware pass) instead of ray
@@ -162,11 +164,13 @@ func DefaultConfig() Config {
 // DB is a built HDoV-tree database: scene, index, visibility data and
 // the V-page layout of its Scheme over one paged disk.
 //
-// A DB is not itself a concurrent query handle: concurrent clients each
-// take a Session (NewSession is safe to call at any time, including while
-// an Update is in flight) and query through it. Update installs a new
-// scene epoch atomically — existing Sessions keep answering from the
-// epoch they pinned, new Sessions see the new one.
+// Every DB method is safe for concurrent use. A DB is not itself a query
+// handle: clients each take a Session (NewSession is safe to call at any
+// time, including while an Update is in flight) and query through it;
+// the DB's own tree is only the template sessions copy. Update is the one
+// write path: it installs a new scene epoch atomically — existing
+// Sessions keep answering from the epoch they pinned, new Sessions see
+// the new one.
 type DB struct {
 	cfg    Config
 	disk   *storage.Disk
@@ -283,6 +287,15 @@ func (db *DB) snapshot() (*core.Tree, *scene.Scene) {
 	return db.tree, db.scene
 }
 
+// session derives a private session of the current epoch's tree, and
+// returns it with that epoch's scene, under the read lock: the DB's own
+// tree is only the template sessions copy, and no read runs on it.
+func (db *DB) session() (*core.Tree, *scene.Scene) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tree.Session(), db.scene
+}
+
 // Scheme returns the V-page layout the DB was built with.
 func (db *DB) Scheme() Scheme { return db.cfg.Scheme }
 
@@ -384,8 +397,9 @@ func (db *DB) CellViewpoint(cell int) Point {
 	return fromVec(t.Grid.SamplePoints(cells.CellID(cell), 1)[0])
 }
 
-// ErrOutsideCells is returned by Query for viewpoints outside the grid.
-var ErrOutsideCells = errors.New("hdov: viewpoint outside the viewing-cell grid")
+// ErrOutsideCells is wrapped by every Session query and fetch form for a
+// cell outside the grid, including CellOf's -1 for an off-grid viewpoint.
+var ErrOutsideCells = errors.New("hdov: outside the viewing-cell grid")
 
 // FaultPlan configures seeded, deterministic fault injection on the
 // simulated disk — the harness for exercising degraded-mode traversal.

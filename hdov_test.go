@@ -1,6 +1,7 @@
 package hdov
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -116,7 +117,8 @@ func TestBuildShape(t *testing.T) {
 func TestQueryAndFetch(t *testing.T) {
 	db := testDB(t)
 	p := centerPoint(db)
-	res, err := db.Query(p, 0.001)
+	s := db.NewSession()
+	res, err := s.QueryCell(db.CellOf(p), 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +131,20 @@ func TestQueryAndFetch(t *testing.T) {
 	if res.HeavyIO != 0 {
 		t.Fatal("heavy I/O before Fetch")
 	}
-	if err := db.Fetch(res); err != nil {
+	if err := s.Fetch(res); err != nil {
 		t.Fatal(err)
 	}
 	if res.HeavyIO == 0 {
 		t.Fatal("no heavy I/O after Fetch")
 	}
 	// Outside the grid.
-	if _, err := db.Query(Pt(-1000, 0, 0), 0.001); err != ErrOutsideCells {
+	if _, err := s.QueryCell(db.CellOf(Pt(-1000, 0, 0)), 0.001); !errors.Is(err, ErrOutsideCells) {
 		t.Fatalf("outside error = %v", err)
 	}
-	if _, err := db.QueryCell(-1, 0.001); err == nil {
+	if _, err := s.QueryCell(-1, 0.001); err == nil {
 		t.Fatal("negative cell accepted")
 	}
-	if _, err := db.QueryCell(db.NumCells(), 0.001); err == nil {
+	if _, err := s.QueryCell(db.NumCells(), 0.001); err == nil {
 		t.Fatal("out-of-range cell accepted")
 	}
 	if got := db.CellOf(p); got != res.Cell {
@@ -158,7 +160,7 @@ func TestSchemesAgreeThroughAPI(t *testing.T) {
 		if db.Scheme() != s {
 			t.Fatalf("scheme not set: %v", db.Scheme())
 		}
-		res, err := db.Query(p, 0.002)
+		res, err := db.NewSession().QueryCell(db.CellOf(p), 0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +173,7 @@ func TestSchemesAgreeThroughAPI(t *testing.T) {
 
 func TestLoadMeshAPI(t *testing.T) {
 	db := testDB(t)
-	res, err := db.Query(centerPoint(db), 0.01)
+	res, err := db.NewSession().QueryCell(db.CellOf(centerPoint(db)), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestLoadMeshAPI(t *testing.T) {
 func TestFidelityAPI(t *testing.T) {
 	db := testDB(t)
 	p := centerPoint(db)
-	res, err := db.Query(p, 0.001)
+	res, err := db.NewSession().QueryCell(db.CellOf(p), 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func TestDiskStatsAPI(t *testing.T) {
 	if s := db.DiskStats(); s.Reads != 0 {
 		t.Fatal("reset failed")
 	}
-	if _, err := db.Query(centerPoint(db), 0.001); err != nil {
+	if _, err := db.NewSession().QueryCell(db.CellOf(centerPoint(db)), 0.001); err != nil {
 		t.Fatal(err)
 	}
 	s := db.DiskStats()
@@ -293,7 +295,7 @@ func TestBuildVariantsAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(db.DefaultViewpoint(), 0.001)
+	res, err := db.NewSession().QueryCell(db.CellOf(db.DefaultViewpoint()), 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +322,7 @@ func TestBuildVariantsAPI(t *testing.T) {
 
 func mustQuery(t *testing.T, db *DB, p Point, eta float64) *Result {
 	t.Helper()
-	res, err := db.Query(p, eta)
+	res, err := db.NewSession().QueryCell(db.CellOf(p), eta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +344,12 @@ func TestSaveOpenAPI(t *testing.T) {
 		t.Fatal("reopened shape differs")
 	}
 	p := centerPoint(db)
-	want, err := db.Query(p, 0.002)
+	want, err := db.NewSession().QueryCell(db.CellOf(p), 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Query(p, 0.002)
+	gs := got.NewSession()
+	have, err := gs.QueryCell(got.CellOf(p), 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +361,7 @@ func TestSaveOpenAPI(t *testing.T) {
 			t.Fatalf("item %d differs after reopen", i)
 		}
 	}
-	if err := got.Fetch(have); err != nil {
+	if err := gs.Fetch(have); err != nil {
 		t.Fatal(err)
 	}
 	// Walkthrough works on a reopened database.

@@ -13,7 +13,7 @@ import (
 // three legs:
 //
 //	full      — from-root traversal every cell entry (the seed behavior)
-//	coherent  — incremental cut maintenance (Session.QueryCoherent)
+//	coherent  — incremental cut maintenance (Session.QueryCellCoherent)
 //	warm      — coherent + a shared buffer pool that holds the walk's
 //	            working set
 //

@@ -55,6 +55,9 @@ func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, idx int, cfg S
 	t.SetVStore(l)
 	t.FaultTolerant = cfg.FaultTolerant
 	t.SetParallel(cfg.Parallel)
+	// Allocate the shared shed-policy slot now, while the store is
+	// private: concurrent serve runs then only store into it atomically.
+	t.SetShed(nil)
 	if cfg.CachePages > 0 {
 		d.SetCacheSize(cfg.CachePages)
 	}

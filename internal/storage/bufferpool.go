@@ -53,6 +53,20 @@ type PoolStats struct {
 	ResidentBytes int64
 }
 
+// Add returns p + o, for aggregating pools across shard stores.
+func (p PoolStats) Add(o PoolStats) PoolStats {
+	return PoolStats{
+		LightHits:     p.LightHits + o.LightHits,
+		LightMisses:   p.LightMisses + o.LightMisses,
+		HeavyHits:     p.HeavyHits + o.HeavyHits,
+		HeavyMisses:   p.HeavyMisses + o.HeavyMisses,
+		Evictions:     p.Evictions + o.Evictions,
+		Pages:         p.Pages + o.Pages,
+		Capacity:      p.Capacity + o.Capacity,
+		ResidentBytes: p.ResidentBytes + o.ResidentBytes,
+	}
+}
+
 // Hits returns total hits across classes.
 func (p PoolStats) Hits() int64 { return p.LightHits + p.HeavyHits }
 

@@ -2,8 +2,32 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
+
+// TestPoolStatsAddEveryField gives every PoolStats field a distinct
+// non-zero value and checks Add field by field, so a counter added to
+// PoolStats but left out of Add's hand-written list fails here.
+func TestPoolStatsAddEveryField(t *testing.T) {
+	var a, b PoolStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch k := va.Field(i).Kind(); k {
+		case reflect.Int, reflect.Int64:
+		default:
+			t.Fatalf("PoolStats.%s is %s; extend this test", va.Type().Field(i).Name, k)
+		}
+		va.Field(i).SetInt(int64(i+1) * 1000)
+		vb.Field(i).SetInt(int64(i + 1))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), int64(i+1)*1001; got != want {
+			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+	}
+}
 
 func TestBufferPoolHitsSkipIO(t *testing.T) {
 	d := newTestDisk()

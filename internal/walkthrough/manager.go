@@ -26,6 +26,9 @@ type SessionManager struct {
 	Delta bool
 	// Prefetch enables speculative next-cell queries per player.
 	Prefetch bool
+	// Coherent answers each player's cell-entry queries through its
+	// session's retained traversal cut (see VisualPlayer.Coherent).
+	Coherent bool
 	// CacheBudget bounds each player's payload cache (0 = unlimited).
 	CacheBudget int64
 	Render      render.Config
@@ -42,17 +45,25 @@ type SessionManager struct {
 	// FrameBudget bounds each player frame's query + fetch (0 = none).
 	FrameBudget time.Duration
 	// Routes, when set, supplies per-player shard routing: called once
-	// per player, it returns the player's cell→tree route function and
-	// an accounting snapshot summing that player's I/O across every
-	// shard store it touched (replacing the base session's counters in
-	// PlayerTrace.IO). The sharded serve path wires the shard router
-	// here; nil keeps every player on Base.
-	Routes func() (func(cells.CellID) *core.Tree, func() storage.Stats)
+	// per player, it returns the player's router, whose accounting and
+	// cut statistics sum over every shard store the player touched
+	// (replacing the base session's in PlayerTrace). The sharded serve
+	// path wires the shard router here; nil keeps every player on Base.
+	Routes func() Router
 	// ShedBases lists additional trees whose ShedPolicy flips alongside
 	// Base when the Shedder trips — the sharded serve path lists every
 	// shard store's base tree so all routed sessions shed the same
 	// fidelity level at the same time.
 	ShedBases []*core.Tree
+}
+
+// Router is one player's shard routing: the tree session serving each
+// cell, plus the player's accounting summed across the shard stores it
+// touched. shard.Session implements it.
+type Router interface {
+	RouteTree(cells.CellID) *core.Tree
+	Stats() storage.Stats
+	CoherenceStats() core.CoherenceStats
 }
 
 // setShed installs the policy on Base and every ShedBases tree.
@@ -65,12 +76,14 @@ func (m *SessionManager) setShed(p *core.ShedPolicy) {
 
 // PlayerTrace is one client's playback outcome: the trace, the session's
 // own I/O accounting (reads, retries, simulated time — this client's
-// traffic only, however many others ran beside it), and the error if the
-// playback aborted.
+// traffic only, however many others ran beside it), its warm-path
+// accounting (zero unless Coherent), and the error if the playback
+// aborted.
 type PlayerTrace struct {
-	Result *Result
-	IO     storage.Stats
-	Err    error
+	Result    *Result
+	IO        storage.Stats
+	Coherence core.CoherenceStats
+	Err       error
 }
 
 // Degraded reports how many media-fault degradations this client
@@ -149,17 +162,16 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 				Eta:         m.Eta,
 				Delta:       m.Delta,
 				Prefetch:    m.Prefetch,
+				Coherent:    m.Coherent,
 				CacheBudget: m.CacheBudget,
 				Render:      m.Render,
 				FrameBudget: m.FrameBudget,
 			}
-			ioStats := func() storage.Stats { return tree.IO.Stats() }
+			ioStats, coherence := tree.IO.Stats, tree.CoherenceStats
 			if m.Routes != nil {
-				route, stats := m.Routes()
-				p.Route = route
-				if stats != nil {
-					ioStats = stats
-				}
+				r := m.Routes()
+				p.Route = r.RouteTree
+				ioStats, coherence = r.Stats, r.CoherenceStats
 			}
 			if m.Admission != nil {
 				client := fmt.Sprintf("client-%d", i)
@@ -175,7 +187,7 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 				}
 			}
 			res, err := p.PlayContext(ctx, sessions[i])
-			out.Players[i] = PlayerTrace{Result: res, IO: ioStats(), Err: err}
+			out.Players[i] = PlayerTrace{Result: res, IO: ioStats(), Coherence: coherence(), Err: err}
 		}(i)
 	}
 	wg.Wait()

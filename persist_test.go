@@ -135,10 +135,10 @@ func TestCommitEpochRefusesForeignHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Move(0, 1, 0, 0); err != nil {
+	if _, err := x.Update(func(u *Updater) { u.Move(0, 1, 0, 0) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := y.Move(0, -1, 0, 0); err != nil {
+	if _, err := y.Update(func(u *Updater) { u.Move(0, -1, 0, 0) }); err != nil {
 		t.Fatal(err)
 	}
 	if epoch, err := x.CommitEpoch(dir); err != nil || epoch != 1 {

@@ -1,7 +1,6 @@
 package hdov
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -125,28 +124,6 @@ func wrapResult(r *core.QueryResult) *Result {
 	return out
 }
 
-// Query answers the visibility query at viewpoint p with the given DoV
-// threshold eta (Figure 3 of the paper): every visible object either
-// appears directly at its equation-6 LoD or is covered by an ancestor's
-// internal LoD. Light I/O (node records, V-pages, cell flip) is charged;
-// call Fetch to charge payload retrieval.
-func (db *DB) Query(p Point, eta float64) (*Result, error) {
-	return db.QueryContext(context.Background(), p, eta)
-}
-
-// QueryCell is Query for an explicit cell index.
-func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
-	return db.QueryCellContext(context.Background(), cell, eta)
-}
-
-// Fetch charges the heavy-weight I/O of retrieving every item's payload
-// and updates the result's I/O and time accounting. In fault-tolerant
-// mode an unreadable payload degrades the item to a coarser readable
-// level (recorded in Degradations) instead of failing the call.
-func (db *DB) Fetch(r *Result) error {
-	return db.FetchContext(context.Background(), r)
-}
-
 // Mesh is decoded triangle geometry.
 type Mesh struct {
 	Vertices  []Point
@@ -154,9 +131,10 @@ type Mesh struct {
 }
 
 // LoadMesh decodes the actual geometry of a result item (charging heavy
-// I/O), for rendering or export.
+// I/O), for rendering or export. It reads through a private session of
+// the current epoch.
 func (db *DB) LoadMesh(it Item) (*Mesh, error) {
-	t, _ := db.snapshot()
+	t, _ := db.session()
 	var inner core.ResultItem
 	found := false
 	// Relocate the payload extent from the item identity.

@@ -7,11 +7,8 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/core"
-	"repro/internal/overload"
-	"repro/internal/render"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/walkthrough"
 )
 
 // Concurrent serving: one open DB can answer many clients at once. Each
@@ -49,13 +46,22 @@ func (s *Session) grid() *cells.Grid {
 	return s.tree.Grid
 }
 
+// checkCell is the one cell range check: a cell outside [0, n) —
+// CellOf's -1 for an off-grid point included — wraps ErrOutsideCells.
+func checkCell(cell, n int) error {
+	if cell < 0 || cell >= n {
+		return fmt.Errorf("%w: cell %d not in [0,%d)", ErrOutsideCells, cell, n)
+	}
+	return nil
+}
+
 // route returns the core session that answers cell after a range check:
 // the session's own tree, or on a sharded session the owning shard's
 // (counting a heat hit toward hot-range promotion). Every query and fetch
 // form goes through it.
 func (s *Session) route(cell int) (*core.Tree, error) {
-	if n := s.grid().NumCells(); cell < 0 || cell >= n {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, n)
+	if err := checkCell(cell, s.grid().NumCells()); err != nil {
+		return nil, err
 	}
 	if s.sh != nil {
 		return s.sh.RouteTree(cells.CellID(cell)), nil
@@ -63,37 +69,32 @@ func (s *Session) route(cell int) (*core.Tree, error) {
 	return s.tree, nil
 }
 
-// Query answers the visibility query at viewpoint p with DoV threshold
-// eta, like DB.Query, charged to this session alone.
-func (s *Session) Query(p Point, eta float64) (*Result, error) {
-	return s.QueryContext(context.Background(), p, eta)
-}
-
-// QueryCell is Query for an explicit cell index.
+// QueryCell answers the visibility query of viewing cell cell with DoV
+// threshold eta (Figure 3 of the paper), charged to this session alone:
+// every visible object either appears directly at its equation-6 LoD or
+// is covered by an ancestor's internal LoD. Light I/O (node records,
+// V-pages, cell flip) is charged; call Fetch to charge payload
+// retrieval. A caller with a viewpoint p asks for db.CellOf(p); a cell
+// outside the grid fails with an error wrapping ErrOutsideCells.
 func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
 	return s.QueryCellContext(context.Background(), cell, eta)
 }
 
-// QueryCoherent answers like Query but through the session's retained
-// traversal cut: when consecutive queries come from neighboring cells —
-// a walkthrough's workload — the previous query's frontier is
+// QueryCellCoherent answers like QueryCell but through the session's
+// retained traversal cut: when consecutive queries come from neighboring
+// cells — a walkthrough's workload — the previous query's frontier is
 // re-evaluated against the new cell's visibility data instead of
-// descending from the root. The answer is byte-identical to Query's
+// descending from the root. The answer is byte-identical to QueryCell's
 // (degraded mode included; any fault on the warm path falls back to a
-// full traversal); only the I/O accounting differs. The cut is
-// per-session state, which is why the method lives here and not on DB.
-func (s *Session) QueryCoherent(p Point, eta float64) (*Result, error) {
-	return s.QueryCoherentContext(context.Background(), p, eta)
-}
-
-// QueryCellCoherent is QueryCoherent for an explicit cell index. On a
-// sharded session each shard keeps its own retained cut, so a walk that
-// crosses a boundary stays warm on both sides.
+// full traversal); only the I/O accounting differs. On a sharded session
+// each shard keeps its own retained cut, so a walk that crosses a
+// boundary stays warm on both sides.
 func (s *Session) QueryCellCoherent(cell int, eta float64) (*Result, error) {
 	return s.QueryCellCoherentContext(context.Background(), cell, eta)
 }
 
-// CoherenceStats reports how a session's QueryCoherent calls resolved.
+// CoherenceStats reports how a session's QueryCellCoherent calls
+// resolved.
 type CoherenceStats struct {
 	// Incremental counts queries served through the cut machinery — the
 	// first query and eta changes are included (their seed cut is the
@@ -108,21 +109,26 @@ type CoherenceStats struct {
 // CoherenceStats returns the session's cumulative warm-path accounting
 // (summed across shards on a routed session).
 func (s *Session) CoherenceStats() CoherenceStats {
-	var cs core.CoherenceStats
 	if s.sh != nil {
-		cs = s.sh.CoherenceStats()
-	} else {
-		cs = s.tree.CoherenceStats()
+		return coherenceFrom(s.sh.CoherenceStats())
 	}
+	return coherenceFrom(s.tree.CoherenceStats())
+}
+
+// coherenceFrom mirrors a core warm-path snapshot into the public type.
+func coherenceFrom(cs core.CoherenceStats) CoherenceStats {
 	return CoherenceStats{
 		Incremental: cs.Incremental, Full: cs.Full,
 		NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
 	}
 }
 
-// Fetch charges the heavy-weight I/O of retrieving every item's payload,
-// like DB.Fetch, charged to this session alone. On a sharded session the
-// fetch is routed to the shard that answered the query.
+// Fetch charges the heavy-weight I/O of retrieving every item's payload
+// to this session and updates the result's I/O and time accounting. In
+// fault-tolerant mode an unreadable payload degrades the item to a
+// coarser readable level (recorded in Degradations) instead of failing
+// the call. On a sharded session the fetch is routed to the shard that
+// answered the query.
 func (s *Session) Fetch(r *Result) error {
 	return s.FetchContext(context.Background(), r)
 }
@@ -220,24 +226,18 @@ func (db *DB) PoolStats() PoolStats {
 	if r == nil {
 		return poolStatsFrom(db.disk.PoolStats())
 	}
-	var out PoolStats
+	var sum storage.PoolStats
 	for _, ps := range r.ShardPoolStats() {
-		out.LightHits += ps.LightHits
-		out.LightMisses += ps.LightMisses
-		out.HeavyHits += ps.HeavyHits
-		out.HeavyMisses += ps.HeavyMisses
-		out.Evictions += ps.Evictions
-		out.Pages += ps.Pages
-		out.Capacity += ps.Capacity
+		sum = sum.Add(ps)
 	}
-	return out
+	return poolStatsFrom(sum)
 }
 
 // SetParallel bounds the per-query traversal fan-out: each query descends
 // up to n child subtrees concurrently (n <= 1 restores the strictly
 // serial Figure 3 traversal; the answer set is identical either way).
-// Affects DB queries and sessions created afterwards, on every shard
-// store when sharding is enabled.
+// Affects sessions, walkthroughs and serve clients created afterwards,
+// on every shard store when sharding is enabled.
 func (db *DB) SetParallel(n int) {
 	db.mu.Lock()
 	db.tree.SetParallel(n)
@@ -288,11 +288,10 @@ type ClientStats struct {
 }
 
 // Serve plays n concurrent walkthrough clients against the database, each
-// with its own recorded motion path (seeded from opts.Seed + client
-// index), and returns the aggregate and per-client accounting. It is the
-// multi-client form of Walkthrough; opts.UseREVIEW and opts.Coherent
-// are not supported here and are rejected with an error naming the
-// option.
+// with its own session and recorded motion path (seeded from opts.Seed +
+// client index), and returns the aggregate and per-client accounting.
+// Walkthrough is its one-client case; opts.UseREVIEW is not supported
+// here and is rejected with an error naming the option.
 func (db *DB) Serve(opts WalkOptions, n int) (*ServeStats, error) {
 	return db.ServeContext(context.Background(), opts, n)
 }
@@ -307,63 +306,10 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 	if n < 1 {
 		n = 1
 	}
-	switch {
-	case opts.UseREVIEW:
+	if opts.UseREVIEW {
 		return nil, fmt.Errorf("hdov: Serve supports only the VISUAL system (UseREVIEW)")
-	case opts.Coherent:
-		return nil, fmt.Errorf("hdov: Serve does not support Coherent")
 	}
-	if opts.Frames <= 0 {
-		opts.Frames = 600
-	}
-	tree, sc := db.snapshot()
-	sessions := make([]walkthrough.Session, n)
-	for i := range sessions {
-		seed := opts.Seed + int64(i)
-		switch opts.Session {
-		case SessionTurning:
-			sessions[i] = walkthrough.RecordTurning(sc, opts.Frames, seed+1)
-		case SessionBackForward:
-			sessions[i] = walkthrough.RecordBackForward(sc, opts.Frames, seed+2)
-		default:
-			sessions[i] = walkthrough.RecordNormal(sc, opts.Frames, seed)
-		}
-	}
-	m := &walkthrough.SessionManager{
-		Base:        tree,
-		Eta:         opts.Eta,
-		Delta:       opts.Delta,
-		Prefetch:    opts.Prefetch,
-		CacheBudget: opts.CacheBudget,
-		Render:      render.DefaultConfig(),
-		FrameBudget: opts.FrameBudget,
-	}
-	if r := db.currentRouter(); r != nil {
-		// Sharded serving: each client gets its own routed shard session,
-		// so its frames hit the owning shard's private store and its
-		// accounting sums across the shards it walked through. Shed
-		// policies fan out to every shard store.
-		m.Routes = func() (func(cells.CellID) *core.Tree, func() storage.Stats) {
-			sess := r.Session()
-			return sess.RouteTree, sess.Stats
-		}
-		m.ShedBases = r.Bases()
-	}
-	if opts.Admission != nil {
-		m.Admission = overload.New(overload.Config{
-			MaxConcurrent: opts.Admission.MaxConcurrent,
-			MaxQueue:      opts.Admission.MaxQueue,
-			MaxPerClient:  opts.Admission.MaxPerClient,
-		})
-	}
-	if opts.Shed != nil {
-		m.Shedder = overload.NewShedder(overload.ShedConfig{
-			Target: opts.Shed.Target,
-			Upper:  opts.Shed.Upper,
-			Lower:  opts.Shed.Lower,
-		})
-	}
-	run := m.PlayContext(ctx, sessions)
+	run := db.play(ctx, opts, n)
 	out := &ServeStats{
 		Clients:      n,
 		Errors:       run.Errs,
@@ -391,34 +337,6 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 		out.PerClient[i] = cs
 	}
 	return out, nil
-}
-
-// fetchOn charges r's payload fetch to the tree session t, bounded
-// by ctx: items fetched before the deadline expired keep their
-// accounting; the rest are abandoned.
-func fetchOn(ctx context.Context, t *core.Tree, r *Result) error {
-	before := t.IO.Stats()
-	_, ferr := t.FetchPayloadsContext(ctx, r.inner, nil)
-	if ferr != nil && ctx.Err() == nil {
-		// Media fault: same contract as the unbounded path — the caller
-		// gets the error and the Result stays untouched.
-		return ferr
-	}
-	d := t.IO.Stats().Sub(before)
-	r.HeavyIO += d.HeavyReads
-	r.SimTime += d.SimTime
-	r.Retries += d.Retries
-	if ferr != nil {
-		return ferr
-	}
-	// Payload faults absorbed during the fetch may have degraded items to
-	// coarser levels and appended degradation records: re-mirror both.
-	if len(r.inner.Degradations) > len(r.Degradations) {
-		fresh := wrapResult(r.inner)
-		r.Items = fresh.Items
-		r.Degradations = fresh.Degradations
-	}
-	return nil
 }
 
 // diskStatsFrom mirrors a storage.Stats snapshot into the public type.

@@ -227,8 +227,8 @@ func (s *Session) QueryMany(cellIDs []int, eta float64) ([]*Result, error) {
 	if s.sh != nil {
 		cs := make([]cells.CellID, len(cellIDs))
 		for i, c := range cellIDs {
-			if c < 0 || c >= s.sh.Grid().NumCells() {
-				return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", c, s.sh.Grid().NumCells())
+			if err := checkCell(c, s.sh.Grid().NumCells()); err != nil {
+				return nil, err
 			}
 			cs[i] = cells.CellID(c)
 		}

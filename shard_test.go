@@ -2,11 +2,14 @@ package hdov
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // shardTestDB builds a private database for the sharding tests — the
@@ -42,7 +45,8 @@ func publicFingerprint(r *Result) string {
 // TestSessionContextForms: every Context form of a Session answers
 // byte-identically to its plain form on an unsharded and on a sharded
 // database — both go through the one routed path, so a sharded session's
-// Context forms never reach for the unsharded tree.
+// Context forms never reach for the unsharded tree — and every form
+// shares one cell range check.
 func TestSessionContextForms(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scene.Blocks = 2
@@ -69,15 +73,9 @@ func TestSessionContextForms(t *testing.T) {
 		name           string
 		plain, withCtx form
 	}{
-		{"Query",
-			func(s *Session, c int) (*Result, error) { return s.Query(db.CellViewpoint(c), eta) },
-			func(s *Session, c int) (*Result, error) { return s.QueryContext(ctx, db.CellViewpoint(c), eta) }},
 		{"QueryCell",
 			func(s *Session, c int) (*Result, error) { return s.QueryCell(c, eta) },
 			func(s *Session, c int) (*Result, error) { return s.QueryCellContext(ctx, c, eta) }},
-		{"QueryCoherent",
-			func(s *Session, c int) (*Result, error) { return s.QueryCoherent(db.CellViewpoint(c), eta) },
-			func(s *Session, c int) (*Result, error) { return s.QueryCoherentContext(ctx, db.CellViewpoint(c), eta) }},
 		{"QueryCellCoherent",
 			func(s *Session, c int) (*Result, error) { return s.QueryCellCoherent(c, eta) },
 			func(s *Session, c int) (*Result, error) { return s.QueryCellCoherentContext(ctx, c, eta) }},
@@ -110,6 +108,15 @@ func TestSessionContextForms(t *testing.T) {
 					}
 				}
 			})
+		}
+		// One range check serves every form: an off-grid point's cell
+		// and a -1 in a batch both wrap ErrOutsideCells.
+		s := db.NewSession()
+		if _, err := s.QueryCell(db.CellOf(Pt(-1000, 0, 0)), eta); !errors.Is(err, ErrOutsideCells) {
+			t.Fatalf("shards=%d: off-grid QueryCell err = %v, want ErrOutsideCells", shards, err)
+		}
+		if _, err := s.QueryMany([]int{0, -1}, eta); !errors.Is(err, ErrOutsideCells) {
+			t.Fatalf("shards=%d: QueryMany with -1 err = %v, want ErrOutsideCells", shards, err)
 		}
 	}
 }
@@ -292,6 +299,26 @@ func TestShardedWalkthroughAndServe(t *testing.T) {
 			t.Fatalf("client %d charged no routed reads", i)
 		}
 	}
+
+	// Two shedding serves at once flip the shard stores' one shared
+	// policy slot; under -race this fails if the slot is allocated on
+	// first use.
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shed := WalkOptions{Eta: 0.003, Frames: 30, Delta: true, Shed: &ShedConfig{Target: time.Microsecond}}
+			sv, err := db.Serve(shed, 2)
+			if err == nil && sv.Errors != 0 {
+				err = fmt.Errorf("%d client errors", sv.Errors)
+			}
+			if err != nil {
+				t.Errorf("shedding serve %d: %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSaveShardedRejectsTrimmed(t *testing.T) {

@@ -157,27 +157,6 @@ func (db *DB) Update(fn func(*Updater)) (*UpdateStats, error) {
 	return stats, nil
 }
 
-// Insert applies a single-object insert and returns the new object's ID.
-func (db *DB) Insert(spec InsertSpec) (int64, error) {
-	st, err := db.Update(func(u *Updater) { u.Insert(spec) })
-	if err != nil {
-		return 0, err
-	}
-	return st.InsertedIDs[0], nil
-}
-
-// Delete applies a single-object delete.
-func (db *DB) Delete(id int64) error {
-	_, err := db.Update(func(u *Updater) { u.Delete(id) })
-	return err
-}
-
-// Move applies a single-object translation.
-func (db *DB) Move(id int64, dx, dy, dz float64) error {
-	_, err := db.Update(func(u *Updater) { u.Move(id, dx, dy, dz) })
-	return err
-}
-
 // Epoch returns the number of update batches installed since the
 // original build (or, after Open, since the base image was saved).
 func (db *DB) Epoch() int {

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/overload"
 	"repro/internal/render"
 	"repro/internal/review"
-	"repro/internal/shard"
+	"repro/internal/scene"
 	"repro/internal/walkthrough"
 )
 
@@ -48,9 +49,9 @@ type WalkOptions struct {
 	// Prefetch speculatively warms the cache with the cell ahead
 	// (VISUAL only).
 	Prefetch bool
-	// Coherent answers cell-entry queries through a retained traversal
-	// cut (see Session.QueryCoherent) instead of descending from the
-	// root each time (VISUAL Walkthrough only; Serve rejects it).
+	// Coherent answers each client's cell-entry queries through its
+	// session's retained traversal cut (see Session.QueryCellCoherent)
+	// instead of descending from the root each time (VISUAL only).
 	Coherent bool
 	// UseREVIEW plays the session on the REVIEW spatial baseline instead
 	// of the HDoV-tree.
@@ -67,13 +68,13 @@ type WalkOptions struct {
 	// budget is skipped — the previous resident set carries it — and
 	// counted, never silently stretched.
 	FrameBudget time.Duration
-	// Admission, when set, gates every cell-entry query in Serve through
-	// an admission controller; rejected queries are counted, not errors.
-	// Ignored by Walkthrough (a single client cannot overload itself).
+	// Admission, when set, gates every cell-entry query through an
+	// admission controller; rejected queries are counted, not errors.
+	// Walkthrough's one client always finds a free slot.
 	Admission *AdmissionConfig
-	// Shed, when set, enables fidelity-aware load shedding in Serve:
+	// Shed, when set, enables fidelity-aware load shedding (VISUAL only):
 	// under sustained pressure queries run at a relaxed DoV threshold or
-	// truncate at internal LoDs. Ignored by Walkthrough.
+	// truncate at internal LoDs.
 	Shed *ShedConfig
 }
 
@@ -111,7 +112,9 @@ type WalkStats struct {
 }
 
 // Walkthrough records a session with the requested motion pattern and
-// plays it back, returning the performance trace.
+// plays it back, returning the performance trace. The VISUAL playback is
+// Serve with one client: it plays on its own session, along the path
+// Serve's client 0 walks.
 func (db *DB) Walkthrough(opts WalkOptions) (*WalkStats, error) {
 	return db.WalkthroughContext(context.Background(), opts)
 }
@@ -121,67 +124,28 @@ func (db *DB) Walkthrough(opts WalkOptions) (*WalkStats, error) {
 // error wrapping the context's error. WalkOptions.FrameBudget bounds
 // individual frames independently of the whole-playback deadline.
 func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkStats, error) {
-	if opts.Frames <= 0 {
-		opts.Frames = 600
-	}
-	if opts.ReviewBoxDepth <= 0 {
-		opts.ReviewBoxDepth = 400
-	}
-	tree, sc := db.snapshot()
-	var s walkthrough.Session
-	switch opts.Session {
-	case SessionTurning:
-		s = walkthrough.RecordTurning(sc, opts.Frames, opts.Seed+1)
-	case SessionBackForward:
-		s = walkthrough.RecordBackForward(sc, opts.Frames, opts.Seed+2)
-	default:
-		s = walkthrough.RecordNormal(sc, opts.Frames, opts.Seed)
-	}
-
 	var res *walkthrough.Result
-	var err error
 	var coherence CoherenceStats
 	if opts.UseREVIEW {
+		tree, sc := db.session()
 		cfg := review.DefaultConfig()
-		cfg.QueryBoxDepth = opts.ReviewBoxDepth
+		cfg.QueryBoxDepth = opts.ReviewBoxDepth // review.New defaults 0 to 400
 		p := &walkthrough.ReviewPlayer{
 			Sys:         review.New(tree, cfg),
 			Complement:  opts.Delta,
 			CacheBudget: opts.CacheBudget,
 			Render:      render.DefaultConfig(),
 		}
-		res, err = p.PlayContext(ctx, s)
+		var err error
+		if res, err = p.PlayContext(ctx, record(sc, opts, opts.Seed)); err != nil {
+			return nil, err
+		}
 	} else {
-		if opts.Coherent {
-			// The cut and the result free list are per-session state;
-			// playing on a private session keeps the shared tree clean.
-			tree = tree.Session()
+		tr := db.play(ctx, opts, 1).Players[0]
+		if tr.Err != nil {
+			return nil, tr.Err
 		}
-		p := &walkthrough.VisualPlayer{
-			Tree:        tree,
-			Eta:         opts.Eta,
-			Delta:       opts.Delta,
-			Prefetch:    opts.Prefetch,
-			Coherent:    opts.Coherent,
-			CacheBudget: opts.CacheBudget,
-			Render:      render.DefaultConfig(),
-			FrameBudget: opts.FrameBudget,
-		}
-		var routed *shard.Session
-		if r := db.currentRouter(); r != nil {
-			// Sharded: each frame's cell-entry query runs on the owning
-			// shard's store; the walk hands off between stores at shard
-			// boundaries. Answers are byte-identical to the unrouted walk.
-			routed = r.Session()
-			p.Route = routed.RouteTree
-		}
-		res, err = p.PlayContext(ctx, s)
-		if err == nil && opts.Coherent {
-			coherence = (&Session{tree: tree, sh: routed}).CoherenceStats()
-		}
-	}
-	if err != nil {
-		return nil, err
+		res, coherence = tr.Result, coherenceFrom(tr.Coherence)
 	}
 	out := &WalkStats{
 		System:          res.System,
@@ -207,4 +171,64 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 		out.Retries += f.Retries
 	}
 	return out, nil
+}
+
+// record records opts' motion pattern over sc (600 frames by default).
+func record(sc *scene.Scene, opts WalkOptions, seed int64) walkthrough.Session {
+	frames := opts.Frames
+	if frames <= 0 {
+		frames = 600
+	}
+	switch opts.Session {
+	case SessionTurning:
+		return walkthrough.RecordTurning(sc, frames, seed+1)
+	case SessionBackForward:
+		return walkthrough.RecordBackForward(sc, frames, seed+2)
+	default:
+		return walkthrough.RecordNormal(sc, frames, seed)
+	}
+}
+
+// play plays n VISUAL clients concurrently on the current epoch, client
+// i on its own session along the path recorded from opts.Seed + i — the
+// one playback behind Walkthrough (n = 1) and Serve.
+func (db *DB) play(ctx context.Context, opts WalkOptions, n int) walkthrough.ServeStats {
+	base, sc := db.session()
+	paths := make([]walkthrough.Session, n)
+	for i := range paths {
+		paths[i] = record(sc, opts, opts.Seed+int64(i))
+	}
+	m := &walkthrough.SessionManager{
+		Base:        base,
+		Eta:         opts.Eta,
+		Delta:       opts.Delta,
+		Prefetch:    opts.Prefetch,
+		Coherent:    opts.Coherent,
+		CacheBudget: opts.CacheBudget,
+		Render:      render.DefaultConfig(),
+		FrameBudget: opts.FrameBudget,
+	}
+	if r := db.currentRouter(); r != nil {
+		// Sharded: each client gets its own routed shard session, so its
+		// frames hit the owning shard's store and hand off between stores
+		// at shard boundaries; answers are byte-identical to the unrouted
+		// walk. Shed policies fan out to every shard store.
+		m.Routes = func() walkthrough.Router { return r.Session() }
+		m.ShedBases = r.Bases()
+	}
+	if opts.Admission != nil {
+		m.Admission = overload.New(overload.Config{
+			MaxConcurrent: opts.Admission.MaxConcurrent,
+			MaxQueue:      opts.Admission.MaxQueue,
+			MaxPerClient:  opts.Admission.MaxPerClient,
+		})
+	}
+	if opts.Shed != nil {
+		m.Shedder = overload.NewShedder(overload.ShedConfig{
+			Target: opts.Shed.Target,
+			Upper:  opts.Shed.Upper,
+			Lower:  opts.Shed.Lower,
+		})
+	}
+	return m.PlayContext(ctx, paths)
 }
