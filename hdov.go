@@ -115,9 +115,6 @@ type Config struct {
 	// serve. It is fixed for the DB's lifetime: Save persists it and
 	// Open restores it. Build one DB per scheme to compare layouts.
 	Scheme Scheme
-	// Eta is a default DoV threshold for callers to pass on; queries
-	// take their threshold per call and do not read it.
-	Eta float64
 	// UseItemBuffer precomputes DoV with the cube-map rasterizer (the
 	// literal software form of the paper's hardware pass) instead of ray
 	// casting. ItemBufferRes sets its per-face resolution (0 = default).
@@ -157,7 +154,6 @@ func DefaultConfig() Config {
 		DoVRays:        1024,
 		SamplesPerCell: 1,
 		Scheme:         SchemeIndexedVertical,
-		Eta:            0.001,
 	}
 }
 

@@ -331,6 +331,14 @@ func (n *Node) EncodeRecord() []byte {
 
 // DecodeNodeRecord parses a node record. The returned node has no
 // in-memory InternalLoD; callers needing meshes read the extents.
+//
+// A record decodes in at most four allocations at any fan-out: the Node,
+// its Entries, and one flat Extent and one flat polygon-count array that
+// every entry's LoDRefs/LoDPolys and the node's InternalExtents/
+// InternalPolys sub-slice with capped capacity, so an append to one never
+// writes into its neighbor.
+//
+// hdov:hot-path
 func DecodeNodeRecord(buf []byte) (*Node, error) {
 	le := binary.LittleEndian
 	if len(buf) < nodeHeaderSize {
@@ -347,26 +355,35 @@ func DecodeNodeRecord(buf []byte) (*Node, error) {
 	}
 	nLoD := int(le.Uint16(buf[10:]))
 	nEnt := int(le.Uint32(buf[16:]))
-	want := nodeHeaderSize + nEnt*entrySize + nLoD*lodRefSize
+	nRefs := nLoD
 	if !n.Leaf {
-		want += nEnt * nLoD * lodRefSize
+		nRefs += nEnt * nLoD
 	}
+	want := nodeHeaderSize + nEnt*entrySize + nRefs*lodRefSize
 	if len(buf) < want {
 		return nil, fmt.Errorf("core: node record truncated: %d < %d", len(buf), want)
 	}
+	refs := make([]Extent, nRefs)
+	polys := make([]int, nRefs)
+	r := 0 // next free slot of refs/polys
 	off := nodeHeaderSize
-	getRef := func() (Extent, int) {
-		ex := Extent{
-			Start:        storage.PageID(le.Uint64(buf[off+0:])),
-			NominalBytes: int64(le.Uint64(buf[off+8:])),
-			RealBytes:    int64(le.Uint64(buf[off+16:])),
+	// readRefs decodes the next k LoD refs into refs/polys and returns
+	// the two capped sub-slices that hold them.
+	readRefs := func(k int) ([]Extent, []int) {
+		for j := r; j < r+k; j++ {
+			refs[j] = Extent{
+				Start:        storage.PageID(le.Uint64(buf[off+0:])),
+				NominalBytes: int64(le.Uint64(buf[off+8:])),
+				RealBytes:    int64(le.Uint64(buf[off+16:])),
+			}
+			polys[j] = int(le.Uint32(buf[off+24:]))
+			off += lodRefSize
 		}
-		npoly := int(le.Uint32(buf[off+24:]))
-		off += lodRefSize
-		return ex, npoly
+		r += k
+		return refs[r-k : r : r], polys[r-k : r : r]
 	}
 	n.Entries = make([]NodeEntry, nEnt)
-	for i := 0; i < nEnt; i++ {
+	for i := range n.Entries {
 		n.Entries[i] = NodeEntry{
 			MBR: geom.AABB{
 				Min: geom.Vec3{
@@ -387,17 +404,9 @@ func DecodeNodeRecord(buf []byte) (*Node, error) {
 		}
 		off += entrySize
 		if !n.Leaf {
-			n.Entries[i].LoDRefs = make([]Extent, nLoD)
-			n.Entries[i].LoDPolys = make([]int, nLoD)
-			for j := 0; j < nLoD; j++ {
-				n.Entries[i].LoDRefs[j], n.Entries[i].LoDPolys[j] = getRef()
-			}
+			n.Entries[i].LoDRefs, n.Entries[i].LoDPolys = readRefs(nLoD)
 		}
 	}
-	n.InternalExtents = make([]Extent, nLoD)
-	n.InternalPolys = make([]int, nLoD)
-	for i := 0; i < nLoD; i++ {
-		n.InternalExtents[i], n.InternalPolys[i] = getRef()
-	}
+	n.InternalExtents, n.InternalPolys = readRefs(nLoD)
 	return n, nil
 }

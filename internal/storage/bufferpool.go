@@ -20,7 +20,9 @@ package storage
 // concurrent sessions hitting disjoint pages do not serialize. Page data
 // slices are immutable once inserted (WritePage invalidates rather than
 // mutates), so a data slice returned by a lookup stays valid after
-// eviction.
+// eviction. Hits hand readers that slice itself, not a copy, so the
+// pool's immutability rests on readers never writing what they are
+// served (the storage.Reader contract).
 
 import "sync"
 
@@ -199,6 +201,27 @@ func (b *bufferPool) gauges() PoolStats {
 		out.Pages += len(s.frames)
 		for f := s.head; f != nil; f = f.next {
 			out.ResidentBytes += int64(len(f.data))
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// ResidentFrames returns every resident pool frame keyed by page — the
+// frames themselves, not copies, so a test can checksum them, run reads,
+// and prove no reader wrote into a frame it was served. Nil with no pool.
+func (d *Disk) ResidentFrames() map[PageID][]byte {
+	d.mu.RLock()
+	pool := d.pool
+	d.mu.RUnlock()
+	if pool == nil {
+		return nil
+	}
+	out := make(map[PageID][]byte)
+	for _, s := range pool.shards {
+		s.mu.Lock()
+		for id, f := range s.frames {
+			out[id] = f.data
 		}
 		s.mu.Unlock()
 	}

@@ -206,6 +206,10 @@ type Disk struct {
 	// region with repeated permanent media faults fails fast instead of
 	// being re-probed on every query.
 	breaker *breaker
+	// xfer recycles readExtent's discard buffers (*[]byte of xferPages
+	// pages): the payload bytes are read and dropped, so one buffer can
+	// serve every extent instead of a fresh zeroed one per call.
+	xfer sync.Pool
 
 	// statsMu guards the cost-model accounting below.
 	statsMu sync.Mutex
@@ -539,7 +543,8 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 // ReadPage returns the content of page id, charging one page I/O of the
 // given class. Never-written pages read back zero-filled. Reads served by
 // the buffer pool (SetCacheSize) cost nothing — seek and transfer are
-// charged only on pool misses.
+// charged only on pool misses. A pool-served page is the resident frame
+// itself, shared with every other reader: callers must never write it.
 func (d *Disk) ReadPage(id PageID, class Class) ([]byte, error) {
 	return d.readPage(id, class, nil)
 }
@@ -558,6 +563,14 @@ func (d *Disk) readPage(id PageID, class Class, sink *Client) ([]byte, error) {
 	if pool == nil || !pool.caches(class) {
 		return d.readPageMedia(id, class, sink, nil)
 	}
+	return d.readPooled(pool, id, class, sink)
+}
+
+// readPooled serves one in-range page through pool: a hit returns the
+// resident frame itself, a miss reads the media (coalesced with any
+// concurrent miss on the same page) and inserts the page. The caller has
+// range-checked id and loaded pool under d.mu.
+func (d *Disk) readPooled(pool *bufferPool, id PageID, class Class, sink *Client) ([]byte, error) {
 	if p, ok := pool.get(id); ok {
 		delta := Stats{PoolLightHits: 1}
 		if class == ClassHeavy {
@@ -700,7 +713,8 @@ func (d *Disk) WriteBytes(start PageID, data []byte) error {
 }
 
 // ReadBytes reads length bytes starting at page start. All pages of the
-// extent are charged as one sequential run.
+// extent are charged as one sequential run. Like ReadPage, the result is
+// read-only: a pool-served single-page extent is the frame itself.
 func (d *Disk) ReadBytes(start PageID, length int, class Class) ([]byte, error) {
 	return d.readBytes(start, length, class, nil)
 }
@@ -721,11 +735,23 @@ func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([
 	pool := d.pool
 	d.mu.RUnlock()
 	if pool != nil && pool.caches(class) {
+		if n == 1 {
+			// A single-page extent is the frame itself, capped so an
+			// append by the caller can never reach the frame's tail.
+			p, err := d.readPooled(pool, start, class, sink)
+			if err != nil {
+				return nil, err
+			}
+			return p[:length:length], nil
+		}
 		// Page-at-a-time through the buffer pool; consecutive misses
 		// still count as one sequential run via the stream heads.
 		out := make([]byte, 0, n*d.pageSize)
 		for i := 0; i < n; i++ {
-			p, err := d.readPage(start+PageID(i), class, sink)
+			if err := sink.ctxErr(); err != nil {
+				return nil, err
+			}
+			p, err := d.readPooled(pool, start+PageID(i), class, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -804,10 +830,15 @@ func (d *Disk) readExtent(start PageID, n int, class Class, sink *Client) error 
 		// nominal-size heavy payloads never materialize on the heap, so
 		// MeasuredTime reflects honest I/O. The simulated backend keeps
 		// the historical charge-without-reading behavior.
-		const chunk = 64
-		buf := make([]byte, min(chunk, n)*d.pageSize)
-		for off := 0; off < n; off += chunk {
-			m := min(chunk, n-off)
+		bp, _ := d.xfer.Get().(*[]byte)
+		if bp == nil {
+			buf := make([]byte, xferPages*d.pageSize)
+			bp = &buf
+		}
+		defer d.xfer.Put(bp)
+		buf := *bp
+		for off := 0; off < n; off += xferPages {
+			m := min(xferPages, n-off)
 			if err := d.mediaRead(start+PageID(off), m, buf[:m*d.pageSize], sink); err != nil {
 				return fmt.Errorf("storage: extent [%d,+%d): %w", start, n, err)
 			}
@@ -815,6 +846,10 @@ func (d *Disk) readExtent(start PageID, n int, class Class, sink *Client) error 
 	}
 	return nil
 }
+
+// xferPages is the chunk, in pages, that readExtent transfers per media
+// call on a timed backend; Disk.xfer recycles buffers of this size.
+const xferPages = 64
 
 // CorruptPage marks a page as unreadable — the failure-injection hook used
 // by recovery tests.

@@ -7,10 +7,14 @@ package storage
 // traffic.
 type Reader interface {
 	// ReadPage returns the content of one page, charging one page I/O of
-	// the given class (unless served by the buffer pool).
+	// the given class (unless served by the buffer pool). The returned
+	// slice may be a buffer-pool frame shared with every other reader:
+	// it is read-only and must never be written.
 	ReadPage(id PageID, class Class) ([]byte, error)
 	// ReadBytes reads length bytes starting at page start, charged as one
-	// sequential run.
+	// sequential run. A pool-served single-page extent is the frame
+	// itself (capacity capped at length), so the returned slice is
+	// read-only, exactly like ReadPage's.
 	ReadBytes(start PageID, length int, class Class) ([]byte, error)
 	// ReadExtent charges n sequential page reads without materializing
 	// data.

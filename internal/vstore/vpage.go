@@ -172,5 +172,5 @@ func (t slotTable) read(r storage.Reader, i int64, class storage.Class) ([]byte,
 		return nil, err
 	}
 	off := t.offset(i)
-	return page[off : off+t.slotBytes], nil
+	return page[off : off+t.slotBytes : off+t.slotBytes], nil
 }
