@@ -3,7 +3,7 @@ package hdov
 // Backend differential suite: the same saved database, reopened on the
 // simulated in-memory disk and on the real file backend, must answer
 // every query mode identically — one database per V-page scheme, raw and
-// codec layouts, serial, parallel and coherent traversal. The file
+// codec layouts, serial and coherent traversal. The file
 // backend may only differ in wall-clock accounting (MeasuredTime).
 
 import (
@@ -61,23 +61,6 @@ func runDifferential(t *testing.T, dir string) {
 		}
 		sameItems(t, scheme.String()+"/serial", a, b)
 	}
-
-	// Parallel traversal fan-out.
-	sim.SetParallel(4)
-	fb.SetParallel(4)
-	for _, c := range cells {
-		a, err := sim.NewSession().QueryCell(c, 0.002)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fb.NewSession().QueryCell(c, 0.002)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameItems(t, scheme.String()+"/parallel", a, b)
-	}
-	sim.SetParallel(1)
-	fb.SetParallel(1)
 
 	// Coherent session walk (delta/complement against the previous
 	// cell's cut).

@@ -80,7 +80,7 @@ func main() {
 
 	// The reopened database runs full walkthroughs.
 	ws, err := db2.Walkthrough(hdov.WalkOptions{
-		Session: hdov.SessionNormal, Frames: 300, Eta: 0.001, Delta: true, Prefetch: true,
+		Session: hdov.SessionNormal, Frames: 300, Eta: 0.001, Delta: true,
 	})
 	if err != nil {
 		log.Fatal(err)

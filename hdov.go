@@ -23,9 +23,9 @@
 // One open DB serves many clients concurrently: every read runs on a
 // Session, and NewSession gives each client a private query handle with
 // its own I/O accounting; SetCacheSize installs a shared buffer pool
-// whose hits charge no simulated I/O, SetParallel bounds the per-query
-// traversal fan-out, and Serve plays N concurrent walkthrough clients
-// end to end (see DESIGN.md §10).
+// whose hits charge no simulated I/O, and Serve plays N concurrent
+// walkthrough clients end to end (see DESIGN.md §10). Each query runs
+// the serial depth-first traversal of Figure 3.
 //
 // Quick start:
 //

@@ -8,7 +8,7 @@ import (
 
 // DeterminismPass guards the reproducibility contract of the query path
 // (DESIGN.md §10): the differential suite asserts byte-identical results
-// across storage schemes, client counts, and serial/parallel traversal,
+// across storage schemes, client counts, and full/coherent traversal,
 // and the paper's scheme comparison (§4–5) is only fair if every run
 // takes the same access path. Within the root package, internal/core and
 // internal/vstore it therefore forbids:

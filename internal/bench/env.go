@@ -213,7 +213,7 @@ func All() []Experiment {
 		{ID: "fig11", Title: "Figure 11: visual fidelity comparison", Run: RunFig11},
 		{ID: "fig12", Title: "Figure 12: search performance across sessions", Run: RunFig12},
 		{ID: "table3", Title: "Table 3: frame time and variance vs eta", Run: RunTable3},
-		{ID: "ablation", Title: "Ablations: D1-D8 design-choice studies", Run: RunAblations},
+		{ID: "ablation", Title: "Ablations: D1-D6 and D8 design-choice studies", Run: RunAblations},
 		{ID: "museum", Title: "Extension: indoor extreme-occlusion regime (hidden-object waste)", Run: RunMuseum},
 		{ID: "serve", Title: "Extension: multi-client serving throughput with the shared buffer pool", Run: RunServe},
 		{ID: "baseline", Title: "Regression baseline: uncached per-query cost per scheme, cached serving hit rate", Run: RunBaseline,

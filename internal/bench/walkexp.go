@@ -450,39 +450,6 @@ func RunAblations(w io.Writer, p Params) error {
 	}
 	e.Disk.SetCacheSize(0)
 
-	// D7: speculative next-cell prefetch in the walkthrough.
-	fmt.Fprintf(w, "\nD7: walkthrough prefetch off vs on (session 1, eta=0.001)\n")
-	s1 := walkthrough.RecordNormal(e.Scene, p.Frames, p.Seed)
-	for _, prefetch := range []bool{false, true} {
-		pl := visualPlayer(e, 0.001)
-		pl.Prefetch = prefetch
-		res, err := pl.Play(s1)
-		if err != nil {
-			return err
-		}
-		var spikeSum float64
-		var spikes int
-		var totalIO int64
-		first := true
-		for _, f := range res.Frames {
-			totalIO += f.LightIO + f.HeavyIO + f.PrefetchIO
-			if f.Queried {
-				if first {
-					first = false
-					continue
-				}
-				spikeSum += float64(f.QueryTime) / float64(time.Millisecond)
-				spikes++
-			}
-		}
-		avgSpike := 0.0
-		if spikes > 0 {
-			avgSpike = spikeSum / float64(spikes)
-		}
-		fmt.Fprintf(w, "  prefetch=%-6v avg cell-entry stall %.2f ms, total I/O %d pages\n",
-			prefetch, avgSpike, totalIO)
-	}
-
 	// D8: R-tree construction — incremental Ang–Tan insertion (the
 	// paper's choice) vs STR bulk loading.
 	fmt.Fprintf(w, "\nD8: R-tree backbone, incremental insertion vs STR bulk load\n")

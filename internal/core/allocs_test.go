@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -68,5 +69,23 @@ func TestDecodeNodeRecordFixedAllocations(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDecodeNodeRecord measures one node-record decode at the
+// default R-tree fan-out — the decode every node visit of a warm query
+// pays (run with -benchmem, or read allocs/op: ReportAllocs is on).
+func BenchmarkDecodeNodeRecord(b *testing.B) {
+	for _, leaf := range []bool{true, false} {
+		b.Run(fmt.Sprintf("leaf=%v", leaf), func(b *testing.B) {
+			buf := synthNode(rtree.DefaultMaxEntries, 3, leaf).EncodeRecord()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeNodeRecord(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -119,13 +119,6 @@ type Tree struct {
 	// Build and OpenTree set it; Session gives each session its own.
 	IO *storage.Client
 
-	// Parallel bounds the traversal fan-out (see SetParallel); <= 1 keeps
-	// the strictly serial Figure 3 traversal.
-	Parallel int
-	// parSem is the worker-slot semaphore backing Parallel (capacity
-	// Parallel-1: the caller's goroutine is the remaining worker).
-	parSem chan struct{}
-
 	vstore       VStore
 	nodePageBase storage.PageID
 	nodeStride   int // pages per node record
@@ -169,9 +162,6 @@ func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
 // SetVStore attaches the storage scheme used by Query.
 func (t *Tree) SetVStore(v VStore) { t.vstore = v }
-
-// VStoreScheme returns the attached scheme (nil before SetVStore).
-func (t *Tree) VStoreScheme() VStore { return t.vstore }
 
 // Build constructs the HDoV-tree over sc on disk d and precomputes the
 // visibility data for every cell of the grid. The returned VisData is then

@@ -331,7 +331,7 @@ func TestInterpolatePolys(t *testing.T) {
 
 func TestQueryWithoutVStore(t *testing.T) {
 	tr, _ := fixture(t)
-	saved := tr.VStoreScheme()
+	saved := tr.vstore
 	tr.SetVStore(nil)
 	defer tr.SetVStore(saved)
 	if _, err := tr.Query(0, 0.001); err != ErrNoVStore {

@@ -193,11 +193,9 @@ func TestShedMaxDepth(t *testing.T) {
 		t.Fatalf("%d truncation records for %d items — shedding went silent", truncated, len(res.Items))
 	}
 
-	// Every driver truncates identically: the parallel planning pass and
-	// the coherent path (which delegates to the full query while
-	// shedding) give the serial answer, Degradations included.
-	par := tr.Session()
-	par.SetParallel(4)
+	// Both drivers truncate identically: the coherent path (which
+	// delegates to the full query while shedding) gives the serial
+	// answer, Degradations included.
 	coh := tr.Session()
 	for _, depth := range []int{1, 2} {
 		tr.SetShed(&ShedPolicy{MaxDepth: depth})
@@ -207,20 +205,12 @@ func TestShedMaxDepth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range []struct {
-				name string
-				run  func() (*QueryResult, error)
-			}{
-				{"parallel", func() (*QueryResult, error) { return par.Query(cell, 0) }},
-				{"coherent", func() (*QueryResult, error) { return coh.QueryCoherent(cell, 0) }},
-			} {
-				got, err := d.run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.Degradations, want.Degradations) {
-					t.Fatalf("depth %d cell %d: %s truncation diverged from serial", depth, c, d.name)
-				}
+			got, err := coh.QueryCoherent(cell, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.Degradations, want.Degradations) {
+				t.Fatalf("depth %d cell %d: coherent truncation diverged from serial", depth, c)
 			}
 		}
 	}

@@ -169,11 +169,9 @@ func (cn *cutNode) child(id NodeID) *cutNode {
 // searchCut is the coherent driver of decide: searchNode re-rooted on
 // the retained cut — the same decisions in the same entry order, so the
 // same Items — but node records come from the cut where retained, and the
-// cut is rewritten in place to the new traversal's shape. Always serial:
-// the cut structure is the shared mutable state a fan-out would have to
-// lock, and the records it saves are exactly the reads parallelism would
-// have overlapped. No fault absorption and no shedding here — any error
-// aborts to the full-query fallback, and a shedding query never gets here.
+// cut is rewritten in place to the new traversal's shape. No fault
+// absorption and no shedding here — any error aborts to the full-query
+// fallback, and a shedding query never gets here.
 func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult) error {
 	if err := tc.err(); err != nil {
 		return err

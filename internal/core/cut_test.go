@@ -2,12 +2,13 @@ package core_test
 
 // Differential suite for frame-coherent incremental traversal
 // (QueryCoherent): along a walkthrough path the incremental cut must
-// answer byte-identically to a from-root Query — per scheme, serial and
-// parallel, degraded mode included — while actually reusing retained
-// state on the warm path.
+// answer byte-identically to a from-root Query — per scheme, with one or
+// several concurrent walkers, degraded mode included — while actually
+// reusing retained state on the warm path.
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cells"
@@ -36,56 +37,81 @@ func snakeWalk(tr *core.Tree) []cells.CellID {
 // answer matches byte for byte.
 func assertCoherentAgreesWithFull(t *testing.T, e *diffEnv, walk []cells.CellID, eta float64) *core.Tree {
 	t.Helper()
+	cohSess, err := coherentWalk(e, walk, eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cohSess
+}
+
+// coherentWalk is assertCoherentAgreesWithFull's walk, reporting the
+// first divergence as an error so concurrent walkers can run it.
+func coherentWalk(e *diffEnv, walk []cells.CellID, eta float64) (*core.Tree, error) {
 	refSess := e.tree.Session()
 	cohSess := e.tree.Session()
 	for i, cell := range walk {
 		ref, err := refSess.Query(cell, eta)
 		if err != nil {
-			t.Fatalf("full query step %d cell %d: %v", i, cell, err)
+			return nil, fmt.Errorf("full query step %d cell %d: %v", i, cell, err)
 		}
 		got, err := cohSess.QueryCoherent(cell, eta)
 		if err != nil {
-			t.Fatalf("coherent query step %d cell %d: %v", i, cell, err)
+			return nil, fmt.Errorf("coherent query step %d cell %d: %v", i, cell, err)
 		}
 		if canon(got) != canon(ref) {
-			t.Fatalf("step %d cell %d eta %g: coherent result diverged:\n%s\nvs full\n%s",
+			return nil, fmt.Errorf("step %d cell %d eta %g: coherent result diverged:\n%s\nvs full\n%s",
 				i, cell, eta, canon(got), canon(ref))
 		}
 		refSess.Recycle(ref)
 		cohSess.Recycle(got)
 	}
-	return cohSess
+	return cohSess, nil
 }
 
-// TestCutDifferential: all three schemes × all etas × serial and parallel
-// traversal. Byte-identity is the contract; on the fault-free path the
-// warm queries must also actually run incrementally and reuse records.
+// TestCutDifferential: all three schemes × all etas × one or four
+// coherent/full session pairs walking concurrently (parN), so sessions
+// share the disk and its pool while their cuts stay private.
+// Byte-identity is the contract; on the fault-free path the warm queries
+// must also actually run incrementally and reuse records.
 func TestCutDifferential(t *testing.T) {
 	e := diffFixture(t)
 	walk := snakeWalk(e.tree)
-	for _, parallel := range []int{1, 4} {
-		e.tree.SetParallel(parallel)
+	for _, walkers := range []int{1, 4} {
 		for _, s := range e.schemes {
 			e.tree.SetVStore(s.vs)
 			for _, eta := range diffEtas {
-				name := fmt.Sprintf("%s/par%d/eta%g", s.name, parallel, eta)
+				name := fmt.Sprintf("%s/par%d/eta%g", s.name, walkers, eta)
 				t.Run(name, func(t *testing.T) {
-					sess := assertCoherentAgreesWithFull(t, e, walk, eta)
-					cs := sess.CoherenceStats()
-					if cs.Full != 0 {
-						t.Fatalf("fault-free walk fell back to full traversal %d times", cs.Full)
+					sessions := make([]*core.Tree, walkers)
+					errs := make([]error, walkers)
+					var wg sync.WaitGroup
+					for i := range sessions {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							sessions[i], errs[i] = coherentWalk(e, walk, eta)
+						}(i)
 					}
-					if cs.Incremental != int64(len(walk)) {
-						t.Fatalf("Incremental = %d, want %d", cs.Incremental, len(walk))
-					}
-					if cs.NodesReused == 0 {
-						t.Fatal("warm walk reused no node records — the cut is not retaining anything")
+					wg.Wait()
+					for i, sess := range sessions {
+						if errs[i] != nil {
+							t.Fatalf("walker %d: %v", i, errs[i])
+						}
+						cs := sess.CoherenceStats()
+						if cs.Full != 0 {
+							t.Fatalf("fault-free walk fell back to full traversal %d times", cs.Full)
+						}
+						if cs.Incremental != int64(len(walk)) {
+							t.Fatalf("Incremental = %d, want %d", cs.Incremental, len(walk))
+						}
+						if cs.NodesReused == 0 {
+							t.Fatal("warm walk reused no node records — the cut is not retaining anything")
+						}
 					}
 				})
 			}
 		}
 	}
-	e.tree.SetParallel(1)
 }
 
 // TestCutDifferentialDegradations: with a corrupted node record and fault

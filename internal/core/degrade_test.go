@@ -140,7 +140,7 @@ func TestDegradedRootFault(t *testing.T) {
 func TestDegradedCellFlipFault(t *testing.T) {
 	tr, _ := fixture(t)
 	cleanFaults(t, tr)
-	saved := tr.VStoreScheme()
+	saved := tr.vstore
 	tr.SetVStore(&corruptFlipVStore{})
 	t.Cleanup(func() { tr.SetVStore(saved) })
 

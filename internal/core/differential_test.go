@@ -2,10 +2,9 @@ package core_test
 
 // Differential suite: the three V-page storage schemes of §4 hold the
 // same visibility data, so for any (cell, eta) they must produce
-// byte-identical answer sets — and so must every concurrent client, with
-// serial or parallel traversal. A disagreement anywhere is a lost-update
-// or ordering bug in the storage schemes, the session machinery, or the
-// parallel fan-out merge.
+// byte-identical answer sets — and so must every concurrent client. A
+// disagreement anywhere is a lost-update or ordering bug in the storage
+// schemes or the session machinery.
 
 import (
 	"fmt"
@@ -209,8 +208,8 @@ func assertConcurrentAgreement(t *testing.T, e *diffEnv, ws []workloadKey, ref m
 	}
 }
 
-// TestDifferentialSchemes: all three schemes, 1 and 8 concurrent clients,
-// serial and parallel traversal — one byte-identical answer per query.
+// TestDifferentialSchemes: all three schemes, 1 and 8 concurrent clients
+// — one byte-identical answer per query.
 func TestDifferentialSchemes(t *testing.T) {
 	e := diffFixture(t)
 	ws := diffWorkload(e.tree)
@@ -219,25 +218,11 @@ func TestDifferentialSchemes(t *testing.T) {
 	t.Run("concurrent-8", func(t *testing.T) {
 		assertConcurrentAgreement(t, e, ws, ref, 8)
 	})
-	t.Run("parallel-traversal", func(t *testing.T) {
-		e.tree.SetParallel(4)
-		defer e.tree.SetParallel(1)
-		// Parallel fan-out must not change a single answer byte, serially
-		// or under concurrency.
-		par := diffReference(t, e, ws)
-		for _, k := range ws {
-			if par[k] != ref[k] {
-				t.Fatalf("parallel traversal changed the answer at cell %d eta %g:\n%s\nvs\n%s",
-					k.cell, k.eta, par[k], ref[k])
-			}
-		}
-		assertConcurrentAgreement(t, e, ws, ref, 8)
-	})
 }
 
 // TestDifferentialDegradations: with an explicitly corrupted node page
 // and fault tolerance on, the absorbed Degradation events must also be
-// identical across schemes, client counts, and traversal modes. (The
+// identical across schemes and client counts. (The
 // corrupt page holds a node record, which every scheme shares.)
 func TestDifferentialDegradations(t *testing.T) {
 	e := diffFixture(t)
@@ -265,18 +250,6 @@ func TestDifferentialDegradations(t *testing.T) {
 	}
 
 	t.Run("concurrent-8", func(t *testing.T) {
-		assertConcurrentAgreement(t, e, ws, ref, 8)
-	})
-	t.Run("parallel-traversal", func(t *testing.T) {
-		e.tree.SetParallel(4)
-		defer e.tree.SetParallel(1)
-		par := diffReference(t, e, ws)
-		for _, k := range ws {
-			if par[k] != ref[k] {
-				t.Fatalf("parallel degraded traversal changed the answer at cell %d eta %g:\n%s\nvs\n%s",
-					k.cell, k.eta, par[k], ref[k])
-			}
-		}
 		assertConcurrentAgreement(t, e, ws, ref, 8)
 	})
 }

@@ -101,7 +101,7 @@ func TestMemStoreShortVPage(t *testing.T) {
 	// an index panic.
 	tr, vis := fixture(t)
 	short := &shortVStore{vis: vis}
-	saved := tr.VStoreScheme()
+	saved := tr.vstore
 	tr.SetVStore(short)
 	defer tr.SetVStore(saved)
 	if _, err := tr.Query(0, 0.001); err == nil {

@@ -14,14 +14,14 @@ import (
 // has no pool (resPool nil) — recycling is per-session, so two sessions
 // can never trade backing arrays.
 
-// resultPoolCap bounds the free list. Serial sessions only ever hold one
-// result; the parallel fan-out holds one sub-result per in-flight branch,
-// so the bound tracks realistic fan-out, not result volume.
+// resultPoolCap bounds the free list. A session's queries take one
+// result at a time, so only a caller that recycles many results at once
+// fills it.
 const resultPoolCap = 64
 
-// resultPool is a bounded LIFO free list of QueryResults. The mutex is
-// for the parallel traversal, whose branch workers get and put
-// sub-results concurrently.
+// resultPool is a bounded LIFO free list of QueryResults. The mutex lets
+// a caller hand a result back through Recycle from another goroutine
+// than the one querying.
 type resultPool struct {
 	mu   sync.Mutex
 	free []*QueryResult

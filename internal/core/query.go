@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cells"
@@ -95,9 +94,7 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 //   - coherent delegates to the full traversal while shedding — the cut
 //     is valid for one η, and a policy-relaxed η would thrash it — and
 //     after any fault on the warm path;
-//   - prioritized is serial, so its frustum order is the emission order;
-//   - parallel fans descents out but merges in entry order, so its answer
-//     is the serial one.
+//   - prioritized is serial, so its frustum order is the emission order.
 func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, coherent bool, f *geom.Frustum) (*QueryResult, error) {
 	if t.vstore == nil {
 		return nil, ErrNoVStore
@@ -262,7 +259,7 @@ func (res *QueryResult) record(act entryAction, it *ResultItem) {
 // fault-tolerant substitution (nil at the root; see degrade.go). tc
 // carries the cancellation checkpoint (polled here, once per node
 // expansion), the shed policy, and the frustum of a prioritized query,
-// whose visit order keeps it on this serial driver.
+// which orders the visits.
 //
 // hdov:hot-path
 func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, anc []lodSource) error {
@@ -286,9 +283,6 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	}
 	if len(vd) < len(node.Entries) {
 		return fmt.Errorf("core: node %d has %d entries but V-page has %d", id, len(node.Entries), len(vd))
-	}
-	if t.parSem != nil && !node.Leaf && tc.frustum == nil {
-		return t.searchEntriesParallel(tc, node, vd, eta, res, anc)
 	}
 	order := frustumOrder(node.Entries, tc.frustum)
 	trunc := tc.truncate(len(anc))
@@ -347,111 +341,6 @@ func frustumOrder(entries []NodeEntry, f *geom.Frustum) []int {
 		return dist[ia] < dist[ib]
 	})
 	return order
-}
-
-// entryPlan is one entry's decision in a parallel fan-out, and for a
-// descent the child subtree's sub-result that merges back in entry order.
-type entryPlan struct {
-	act      entryAction
-	item     ResultItem
-	childAnc []lodSource
-	sub      *QueryResult
-	err      error
-}
-
-// searchEntriesParallel is the bounded-fan-out driver of decide for
-// internal nodes. A planning pass makes the per-entry decisions (which
-// need only the already-read node record and V-page), then child descents
-// run on up to Parallel workers, then every decision is applied serially
-// in entry index order — so the answer set, degradation events, and
-// traversal stats are identical to the serial traversal's.
-//
-// hdov:hot-path
-func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float64, res *QueryResult, anc []lodSource) error {
-	plans := make([]entryPlan, len(node.Entries))
-	trunc := tc.truncate(len(anc))
-	for ei := range node.Entries {
-		e := &node.Entries[ei]
-		p := &plans[ei]
-		p.act = t.decide(node.Leaf, e, vd[ei], eta, trunc, &p.item)
-		if p.act != actDescend {
-			continue
-		}
-		// The three-index slice caps capacity so concurrent appends cannot
-		// alias one backing array across sibling subtrees.
-		p.childAnc = append(anc[:len(anc):len(anc)],
-			lodSource{node: e.ChildID, refs: e.LoDRefs, polys: e.LoDPolys})
-		p.sub = t.getResult(res.Cell, res.Eta)
-	}
-	// Fan out: claim a worker slot per descent, or descend inline on this
-	// goroutine when all slots are busy (which also bounds recursion depth
-	// of waiters — no goroutine ever blocks holding work).
-	var wg sync.WaitGroup
-	for i := range plans {
-		p := &plans[i]
-		if p.act != actDescend {
-			continue
-		}
-		child := node.Entries[i].ChildID
-		select {
-		case t.parSem <- struct{}{}:
-			wg.Add(1)
-			//lint:ignore hotalloc one closure per claimed worker slot, amortized by the page reads the descent performs
-			go func(p *entryPlan, child NodeID) {
-				defer wg.Done()
-				defer func() { <-t.parSem }()
-				p.err = t.searchNode(tc, child, eta, p.sub, p.childAnc)
-			}(p, child)
-		default:
-			p.err = t.searchNode(tc, child, eta, p.sub, p.childAnc)
-		}
-	}
-	wg.Wait()
-	// Merge in entry index order; fault absorption runs here, on one
-	// goroutine, so quarantine marks and substitutions land in the same
-	// order a serial traversal would produce.
-	for i := range plans {
-		p := &plans[i]
-		if p.act != actDescend {
-			res.record(p.act, &p.item)
-			continue
-		}
-		if p.err != nil {
-			cause, page, ok := t.absorbFault(p.err, node.Entries[i].ChildID)
-			if !ok {
-				return p.err
-			}
-			t.substitute(res, p.childAnc, node.Entries[i].ChildID, p.item.DoV, p.item.Detail, cause, page)
-			t.Recycle(p.sub)
-			continue
-		}
-		res.absorb(p.sub)
-		t.Recycle(p.sub)
-	}
-	return nil
-}
-
-// absorb merges a completed subtree sub-result into res: items and
-// degradations append in order, traversal stats sum, and internal-LoD
-// substitution stand-ins dedup against the substitutions already merged —
-// exactly the answer the serial traversal builds in place.
-func (res *QueryResult) absorb(sub *QueryResult) {
-	for _, it := range sub.Items {
-		if it.IsInternal() && sub.substituted[it.NodeID] {
-			if res.substituted[it.NodeID] {
-				continue
-			}
-			if res.substituted == nil {
-				res.substituted = make(map[NodeID]bool)
-			}
-			res.substituted[it.NodeID] = true
-		}
-		res.Items = append(res.Items, it)
-	}
-	res.Stats.NodesVisited += sub.Stats.NodesVisited
-	res.Stats.BranchesCut += sub.Stats.BranchesCut
-	res.Stats.EarlyStops += sub.Stats.EarlyStops
-	res.Degradations = append(res.Degradations, sub.Degradations...)
 }
 
 // chooseLevel maps a continuous detail k in [0,1] (1 = finest) to a

@@ -14,10 +14,10 @@ import (
 // different cells would fight over.
 
 // Session returns an independent query view of the tree: same structure
-// and disk, fresh I/O accounting, own storage-scheme cursor, own
-// traversal worker pool. The base tree remains usable; sessions are not
-// themselves re-sessionable trees in any deeper sense (Session of a
-// session just works — it is another shallow view).
+// and disk, fresh I/O accounting, own storage-scheme cursor. The base
+// tree remains usable; sessions are not themselves re-sessionable trees
+// in any deeper sense (Session of a session just works — it is another
+// shallow view).
 //
 // A session's Query/FetchPayloads/LoadMesh may run concurrently with
 // other sessions'. A single session is still one logical walker: do not
@@ -30,34 +30,12 @@ func (t *Tree) Session() *Tree {
 			s.vstore = v.View(s.IO)
 		}
 	}
-	if s.Parallel > 1 {
-		s.parSem = make(chan struct{}, s.Parallel-1)
-	}
 	// Frame-coherence state is strictly per-session: a fresh session
 	// starts with no retained cut and an empty result free list, never
 	// sharing either with the tree (or session) it was derived from.
 	s.cut = nil
 	s.resPool = &resultPool{}
 	return &s
-}
-
-// SetParallel bounds the traversal fan-out: queries on this tree (or on
-// sessions derived from it afterwards) descend up to n child subtrees
-// concurrently. n <= 1 restores the strictly serial traversal of Figure
-// 3. The answer set is identical either way — parallel subtree results
-// are merged in entry order — but per-branch worker scheduling changes
-// which read hits the disk first, so seek-sensitive accounting (Stats.
-// Seeks, SimTime) may differ from the serial run; page counts do not.
-func (t *Tree) SetParallel(n int) {
-	if n < 0 {
-		n = 0
-	}
-	t.Parallel = n
-	if n > 1 {
-		t.parSem = make(chan struct{}, n-1)
-	} else {
-		t.parSem = nil
-	}
 }
 
 // reader returns the handle query-path reads go through: the session's

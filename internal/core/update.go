@@ -165,9 +165,6 @@ func ApplyOps(t *Tree, vis *VisData, ops []scene.Op) (*Tree, *VisData, []scene.O
 		FaultTolerant:               t.FaultTolerant,
 		shed:                        t.shed,
 	}
-	if t.Parallel > 1 {
-		t2.SetParallel(t.Parallel)
-	}
 	t2.mirror(rt)
 
 	// Internal LoDs: reuse chains for nodes whose subtree provably did not

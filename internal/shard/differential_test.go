@@ -1,7 +1,7 @@
 package shard
 
 // Differential suite for sharding: for every storage scheme, codec
-// layout, traversal mode (serial / parallel / coherent / scattered) and
+// layout, traversal mode (serial / coherent / scattered) and
 // shard count (1 / 2 / 8, with and without hot-range replicas), routed
 // answers must be byte-identical to the single-store baseline —
 // Degradation events included. A divergence anywhere is a routing,
@@ -178,11 +178,6 @@ func TestShardDifferential(t *testing.T) {
 					check("coherent", func(s *Session, c cells.CellID) (*core.QueryResult, error) {
 						return s.RouteTree(c).QueryCoherent(c, diffEta)
 					})
-					r.SetParallel(4)
-					check("parallel", func(s *Session, c cells.CellID) (*core.QueryResult, error) {
-						return s.QueryCell(c, diffEta)
-					})
-					r.SetParallel(0)
 
 					// Scatter-gather: the whole grid in one batch.
 					sess := r.Session()

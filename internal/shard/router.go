@@ -14,8 +14,7 @@ import (
 type Config struct {
 	// Shards is the number of contiguous cell-range partitions.
 	Shards int
-	// Parallel and FaultTolerant are applied to every store.
-	Parallel      int
+	// FaultTolerant is applied to every store.
 	FaultTolerant bool
 	// CachePagesPerShard is each store's private buffer-pool capacity.
 	CachePagesPerShard int
@@ -46,8 +45,9 @@ func (t *Table) storeAt(i, pick int) *Store {
 // Router owns the shard topology and routes sessions to stores. The
 // current Table is read via an atomic pointer; topology changes
 // (promotion, demotion) build the replacement off to the
-// side and swap it under mu — the mutex serializes writers only, and no
-// I/O ever happens while it is held.
+// side and swap it under mu. The mutex serializes writers and the
+// per-shard tree copy a session takes on first use; queries never take
+// it.
 type Router struct {
 	sc   *scene.Scene
 	src  *storage.Disk
@@ -55,8 +55,9 @@ type Router struct {
 	heat *Heat
 	// rr spreads sessions over a shard's primary+replica candidates.
 	rr atomic.Uint64
-	// mu serializes topology writers; the published Table itself is read
-	// lock-free through cur.
+	// mu serializes topology and setting writers, and the store-tree
+	// copies sessions take (storeSession); the published Table itself is
+	// read lock-free through cur.
 	mu  sync.Mutex
 	cfg Config // hdov:guarded-by mu
 	cur atomic.Pointer[Table]
@@ -98,7 +99,6 @@ func cellCount(man Manifests) (int, error) {
 // open builds one store under the current per-store settings.
 func (r *Router) open(idx int, cfg Config) (*Store, error) {
 	return OpenStore(r.sc, r.src, r.man, idx, StoreConfig{
-		Parallel:      cfg.Parallel,
 		FaultTolerant: cfg.FaultTolerant,
 		CachePages:    cfg.CachePagesPerShard,
 	})
@@ -193,12 +193,15 @@ func (r *Router) forEachStore(fn func(*Store)) {
 	}
 }
 
-// SetParallel bounds per-query traversal fan-out on every store.
-func (r *Router) SetParallel(n int) {
+// storeSession opens a core session on st. The session copies the
+// store's tree, so it is taken under mu: the setters below write the
+// store trees' settings under the same lock. It runs once per shard a
+// routed session touches, never per query, and waits out an in-flight
+// PromoteHot, which holds mu while it opens replicas.
+func (r *Router) storeSession(st *Store) *core.Tree {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cfg.Parallel = n
-	r.forEachStore(func(st *Store) { st.Tree.SetParallel(n) })
+	return st.Tree.Session()
 }
 
 // SetFaultTolerant toggles degraded-mode traversal on every store.

@@ -50,7 +50,7 @@ func (s *Session) RouteTree(c cells.CellID) *core.Tree {
 // shardTree returns (creating if needed) the core session for shard i.
 func (s *Session) shardTree(i int) *core.Tree {
 	if s.trees[i] == nil {
-		s.trees[i] = s.tab.storeAt(i, s.picks[i]).Tree.Session()
+		s.trees[i] = s.router.storeSession(s.tab.storeAt(i, s.picks[i]))
 	}
 	return s.trees[i]
 }

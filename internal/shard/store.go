@@ -18,7 +18,6 @@ type Manifests struct {
 
 // StoreConfig shapes one shard store.
 type StoreConfig struct {
-	Parallel      int
 	FaultTolerant bool
 	// CachePages is the store's private buffer-pool capacity (0 = none).
 	CachePages int
@@ -54,7 +53,6 @@ func OpenStore(sc *scene.Scene, src *storage.Disk, man Manifests, idx int, cfg S
 	}
 	t.SetVStore(l)
 	t.FaultTolerant = cfg.FaultTolerant
-	t.SetParallel(cfg.Parallel)
 	// Allocate the shared shed-policy slot now, while the store is
 	// private: concurrent serve runs then only store into it atomically.
 	t.SetShed(nil)

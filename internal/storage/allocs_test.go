@@ -29,3 +29,27 @@ func TestPoolHitReadBytesAllocatesNothing(t *testing.T) {
 		t.Fatalf("pool-hit ReadBytes allocates %v times per call, want 0", allocs)
 	}
 }
+
+// BenchmarkReadBytes measures a pool-hit ReadBytes through a session
+// client: one page-sized node record served from a resident frame, the
+// read every warm node visit pays (ReportAllocs is on).
+func BenchmarkReadBytes(b *testing.B) {
+	d := NewDisk(0, DefaultCostModel())
+	start := d.AllocPages(4)
+	rec := make([]byte, d.PageSize())
+	if err := d.WriteBytes(start, rec); err != nil {
+		b.Fatal(err)
+	}
+	d.SetCacheSize(16)
+	c := d.NewClient()
+	if _, err := c.ReadBytes(start, len(rec), ClassLight); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ReadBytes(start, len(rec), ClassLight); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

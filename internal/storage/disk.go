@@ -876,8 +876,9 @@ func IsOutOfRange(err error) bool { return errors.Is(err, errOutOfRange) }
 // through a Client is charged both to the disk's global Stats and to the
 // client's own, so concurrent sessions get exact per-session I/O and
 // simulated-time attribution. Clients are safe for concurrent use (a
-// session's parallel traversal workers share one client); creating one is
-// cheap. Writes and administrative operations stay on the Disk itself.
+// monitor may snapshot or reset a client's Stats while its session
+// reads); creating one is cheap. Writes and administrative operations
+// stay on the Disk itself.
 type Client struct {
 	d  *Disk
 	mu sync.Mutex

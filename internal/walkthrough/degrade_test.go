@@ -31,11 +31,10 @@ func TestFaultFreeReplayIdentical(t *testing.T) {
 	s := walkthrough.RecordNormal(env.Scene, 150, 3)
 	play := func() *walkthrough.Result {
 		p := &walkthrough.VisualPlayer{
-			Tree:     env.Tree,
-			Eta:      0.001,
-			Delta:    true,
-			Prefetch: true,
-			Render:   render.DefaultConfig(),
+			Tree:   env.Tree,
+			Eta:    0.001,
+			Delta:  true,
+			Render: render.DefaultConfig(),
 		}
 		res, err := p.Play(s)
 		if err != nil {

@@ -24,8 +24,6 @@ type SessionManager struct {
 	// Delta enables the per-player delta search (each player has its own
 	// payload cache, like each client has its own renderer memory).
 	Delta bool
-	// Prefetch enables speculative next-cell queries per player.
-	Prefetch bool
 	// Coherent answers each player's cell-entry queries through its
 	// session's retained traversal cut (see VisualPlayer.Coherent).
 	Coherent bool
@@ -161,7 +159,6 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 				Tree:        tree,
 				Eta:         m.Eta,
 				Delta:       m.Delta,
-				Prefetch:    m.Prefetch,
 				Coherent:    m.Coherent,
 				CacheBudget: m.CacheBudget,
 				Render:      m.Render,

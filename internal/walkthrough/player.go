@@ -33,12 +33,8 @@ type FrameStat struct {
 	Fetched    int   // payloads actually retrieved (after delta search)
 	CacheBytes int64 // residency after the frame
 	Queried    bool  // whether a database query ran this frame
-	// PrefetchIO is speculative I/O issued for a predicted next cell. It
-	// overlaps rendering in a real system, so it is excluded from the
-	// frame time but counted here so total-I/O accounting stays honest.
-	PrefetchIO int64
-	// Degradations counts media faults absorbed this frame (including
-	// during prefetch) under fault-tolerant traversal; see core.Degradation.
+	// Degradations counts media faults absorbed this frame under
+	// fault-tolerant traversal; see core.Degradation.
 	Degradations int
 	// Retries counts transient read faults the disk retried away this
 	// frame.
@@ -162,12 +158,6 @@ type VisualPlayer struct {
 	Eta  float64
 	// Delta enables the delta search (§5.4); disabling it is ablation D4.
 	Delta bool
-	// Prefetch speculatively queries the cell the viewer is moving toward
-	// and warms the payload cache with its answer set, flattening the
-	// cell-entry spikes of Figure 10 at the cost of extra (overlapped)
-	// I/O — the optimization family the paper credits to REVIEW
-	// ("prefetching and in-memory optimization", §2).
-	Prefetch bool
 	// Coherent routes cell-entry queries through the session's retained
 	// traversal cut (core.Tree.QueryCoherent): adjacent-cell queries
 	// re-evaluate the previous frontier instead of descending from the
@@ -195,10 +185,10 @@ type VisualPlayer struct {
 	Observe func(simTime time.Duration)
 	// Route, when set, resolves the tree session serving each cell (the
 	// sharded serve path wires the shard router's per-cell routing here;
-	// nil, or a nil return, serves the cell from Tree). The demand query,
-	// payload fetch and scheme-cursor restore all follow the routed
-	// tree, so a walk crossing a shard boundary hands off between stores
-	// mid-session; answers are byte-identical either way.
+	// nil, or a nil return, serves the cell from Tree). The demand query
+	// and payload fetch both follow the routed tree, so a walk crossing
+	// a shard boundary hands off between stores mid-session; answers are
+	// byte-identical either way.
 	Route func(cells.CellID) *core.Tree
 }
 
@@ -224,11 +214,8 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 	cache := NewCache(p.CacheBudget)
 	out := &Result{System: fmt.Sprintf("VISUAL(eta=%g)", p.Eta), Session: s.Name}
 	cur := cells.NoCell
-	prefetched := cells.NoCell
 	var resident *core.QueryResult
 	residentTree := p.Tree // the tree that produced resident, for Recycle
-	var prevEye geom.Vec3
-	haveVel := false
 	for _, pose := range s.Frames {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("walkthrough: playback aborted: %w", err)
@@ -316,52 +303,6 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 			}
 			fcancel()
 		}
-		// Speculative prefetch of the cell ahead, overlapped with
-		// rendering (not added to frame time).
-		if p.Prefetch && haveVel && cur != cells.NoCell {
-			vel := pose.Eye.Sub(prevEye)
-			if vel.Len2() > 1e-12 {
-				lookahead := p.Tree.Grid.CellSize().Len() // roughly one cell
-				ahead := pose.Eye.Add(vel.Normalize().Mul(lookahead))
-				next := p.Tree.Grid.Locate(ahead)
-				if next != cells.NoCell && next != cur && next != prefetched {
-					pt := p.treeFor(next)
-					before := treeStats(pt)
-					res, err := pt.Query(next, p.Eta)
-					if err != nil {
-						return nil, err
-					}
-					skip := func(it core.ResultItem) bool { return cache.Covers(KeyOf(it), it.Level) }
-					if _, err := pt.FetchPayloads(res, skip); err != nil {
-						return nil, err
-					}
-					for _, it := range res.Items {
-						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(pt, it), pose.Eye)
-					}
-					fs.Degradations += len(res.Degradations)
-					// Restore the scheme's current-cell segment; the
-					// flip-back page is charged to prefetch too. A media
-					// fault here is absorbed in fault-tolerant mode: the
-					// scheme keeps its previous cell and the next real
-					// query re-flips. A routed prefetch into a foreign
-					// shard skips the restore: the current cell's store
-					// never moved its cursor.
-					if p.treeFor(cur) == pt {
-						if err := pt.VStoreScheme().SetCell(cur); err != nil {
-							if !pt.FaultTolerant || !errors.Is(err, storage.ErrCorrupt) {
-								return nil, err
-							}
-							fs.Degradations++
-						}
-					}
-					fs.PrefetchIO = treeStats(pt).Sub(before).Reads
-					prefetched = next
-					pt.Recycle(res)
-				}
-			}
-		}
-		prevEye = pose.Eye
-		haveVel = true
 		if resident != nil {
 			fs.Polygons = resident.Stats.TotalPolygons
 		}
@@ -429,12 +370,6 @@ type ReviewPlayer struct {
 	Sys *review.System
 	// Complement enables REVIEW's complement ("delta") search.
 	Complement bool
-	// Prefetch speculatively runs the window query for the pose the
-	// viewer is moving toward and warms the cache — one of REVIEW's own
-	// optimizations per §2 ("prefetching and in-memory optimization").
-	// Like VISUAL's prefetch it overlaps rendering and is excluded from
-	// frame time but counted in FrameStat.PrefetchIO.
-	Prefetch bool
 	// RequeryDist retriggers a window query after this much movement.
 	RequeryDist float64
 	// RequeryAngle retriggers after this gaze change (radians).
@@ -462,9 +397,6 @@ func (p *ReviewPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 	out := &Result{System: fmt.Sprintf("REVIEW(box=%gm)", p.Sys.Cfg.QueryBoxDepth), Session: s.Name}
 	var lastEye geom.Vec3
 	var lastLook geom.Vec3
-	var prevEye geom.Vec3
-	lastPrefetch := geom.V(1e30, 1e30, 1e30) // nowhere yet
-	haveVel := false
 	var resident *core.QueryResult
 	first := true
 	for _, pose := range s.Frames {
@@ -505,35 +437,7 @@ func (p *ReviewPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 			lastEye = pose.Eye
 			lastLook = pose.Look
 			first = false
-		} else if p.Prefetch && haveVel {
-			// Speculative window query half a re-query distance ahead of
-			// the current motion, warming the cache before the next real
-			// query fires. Throttled: at most one prefetch per half
-			// re-query distance traveled.
-			vel := pose.Eye.Sub(prevEye)
-			if vel.Len2() > 1e-12 &&
-				pose.Eye.Dist(lastEye) > p.RequeryDist/2 &&
-				pose.Eye.Dist(lastPrefetch) > p.RequeryDist/2 {
-				lastPrefetch = pose.Eye
-				ahead := pose.Eye.Add(vel.Normalize().Mul(p.RequeryDist))
-				before := treeStats(p.Sys.T)
-				res, err := p.Sys.Query(ahead, pose.Look)
-				if err != nil {
-					return nil, err
-				}
-				skip := func(it core.ResultItem) bool { return cache.Covers(KeyOf(it), it.Level) }
-				if _, err := p.Sys.FetchPayloads(res, skip); err != nil {
-					return nil, err
-				}
-				for _, it := range res.Items {
-					cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(p.Sys.T, it), pose.Eye)
-				}
-				fs.Degradations += len(res.Degradations)
-				fs.PrefetchIO = treeStats(p.Sys.T).Sub(before).Reads
-			}
 		}
-		prevEye = pose.Eye
-		haveVel = true
 		if resident != nil {
 			fs.Polygons = resident.Stats.TotalPolygons
 		}

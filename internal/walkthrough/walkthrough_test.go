@@ -259,96 +259,6 @@ func TestVisualEtaTradeoff(t *testing.T) {
 	}
 }
 
-func TestVisualPrefetchFlattensSpikes(t *testing.T) {
-	env := testenv.Get(testenv.Medium())
-	s := walkthrough.RecordNormal(env.Scene, 400, 3)
-	run := func(prefetch bool) (spike float64, totalIO int64) {
-		p := &walkthrough.VisualPlayer{
-			Tree: env.Tree, Eta: 0.001, Delta: true, Prefetch: prefetch,
-			Render: render.DefaultConfig(),
-		}
-		res, err := p.Play(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Average cell-entry cost, skipping the cold first query.
-		var sum float64
-		var n int
-		first := true
-		for _, f := range res.Frames {
-			totalIO += f.LightIO + f.HeavyIO + f.PrefetchIO
-			if f.Queried {
-				if first {
-					first = false
-					continue
-				}
-				sum += float64(f.QueryTime)
-				n++
-			}
-		}
-		if n == 0 {
-			t.Skip("too few queries")
-		}
-		return sum / float64(n), totalIO
-	}
-	spikeOff, ioOff := run(false)
-	spikeOn, ioOn := run(true)
-	// Prefetch must flatten the cell-entry spikes...
-	if spikeOn >= spikeOff {
-		t.Fatalf("prefetch did not reduce spikes: %v vs %v", spikeOn, spikeOff)
-	}
-	// ...in exchange for some speculative I/O.
-	if ioOn <= ioOff {
-		t.Fatalf("prefetch should cost extra total I/O: %d vs %d", ioOn, ioOff)
-	}
-}
-
-func TestReviewPrefetchWarmsCache(t *testing.T) {
-	env := testenv.Get(testenv.Medium())
-	s := walkthrough.RecordNormal(env.Scene, 400, 3)
-	run := func(prefetch bool) (avgStall float64, prefetchIO int64) {
-		p := &walkthrough.ReviewPlayer{
-			Sys:        review.New(env.Tree, review.DefaultConfig()),
-			Complement: true,
-			Prefetch:   prefetch,
-			Render:     render.DefaultConfig(),
-		}
-		res, err := p.Play(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		var n int
-		first := true
-		for _, f := range res.Frames {
-			prefetchIO += f.PrefetchIO
-			if f.Queried {
-				if first {
-					first = false
-					continue
-				}
-				sum += float64(f.QueryTime)
-				n++
-			}
-		}
-		if n == 0 {
-			t.Skip("too few queries")
-		}
-		return sum / float64(n), prefetchIO
-	}
-	stallOff, pioOff := run(false)
-	stallOn, pioOn := run(true)
-	if pioOff != 0 {
-		t.Fatal("prefetch I/O without prefetch enabled")
-	}
-	if pioOn == 0 {
-		t.Fatal("prefetch enabled but no speculative I/O issued")
-	}
-	if stallOn >= stallOff {
-		t.Fatalf("REVIEW prefetch did not reduce query stalls: %v vs %v", stallOn, stallOff)
-	}
-}
-
 func TestReviewPlayback(t *testing.T) {
 	env := testenv.Get(testenv.Medium())
 	s := walkthrough.RecordNormal(env.Scene, 300, 3)

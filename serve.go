@@ -155,9 +155,8 @@ func (s *Session) ResetStats() {
 }
 
 // NewSession returns a fresh query session on the database. The session
-// sees the parallelism settings, scene epoch and shard topology in
-// effect now; SetParallel, Update or EnableSharding calls after creation
-// affect only future sessions.
+// sees the scene epoch and shard topology in effect now; Update or
+// EnableSharding calls after creation affect only future sessions.
 func (db *DB) NewSession() *Session {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -231,21 +230,6 @@ func (db *DB) PoolStats() PoolStats {
 		sum = sum.Add(ps)
 	}
 	return poolStatsFrom(sum)
-}
-
-// SetParallel bounds the per-query traversal fan-out: each query descends
-// up to n child subtrees concurrently (n <= 1 restores the strictly
-// serial Figure 3 traversal; the answer set is identical either way).
-// Affects sessions, walkthroughs and serve clients created afterwards,
-// on every shard store when sharding is enabled.
-func (db *DB) SetParallel(n int) {
-	db.mu.Lock()
-	db.tree.SetParallel(n)
-	r := db.router
-	db.mu.Unlock()
-	if r != nil {
-		r.SetParallel(n)
-	}
 }
 
 // ServeStats summarizes a concurrent multi-client walkthrough run.

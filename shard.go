@@ -57,12 +57,10 @@ func (db *DB) buildRouter(cfg ShardConfig) (*shard.Router, error) {
 	db.mu.RLock()
 	sc, tree := db.scene, db.tree
 	man := shard.Manifests{Tree: tree.Manifest(), Layout: db.vs.LayoutManifest()}
-	parallel := tree.Parallel
 	ft := tree.FaultTolerant
 	db.mu.RUnlock()
 	r, err := shard.NewRouter(sc, db.disk, man, shard.Config{
 		Shards:             cfg.Shards,
-		Parallel:           parallel,
 		FaultTolerant:      ft,
 		CachePagesPerShard: cfg.CachePagesPerShard,
 	})

@@ -348,3 +348,29 @@ func TestSaveShardedRejectsTrimmed(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSetFaultTolerantRace: toggling fault tolerance on a sharded
+// database while another goroutine opens sessions and queries through
+// them. Every DB method is safe for concurrent use, so the toggle's write
+// of each store's setting must not race the copy a new session makes of
+// that store's tree on its first query.
+func TestShardedSetFaultTolerantRace(t *testing.T) {
+	db := shardTestDB(t)
+	if err := db.EnableSharding(ShardConfig{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			db.SetFaultTolerant(i%2 == 0)
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if _, err := db.NewSession().QueryCell(i%db.NumCells(), 0.001); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	<-done
+}

@@ -46,9 +46,6 @@ type WalkOptions struct {
 	Eta float64
 	// Delta enables the delta/complement search (default recommended).
 	Delta bool
-	// Prefetch speculatively warms the cache with the cell ahead
-	// (VISUAL only).
-	Prefetch bool
 	// Coherent answers each client's cell-entry queries through its
 	// session's retained traversal cut (see Session.QueryCellCoherent)
 	// instead of descending from the root each time (VISUAL only).
@@ -101,10 +98,8 @@ type WalkStats struct {
 	DegradedFrames int
 	// Retries is the summed transient-fault retries across the playback.
 	Retries int64
-	// TotalLightIO is the summed index page reads charged to queries, and
-	// TotalPrefetchIO the pages the speculative prefetch read off the
-	// frame loop.
-	TotalLightIO, TotalPrefetchIO int64
+	// TotalLightIO is the summed index page reads charged to queries.
+	TotalLightIO int64
 	// Coherence reports the warm-path accounting when Coherent was set.
 	Coherence CoherenceStats
 	// BudgetMisses counts frames skipped because they blew FrameBudget.
@@ -167,7 +162,6 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 		out.FrameTimesMS[i] = float64(f.Total) / float64(time.Millisecond)
 		out.TotalHeavyIO += f.HeavyIO
 		out.TotalLightIO += f.LightIO
-		out.TotalPrefetchIO += f.PrefetchIO
 		out.Retries += f.Retries
 	}
 	return out, nil
@@ -202,7 +196,6 @@ func (db *DB) play(ctx context.Context, opts WalkOptions, n int) walkthrough.Ser
 		Base:        base,
 		Eta:         opts.Eta,
 		Delta:       opts.Delta,
-		Prefetch:    opts.Prefetch,
 		Coherent:    opts.Coherent,
 		CacheBudget: opts.CacheBudget,
 		Render:      render.DefaultConfig(),
