@@ -96,9 +96,9 @@ func (p *SnapFreezePass) checkStore(pkg *Package, ann *annotations, fresh map[ty
 		}
 		// A direct field store on a value-typed local or parameter hits
 		// the function's own copy, not published memory. (Stores through
-		// a slice/map field still reach the shared backing store and are
-		// not exempt: base is the field chain there, not the ident.)
-		if id, ok := ast.Unparen(base).(*ast.Ident); ok && pkg.Info.ObjectOf(id) == obj {
+		// a slice, map or pointer field still reach the shared backing
+		// store and are not exempt.)
+		if id, ok := ast.Unparen(base).(*ast.Ident); ok && pkg.Info.ObjectOf(id) == obj && ownStorage(pkg, lhs) {
 			if _, isPtr := obj.Type().Underlying().(*types.Pointer); !isPtr {
 				if _, isVar := obj.(*types.Var); isVar && obj.Parent() != obj.Pkg().Scope() {
 					return nil
@@ -182,6 +182,41 @@ func (p *SnapFreezePass) frozenBase(pkg *Package, ann *annotations, lhs ast.Expr
 					return inner, tn
 				}
 			}
+		}
+		e = inner
+	}
+}
+
+// ownStorage reports whether a store to lhs lands inside the storage of
+// the variable at its root: every step is a field selection on a struct
+// value or an index into an array value. An index into a slice or map,
+// an explicit dereference, or a field reached through a pointer writes
+// memory the variable only points at.
+func ownStorage(pkg *Package, lhs ast.Expr) bool {
+	e := lhs
+	for {
+		var inner ast.Expr
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+			continue
+		case *ast.Ident:
+			return true
+		case *ast.SelectorExpr:
+			inner = x.X
+		case *ast.IndexExpr:
+			inner = x.X
+		default:
+			return false
+		}
+		tv, ok := pkg.Info.Types[inner]
+		if !ok || tv.Type == nil {
+			return false
+		}
+		switch tv.Type.Underlying().(type) {
+		case *types.Struct, *types.Array:
+		default:
+			return false
 		}
 		e = inner
 	}

@@ -72,6 +72,26 @@ func ValueCopySharedBacking(n Node) {
 	n.Entries[0].Pid = 9 // want snapfreeze
 }
 
+// View is a frozen window over bytes that others read too: a value
+// type whose slice field shares its backing array with every copy.
+// hdov:frozen-after-publish
+type View struct {
+	buf []byte
+	n   int
+}
+
+// ViewOwnField mutates the function's own copy of a view: quiet.
+func ViewOwnField(v View) int {
+	v.n = 1
+	return v.n
+}
+
+// ViewSharedBytes writes through a value copy's slice field into the
+// shared buffer: flagged.
+func ViewSharedBytes(v View) {
+	v.buf[0] = 1 // want snapfreeze
+}
+
 // poke mutates its parameter: the store is flagged here, and the
 // call-graph summary marks poke as a mutator for call-site checks.
 func poke(n *Node) {

@@ -73,8 +73,9 @@ func TestDecodeNodeRecordFixedAllocations(t *testing.T) {
 }
 
 // BenchmarkDecodeNodeRecord measures one node-record decode at the
-// default R-tree fan-out — the decode every node visit of a warm query
-// pays (run with -benchmem, or read allocs/op: ReportAllocs is on).
+// default R-tree fan-out — what OpenTree pays per node; a query reads
+// the record in place instead (run with -benchmem, or read allocs/op:
+// ReportAllocs is on).
 func BenchmarkDecodeNodeRecord(b *testing.B) {
 	for _, leaf := range []bool{true, false} {
 		b.Run(fmt.Sprintf("leaf=%v", leaf), func(b *testing.B) {

@@ -145,6 +145,9 @@ type Tree struct {
 	// resPool recycles QueryResults within one session (see Recycle);
 	// nil on the base tree, so recycling is per-session by construction.
 	resPool *resultPool
+	// scr holds the session's traversal buffers; nil on the base tree,
+	// whose queries each take a fresh set (see query).
+	scr *travScratch
 }
 
 // backbone boxes the live R-tree so epoch transfer mutates holder
@@ -515,24 +518,25 @@ func (t *Tree) NodePage(id NodeID) storage.PageID {
 // NodeStride returns pages per node record.
 func (t *Tree) NodeStride() int { return t.nodeStride }
 
-// ReadNodeRecord fetches and decodes a node record from disk, charging
-// light I/O — the "tree node" component of Figure 8(b).
-func (t *Tree) ReadNodeRecord(id NodeID) (*Node, error) {
+// ReadNodeRecord fetches a node record from disk, charging light I/O —
+// the "tree node" component of Figure 8(b) — and returns a view over the
+// bytes where storage served them (ParseNodeRecord): no decode, no copy.
+func (t *Tree) ReadNodeRecord(id NodeID) (NodeView, error) {
 	if int(id) < 0 || int(id) >= len(t.Nodes) {
-		return nil, fmt.Errorf("core: node %d out of range", id)
+		return NodeView{}, fmt.Errorf("core: node %d out of range", id)
 	}
 	buf, err := t.reader().ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight)
 	if err != nil {
-		return nil, err
+		return NodeView{}, err
 	}
-	n, err := DecodeNodeRecord(buf)
+	rec, err := ParseNodeRecord(buf)
 	if err != nil {
 		// The pages read back but the record does not parse: silent
 		// corruption, distinguishable (ErrBadRecord) so fault-tolerant
 		// traversal can degrade on it.
-		return nil, fmt.Errorf("%w: node %d: %v", ErrBadRecord, id, err)
+		return NodeView{}, fmt.Errorf("%w: node %d: %v", ErrBadRecord, id, err)
 	}
-	return n, nil
+	return rec, nil
 }
 
 // precomputeVisibility evaluates per-cell, per-object region DoV and

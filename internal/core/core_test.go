@@ -176,7 +176,7 @@ func TestReadNodeRecordFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.ID != 0 || len(n.Entries) != len(tr.Root().Entries) {
+	if n.ID() != 0 || n.NumEntries() != len(tr.Root().Entries) {
 		t.Fatal("disk root mismatch")
 	}
 	d := tr.Disk.Stats().Sub(before)
@@ -314,18 +314,14 @@ func TestChooseLevel(t *testing.T) {
 }
 
 func TestInterpolatePolys(t *testing.T) {
-	polys := []int{1000, 400, 100}
-	if got := interpolatePolys(polys, 1); got != 1000 {
+	if got := interpolatePolys(1000, 100, 1); got != 1000 {
 		t.Fatalf("k=1: %v", got)
 	}
-	if got := interpolatePolys(polys, 0); got != 100 {
+	if got := interpolatePolys(1000, 100, 0); got != 100 {
 		t.Fatalf("k=0: %v", got)
 	}
-	if got := interpolatePolys(polys, 0.5); got != 550 {
+	if got := interpolatePolys(1000, 100, 0.5); got != 550 {
 		t.Fatalf("k=0.5: %v", got)
-	}
-	if got := interpolatePolys(nil, 0.5); got != 0 {
-		t.Fatalf("empty: %v", got)
 	}
 }
 

@@ -82,12 +82,13 @@ func (t *Tree) Shed() *ShedPolicy {
 }
 
 // travCtx carries the per-query control state — the caller's context,
-// the shed policy snapshot, and a prioritized query's frustum — through
-// the traversal recursion.
+// the shed policy snapshot, a prioritized query's frustum, and the
+// session's traversal buffers — through the traversal recursion.
 type travCtx struct {
 	ctx     context.Context
 	shed    *ShedPolicy
 	frustum *geom.Frustum
+	scr     *travScratch
 }
 
 // err is the cooperative cancellation checkpoint, polled at every node

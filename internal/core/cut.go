@@ -29,11 +29,12 @@ import (
 // re-served after a fault.
 
 // cutNode is one retained node of the previous query's traversal tree:
-// the decoded record (view-invariant, so reusable across cells) and the
-// children that were descended into last time, in entry order.
+// the view of its record (view-invariant, so reusable across cells; it
+// may share a pool frame, which storage never writes) and the children
+// that were descended into last time, in entry order.
 type cutNode struct {
 	id       NodeID
-	node     *Node // cached decoded record; nil until first visited
+	rec      NodeView // cached record; the zero view until first visited
 	children []*cutNode
 }
 
@@ -94,7 +95,7 @@ func (t *Tree) searchCoherent(tc travCtx, cell cells.CellID, eta float64, res *Q
 	}
 	err := t.vstore.SetCell(cell)
 	if err == nil {
-		err = t.searchCut(tc, cs.root, eta, res)
+		err = t.searchCut(tc, cs.root, 0, eta, res)
 	}
 	if err != nil {
 		t.InvalidateCut()
@@ -128,19 +129,19 @@ func (t *Tree) InvalidateCut() {
 // re-read — the re-read surfaces the fault instead of masking it.
 // (Corruption injected after caching without quarantine is invisible
 // here, exactly as it is invisible to a page sitting in the buffer pool.)
-func (t *Tree) cutRecord(cn *cutNode, res *QueryResult) (*Node, error) {
-	if cn.node != nil && !t.recordQuarantined(cn.id) {
+func (t *Tree) cutRecord(cn *cutNode, res *QueryResult) (NodeView, error) {
+	if cn.rec.Valid() && !t.recordQuarantined(cn.id) {
 		t.cut.stats.NodesReused++
-		return cn.node, nil
+		return cn.rec, nil
 	}
-	cn.node = nil
-	node, err := t.ReadNodeRecord(cn.id)
+	cn.rec = NodeView{}
+	rec, err := t.ReadNodeRecord(cn.id)
 	if err != nil {
-		return nil, err
+		return NodeView{}, err
 	}
 	res.Stats.NodesVisited++
-	cn.node = node
-	return node, nil
+	cn.rec = rec
+	return rec, nil
 }
 
 // recordQuarantined reports whether any page of id's record is parked.
@@ -169,21 +170,25 @@ func (cn *cutNode) child(id NodeID) *cutNode {
 // searchCut is the coherent driver of decide: searchNode re-rooted on
 // the retained cut — the same decisions in the same entry order, so the
 // same Items — but node records come from the cut where retained, and the
-// cut is rewritten in place to the new traversal's shape. No fault
-// absorption and no shedding here — any error aborts to the full-query
-// fallback, and a shedding query never gets here.
-func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult) error {
+// cut is rewritten in place to the new traversal's shape. depth is cn's
+// depth, which picks the session's V-data and child-list buffers. No
+// fault absorption and no shedding here — any error aborts to the
+// full-query fallback, and a shedding query never gets here.
+//
+// hdov:hot-path
+func (t *Tree) searchCut(tc travCtx, cn *cutNode, depth int, eta float64, res *QueryResult) error {
 	if err := tc.err(); err != nil {
 		return err
 	}
-	node, err := t.cutRecord(cn, res)
+	rec, err := t.cutRecord(cn, res)
 	if err != nil {
 		return err
 	}
-	vd, ok, err := t.vstore.NodeVD(cn.id)
+	vd, ok, err := t.vstore.NodeVD(cn.id, tc.scr.vdBuf(depth))
 	if err != nil {
 		return err
 	}
+	tc.scr.vd[depth] = vd
 	if !ok {
 		// Whole node invisible in this cell: the cut keeps cn (the record
 		// cache stays warm — a neighbor may flip it visible again) but
@@ -191,33 +196,38 @@ func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult)
 		t.collapse(cn)
 		return nil
 	}
-	if len(vd) < len(node.Entries) {
-		return fmt.Errorf("core: node %d has %d entries but V-page has %d", cn.id, len(node.Entries), len(vd))
+	n := rec.NumEntries()
+	if len(vd) < n {
+		return fmt.Errorf("core: node %d has %d entries but V-page has %d", cn.id, n, len(vd))
 	}
-	var keep []*cutNode
+	// The children descended into now are collected in the session's
+	// buffer for this depth — the old list is still being searched
+	// (cn.child) — and then copied back into cn.children's array.
+	tc.scr.keepReset(depth)
 	var it ResultItem
-	for ei := range node.Entries {
-		e := &node.Entries[ei]
-		act := t.decide(node.Leaf, e, vd[ei], eta, false, &it)
+	for ei := 0; ei < n; ei++ {
+		act := t.decide(rec, ei, vd[ei], eta, false, &it)
 		if act != actDescend {
 			res.record(act, &it)
 			// Only a subtree retained from the last query collapses.
-			if cn.child(e.ChildID) != nil {
+			if !rec.Leaf() && cn.child(rec.EntryChild(ei)) != nil {
 				t.cut.stats.Collapsed++
 			}
 			continue
 		}
-		c := cn.child(e.ChildID)
+		c := cn.child(it.NodeID)
 		if c == nil {
-			c = &cutNode{id: e.ChildID}
+			//lint:ignore hotalloc a node enters the cut once, when the frontier first moves below it; it is then reused by every later query until it collapses
+			c = &cutNode{id: it.NodeID}
 			t.cut.stats.Expanded++
 		}
-		if err := t.searchCut(tc, c, eta, res); err != nil {
+		if err := t.searchCut(tc, c, depth+1, eta, res); err != nil {
 			return err
 		}
-		keep = append(keep, c)
+		// Indexed afresh: the recursion may have grown tc.scr.keep.
+		tc.scr.keep[depth] = append(tc.scr.keep[depth], c)
 	}
-	cn.children = keep
+	cn.children = append(cn.children[:0], tc.scr.keep[depth]...)
 	return nil
 }
 

@@ -84,13 +84,28 @@ type Degradation struct {
 }
 
 // lodSource is one rung of the ancestor ladder threaded through the
-// traversal: a node whose internal-LoD references are already in hand
-// (read from its parent's entry or its own record), so substituting it
-// needs no further access to damaged media.
+// traversal: a node whose internal-LoD references are already in hand —
+// in its parent's entry (entry >= 0) or its own record (entry < 0) of
+// the record view rec — so substituting it needs no further access to
+// damaged media.
 type lodSource struct {
 	node  NodeID
-	refs  []Extent
-	polys []int
+	rec   NodeView
+	entry int
+}
+
+// lod returns level l of the source node's internal LoD.
+func (s lodSource) lod(l int) (Extent, int) {
+	if s.entry < 0 {
+		return s.rec.LoD(l)
+	}
+	return s.rec.EntryLoD(s.entry, l)
+}
+
+// extent returns level l's extent (pickReadableLevel's accessor).
+func (s lodSource) extent(l int) Extent {
+	ext, _ := s.lod(l)
+	return ext
 }
 
 // degradable reports whether err is a media fault the fault-tolerant
@@ -151,23 +166,24 @@ func (t *Tree) extentReadable(e Extent) bool {
 	return true
 }
 
-// pickReadableLevel returns the level closest to want whose extent is not
-// quarantined, preferring coarser levels (higher indices) — a degraded
-// frame should err toward less detail, not more I/O.
-func (t *Tree) pickReadableLevel(refs []Extent, want int) (int, bool) {
+// pickReadableLevel returns the level closest to want, among the n
+// levels whose extents ref returns, that is not quarantined, preferring
+// coarser levels (higher indices) — a degraded frame should err toward
+// less detail, not more I/O.
+func (t *Tree) pickReadableLevel(n int, ref func(int) Extent, want int) (int, bool) {
 	if want < 0 {
 		want = 0
 	}
-	if want >= len(refs) {
-		want = len(refs) - 1
+	if want >= n {
+		want = n - 1
 	}
-	for lvl := want; lvl < len(refs); lvl++ {
-		if t.extentReadable(refs[lvl]) {
+	for lvl := want; lvl < n; lvl++ {
+		if t.extentReadable(ref(lvl)) {
 			return lvl, true
 		}
 	}
 	for lvl := want - 1; lvl >= 0; lvl-- {
-		if t.extentReadable(refs[lvl]) {
+		if t.extentReadable(ref(lvl)) {
 			return lvl, true
 		}
 	}
@@ -184,10 +200,11 @@ func (t *Tree) substitute(res *QueryResult, anc []lodSource, failed NodeID, dov,
 	}
 	for s := len(anc) - 1; s >= 0; s-- {
 		src := anc[s]
-		if len(src.refs) == 0 {
+		n := src.rec.NumLoD()
+		if n == 0 {
 			continue
 		}
-		lvl, ok := t.pickReadableLevel(src.refs, chooseLevel(k, len(src.refs)))
+		lvl, ok := t.pickReadableLevel(n, src.extent, chooseLevel(k, n))
 		if !ok {
 			continue
 		}
@@ -198,13 +215,10 @@ func (t *Tree) substitute(res *QueryResult, anc []lodSource, failed NodeID, dov,
 				res.substituted = make(map[NodeID]bool)
 			}
 			res.substituted[src.node] = true
-			poly := 0.0
-			if lvl < len(src.polys) {
-				poly = float64(src.polys[lvl])
-			}
+			ext, poly := src.lod(lvl)
 			res.Items = append(res.Items, ResultItem{
 				ObjectID: -1, NodeID: src.node, DoV: dov, Detail: k,
-				Level: lvl, Polygons: poly, Extent: src.refs[lvl],
+				Level: lvl, Polygons: float64(poly), Extent: ext,
 			})
 		}
 		break
@@ -237,10 +251,14 @@ func (t *Tree) rootFallback(res *QueryResult, err error, cause FaultCause) bool 
 	} else if cause == CauseNodeRecord {
 		t.quarantineNodeRecord(0)
 	}
-	root := t.Nodes[0]
-	// Nothing is known about per-entry DoV, so detail 0 selects the
-	// coarsest whole-scene stand-in.
-	t.substitute(res, []lodSource{{node: 0, refs: root.InternalExtents, polys: root.InternalPolys}},
-		0, 0, 0, cause, page)
+	// The mirror's record is encoded afresh: a view over it carries the
+	// root's own internal-LoD references like any ladder rung. Nothing is
+	// known about per-entry DoV, so detail 0 selects the coarsest
+	// whole-scene stand-in.
+	root, perr := ParseNodeRecord(t.Nodes[0].EncodeRecord())
+	if perr != nil {
+		return false
+	}
+	t.substitute(res, []lodSource{{node: 0, rec: root, entry: -1}}, 0, 0, 0, cause, page)
 	return true
 }

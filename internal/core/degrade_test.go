@@ -167,7 +167,7 @@ func (corruptFlipVStore) SizeBytes() int64 { return 0 }
 func (corruptFlipVStore) SetCell(cells.CellID) error {
 	return &storage.CorruptError{Page: 3}
 }
-func (corruptFlipVStore) NodeVD(NodeID) ([]VD, bool, error) { return nil, false, nil }
+func (corruptFlipVStore) NodeVD(_ NodeID, dst []VD) ([]VD, bool, error) { return dst, false, nil }
 
 // TestDegradedPayloadFault: a corrupt payload extent during FetchPayloads
 // swaps in a sibling LoD level of the same object/node instead of failing.

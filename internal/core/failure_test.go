@@ -66,7 +66,8 @@ func TestFetchPayloadsCorruptExtent(t *testing.T) {
 
 // TestDecodeNodeRecordNeverPanics feeds structured garbage to the record
 // decoder: every outcome must be a clean error or a valid node, never a
-// panic or runaway allocation.
+// panic or runaway allocation, and the record view the query path reads
+// must accept the same bytes and agree with the node on every field.
 func TestDecodeNodeRecordNeverPanics(t *testing.T) {
 	tr, _ := fixture(t)
 	good := tr.Root().EncodeRecord()
@@ -86,6 +87,15 @@ func TestDecodeNodeRecordNeverPanics(t *testing.T) {
 		n, err := DecodeNodeRecord(buf)
 		if err == nil && n == nil {
 			t.Fatal("nil node with nil error")
+		}
+		v, verr := ParseNodeRecord(buf)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("view error %v, decode error %v", verr, err)
+		}
+		if err == nil {
+			if err := viewMatchesNode(v, n); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// Pure random noise.
@@ -122,10 +132,10 @@ func (s *shortVStore) SetCell(c cells.CellID) error {
 	s.cur = c
 	return nil
 }
-func (s *shortVStore) NodeVD(id NodeID) ([]VD, bool, error) {
+func (s *shortVStore) NodeVD(id NodeID, dst []VD) ([]VD, bool, error) {
 	vd := s.vis.PerCell[s.cur][id]
 	if vd == nil {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return vd[:1], true, nil
+	return append(dst, vd[0]), true, nil
 }

@@ -105,6 +105,10 @@ func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, cohere
 	tc, eff, done := t.begin(ctx, eta)
 	defer done()
 	tc.frustum = f
+	tc.scr = t.scr
+	if tc.scr == nil {
+		tc.scr = &travScratch{}
+	}
 	before := t.statsNow()
 	res := t.getResult(cell, eta)
 	full := !coherent || tc.shed != nil
@@ -165,30 +169,32 @@ const (
 )
 
 // decide is the per-entry rule of Search(Node), Figure 3 — the single copy
-// every driver calls. For actItem and actShed it writes the answer to emit
-// into it; for actDescend it writes only the entry's DoV and equation-5
-// detail, which fault substitution needs. (it is an out-parameter so the
-// item is built once, in the caller's frame.) truncate reports whether the
-// shed policy cuts the traversal at this node's depth (travCtx.truncate).
+// every driver calls — for entry i of the record rec. For actItem and
+// actShed it writes the answer to emit into it; for actDescend it writes
+// only the entry's DoV and equation-5 detail, which fault substitution
+// needs. (it is an out-parameter so the item is built once, in the
+// caller's frame.) truncate reports whether the shed policy cuts the
+// traversal at this node's depth (travCtx.truncate).
 //
 // hdov:hot-path
-func (t *Tree) decide(leaf bool, e *NodeEntry, v VD, eta float64, truncate bool, it *ResultItem) entryAction {
+func (t *Tree) decide(rec NodeView, i int, v VD, eta float64, truncate bool, it *ResultItem) entryAction {
 	// Line 3: completely hidden branch.
 	if v.DoV <= 0 {
 		return actCut
 	}
 	// Lines 4-5: visible object.
-	if leaf {
+	if rec.Leaf() {
+		obj := rec.EntryObject(i)
 		k := LeafDetail(v.DoV)
-		lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
+		lvl := chooseLevel(k, len(t.ObjExtents[obj]))
 		*it = ResultItem{
-			ObjectID: e.ObjectID,
+			ObjectID: obj,
 			NodeID:   NilNode,
 			DoV:      v.DoV,
 			Detail:   k,
 			Level:    lvl,
-			Polygons: t.Scene.Object(e.ObjectID).LoDs.PolygonsFor(k),
-			Extent:   t.ObjExtents[e.ObjectID][lvl],
+			Polygons: t.Scene.Object(obj).LoDs.PolygonsFor(k),
+			Extent:   t.ObjExtents[obj][lvl],
 		}
 		return actItem
 	}
@@ -196,15 +202,21 @@ func (t *Tree) decide(leaf bool, e *NodeEntry, v VD, eta float64, truncate bool,
 	// compares costs at the internal-LoD level that would actually be
 	// retrieved (see TerminateHeuristic). An entry without LoD references
 	// — possible only for hand-built trees — always recurses.
+	child := rec.EntryChild(i)
 	k := InternalDetail(v.DoV, eta)
 	act := actDescend
-	if len(e.LoDRefs) > 0 {
+	nLoD := rec.NumLoD()
+	var polys float64
+	if nLoD > 0 {
+		_, finest := rec.EntryLoD(i, 0)
+		_, coarsest := rec.EntryLoD(i, nLoD-1)
+		polys = interpolatePolys(finest, coarsest, k)
 		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
+		if n := rec.EntryDescCount(i); n > 0 {
+			avgObjPolys = float64(rec.EntryDescPolys(i)) / float64(n)
 		}
 		if v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(interpolatePolys(e.LoDPolys, k), avgObjPolys, t.RhoMeasured, v.NVO)) {
+			TerminateHeuristic(polys, avgObjPolys, t.RhoMeasured, v.NVO)) {
 			// Line 8: answer the branch with the child's internal LoD,
 			// whose references are co-located in the entry.
 			act = actItem
@@ -215,18 +227,19 @@ func (t *Tree) decide(leaf bool, e *NodeEntry, v VD, eta float64, truncate bool,
 		}
 	}
 	if act == actDescend {
-		*it = ResultItem{ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV, Detail: k}
+		*it = ResultItem{ObjectID: -1, NodeID: child, DoV: v.DoV, Detail: k}
 		return act
 	}
-	lvl := chooseLevel(k, len(e.LoDRefs))
+	lvl := chooseLevel(k, nLoD)
+	ext, _ := rec.EntryLoD(i, lvl)
 	*it = ResultItem{
 		ObjectID: -1,
-		NodeID:   e.ChildID,
+		NodeID:   child,
 		DoV:      v.DoV,
 		Detail:   k,
 		Level:    lvl,
-		Polygons: interpolatePolys(e.LoDPolys, k),
-		Extent:   e.LoDRefs[lvl],
+		Polygons: polys,
+		Extent:   ext,
 	}
 	return act
 }
@@ -256,57 +269,65 @@ func (res *QueryResult) record(act entryAction, it *ResultItem) {
 
 // searchNode is Algorithm Search(Node) of Figure 3: the serial driver of
 // decide. anc is the ancestor ladder of internal-LoD sources used by
-// fault-tolerant substitution (nil at the root; see degrade.go). tc
-// carries the cancellation checkpoint (polled here, once per node
-// expansion), the shed policy, and the frustum of a prioritized query,
-// which orders the visits.
+// fault-tolerant substitution (nil at the root; see degrade.go); its
+// length is the node's depth plus one. tc carries the cancellation
+// checkpoint (polled here, once per node expansion), the shed policy,
+// the frustum of a prioritized query, which orders the visits, and the
+// session's traversal buffers.
 //
 // hdov:hot-path
 func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, anc []lodSource) error {
 	if err := tc.err(); err != nil {
 		return err
 	}
-	node, err := t.ReadNodeRecord(id)
+	rec, err := t.ReadNodeRecord(id)
 	if err != nil {
 		return err
 	}
 	res.Stats.NodesVisited++
 	if len(anc) == 0 {
-		anc = []lodSource{{node: id, refs: node.InternalExtents, polys: node.InternalPolys}}
+		anc = append(tc.scr.anc[:0], lodSource{node: id, rec: rec, entry: -1})
 	}
-	vd, ok, err := t.vstore.NodeVD(id)
+	depth := len(anc) - 1
+	vd, ok, err := t.vstore.NodeVD(id, tc.scr.vdBuf(depth))
 	if err != nil {
 		return err
 	}
+	tc.scr.vd[depth] = vd
 	if !ok {
 		return nil // whole node invisible in this cell
 	}
-	if len(vd) < len(node.Entries) {
-		return fmt.Errorf("core: node %d has %d entries but V-page has %d", id, len(node.Entries), len(vd))
+	n := rec.NumEntries()
+	if len(vd) < n {
+		return fmt.Errorf("core: node %d has %d entries but V-page has %d", id, n, len(vd))
 	}
-	order := frustumOrder(node.Entries, tc.frustum)
+	order := frustumOrder(rec, tc.frustum)
 	trunc := tc.truncate(len(anc))
 	var it ResultItem
-	for i := range node.Entries {
+	for i := 0; i < n; i++ {
 		ei := i
 		if order != nil {
 			ei = order[i]
 		}
-		e := &node.Entries[ei]
-		act := t.decide(node.Leaf, e, vd[ei], eta, trunc, &it)
+		act := t.decide(rec, ei, vd[ei], eta, trunc, &it)
 		if act != actDescend {
 			res.record(act, &it)
 			continue
 		}
 		// Line 10: recurse. The child's internal-LoD references (already
-		// in hand from this entry) extend the substitution ladder.
-		childAnc := append(anc, lodSource{node: e.ChildID, refs: e.LoDRefs, polys: e.LoDPolys})
-		if err := t.searchNode(tc, e.ChildID, eta, res, childAnc); err != nil {
-			cause, page, ok := t.absorbFault(err, e.ChildID)
+		// in hand from this entry) extend the substitution ladder, which
+		// the session keeps so its growth outlives the query.
+		child := it.NodeID
+		childAnc := append(anc, lodSource{node: child, rec: rec, entry: ei})
+		if cap(childAnc) > cap(tc.scr.anc) {
+			tc.scr.anc = childAnc
+		}
+		if err := t.searchNode(tc, child, eta, res, childAnc); err != nil {
+			cause, page, ok := t.absorbFault(err, child)
 			if !ok {
 				return err
 			}
-			t.substitute(res, childAnc, e.ChildID, it.DoV, it.Detail, cause, page)
+			t.substitute(res, childAnc, child, it.DoV, it.Detail, cause, page)
 		}
 	}
 	return nil
@@ -316,19 +337,21 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 // other query): frustum-intersecting entries first, then those whose bulk
 // lies ahead of the viewer (an intersecting box centered behind the eye
 // mostly holds behind-geometry), then nearest first.
-func frustumOrder(entries []NodeEntry, f *geom.Frustum) []int {
+func frustumOrder(rec NodeView, f *geom.Frustum) []int {
 	if f == nil {
 		return nil
 	}
-	order := make([]int, len(entries))
-	inView := make([]bool, len(entries))
-	ahead := make([]bool, len(entries))
-	dist := make([]float64, len(entries))
-	for i, e := range entries {
+	n := rec.NumEntries()
+	order := make([]int, n)
+	inView := make([]bool, n)
+	ahead := make([]bool, n)
+	dist := make([]float64, n)
+	for i := range order {
+		mbr := rec.EntryMBR(i)
 		order[i] = i
-		inView[i] = f.IntersectsAABB(e.MBR)
-		ahead[i] = e.MBR.Center().Sub(f.Apex).Dot(f.Look) >= 0
-		dist[i] = e.MBR.Dist2ToPoint(f.Apex)
+		inView[i] = f.IntersectsAABB(mbr)
+		ahead[i] = mbr.Center().Sub(f.Apex).Dot(f.Look) >= 0
+		dist[i] = mbr.Dist2ToPoint(f.Apex)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ia, ib := order[a], order[b]
@@ -363,20 +386,15 @@ func chooseLevel(k float64, n int) int {
 }
 
 // interpolatePolys evaluates the equation-5 polygon interpolation between
-// the finest and coarsest internal LoD levels.
-func interpolatePolys(polys []int, k float64) float64 {
-	if len(polys) == 0 {
-		return 0
-	}
-	hi := float64(polys[0])
-	lo := float64(polys[len(polys)-1])
+// the finest (hi) and coarsest (lo) internal LoD polygon counts.
+func interpolatePolys(hi, lo int, k float64) float64 {
 	if k >= 1 {
-		return hi
+		return float64(hi)
 	}
 	if k <= 0 {
-		return lo
+		return float64(lo)
 	}
-	return k*hi + (1-k)*lo
+	return k*float64(hi) + (1-k)*float64(lo)
 }
 
 // FetchPayloadsContext charges the heavy-weight I/O of retrieving every
@@ -440,7 +458,7 @@ func (t *Tree) degradePayload(res *QueryResult, i int) (int, bool) {
 		polys = t.Nodes[it.NodeID].InternalPolys
 	}
 	// Prefer the coarser neighbors of the lost level, then finer ones.
-	lvl, ok := t.pickReadableLevel(refs, it.Level+1)
+	lvl, ok := t.pickReadableLevel(len(refs), func(l int) Extent { return refs[l] }, it.Level+1)
 	if ok {
 		ext := refs[lvl]
 		if err := t.reader().ReadExtent(ext.Start, ext.Pages(t.Disk), storage.ClassHeavy); err == nil {

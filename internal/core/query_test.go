@@ -23,12 +23,12 @@ func (m *memVStore) SetCell(c cells.CellID) error {
 	m.cur = c
 	return nil
 }
-func (m *memVStore) NodeVD(id NodeID) ([]VD, bool, error) {
+func (m *memVStore) NodeVD(id NodeID, dst []VD) ([]VD, bool, error) {
 	vd := m.vis.PerCell[m.cur][id]
 	if vd == nil {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return vd, true, nil
+	return append(dst, vd...), true, nil
 }
 
 // visibleObjectSet returns the ground-truth visible objects of a cell.
@@ -381,5 +381,30 @@ func TestQueryPrioritizedFrontLoadsInView(t *testing.T) {
 	if mass(prio.Items) < mass(plain.Items) {
 		t.Fatalf("prioritized in-view prefix mass %v < plain %v",
 			mass(prio.Items), mass(plain.Items))
+	}
+}
+
+// TestSessionTraversalBuffersArePrivate: Session copies the tree struct,
+// so it must replace the traversal buffers rather than share them. A
+// session derived from one that has run queries starts with empty
+// buffers of its own, and queries on the base tree leave it none.
+func TestSessionTraversalBuffersArePrivate(t *testing.T) {
+	tr, _ := withMemStore(t)
+	if _, err := tr.Query(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if tr.scr != nil {
+		t.Fatal("a base-tree query kept traversal buffers on the shared tree")
+	}
+	s1 := tr.Session()
+	if _, err := s1.QueryCoherent(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(s1.scr.vd) == 0 || len(s1.scr.keep) == 0 {
+		t.Fatal("a session query left no buffers to reuse")
+	}
+	s2 := s1.Session()
+	if s2.scr == s1.scr || len(s2.scr.vd) != 0 || len(s2.scr.keep) != 0 || len(s2.scr.anc) != 0 {
+		t.Fatal("a derived session shares or inherits its parent's traversal buffers")
 	}
 }

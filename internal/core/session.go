@@ -31,11 +31,42 @@ func (t *Tree) Session() *Tree {
 		}
 	}
 	// Frame-coherence state is strictly per-session: a fresh session
-	// starts with no retained cut and an empty result free list, never
-	// sharing either with the tree (or session) it was derived from.
+	// starts with no retained cut, an empty result free list and empty
+	// traversal buffers, never sharing any of them with the tree (or
+	// session) it was derived from.
 	s.cut = nil
 	s.resPool = &resultPool{}
+	s.scr = &travScratch{}
 	return &s
+}
+
+// travScratch is a session's reusable traversal memory, so a warm query
+// allocates nothing per visited node. The recursion descends before a
+// parent's entry loop ends, so the V-data and the retained cut's child
+// lists get one grow-only buffer per depth; the ancestor ladder is one
+// stack. A query writes them only while it runs, so their contents mean
+// nothing between queries.
+type travScratch struct {
+	vd   [][]VD       // by depth: the node's V-data (NodeVD's dst)
+	keep [][]*cutNode // by depth: children kept by searchCut
+	anc  []lodSource  // the ancestor ladder (searchNode)
+}
+
+// vdBuf returns depth's V-data buffer, emptied; the caller stores the
+// filled buffer back in vd[depth] so its growth is kept.
+func (s *travScratch) vdBuf(depth int) []VD {
+	for len(s.vd) <= depth {
+		s.vd = append(s.vd, nil)
+	}
+	return s.vd[depth][:0]
+}
+
+// keepReset empties depth's child-list buffer, keeping its capacity.
+func (s *travScratch) keepReset(depth int) {
+	for len(s.keep) <= depth {
+		s.keep = append(s.keep, nil)
+	}
+	s.keep[depth] = s.keep[depth][:0]
 }
 
 // reader returns the handle query-path reads go through: the session's

@@ -113,11 +113,12 @@ type VStore interface {
 	// I/O the scheme needs (§4.2–4.3). It is a no-op if the cell is
 	// already current.
 	SetCell(cell cells.CellID) error
-	// NodeVD returns the VD values for the entries of the given node in
-	// the current cell. ok is false if the node is not visible in the
-	// cell (every DoV zero). Implementations charge their V-page reads to
+	// NodeVD appends the VD values for the entries of the given node in
+	// the current cell to dst, a buffer the caller owns, and returns the
+	// extended slice. ok is false if the node is not visible in the cell
+	// (every DoV zero). Implementations charge their V-page reads to
 	// storage.ClassLight.
-	NodeVD(id NodeID) (vd []VD, ok bool, err error)
+	NodeVD(id NodeID, dst []VD) (vd []VD, ok bool, err error)
 	// SizeBytes is the scheme's total disk footprint — the Table 2 value.
 	SizeBytes() int64
 }
@@ -329,84 +330,208 @@ func (n *Node) EncodeRecord() []byte {
 	return buf
 }
 
-// DecodeNodeRecord parses a node record. The returned node has no
-// in-memory InternalLoD; callers needing meshes read the extents.
+// NodeView is a validated, read-only view over one encoded node record
+// (EncodeRecord's format), read in place where storage served it: a
+// buffer-pool frame, or the private buffer of a read with no pool. The
+// query path reads entries through its accessors instead of decoding the
+// record into a Node, so a visit costs no allocation. It is safe because
+// storage never writes a slice after serving it (DESIGN.md §10).
+//
+// hdov:frozen-after-publish — a view may share a pool frame that other
+// sessions are reading, and the retained cut keeps views across queries,
+// so nothing may store into one once ParseNodeRecord returns it.
+type NodeView struct {
+	buf    []byte
+	nEnt   int32
+	nLoD   int32
+	stride int32 // bytes per entry, its LoD refs included
+	leaf   bool
+}
+
+// ParseNodeRecord validates a node record's header, magic and length
+// and returns a view over buf, which the view keeps and the caller must
+// not write afterwards. It is the record format's one parser: a record
+// it rejects fails the query with ErrBadRecord (ReadNodeRecord), and
+// DecodeNodeRecord rejects the same inputs because it parses through it.
+//
+// hdov:hot-path
+func ParseNodeRecord(buf []byte) (NodeView, error) {
+	le := binary.LittleEndian
+	if len(buf) < nodeHeaderSize {
+		return NodeView{}, errors.New("core: node record shorter than header")
+	}
+	if le.Uint32(buf[0:]) != nodeMagic {
+		return NodeView{}, errors.New("core: bad node magic")
+	}
+	leaf := buf[8] == 1
+	nLoD := int(le.Uint16(buf[10:]))
+	nEnt := int(le.Uint32(buf[16:]))
+	nRefs := nLoD
+	stride := entrySize
+	if !leaf {
+		nRefs += nEnt * nLoD
+		stride += nLoD * lodRefSize
+	}
+	want := nodeHeaderSize + nEnt*entrySize + nRefs*lodRefSize
+	if len(buf) < want {
+		return NodeView{}, fmt.Errorf("core: node record truncated: %d < %d", len(buf), want)
+	}
+	return NodeView{buf: buf, nEnt: int32(nEnt), nLoD: int32(nLoD), stride: int32(stride), leaf: leaf}, nil
+}
+
+// Valid reports whether v holds a parsed record (the zero view does not).
+func (v NodeView) Valid() bool { return v.buf != nil }
+
+// ID returns the node ID the record carries.
+func (v NodeView) ID() NodeID { return NodeID(binary.LittleEndian.Uint32(v.buf[4:])) }
+
+// Leaf reports whether the record is a leaf node's.
+func (v NodeView) Leaf() bool { return v.leaf }
+
+// SubtreeHeight returns the node's edges to the leaf level.
+func (v NodeView) SubtreeHeight() int { return int(v.buf[9]) }
+
+// LeafDescendants returns m of equation 3.
+func (v NodeView) LeafDescendants() int { return int(binary.LittleEndian.Uint32(v.buf[12:])) }
+
+// NumEntries returns the node's entry count.
+func (v NodeView) NumEntries() int { return int(v.nEnt) }
+
+// NumLoD returns the number of internal-LoD levels: of the node itself,
+// and of each entry's child in an internal node.
+func (v NodeView) NumLoD() int { return int(v.nLoD) }
+
+// entry returns the byte offset of entry i.
+func (v NodeView) entry(i int) int { return nodeHeaderSize + i*int(v.stride) }
+
+// EntryMBR returns entry i's bounding box.
+//
+// hdov:hot-path
+func (v NodeView) EntryMBR(i int) geom.AABB {
+	b := v.buf[v.entry(i):]
+	le := binary.LittleEndian
+	return geom.AABB{
+		Min: geom.Vec3{
+			X: math.Float64frombits(le.Uint64(b[0:])),
+			Y: math.Float64frombits(le.Uint64(b[8:])),
+			Z: math.Float64frombits(le.Uint64(b[16:])),
+		},
+		Max: geom.Vec3{
+			X: math.Float64frombits(le.Uint64(b[24:])),
+			Y: math.Float64frombits(le.Uint64(b[32:])),
+			Z: math.Float64frombits(le.Uint64(b[40:])),
+		},
+	}
+}
+
+// EntryChild returns entry i's child node (internal nodes).
+//
+// hdov:hot-path
+func (v NodeView) EntryChild(i int) NodeID {
+	return NodeID(int32(binary.LittleEndian.Uint32(v.buf[v.entry(i)+48:])))
+}
+
+// EntryObject returns entry i's object ID (leaf nodes).
+//
+// hdov:hot-path
+func (v NodeView) EntryObject(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(v.buf[v.entry(i)+52:]))
+}
+
+// EntryDescCount returns the number of leaf-level objects beneath entry i.
+//
+// hdov:hot-path
+func (v NodeView) EntryDescCount(i int) int32 {
+	return int32(binary.LittleEndian.Uint32(v.buf[v.entry(i)+60:]))
+}
+
+// EntryDescPolys returns the finest-LoD polygon total beneath entry i.
+//
+// hdov:hot-path
+func (v NodeView) EntryDescPolys(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(v.buf[v.entry(i)+64:]))
+}
+
+// EntryLoD returns level l of entry i's child internal LoD — its extent
+// and polygon count. Internal nodes only; l < NumLoD.
+//
+// hdov:hot-path
+func (v NodeView) EntryLoD(i, l int) (Extent, int) {
+	return v.ref(v.entry(i) + entrySize + l*lodRefSize)
+}
+
+// LoD returns level l of the node's own internal LoD; l < NumLoD.
+//
+// hdov:hot-path
+func (v NodeView) LoD(l int) (Extent, int) {
+	return v.ref(nodeHeaderSize + int(v.nEnt)*int(v.stride) + l*lodRefSize)
+}
+
+// ref decodes the LoD ref at byte offset off.
+func (v NodeView) ref(off int) (Extent, int) {
+	b := v.buf[off:]
+	le := binary.LittleEndian
+	return Extent{
+		Start:        storage.PageID(le.Uint64(b[0:])),
+		NominalBytes: int64(le.Uint64(b[8:])),
+		RealBytes:    int64(le.Uint64(b[16:])),
+	}, int(le.Uint32(b[24:]))
+}
+
+// DecodeNodeRecord parses a node record (ParseNodeRecord) and builds a
+// Node from the view; the query path reads views directly, so this runs
+// where a tree is rehydrated (OpenTree) and under fuzzing. The returned
+// node has no in-memory InternalLoD; callers needing meshes read the
+// extents.
 //
 // A record decodes in at most four allocations at any fan-out: the Node,
 // its Entries, and one flat Extent and one flat polygon-count array that
 // every entry's LoDRefs/LoDPolys and the node's InternalExtents/
 // InternalPolys sub-slice with capped capacity, so an append to one never
 // writes into its neighbor.
-//
-// hdov:hot-path
 func DecodeNodeRecord(buf []byte) (*Node, error) {
-	le := binary.LittleEndian
-	if len(buf) < nodeHeaderSize {
-		return nil, errors.New("core: node record shorter than header")
-	}
-	if le.Uint32(buf[0:]) != nodeMagic {
-		return nil, errors.New("core: bad node magic")
+	v, err := ParseNodeRecord(buf)
+	if err != nil {
+		return nil, err
 	}
 	n := &Node{
-		ID:              NodeID(le.Uint32(buf[4:])),
-		Leaf:            buf[8] == 1,
-		SubtreeHeight:   int(buf[9]),
-		LeafDescendants: int(le.Uint32(buf[12:])),
+		ID:              v.ID(),
+		Leaf:            v.Leaf(),
+		SubtreeHeight:   v.SubtreeHeight(),
+		LeafDescendants: v.LeafDescendants(),
 	}
-	nLoD := int(le.Uint16(buf[10:]))
-	nEnt := int(le.Uint32(buf[16:]))
+	nEnt, nLoD := v.NumEntries(), v.NumLoD()
 	nRefs := nLoD
 	if !n.Leaf {
 		nRefs += nEnt * nLoD
 	}
-	want := nodeHeaderSize + nEnt*entrySize + nRefs*lodRefSize
-	if len(buf) < want {
-		return nil, fmt.Errorf("core: node record truncated: %d < %d", len(buf), want)
-	}
 	refs := make([]Extent, nRefs)
 	polys := make([]int, nRefs)
 	r := 0 // next free slot of refs/polys
-	off := nodeHeaderSize
-	// readRefs decodes the next k LoD refs into refs/polys and returns
-	// the two capped sub-slices that hold them.
-	readRefs := func(k int) ([]Extent, []int) {
-		for j := r; j < r+k; j++ {
-			refs[j] = Extent{
-				Start:        storage.PageID(le.Uint64(buf[off+0:])),
-				NominalBytes: int64(le.Uint64(buf[off+8:])),
-				RealBytes:    int64(le.Uint64(buf[off+16:])),
-			}
-			polys[j] = int(le.Uint32(buf[off+24:]))
-			off += lodRefSize
-		}
+	// take returns the capped sub-slices of the k refs just filled.
+	take := func(k int) ([]Extent, []int) {
 		r += k
 		return refs[r-k : r : r], polys[r-k : r : r]
 	}
 	n.Entries = make([]NodeEntry, nEnt)
 	for i := range n.Entries {
 		n.Entries[i] = NodeEntry{
-			MBR: geom.AABB{
-				Min: geom.Vec3{
-					X: math.Float64frombits(le.Uint64(buf[off+0:])),
-					Y: math.Float64frombits(le.Uint64(buf[off+8:])),
-					Z: math.Float64frombits(le.Uint64(buf[off+16:])),
-				},
-				Max: geom.Vec3{
-					X: math.Float64frombits(le.Uint64(buf[off+24:])),
-					Y: math.Float64frombits(le.Uint64(buf[off+32:])),
-					Z: math.Float64frombits(le.Uint64(buf[off+40:])),
-				},
-			},
-			ChildID:   NodeID(int32(le.Uint32(buf[off+48:]))),
-			ObjectID:  int64(le.Uint64(buf[off+52:])),
-			DescCount: int32(le.Uint32(buf[off+60:])),
-			DescPolys: int64(le.Uint64(buf[off+64:])),
+			MBR:       v.EntryMBR(i),
+			ChildID:   v.EntryChild(i),
+			ObjectID:  v.EntryObject(i),
+			DescCount: v.EntryDescCount(i),
+			DescPolys: v.EntryDescPolys(i),
 		}
-		off += entrySize
 		if !n.Leaf {
-			n.Entries[i].LoDRefs, n.Entries[i].LoDPolys = readRefs(nLoD)
+			for l := 0; l < nLoD; l++ {
+				refs[r+l], polys[r+l] = v.EntryLoD(i, l)
+			}
+			n.Entries[i].LoDRefs, n.Entries[i].LoDPolys = take(nLoD)
 		}
 	}
-	n.InternalExtents, n.InternalPolys = readRefs(nLoD)
+	for l := 0; l < nLoD; l++ {
+		refs[r+l], polys[r+l] = v.LoD(l)
+	}
+	n.InternalExtents, n.InternalPolys = take(nLoD)
 	return n, nil
 }

@@ -131,15 +131,16 @@ func (s *System) Query(eye, look geom.Vec3) (*core.QueryResult, error) {
 
 // window recursively runs the multi-box window query from node id.
 func (s *System) window(id core.NodeID, boxes []geom.AABB, eye geom.Vec3, seen map[int64]bool, res *core.QueryResult) error {
-	node, err := s.T.ReadNodeRecord(id)
+	rec, err := s.T.ReadNodeRecord(id)
 	if err != nil {
 		return err
 	}
 	res.Stats.NodesVisited++
-	for _, e := range node.Entries {
+	for i := 0; i < rec.NumEntries(); i++ {
+		mbr := rec.EntryMBR(i)
 		hit := false
 		for _, b := range boxes {
-			if e.MBR.Intersects(b) {
+			if mbr.Intersects(b) {
 				hit = true
 				break
 			}
@@ -147,17 +148,18 @@ func (s *System) window(id core.NodeID, boxes []geom.AABB, eye geom.Vec3, seen m
 		if !hit {
 			continue
 		}
-		if !node.Leaf {
-			if err := s.window(e.ChildID, boxes, eye, seen, res); err != nil {
+		if !rec.Leaf() {
+			if err := s.window(rec.EntryChild(i), boxes, eye, seen, res); err != nil {
 				return err
 			}
 			continue
 		}
-		if seen[e.ObjectID] {
+		objID := rec.EntryObject(i)
+		if seen[objID] {
 			continue // object straddles several bands; emit once
 		}
-		seen[e.ObjectID] = true
-		dist := e.MBR.DistToPoint(eye)
+		seen[objID] = true
+		dist := mbr.DistToPoint(eye)
 		k := 1 - dist/s.Cfg.QueryBoxDepth
 		if k < 0 {
 			k = 0
@@ -165,11 +167,11 @@ func (s *System) window(id core.NodeID, boxes []geom.AABB, eye geom.Vec3, seen m
 		if k > 1 {
 			k = 1
 		}
-		obj := s.T.Scene.Object(e.ObjectID)
-		exts := s.T.ObjExtents[e.ObjectID]
+		obj := s.T.Scene.Object(objID)
+		exts := s.T.ObjExtents[objID]
 		lvl := levelFor(k, len(exts))
 		res.Items = append(res.Items, core.ResultItem{
-			ObjectID: e.ObjectID,
+			ObjectID: objID,
 			NodeID:   core.NilNode,
 			DoV:      0, // REVIEW has no visibility data
 			Detail:   k,

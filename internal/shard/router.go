@@ -44,10 +44,10 @@ func (t *Table) storeAt(i, pick int) *Store {
 
 // Router owns the shard topology and routes sessions to stores. The
 // current Table is read via an atomic pointer; topology changes
-// (promotion, demotion) build the replacement off to the
-// side and swap it under mu. The mutex serializes writers and the
-// per-shard tree copy a session takes on first use; queries never take
-// it.
+// (promotion, demotion) build the replacement off to the side and swap
+// it under mu. The mutex serializes writers and the per-shard tree copy
+// a session takes on first use; queries never take it, and no store is
+// opened under it.
 type Router struct {
 	sc   *scene.Scene
 	src  *storage.Disk
@@ -61,6 +61,9 @@ type Router struct {
 	mu  sync.Mutex
 	cfg Config // hdov:guarded-by mu
 	cur atomic.Pointer[Table]
+	// openHook, when set, replaces open for replica stores (tests use it
+	// to hold a promotion inside its open).
+	openHook func(idx int, cfg Config) (*Store, error)
 }
 
 // NewRouter partitions the grid into cfg.Shards contiguous ranges and
@@ -120,25 +123,60 @@ func (r *Router) Shards() int { return r.Table().Map.Shards() }
 // store; sessions created before the swap keep their pinned table. It
 // returns the promoted shard indices (empty when no shard has traffic).
 // Shards already carrying a replica are not promoted twice.
+//
+// Opening a replica rereads every node record, so it runs outside mu:
+// setters and the first query of a routed session on any shard do not
+// wait for it. The replicas open under a snapshot of the settings; at
+// install, under mu, each gets the router's current fault tolerance and
+// cache size, and one whose shard another promotion filled meanwhile is
+// discarded. A failed open publishes nothing.
 func (r *Router) PromoteHot(k int) ([]int, error) {
+	r.mu.Lock()
+	cfg := r.cfg
+	seen := r.cur.Load()
+	hot := r.heat.TopShards(seen.Map, k)
+	r.mu.Unlock()
+
+	open := r.open
+	if r.openHook != nil {
+		open = r.openHook
+	}
+	var opened []*Store
+	for _, i := range hot {
+		if len(seen.Replicas[i]) > 0 {
+			continue
+		}
+		st, err := open(i, cfg)
+		if err != nil {
+			promoted := make([]int, 0, len(opened))
+			for _, st := range opened {
+				promoted = append(promoted, st.Shard)
+			}
+			return promoted, err
+		}
+		opened = append(opened, st)
+	}
+
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.cur.Load()
-	hot := r.heat.TopShards(old.Map, k)
-	promoted := make([]int, 0, len(hot))
 	next := &Table{
 		Map:       old.Map,
 		Primaries: old.Primaries,
 		Replicas:  make([][]*Store, len(old.Replicas)),
 	}
 	copy(next.Replicas, old.Replicas)
-	for _, i := range hot {
+	promoted := make([]int, 0, len(opened))
+	for _, st := range opened {
+		i := st.Shard
 		if len(next.Replicas[i]) > 0 {
-			continue
+			continue // another promotion filled the shard first
 		}
-		st, err := r.open(i, r.cfg)
-		if err != nil {
-			return promoted, err
+		// The store is still private: settings changed while it opened
+		// are applied before anyone can see it.
+		st.Tree.FaultTolerant = r.cfg.FaultTolerant
+		if r.cfg.CachePagesPerShard != cfg.CachePagesPerShard {
+			st.Disk.SetCacheSize(r.cfg.CachePagesPerShard)
 		}
 		st.Replica = true
 		next.Replicas[i] = []*Store{st}
@@ -196,8 +234,8 @@ func (r *Router) forEachStore(fn func(*Store)) {
 // storeSession opens a core session on st. The session copies the
 // store's tree, so it is taken under mu: the setters below write the
 // store trees' settings under the same lock. It runs once per shard a
-// routed session touches, never per query, and waits out an in-flight
-// PromoteHot, which holds mu while it opens replicas.
+// routed session touches, never per query; a PromoteHot opening replicas
+// does not hold mu, so it never waits for one.
 func (r *Router) storeSession(st *Store) *core.Tree {
 	r.mu.Lock()
 	defer r.mu.Unlock()

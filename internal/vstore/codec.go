@@ -161,13 +161,15 @@ func EncodeVPageC(vd []core.VD) ([]byte, error) {
 	return appendCRC(buf), nil
 }
 
-// DecodeVPageC decodes one codec V-page unit, validating the header, the
-// payload bounds, and the CRC trailer. Malformed input of any shape — bad
-// magic, unknown version, shift overflow, truncated varints, torn CRC —
-// returns an error (wrapping errCodec), never panics.
+// DecodeVPageC decodes one codec V-page unit, appending its entries to
+// dst (a buffer the caller owns) and returning the extended slice; an
+// empty page appends nothing. It validates the header, the payload
+// bounds, and the CRC trailer. Malformed input of any shape — bad magic,
+// unknown version, shift overflow, truncated varints, torn CRC — returns
+// an error (wrapping errCodec), never panics.
 //
 // hdov:hot-path
-func DecodeVPageC(buf []byte) ([]core.VD, error) {
+func DecodeVPageC(dst []core.VD, buf []byte) ([]core.VD, error) {
 	if len(buf) < codecMinUnitBytes {
 		return nil, codecErrf("V-page unit is %d bytes, minimum %d", len(buf), codecMinUnitBytes)
 	}
@@ -188,11 +190,12 @@ func DecodeVPageC(buf []byte) ([]core.VD, error) {
 	if n >= maxCodecEntries {
 		return nil, codecErrf("entry count %d exceeds limit %d", n, maxCodecEntries-1)
 	}
-	vd := make([]core.VD, n)
-	for i := range vd {
+	base := len(dst)
+	vd := slices.Grow(dst, int(n))[:base+int(n)]
+	for i := base; i < len(vd); i++ {
 		if mode == codecModeRaw {
 			if pos+12 > len(buf) {
-				return nil, codecErrf("raw64 entry %d truncated", i)
+				return nil, codecErrf("raw64 entry %d truncated", i-base)
 			}
 			vd[i].DoV = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
 			vd[i].NVO = int32(binary.LittleEndian.Uint32(buf[pos+8:]))
@@ -203,13 +206,13 @@ func DecodeVPageC(buf []byte) ([]core.VD, error) {
 				return nil, err
 			}
 			if units >= 1<<53 {
-				return nil, codecErrf("entry %d: %d grid units overflow the float64 mantissa", i, units)
+				return nil, codecErrf("entry %d: %d grid units overflow the float64 mantissa", i-base, units)
 			}
 			if nvo, pos, err = uvarintAt(buf, pos, "NVO"); err != nil {
 				return nil, err
 			}
 			if nvo > math.MaxInt32 {
-				return nil, codecErrf("entry %d: NVO %d overflows int32", i, nvo)
+				return nil, codecErrf("entry %d: NVO %d overflows int32", i-base, nvo)
 			}
 			vd[i].DoV = math.Ldexp(float64(units), -int(mode))
 			vd[i].NVO = int32(nvo)
@@ -217,9 +220,6 @@ func DecodeVPageC(buf []byte) ([]core.VD, error) {
 	}
 	if err := checkCRC(buf, pos); err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	return vd, nil
 }
@@ -251,66 +251,60 @@ func EncodePointerSegmentC(numNodes int, lens []int64) ([]byte, error) {
 	return appendCRC(buf), nil
 }
 
-// DecodePointerSegmentC parses a vertical codec flip segment, returning
-// per-node byte offsets relative to the cell's V-page block start
-// (nilSlot for invisible nodes) and the unit lengths. Every length is
-// validated against codecMinUnitBytes and the running prefix sum against
-// blockBytes, so a corrupt segment fails at flip time rather than as a
-// misdirected heap read mid-query.
+// DecodePointerSegmentC parses a vertical codec flip segment into dst:
+// each visible node's unit at absolute heap offset base plus the prefix
+// sum of the lengths before it. Every length is validated against
+// codecMinUnitBytes and the running prefix sum against blockBytes, so a
+// corrupt segment fails at flip time rather than as a misdirected heap
+// read mid-query. On error dst holds a partial fill.
 //
 // hdov:hot-path
-func DecodePointerSegmentC(buf []byte, numNodes int, blockBytes int64) ([]int64, []int32, error) {
+func DecodePointerSegmentC(buf []byte, numNodes int, base, blockBytes int64, dst *cellTable) error {
 	if numNodes < 0 {
-		return nil, nil, codecErrf("negative node count %d", numNodes)
+		return codecErrf("negative node count %d", numNodes)
 	}
 	if len(buf) < codecMinUnitBytes {
-		return nil, nil, codecErrf("pointer segment is %d bytes, minimum %d", len(buf), codecMinUnitBytes)
+		return codecErrf("pointer segment is %d bytes, minimum %d", len(buf), codecMinUnitBytes)
 	}
 	if buf[0] != codecMagicPointerSeg {
-		return nil, nil, codecErrf("pointer segment magic %02x, want %02x", buf[0], codecMagicPointerSeg)
+		return codecErrf("pointer segment magic %02x, want %02x", buf[0], codecMagicPointerSeg)
 	}
 	if buf[1] != codecVersion {
-		return nil, nil, codecErrf("pointer segment version %d, want %d", buf[1], codecVersion)
+		return codecErrf("pointer segment version %d, want %d", buf[1], codecVersion)
 	}
 	n, pos, err := uvarintAt(buf, 2, "node count")
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if n != uint64(numNodes) {
-		return nil, nil, codecErrf("segment covers %d nodes, scheme has %d", n, numNodes)
+		return codecErrf("segment covers %d nodes, scheme has %d", n, numNodes)
 	}
 	bitmapBytes := (numNodes + 7) / 8
 	if pos+bitmapBytes > len(buf) {
-		return nil, nil, codecErrf("visibility bitmap truncated")
+		return codecErrf("visibility bitmap truncated")
 	}
 	bitmap := buf[pos : pos+bitmapBytes]
 	pos += bitmapBytes
-	offs := make([]int64, numNodes)
-	lens := make([]int32, numNodes)
+	dst.reset(numNodes)
 	var next int64
 	for id := 0; id < numNodes; id++ {
 		if bitmap[id/8]&(1<<(id%8)) == 0 {
-			offs[id] = nilSlot
 			continue
 		}
 		var ln uint64
 		if ln, pos, err = uvarintAt(buf, pos, "unit length"); err != nil {
-			return nil, nil, err
+			return err
 		}
 		if ln < codecMinUnitBytes || int64(ln) > blockBytes {
-			return nil, nil, codecErrf("node %d unit length %d out of range (block %d bytes)", id, ln, blockBytes)
+			return codecErrf("node %d unit length %d out of range (block %d bytes)", id, ln, blockBytes)
 		}
-		offs[id] = next
-		lens[id] = int32(ln)
+		dst.put(id, base+next, int32(ln))
 		next += int64(ln)
 		if next > blockBytes {
-			return nil, nil, codecErrf("node %d unit ends at %d, past block end %d", id, next, blockBytes)
+			return codecErrf("node %d unit ends at %d, past block end %d", id, next, blockBytes)
 		}
 	}
-	if err := checkCRC(buf, pos); err != nil {
-		return nil, nil, err
-	}
-	return offs, lens, nil
+	return checkCRC(buf, pos)
 }
 
 // EncodeIndexSegmentC encodes an indexed-vertical codec flip segment:
@@ -337,61 +331,58 @@ func EncodeIndexSegmentC(ids []int, lens []int64) ([]byte, error) {
 }
 
 // DecodeIndexSegmentC parses an indexed-vertical codec flip segment into
-// a node → heap-reference map. base is the absolute heap offset of the
-// cell's V-page block (units follow the segment); blockBytes bounds the
-// prefix sums. Ids must be strictly ascending and in range, lengths
-// plausible — a corrupt segment cannot silently alias two nodes onto one
-// unit or point outside the heap.
+// dst. base is the absolute heap offset of the cell's V-page block (units
+// follow the segment); blockBytes bounds the prefix sums. Ids must be
+// strictly ascending and in range, lengths plausible — a corrupt segment
+// cannot silently alias two nodes onto one unit or point outside the
+// heap. On error dst holds a partial fill.
 //
 // hdov:hot-path
-func DecodeIndexSegmentC(buf []byte, numNodes int, base, blockBytes int64) (map[core.NodeID]heapRef, error) {
+func DecodeIndexSegmentC(buf []byte, numNodes int, base, blockBytes int64, dst *cellTable) error {
 	if len(buf) < codecMinUnitBytes {
-		return nil, codecErrf("index segment is %d bytes, minimum %d", len(buf), codecMinUnitBytes)
+		return codecErrf("index segment is %d bytes, minimum %d", len(buf), codecMinUnitBytes)
 	}
 	if buf[0] != codecMagicIndexSeg {
-		return nil, codecErrf("index segment magic %02x, want %02x", buf[0], codecMagicIndexSeg)
+		return codecErrf("index segment magic %02x, want %02x", buf[0], codecMagicIndexSeg)
 	}
 	if buf[1] != codecVersion {
-		return nil, codecErrf("index segment version %d, want %d", buf[1], codecVersion)
+		return codecErrf("index segment version %d, want %d", buf[1], codecVersion)
 	}
 	n, pos, err := uvarintAt(buf, 2, "entry count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(numNodes) {
-		return nil, codecErrf("%d entries for %d nodes", n, numNodes)
+		return codecErrf("%d entries for %d nodes", n, numNodes)
 	}
-	m := make(map[core.NodeID]heapRef, n)
+	dst.reset(numNodes)
 	id := -1
 	var next int64
 	for i := uint64(0); i < n; i++ {
 		var delta, ln uint64
 		if delta, pos, err = uvarintAt(buf, pos, "id delta"); err != nil {
-			return nil, err
+			return err
 		}
 		if delta == 0 {
-			return nil, codecErrf("entry %d: zero id delta (duplicate node)", i)
+			return codecErrf("entry %d: zero id delta (duplicate node)", i)
 		}
 		if uint64(id)+delta > uint64(numNodes-1) {
-			return nil, codecErrf("entry %d: node %d out of range (%d nodes)", i, uint64(id)+delta, numNodes)
+			return codecErrf("entry %d: node %d out of range (%d nodes)", i, uint64(id)+delta, numNodes)
 		}
 		id += int(delta)
 		if ln, pos, err = uvarintAt(buf, pos, "unit length"); err != nil {
-			return nil, err
+			return err
 		}
 		if ln < codecMinUnitBytes || int64(ln) > blockBytes {
-			return nil, codecErrf("node %d unit length %d out of range (block %d bytes)", id, ln, blockBytes)
+			return codecErrf("node %d unit length %d out of range (block %d bytes)", id, ln, blockBytes)
 		}
-		m[core.NodeID(id)] = heapRef{off: base + next, n: int32(ln)}
+		dst.put(id, base+next, int32(ln))
 		next += int64(ln)
 		if next > blockBytes {
-			return nil, codecErrf("node %d unit ends at %d, past block end %d", id, next, blockBytes)
+			return codecErrf("node %d unit ends at %d, past block end %d", id, next, blockBytes)
 		}
 	}
-	if err := checkCRC(buf, pos); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return checkCRC(buf, pos)
 }
 
 // heapRef locates one encoded unit inside a codec heap: absolute byte

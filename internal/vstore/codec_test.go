@@ -50,7 +50,7 @@ func TestCodecVPageUnitRoundTrip(t *testing.T) {
 			if buf[2] != tc.mode {
 				t.Fatalf("mode byte %02x, want %02x", buf[2], tc.mode)
 			}
-			got, err := DecodeVPageC(buf)
+			got, err := DecodeVPageC(nil, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestCodecVPageUnitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := DecodeVPageC(buf); got != nil || err != nil {
+	if got, err := DecodeVPageC(nil, buf); got != nil || err != nil {
 		t.Fatalf("empty unit: got %v, %v", got, err)
 	}
 }
@@ -96,7 +96,7 @@ func TestCodecVPageQuantExactness(t *testing.T) {
 		if buf[2] == codecModeRaw {
 			t.Fatalf("trial %d: dyadic data fell back to raw64", trial)
 		}
-		got, err := DecodeVPageC(buf)
+		got, err := DecodeVPageC(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,29 +123,31 @@ func TestCodecPointerSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, gotLens, err := DecodePointerSegmentC(buf, numNodes, blockBytes)
-	if err != nil {
+	const base = int64(1 << 20)
+	var tbl cellTable
+	if err := DecodePointerSegmentC(buf, numNodes, base, blockBytes, &tbl); err != nil {
 		t.Fatal(err)
 	}
-	var next int64
+	next := base
 	for id := 0; id < numNodes; id++ {
+		loc, ok := tbl.get(core.NodeID(id))
 		if lens[id] < 0 {
-			if offs[id] != nilSlot {
-				t.Fatalf("node %d: invisible but offset %d", id, offs[id])
+			if ok {
+				t.Fatalf("node %d: invisible but offset %d", id, loc.at)
 			}
 			continue
 		}
-		if offs[id] != next || int64(gotLens[id]) != lens[id] {
-			t.Fatalf("node %d: (%d,%d), want (%d,%d)", id, offs[id], gotLens[id], next, lens[id])
+		if !ok || loc.at != next || int64(loc.n) != lens[id] {
+			t.Fatalf("node %d: (%d,%d), want (%d,%d)", id, loc.at, loc.n, next, lens[id])
 		}
 		next += lens[id]
 	}
 	// Wrong scheme width is rejected.
-	if _, _, err := DecodePointerSegmentC(buf, numNodes+1, blockBytes); !IsCodecError(err) {
+	if err := DecodePointerSegmentC(buf, numNodes+1, base, blockBytes, &tbl); !IsCodecError(err) {
 		t.Fatalf("node-count mismatch accepted: %v", err)
 	}
 	// A shrunken block bound catches out-of-range prefix sums.
-	if _, _, err := DecodePointerSegmentC(buf, numNodes, blockBytes-1); !IsCodecError(err) {
+	if err := DecodePointerSegmentC(buf, numNodes, base, blockBytes-1, &tbl); !IsCodecError(err) {
 		t.Fatalf("overflowing block accepted: %v", err)
 	}
 }
@@ -163,10 +165,11 @@ func TestCodecIndexSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := DecodeIndexSegmentC(buf, numNodes, base, blockBytes)
-	if err != nil {
+	var tbl cellTable
+	if err := DecodeIndexSegmentC(buf, numNodes, base, blockBytes, &tbl); err != nil {
 		t.Fatal(err)
 	}
+	m := tableEntries(&tbl)
 	if len(m) != len(ids) {
 		t.Fatalf("%d entries, want %d", len(m), len(ids))
 	}
@@ -176,13 +179,13 @@ func TestCodecIndexSegmentRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %d missing", id)
 		}
-		if ref.off != next || int64(ref.n) != lens[i] {
-			t.Fatalf("node %d: (%d,%d), want (%d,%d)", id, ref.off, ref.n, next, lens[i])
+		if ref.at != next || int64(ref.n) != lens[i] {
+			t.Fatalf("node %d: (%d,%d), want (%d,%d)", id, ref.at, ref.n, next, lens[i])
 		}
 		next += lens[i]
 	}
 	// Out-of-range id rejected.
-	if _, err := DecodeIndexSegmentC(buf, 99, base, blockBytes); !IsCodecError(err) {
+	if err := DecodeIndexSegmentC(buf, 99, base, blockBytes, &tbl); !IsCodecError(err) {
 		t.Fatalf("out-of-range node accepted: %v", err)
 	}
 	// Non-ascending ids rejected at encode time.
@@ -225,8 +228,9 @@ func buildBothLayouts(t *testing.T, vis *core.VisData) (d *storage.Disk, raw, co
 
 // TestViewCopiesLayoutNotCursor checks every scheme's View field by
 // field: a view shares all of the layout, charges its own client, and
-// starts with an empty cursor even when the base store has flipped —
-// View must not read the cursor, which a concurrent query may be moving.
+// starts with an empty cursor and empty flip tables even when the base
+// store has flipped — View must not read the cursor, which a concurrent
+// query may be moving.
 func TestViewCopiesLayoutNotCursor(t *testing.T) {
 	vis := dyadicVisData(t, 60, 4, 4, 0.25, 3)
 	d, raw, codec := buildBothLayouts(t, vis)
@@ -245,12 +249,12 @@ func TestViewCopiesLayoutNotCursor(t *testing.T) {
 		case *Vertical:
 			w := *b
 			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
-			w.curSeg, w.curOffs, w.curLens = nil, nil, nil
+			w.table, w.spare = cellTable{}, cellTable{}
 			want, got = w, *view.(*Vertical)
 		case *IndexedVertical:
 			w := *b
 			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
-			w.curMap, w.curRef = nil, nil
+			w.table, w.spare = cellTable{}, cellTable{}
 			want, got = w, *view.(*IndexedVertical)
 		default:
 			t.Fatalf("unexpected scheme %T", s)
@@ -287,11 +291,11 @@ func TestCodecSchemesMatchRaw(t *testing.T) {
 				}
 				for id := 0; id < tc.vis.NumNodes; id++ {
 					for i := range raw {
-						want, okW, err := raw[i].NodeVD(core.NodeID(id))
+						want, okW, err := raw[i].NodeVD(core.NodeID(id), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, okG, err := codec[i].NodeVD(core.NodeID(id))
+						got, okG, err := codec[i].NodeVD(core.NodeID(id), nil)
 						if err != nil {
 							t.Fatalf("%s cell %d node %d: %v", codec[i].Name(), cell, id, err)
 						}
@@ -372,11 +376,11 @@ func TestCodecManifestRoundTrip(t *testing.T) {
 		}
 		for id := 0; id < vis.NumNodes; id++ {
 			for i := range codec {
-				want, okW, err := codec[i].NodeVD(core.NodeID(id))
+				want, okW, err := codec[i].NodeVD(core.NodeID(id), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, okG, err := reopened[i].NodeVD(core.NodeID(id))
+				got, okG, err := reopened[i].NodeVD(core.NodeID(id), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -50,7 +50,7 @@ func FuzzDecodeVPageCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{codecMagicVPage})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vd, err := DecodeVPageC(data)
+		vd, err := DecodeVPageC(nil, data)
 		if err != nil {
 			if !IsCodecError(err) {
 				t.Fatalf("decode error does not wrap errCodec: %v", err)
@@ -82,24 +82,21 @@ func FuzzDecodePointerSegmentCodec(f *testing.F) {
 		if numNodes < 0 || numNodes > 1<<16 {
 			return // bound allocation, not behavior
 		}
-		offs, gotLens, err := DecodePointerSegmentC(data, numNodes, blockBytes)
-		if err != nil {
+		var tbl cellTable
+		if err := DecodePointerSegmentC(data, numNodes, 0, blockBytes, &tbl); err != nil {
 			if !IsCodecError(err) {
 				t.Fatalf("decode error does not wrap errCodec: %v", err)
 			}
 			return
 		}
-		if len(offs) != numNodes || len(gotLens) != numNodes {
-			t.Fatalf("decoded %d/%d pointers, want %d", len(offs), len(gotLens), numNodes)
+		if len(tbl.slots) != numNodes {
+			t.Fatalf("decoded %d pointers, want %d", len(tbl.slots), numNodes)
 		}
-		for id, off := range offs {
-			if off == nilSlot {
-				continue
-			}
-			if off < 0 || off >= blockBytes || int64(gotLens[id]) < codecMinUnitBytes ||
-				off+int64(gotLens[id]) > blockBytes {
+		for id, loc := range tableEntries(&tbl) {
+			if loc.at < 0 || loc.at >= blockBytes || int64(loc.n) < codecMinUnitBytes ||
+				loc.at+int64(loc.n) > blockBytes {
 				t.Fatalf("node %d unit [%d,+%d) escaped validation (block %d)",
-					id, off, gotLens[id], blockBytes)
+					id, loc.at, loc.n, blockBytes)
 			}
 		}
 	})
@@ -122,21 +119,21 @@ func FuzzDecodeIndexSegmentCodec(f *testing.F) {
 		if numNodes < 0 || numNodes > 1<<16 {
 			return // bound allocation, not behavior
 		}
-		m, err := DecodeIndexSegmentC(data, numNodes, base, blockBytes)
-		if err != nil {
+		var tbl cellTable
+		if err := DecodeIndexSegmentC(data, numNodes, base, blockBytes, &tbl); err != nil {
 			if !IsCodecError(err) {
 				t.Fatalf("decode error does not wrap errCodec: %v", err)
 			}
 			return
 		}
-		for id, ref := range m {
+		for id, ref := range tableEntries(&tbl) {
 			if int(id) < 0 || int(id) >= numNodes {
 				t.Fatalf("node %d escaped validation (%d nodes)", id, numNodes)
 			}
-			if ref.off < base || int64(ref.n) < codecMinUnitBytes ||
-				ref.off+int64(ref.n) > base+blockBytes {
+			if ref.at < base || int64(ref.n) < codecMinUnitBytes ||
+				ref.at+int64(ref.n) > base+blockBytes {
 				t.Fatalf("node %d unit [%d,+%d) escaped validation (base %d block %d)",
-					id, ref.off, ref.n, base, blockBytes)
+					id, ref.at, ref.n, base, blockBytes)
 			}
 		}
 	})
@@ -152,7 +149,7 @@ func TestCodecDecodersRejectCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range corruptions(quant) {
-		if _, err := DecodeVPageC(c); !IsCodecError(err) {
+		if _, err := DecodeVPageC(nil, c); !IsCodecError(err) {
 			t.Fatalf("V-page corruption %d accepted: %v", i, err)
 		}
 	}
@@ -161,7 +158,7 @@ func TestCodecDecodersRejectCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range corruptions(seg) {
-		if _, _, err := DecodePointerSegmentC(c, 6, 72); !IsCodecError(err) {
+		if err := DecodePointerSegmentC(c, 6, 0, 72, &cellTable{}); !IsCodecError(err) {
 			t.Fatalf("pointer-segment corruption %d accepted: %v", i, err)
 		}
 	}
@@ -170,7 +167,7 @@ func TestCodecDecodersRejectCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range corruptions(idx) {
-		if _, err := DecodeIndexSegmentC(c, 6, 0, 32); !IsCodecError(err) {
+		if err := DecodeIndexSegmentC(c, 6, 0, 32, &cellTable{}); !IsCodecError(err) {
 			t.Fatalf("index-segment corruption %d accepted: %v", i, err)
 		}
 	}

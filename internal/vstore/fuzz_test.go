@@ -25,16 +25,16 @@ func FuzzDecodePointerSegment(f *testing.F) {
 		if numNodes > 1<<16 {
 			return // bound allocation, not behavior
 		}
-		seg, err := decodePointerSegment(data, numNodes, numSlots)
-		if err != nil {
+		var tbl cellTable
+		if err := decodePointerSegment(data, numNodes, numSlots, &tbl); err != nil {
 			return
 		}
-		if len(seg) != numNodes {
-			t.Fatalf("decoded %d pointers, want %d", len(seg), numNodes)
+		if len(tbl.slots) != numNodes {
+			t.Fatalf("decoded %d pointers, want %d", len(tbl.slots), numNodes)
 		}
-		for i, p := range seg {
-			if p != nilSlot && (p < 0 || p >= numSlots) {
-				t.Fatalf("pointer %d = %d escaped validation (%d slots)", i, p, numSlots)
+		for id, loc := range tableEntries(&tbl) {
+			if loc.at < 0 || loc.at >= numSlots {
+				t.Fatalf("node %d pointer %d escaped validation (%d slots)", id, loc.at, numSlots)
 			}
 		}
 	})
@@ -56,19 +56,20 @@ func FuzzDecodeIndexSegment(f *testing.F) {
 		if count > 1<<16 {
 			return // bound allocation, not behavior
 		}
-		m, err := decodeIndexSegment(data, count, numNodes, numSlots)
-		if err != nil {
+		var tbl cellTable
+		if err := decodeIndexSegment(data, count, numNodes, numSlots, &tbl); err != nil {
 			return
 		}
+		m := tableEntries(&tbl)
 		if len(m) != count {
 			t.Fatalf("decoded %d entries, want %d (duplicate slipped through?)", len(m), count)
 		}
-		for id, slot := range m {
+		for id, loc := range m {
 			if int(id) < 0 || int(id) >= numNodes {
 				t.Fatalf("node %d escaped validation (%d nodes)", id, numNodes)
 			}
-			if slot < 0 || slot >= numSlots {
-				t.Fatalf("slot %d escaped validation (%d slots)", slot, numSlots)
+			if loc.at < 0 || loc.at >= numSlots {
+				t.Fatalf("slot %d escaped validation (%d slots)", loc.at, numSlots)
 			}
 		}
 	})
@@ -81,7 +82,7 @@ func FuzzDecodeVPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vd, err := decodeVPage(data)
+		vd, err := decodeVPage(nil, data)
 		if err == nil && vd != nil {
 			// Round-trip whatever decoded cleanly.
 			if _, err := encodeVPage(vd, 1<<20); err != nil {
@@ -89,4 +90,15 @@ func FuzzDecodeVPage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tableEntries returns the visible nodes of a filled cellTable.
+func tableEntries(tbl *cellTable) map[core.NodeID]flipSlot {
+	m := make(map[core.NodeID]flipSlot)
+	for id := range tbl.slots {
+		if loc, ok := tbl.get(core.NodeID(id)); ok {
+			m[core.NodeID(id)] = loc
+		}
+	}
+	return m
 }

@@ -191,7 +191,7 @@ func (h *Horizontal) SetCell(cell cells.CellID) error {
 
 // NodeVD implements core.VStore: one V-page read per call (§4.1: "A
 // visibility query to a node costs one V-page access only").
-func (h *Horizontal) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
+func (h *Horizontal) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, bool, error) {
 	if !h.hasCell {
 		return nil, false, fmt.Errorf("vstore: no current cell")
 	}
@@ -199,35 +199,27 @@ func (h *Horizontal) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
 		return nil, false, fmt.Errorf("vstore: node %d out of range", id)
 	}
 	slot := h.slotOf(id, h.cur)
+	var buf []byte
+	var err error
 	if h.codec {
 		// The resident directory answers invisible nodes with no I/O —
 		// the slot layout's zero-filled V-page read disappears entirely.
 		ref := h.dir[slot]
 		if ref.n == 0 {
-			return nil, false, nil
+			return dst, false, nil
 		}
-		buf, err := readHeapUnit(h.io, h.heapBase, h.heapBytes, ref)
-		if err != nil {
-			return nil, false, err
-		}
-		vd, err := DecodeVPageC(buf)
-		if err != nil {
-			return nil, false, err
-		}
-		return vd, vd != nil, nil
+		buf, err = readHeapUnit(h.io, h.heapBase, h.heapBytes, ref)
+	} else {
+		buf, err = h.slots.read(h.io, slot, storage.ClassLight)
 	}
-	buf, err := h.slots.read(h.io, slot, storage.ClassLight)
 	if err != nil {
 		return nil, false, err
 	}
-	vd, err := decodeVPage(buf)
+	vd, err := decodeUnit(h.codec, dst, buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if vd == nil {
-		return nil, false, nil
-	}
-	return vd, true, nil
+	return vd, len(vd) > len(dst), nil
 }
 
 // Codec reports whether this scheme uses the compressed V-page layout.
@@ -254,7 +246,7 @@ func (h *Horizontal) CodecCheck() ([]storage.PageID, []string) {
 		}
 		buf, err := peekHeapUnit(h.disk, h.heapBase, h.heapBytes, ref)
 		if err == nil {
-			_, err = DecodeVPageC(buf)
+			_, err = DecodeVPageC(nil, buf)
 		}
 		if err != nil && !skipQuarantined(err) {
 			problems = append(problems, fmt.Sprintf("horizontal slot %d: %v", slot, err))

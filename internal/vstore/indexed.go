@@ -34,9 +34,13 @@ type IndexedVertical struct {
 
 	cur     cells.CellID
 	hasCell bool
-	curMap  map[core.NodeID]int64
-	flips   int64
-	size    int64
+	// table holds the flipped cell's V-page locations (slots, or codec
+	// heap references); spare is filled by the next flip and swapped in
+	// only once it decodes, so a failed flip leaves the current cell
+	// intact.
+	table, spare cellTable
+	flips        int64
+	size         int64
 
 	// Codec layout (DESIGN.md §13): like vertical's, one contiguous
 	// block per cell, but the flip segment lists only visible nodes as
@@ -48,7 +52,6 @@ type IndexedVertical struct {
 	cdir      []codecSeg // per cell; off == nilSlot when no visible nodes
 	units     int64
 	unitBytes int64
-	curRef    map[core.NodeID]heapRef
 }
 
 type segDesc struct {
@@ -228,21 +231,27 @@ func (iv *IndexedVertical) SetCell(cell cells.CellID) error {
 		return iv.setCellCodec(cell)
 	}
 	desc := iv.dir[cell]
-	m := make(map[core.NodeID]int64, desc.count)
-	if desc.start != storage.NilPage && desc.count > 0 {
+	if desc.start == storage.NilPage || desc.count <= 0 {
+		iv.spare.reset(iv.numNodes)
+	} else {
 		buf, err := iv.io.ReadBytes(desc.start, segEntryBytes*int(desc.count), storage.ClassLight)
 		if err != nil {
 			return err
 		}
-		if m, err = decodeIndexSegment(buf, int(desc.count), iv.numNodes, int64(iv.slots.count)); err != nil {
+		if err := decodeIndexSegment(buf, int(desc.count), iv.numNodes, int64(iv.slots.count), &iv.spare); err != nil {
 			return err
 		}
 	}
-	iv.curMap = m
+	iv.flipTo(cell)
+	return nil
+}
+
+// flipTo makes the freshly filled spare table the current cell's.
+func (iv *IndexedVertical) flipTo(cell cells.CellID) {
+	iv.table, iv.spare = iv.spare, iv.table
 	iv.cur = cell
 	iv.hasCell = true
 	iv.flips++
-	return nil
 }
 
 // setCellCodec flips to cell in the codec layout: read the cell's index
@@ -250,62 +259,48 @@ func (iv *IndexedVertical) SetCell(cell cells.CellID) error {
 // no visible nodes flips with no I/O.
 func (iv *IndexedVertical) setCellCodec(cell cells.CellID) error {
 	desc := iv.cdir[cell]
-	m := map[core.NodeID]heapRef{}
-	if desc.off != nilSlot {
+	if desc.off == nilSlot {
+		iv.spare.reset(iv.numNodes)
+	} else {
 		buf, err := readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: desc.off, n: desc.segLen})
 		if err != nil {
 			return err
 		}
-		if m, err = DecodeIndexSegmentC(buf, iv.numNodes, desc.unitsBase(), desc.unitsLen); err != nil {
+		if err := DecodeIndexSegmentC(buf, iv.numNodes, desc.unitsBase(), desc.unitsLen, &iv.spare); err != nil {
 			return err
 		}
 	}
-	iv.curRef = m
-	iv.cur = cell
-	iv.hasCell = true
-	iv.flips++
+	iv.flipTo(cell)
 	return nil
 }
 
 // NodeVD implements core.VStore.
-func (iv *IndexedVertical) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
+func (iv *IndexedVertical) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, bool, error) {
 	if !iv.hasCell {
 		return nil, false, fmt.Errorf("vstore: no current cell")
 	}
 	if int(id) < 0 || int(id) >= iv.numNodes {
 		return nil, false, fmt.Errorf("vstore: node %d out of range", id)
 	}
-	if iv.codec {
-		ref, ok := iv.curRef[id]
-		if !ok {
-			return nil, false, nil
-		}
-		buf, err := readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, ref)
-		if err != nil {
-			return nil, false, err
-		}
-		vd, err := DecodeVPageC(buf)
-		if err != nil {
-			return nil, false, err
-		}
-		if vd == nil {
-			return nil, false, fmt.Errorf("vstore: node %d pointer to empty V-page", id)
-		}
-		return vd, true, nil
-	}
-	slot, ok := iv.curMap[id]
+	loc, ok := iv.table.get(id)
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	buf, err := iv.slots.read(iv.io, slot, storage.ClassLight)
+	var buf []byte
+	var err error
+	if iv.codec {
+		buf, err = readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: loc.at, n: loc.n})
+	} else {
+		buf, err = iv.slots.read(iv.io, loc.at, storage.ClassLight)
+	}
 	if err != nil {
 		return nil, false, err
 	}
-	vd, err := decodeVPage(buf)
+	vd, err := decodeUnit(iv.codec, dst, buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if vd == nil {
+	if len(vd) == len(dst) {
 		return nil, false, fmt.Errorf("vstore: node %d pointer to empty V-page", id)
 	}
 	return vd, true, nil
@@ -326,6 +321,7 @@ func (iv *IndexedVertical) CodecCheck() ([]storage.PageID, []string) {
 	}
 	var bad []storage.PageID
 	var problems []string
+	var tbl cellTable
 	psz := int64(iv.disk.PageSize())
 	for cell, desc := range iv.cdir {
 		if desc.off == nilSlot {
@@ -333,9 +329,8 @@ func (iv *IndexedVertical) CodecCheck() ([]storage.PageID, []string) {
 		}
 		segRef := heapRef{off: desc.off, n: desc.segLen}
 		buf, err := peekHeapUnit(iv.disk, iv.heapBase, iv.heapBytes, segRef)
-		var m map[core.NodeID]heapRef
 		if err == nil {
-			m, err = DecodeIndexSegmentC(buf, iv.numNodes, desc.unitsBase(), desc.unitsLen)
+			err = DecodeIndexSegmentC(buf, iv.numNodes, desc.unitsBase(), desc.unitsLen, &tbl)
 		}
 		if err != nil {
 			if !skipQuarantined(err) {
@@ -344,16 +339,15 @@ func (iv *IndexedVertical) CodecCheck() ([]storage.PageID, []string) {
 			}
 			continue
 		}
-		// Walk node IDs in order rather than ranging over the map so the
-		// report order is deterministic.
 		for id := 0; id < iv.numNodes; id++ {
-			ref, ok := m[core.NodeID(id)]
+			loc, ok := tbl.get(core.NodeID(id))
 			if !ok {
 				continue
 			}
+			ref := heapRef{off: loc.at, n: loc.n}
 			ubuf, err := peekHeapUnit(iv.disk, iv.heapBase, iv.heapBytes, ref)
 			if err == nil {
-				_, err = DecodeVPageC(ubuf)
+				_, err = DecodeVPageC(nil, ubuf)
 			}
 			if err != nil && !skipQuarantined(err) {
 				problems = append(problems, fmt.Sprintf("indexed-vertical cell %d node %d: %v", cell, id, err))

@@ -52,8 +52,8 @@ func TestManifestRoundTripsServeIdenticalVD(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 0; id < 50; id++ {
-				va, oka, ea := pair.a.NodeVD(core.NodeID(id))
-				vb, okb, eb := pair.b.NodeVD(core.NodeID(id))
+				va, oka, ea := pair.a.NodeVD(core.NodeID(id), nil)
+				vb, okb, eb := pair.b.NodeVD(core.NodeID(id), nil)
 				if (ea == nil) != (eb == nil) || oka != okb || len(va) != len(vb) {
 					t.Fatalf("%s: reopened scheme diverges at cell %d node %d", pair.a.Name(), c, id)
 				}
@@ -153,8 +153,8 @@ func TestLayoutBuildOpen(t *testing.T) {
 					t.Fatal(err)
 				}
 				for id := 0; id < 50; id++ {
-					va, oka, ea := l.NodeVD(core.NodeID(id))
-					vb, okb, eb := re.NodeVD(core.NodeID(id))
+					va, oka, ea := l.NodeVD(core.NodeID(id), nil)
+					vb, okb, eb := re.NodeVD(core.NodeID(id), nil)
 					if ea != nil || eb != nil || oka != okb || len(va) != len(vb) {
 						t.Fatalf("%v: reopened layout diverges at cell %d node %d", s, c, id)
 					}

@@ -32,9 +32,12 @@ type Vertical struct {
 
 	cur     cells.CellID
 	hasCell bool
-	curSeg  []int64 // V-page slot per node, nilSlot if invisible
-	flips   int64
-	size    int64
+	// table holds the flipped cell's V-page locations (slots, or codec
+	// heap offsets); spare is filled by the next flip and swapped in only
+	// once it decodes, so a failed flip leaves the current cell intact.
+	table, spare cellTable
+	flips        int64
+	size         int64
 
 	// Codec layout (DESIGN.md §13): each cell is one contiguous heap
 	// block — [flip segment][V-page units…] — so a flip plus the query's
@@ -46,8 +49,6 @@ type Vertical struct {
 	cdir      []codecSeg // per cell; off == nilSlot when no visible nodes
 	units     int64
 	unitBytes int64
-	curOffs   []int64 // absolute heap offset per node, nilSlot if invisible
-	curLens   []int32
 }
 
 const pointerBytes = 8
@@ -239,15 +240,19 @@ func (v *Vertical) SetCell(cell cells.CellID) error {
 	if err != nil {
 		return err
 	}
-	seg, err := decodePointerSegment(buf, v.numNodes, int64(v.slots.count))
-	if err != nil {
+	if err := decodePointerSegment(buf, v.numNodes, int64(v.slots.count), &v.spare); err != nil {
 		return err
 	}
-	v.curSeg = seg
+	v.flipTo(cell)
+	return nil
+}
+
+// flipTo makes the freshly filled spare table the current cell's.
+func (v *Vertical) flipTo(cell cells.CellID) {
+	v.table, v.spare = v.spare, v.table
 	v.cur = cell
 	v.hasCell = true
 	v.flips++
-	return nil
 }
 
 // setCellCodec flips to cell in the codec layout: read the cell's flip
@@ -257,72 +262,49 @@ func (v *Vertical) SetCell(cell cells.CellID) error {
 func (v *Vertical) setCellCodec(cell cells.CellID) error {
 	desc := v.cdir[cell]
 	if desc.off == nilSlot {
-		v.curOffs, v.curLens = nil, nil
-		v.cur = cell
-		v.hasCell = true
-		v.flips++
+		v.spare.reset(v.numNodes)
+		v.flipTo(cell)
 		return nil
 	}
 	buf, err := readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: desc.off, n: desc.segLen})
 	if err != nil {
 		return err
 	}
-	offs, lens, err := DecodePointerSegmentC(buf, v.numNodes, desc.unitsLen)
-	if err != nil {
+	if err := DecodePointerSegmentC(buf, v.numNodes, desc.unitsBase(), desc.unitsLen, &v.spare); err != nil {
 		return err
 	}
-	base := desc.unitsBase()
-	for id, off := range offs {
-		if off != nilSlot {
-			offs[id] = base + off
-		}
-	}
-	v.curOffs, v.curLens = offs, lens
-	v.cur = cell
-	v.hasCell = true
-	v.flips++
+	v.flipTo(cell)
 	return nil
 }
 
 // NodeVD implements core.VStore. Invisible nodes are answered from the
 // in-memory segment with no I/O; visible nodes cost one V-page read.
-func (v *Vertical) NodeVD(id core.NodeID) ([]core.VD, bool, error) {
+func (v *Vertical) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, bool, error) {
 	if !v.hasCell {
 		return nil, false, fmt.Errorf("vstore: no current cell")
 	}
 	if int(id) < 0 || int(id) >= v.numNodes {
 		return nil, false, fmt.Errorf("vstore: node %d out of range", id)
 	}
+	loc, ok := v.table.get(id)
+	if !ok {
+		return dst, false, nil
+	}
+	var buf []byte
+	var err error
 	if v.codec {
-		if v.curOffs == nil || v.curOffs[id] == nilSlot {
-			return nil, false, nil
-		}
-		buf, err := readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: v.curOffs[id], n: v.curLens[id]})
-		if err != nil {
-			return nil, false, err
-		}
-		vd, err := DecodeVPageC(buf)
-		if err != nil {
-			return nil, false, err
-		}
-		if vd == nil {
-			return nil, false, fmt.Errorf("vstore: node %d pointer to empty V-page", id)
-		}
-		return vd, true, nil
+		buf, err = readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: loc.at, n: loc.n})
+	} else {
+		buf, err = v.slots.read(v.io, loc.at, storage.ClassLight)
 	}
-	slot := v.curSeg[id]
-	if slot == nilSlot {
-		return nil, false, nil
-	}
-	buf, err := v.slots.read(v.io, slot, storage.ClassLight)
 	if err != nil {
 		return nil, false, err
 	}
-	vd, err := decodeVPage(buf)
+	vd, err := decodeUnit(v.codec, dst, buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if vd == nil {
+	if len(vd) == len(dst) {
 		return nil, false, fmt.Errorf("vstore: node %d pointer to empty V-page", id)
 	}
 	return vd, true, nil
@@ -343,6 +325,7 @@ func (v *Vertical) CodecCheck() ([]storage.PageID, []string) {
 	}
 	var bad []storage.PageID
 	var problems []string
+	var tbl cellTable
 	psz := int64(v.disk.PageSize())
 	for cell, desc := range v.cdir {
 		if desc.off == nilSlot {
@@ -350,10 +333,8 @@ func (v *Vertical) CodecCheck() ([]storage.PageID, []string) {
 		}
 		segRef := heapRef{off: desc.off, n: desc.segLen}
 		buf, err := peekHeapUnit(v.disk, v.heapBase, v.heapBytes, segRef)
-		var offs []int64
-		var lens []int32
 		if err == nil {
-			offs, lens, err = DecodePointerSegmentC(buf, v.numNodes, desc.unitsLen)
+			err = DecodePointerSegmentC(buf, v.numNodes, desc.unitsBase(), desc.unitsLen, &tbl)
 		}
 		if err != nil {
 			if !skipQuarantined(err) {
@@ -362,15 +343,15 @@ func (v *Vertical) CodecCheck() ([]storage.PageID, []string) {
 			}
 			continue
 		}
-		base := desc.unitsBase()
-		for id, off := range offs {
-			if off == nilSlot {
+		for id := 0; id < v.numNodes; id++ {
+			loc, ok := tbl.get(core.NodeID(id))
+			if !ok {
 				continue
 			}
-			ref := heapRef{off: base + off, n: lens[id]}
+			ref := heapRef{off: loc.at, n: loc.n}
 			ubuf, err := peekHeapUnit(v.disk, v.heapBase, v.heapBytes, ref)
 			if err == nil {
-				_, err = DecodeVPageC(ubuf)
+				_, err = DecodeVPageC(nil, ubuf)
 			}
 			if err != nil && !skipQuarantined(err) {
 				problems = append(problems, fmt.Sprintf("vertical cell %d node %d: %v", cell, id, err))

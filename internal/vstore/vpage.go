@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -65,27 +66,42 @@ func encodeVPage(vd []core.VD, pageBytes int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeVPage unpacks a V-page buffer. A zero count (including an
-// all-zero, never-written page) decodes to nil.
-func decodeVPage(buf []byte) ([]core.VD, error) {
+// decodeVPage unpacks a V-page buffer, appending its entries to dst (a
+// buffer the caller owns) and returning the extended slice. A zero count
+// (including an all-zero, never-written page) appends nothing.
+//
+// hdov:hot-path
+func decodeVPage(dst []core.VD, buf []byte) ([]core.VD, error) {
 	if len(buf) < 2 {
 		return nil, errors.New("vstore: V-page shorter than header")
 	}
 	n := int(binary.LittleEndian.Uint16(buf[0:]))
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if len(buf) < 2+n*vdBytes {
 		return nil, fmt.Errorf("vstore: V-page truncated: %d entries, %d bytes", n, len(buf))
 	}
-	vd := make([]core.VD, n)
+	base := len(dst)
+	vd := slices.Grow(dst, n)[:base+n]
 	off := 2
-	for i := 0; i < n; i++ {
+	for i := base; i < len(vd); i++ {
 		vd[i].DoV = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		vd[i].NVO = int32(binary.LittleEndian.Uint32(buf[off+8:]))
 		off += vdBytes
 	}
 	return vd, nil
+}
+
+// decodeUnit appends the entries of one V-page, in the codec or the
+// fixed-slot layout, to dst.
+//
+// hdov:hot-path
+func decodeUnit(codec bool, dst []core.VD, buf []byte) ([]core.VD, error) {
+	if codec {
+		return DecodeVPageC(dst, buf)
+	}
+	return decodeVPage(dst, buf)
 }
 
 // resolveVPageBytes applies the default V-page size and clamps it to the

@@ -23,7 +23,7 @@ var (
 	fixIV   *IndexedVertical
 )
 
-func fixture(t *testing.T) (*core.Tree, *core.VisData) {
+func fixture(t testing.TB) (*core.Tree, *core.VisData) {
 	t.Helper()
 	fixOnce.Do(func() {
 		p := scene.DefaultCityParams()
@@ -68,7 +68,7 @@ func TestVPageCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeVPage(buf)
+	got, err := decodeVPage(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPropVPageCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeVPage(buf)
+		got, err := decodeVPage(nil, buf)
 		if err != nil {
 			return false
 		}
@@ -175,17 +175,17 @@ func TestVPageCodecErrors(t *testing.T) {
 	if _, err := encodeVPage(many, 64); err == nil {
 		t.Fatal("overflow accepted")
 	}
-	if _, err := decodeVPage([]byte{1}); err == nil {
+	if _, err := decodeVPage(nil, []byte{1}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
 	// Count says 3 entries but buffer is short.
 	buf, _ := encodeVPage([]core.VD{{DoV: 1, NVO: 1}}, 4096)
 	buf[0] = 3
-	if _, err := decodeVPage(buf); err == nil {
+	if _, err := decodeVPage(nil, buf); err == nil {
 		t.Fatal("truncated entries accepted")
 	}
 	// Zero page decodes to nil (invisible).
-	got, err := decodeVPage(make([]byte, 64))
+	got, err := decodeVPage(nil, make([]byte, 64))
 	if err != nil || got != nil {
 		t.Fatalf("zero page: %v %v", got, err)
 	}
@@ -204,7 +204,7 @@ func TestSchemesReturnIdenticalVD(t *testing.T) {
 		for id := 0; id < tr.NumNodes(); id++ {
 			want := vis.PerCell[cell][id]
 			for _, s := range schemes {
-				vd, ok, err := s.NodeVD(core.NodeID(id))
+				vd, ok, err := s.NodeVD(core.NodeID(id), nil)
 				if err != nil {
 					t.Fatalf("%s cell %d node %d: %v", s.Name(), cell, id, err)
 				}
@@ -332,7 +332,7 @@ func TestSparseSchemesAgree(t *testing.T) {
 		for id := 0; id < vis.NumNodes; id++ {
 			want := vis.PerCell[cell][id]
 			for _, s := range []core.VStore{h, v, iv} {
-				vd, ok, err := s.NodeVD(core.NodeID(id))
+				vd, ok, err := s.NodeVD(core.NodeID(id), nil)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
@@ -355,7 +355,7 @@ func TestHorizontalNodeVDCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tr.Disk.Stats()
-	_, _, err := fixH.NodeVD(0)
+	_, _, err := fixH.NodeVD(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestHorizontalNodeVDCost(t *testing.T) {
 	}
 	if invisible >= 0 {
 		before = tr.Disk.Stats()
-		_, ok, err := fixH.NodeVD(invisible)
+		_, ok, err := fixH.NodeVD(invisible, nil)
 		if err != nil || ok {
 			t.Fatalf("invisible node: ok=%v err=%v", ok, err)
 		}
@@ -431,11 +431,11 @@ func TestVerticalFlipCostAndPruning(t *testing.T) {
 	}
 	if invisID >= 0 {
 		before = tr.Disk.Stats()
-		_, ok, err := fixV.NodeVD(invisID)
+		_, ok, err := fixV.NodeVD(invisID, nil)
 		if err != nil || ok {
 			t.Fatalf("vertical invisible: %v %v", ok, err)
 		}
-		_, ok, err = fixIV.NodeVD(invisID)
+		_, ok, err = fixIV.NodeVD(invisID, nil)
 		if err != nil || ok {
 			t.Fatalf("indexed invisible: %v %v", ok, err)
 		}
@@ -461,13 +461,13 @@ func TestSchemeErrorPaths(t *testing.T) {
 	_ = fixV.SetCell(0)
 	_ = fixIV.SetCell(0)
 	bad := core.NodeID(tr.NumNodes() + 3)
-	if _, _, err := fixH.NodeVD(bad); err == nil {
+	if _, _, err := fixH.NodeVD(bad, nil); err == nil {
 		t.Fatal("horizontal bad node accepted")
 	}
-	if _, _, err := fixV.NodeVD(bad); err == nil {
+	if _, _, err := fixV.NodeVD(bad, nil); err == nil {
 		t.Fatal("vertical bad node accepted")
 	}
-	if _, _, err := fixIV.NodeVD(bad); err == nil {
+	if _, _, err := fixIV.NodeVD(bad, nil); err == nil {
 		t.Fatal("indexed bad node accepted")
 	}
 	// Fresh schemes require SetCell before NodeVD.
@@ -477,21 +477,21 @@ func TestSchemeErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h2.NodeVD(0); err == nil {
+	if _, _, err := h2.NodeVD(0, nil); err == nil {
 		t.Fatal("NodeVD before SetCell accepted")
 	}
 	v2, err := BuildVertical(freshDisk, vis2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v2.NodeVD(0); err == nil {
+	if _, _, err := v2.NodeVD(0, nil); err == nil {
 		t.Fatal("vertical NodeVD before SetCell accepted")
 	}
 	iv2, err := BuildIndexedVertical(freshDisk, vis2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := iv2.NodeVD(0); err == nil {
+	if _, _, err := iv2.NodeVD(0, nil); err == nil {
 		t.Fatal("indexed NodeVD before SetCell accepted")
 	}
 }
