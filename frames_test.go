@@ -9,12 +9,11 @@ import (
 )
 
 // TestPoolFramesNeverWritten holds the storage read contract: a pool hit
-// hands readers the resident frame itself (ReadPage, and ReadBytes of a
-// single-page extent), so no read path may write into the slice it is
-// served. Every resident frame is checksummed, every public read and an
-// Update run, and then every frame held from before — resident or
-// evicted since — and every page still resident must hold the same
-// bytes. Heavy pages are admitted too, so LoadMesh and Fetch payloads
+// hands readers the resident frame itself (ReadBytes of a single-page
+// extent), so no read path may write into the slice it is served.
+// Every resident frame is checksummed, every public read and an Update
+// run, and then every frame held from before — resident or evicted
+// since — and every page still resident must hold the same bytes. Heavy pages are admitted too, so LoadMesh and Fetch payloads
 // are served from frames as well.
 func TestPoolFramesNeverWritten(t *testing.T) {
 	for _, codec := range []bool{false, true} {

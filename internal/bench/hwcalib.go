@@ -120,7 +120,7 @@ func calibrateFileBackend(dir string) (storage.CostModel, error) {
 		t0 := time.Now()
 		for i := 0; i < hwCalibPages; i++ {
 			idx = (idx + 769) % hwCalibPages
-			if err := fs.ReadPage(storage.PageID(idx), one); err != nil {
+			if err := fs.ReadPages(storage.PageID(idx), 1, one); err != nil {
 				return storage.CostModel{}, err
 			}
 		}

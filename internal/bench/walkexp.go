@@ -443,10 +443,10 @@ func RunAblations(w io.Writer, p Params) error {
 			simTime += d.SimTime
 			lio += d.LightReads
 		}
-		hits, misses := e.Disk.CacheStats()
+		ps := e.Disk.PoolStats()
 		fmt.Fprintf(w, "  cache=%-5d avg light I/O %.1f, avg time %.2f ms (hits %d, misses %d)\n",
 			cachePages, float64(lio)/float64(len(workload)),
-			float64(simTime)/float64(time.Millisecond)/float64(len(workload)), hits, misses)
+			float64(simTime)/float64(time.Millisecond)/float64(len(workload)), ps.Hits(), ps.Misses())
 	}
 	e.Disk.SetCacheSize(0)
 

@@ -132,16 +132,12 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 	}
 	t.Params.Grid = t.Grid
 
-	// Reread node records via PeekPage so opening charges no I/O.
+	// Reread node records via PeekBytes so opening charges no I/O.
 	t.Nodes = make([]*Node, m.NumNodes)
 	for id := 0; id < m.NumNodes; id++ {
-		buf := make([]byte, 0, m.NodeStride*d.PageSize())
-		for pg := 0; pg < m.NodeStride; pg++ {
-			page, err := d.PeekPage(t.NodePage(NodeID(id)) + storage.PageID(pg))
-			if err != nil {
-				return nil, fmt.Errorf("core: open: node %d: %w", id, err)
-			}
-			buf = append(buf, page...)
+		buf, err := d.PeekBytes(t.NodePage(NodeID(id)), m.NodeStride*d.PageSize())
+		if err != nil {
+			return nil, fmt.Errorf("core: open: node %d: %w", id, err)
 		}
 		n, err := DecodeNodeRecord(buf)
 		if err != nil {
@@ -158,7 +154,7 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 	for _, n := range t.Nodes {
 		chain := &mesh.LoDChain{Levels: make([]*mesh.Mesh, len(n.InternalExtents))}
 		for li, ex := range n.InternalExtents {
-			raw, err := peekBytes(d, ex.Start, int(ex.RealBytes))
+			raw, err := d.PeekBytes(ex.Start, int(ex.RealBytes))
 			if err != nil {
 				return nil, fmt.Errorf("core: open: node %d LoD %d: %w", n.ID, li, err)
 			}
@@ -175,21 +171,6 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 		return nil, fmt.Errorf("core: open: %w", err)
 	}
 	return t, nil
-}
-
-// peekBytes reads length bytes starting at page start without charging
-// I/O.
-func peekBytes(d *storage.Disk, start storage.PageID, length int) ([]byte, error) {
-	n := d.PagesFor(int64(length))
-	out := make([]byte, 0, n*d.PageSize())
-	for i := 0; i < n; i++ {
-		p, err := d.PeekPage(start + storage.PageID(i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
-	}
-	return out[:length], nil
 }
 
 // CheckStructure validates the in-memory tree mirror: preorder IDs,

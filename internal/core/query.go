@@ -501,7 +501,7 @@ func (t *Tree) LoadMesh(it ResultItem) (*mesh.Mesh, error) {
 // receives in-view geometry earliest. The result carries, per item, the
 // prefix position at which it became available; tests measure
 // time-to-first-in-view-item. Context and shed semantics match
-// QueryContext's; the traversal is serial even on a parallel tree.
+// QueryContext's.
 func (t *Tree) QueryPrioritizedContext(ctx context.Context, cell cells.CellID, eta float64, f geom.Frustum) (*QueryResult, error) {
 	return t.query(ctx, cell, eta, false, &f)
 }

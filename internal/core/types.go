@@ -154,19 +154,6 @@ type VisData struct {
 	RawDoV [][]float64
 }
 
-// QuantFallbackCells counts cells whose DoV values were left unquantized
-// (CellShift == QuantShiftRaw) — the η-collision fallback rate the
-// vpagecodec experiment reports.
-func (v *VisData) QuantFallbackCells() int {
-	n := 0
-	for _, s := range v.CellShift {
-		if s == QuantShiftRaw {
-			n++
-		}
-	}
-	return n
-}
-
 // VisibleNodes returns N_vnode for a cell: the number of nodes with stored
 // visibility data (§4's storage-cost analyses).
 func (v *VisData) VisibleNodes(cell cells.CellID) int {

@@ -60,7 +60,7 @@ func TestFsckCodecTamperAndRepair(t *testing.T) {
 	if m == nil || !m.Codec {
 		t.Fatal("fixture is not codec-built")
 	}
-	page, err := db.Disk.PeekPage(m.HeapBase)
+	page, err := db.Disk.PeekBytes(m.HeapBase, db.Disk.PageSize())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,8 @@ package storage
 type Backend interface {
 	// PageSize returns the media's page size in bytes.
 	PageSize() int
-	// ReadPage fills dst (one page) with the content of page id.
-	ReadPage(id PageID, dst []byte) error
 	// ReadPages fills dst with n consecutive pages starting at start —
-	// the vectored read path. len(dst) must be at least n*PageSize().
+	// the one media read. len(dst) must be at least n*PageSize().
 	ReadPages(start PageID, n int, dst []byte) error
 	// WritePage durably stores one full page, taking ownership of data.
 	WritePage(id PageID, data []byte) error
@@ -47,7 +45,7 @@ type Backend interface {
 	// read back zero-filled afterwards), returning how many held data.
 	Release(ids []PageID) int
 	// StoredPages returns the IDs of materialized pages >= from, in
-	// ascending order — the image/delta writers' enumeration.
+	// ascending order — the page-run writer's enumeration.
 	StoredPages(from PageID) []PageID
 	// Sync flushes buffered writes to durable media. The in-memory
 	// backend is a no-op; the file backend fsyncs, which is what makes

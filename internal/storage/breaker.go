@@ -119,19 +119,6 @@ func (d *Disk) BreakerStats() BreakerStats {
 	return out
 }
 
-// breakerErr is the read-path fail-fast gate: a page in an open region
-// fails immediately with a degradable, breaker-tagged CorruptError before
-// any cost is accounted. Placed with the quarantine pre-checks.
-func (d *Disk) breakerErr(id PageID) error {
-	d.mu.RLock()
-	br := d.breaker
-	d.mu.RUnlock()
-	if br == nil {
-		return nil
-	}
-	return br.allow(id)
-}
-
 func (b *breaker) region(id PageID) PageID { return id / b.regionPages }
 
 // allow decides whether a read of page id may proceed.

@@ -284,20 +284,6 @@ func (d *Disk) ConfigurePool(cfg PoolConfig) {
 	d.pool = newBufferPool(cfg)
 }
 
-// PoolEnabled reports whether a buffer pool is installed.
-func (d *Disk) PoolEnabled() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.pool != nil
-}
-
-// CacheStats reports total buffer-pool hit/miss counts (zeros when
-// disabled). See PoolStats for the per-class split.
-func (d *Disk) CacheStats() (hits, misses int64) {
-	s := d.PoolStats()
-	return s.Hits(), s.Misses()
-}
-
 // PoolStats returns the pool's per-class accounting (zero when disabled).
 // The flow counters (hits, misses, evictions) come from
 // one snapshot of the disk's stats lock, so they are mutually consistent

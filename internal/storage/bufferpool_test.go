@@ -35,11 +35,11 @@ func TestBufferPoolHitsSkipIO(t *testing.T) {
 	_ = d.WriteBytes(p, []byte("abcd"))
 	d.SetCacheSize(16)
 
-	if _, err := d.ReadPage(p, ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Stats()
-	got, err := d.ReadPage(p, ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestBufferPoolHitsSkipIO(t *testing.T) {
 	if delta := d.Stats().Sub(before); delta.Reads != 0 || delta.SimTime != 0 {
 		t.Fatalf("cached read charged I/O: %+v", delta)
 	}
-	hits, misses := d.CacheStats()
-	if hits != 1 || misses != 1 {
+	ps := d.PoolStats()
+	if hits, misses := ps.Hits(), ps.Misses(); hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 }
@@ -59,9 +59,9 @@ func TestBufferPoolHeavyNotCached(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(2)
 	d.SetCacheSize(16)
-	_, _ = d.ReadPage(p, ClassHeavy)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy)
 	before := d.Stats()
-	_, _ = d.ReadPage(p, ClassHeavy)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy)
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("heavy read was cached")
 	}
@@ -71,17 +71,17 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(5)
 	d.SetCacheSize(2)
-	_, _ = d.ReadPage(p, ClassLight)   // cache: [0]
-	_, _ = d.ReadPage(p+1, ClassLight) // cache: [1 0]
-	_, _ = d.ReadPage(p, ClassLight)   // hit: [0 1]
-	_, _ = d.ReadPage(p+2, ClassLight) // evicts 1: [2 0]
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)   // cache: [0]
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // cache: [1 0]
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)   // hit: [0 1]
+	_, _ = d.ReadBytes(p+2, d.PageSize(), ClassLight) // evicts 1: [2 0]
 	before := d.Stats()
-	_, _ = d.ReadPage(p, ClassLight) // still cached
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight) // still cached
 	if d.Stats().Sub(before).Reads != 0 {
 		t.Fatal("page 0 evicted prematurely")
 	}
 	before = d.Stats()
-	_, _ = d.ReadPage(p+1, ClassLight) // was evicted
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // was evicted
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("page 1 should have been evicted")
 	}
@@ -92,11 +92,11 @@ func TestBufferPoolWriteInvalidates(t *testing.T) {
 	p := d.AllocPages(1)
 	_ = d.WritePage(p, []byte("old"))
 	d.SetCacheSize(4)
-	_, _ = d.ReadPage(p, ClassLight) // cache "old"
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight) // cache "old"
 	if err := d.WritePage(p, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPage(p, ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +135,13 @@ func TestBufferPoolDisable(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(1)
 	d.SetCacheSize(4)
-	_, _ = d.ReadPage(p, ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
 	d.SetCacheSize(0)
-	if h, m := d.CacheStats(); h != 0 || m != 0 {
+	if ps := d.PoolStats(); ps.Hits() != 0 || ps.Misses() != 0 {
 		t.Fatal("disabled pool reports stats")
 	}
 	before := d.Stats()
-	_, _ = d.ReadPage(p, ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("disabled pool still caching")
 	}
@@ -152,11 +152,11 @@ func TestBufferPoolCorruptPropagates(t *testing.T) {
 	p := d.AllocPages(1)
 	d.SetCacheSize(4)
 	d.CorruptPage(p)
-	if _, err := d.ReadPage(p, ClassLight); err == nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err == nil {
 		t.Fatal("corrupt page cached/read")
 	}
 	d.HealPage(p)
-	if _, err := d.ReadPage(p, ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
 		t.Fatal("healed read failed")
 	}
 }

@@ -458,42 +458,70 @@ func (d *Disk) ClearQuarantine() {
 	d.quarantined = make(map[PageID]bool)
 }
 
-// mediaErr simulates the outcome of physically reading page id: nil on
-// success, a CorruptError on an unreadable sector. With a fault injector
-// installed it also draws injected faults and performs bounded
-// retry-with-backoff (transient faults are absorbed, with retries counted
-// in Stats); without one it only honors explicit CorruptPage marks,
-// exactly the pre-injection behavior. A session context that is already
-// expired fails fast before any fault draw or backoff is charged, and
-// permanent-fault outcomes feed the optional circuit breaker.
-func (d *Disk) mediaErr(id PageID, sink *Client) error {
+// admit is the one gate in front of every charged media read: the n
+// pages from start, charged as one sequential run of class. Its order is
+// the accounting contract. A quarantined page fails first, charging
+// nothing; then each page passes the optional circuit breaker, so an open
+// region fails fast before any cost; then the run is charged once; then
+// each page's physical outcome is drawn in ascending order, stopping at
+// the first failure. Without a fault injector that outcome is just the
+// CorruptPage marks; with one it draws injected faults and performs
+// bounded retry-with-backoff (transient faults are absorbed, with retries
+// counted in Stats), and a session context that is already expired fails
+// fast before any draw or backoff is charged. Permanent-fault outcomes
+// feed the breaker. The marks and the injector and breaker pointers are
+// read in one d.mu section; the breaker's own lock is taken only after it
+// is released.
+func (d *Disk) admit(start PageID, n int, class Class, sink *Client) error {
+	bad := n // the first page carrying a CorruptPage mark, if any
 	d.mu.RLock()
-	fi := d.faults
-	br := d.breaker
-	corrupt := d.corrupt[id]
-	d.mu.RUnlock()
-	if fi == nil {
-		if corrupt {
-			if br != nil {
-				br.observe(id, false)
-			}
-			return &CorruptError{Page: id}
+	for i := 0; i < n; i++ {
+		id := start + PageID(i)
+		if d.quarantined[id] {
+			d.mu.RUnlock()
+			return &CorruptError{Page: id, Quarantined: true}
 		}
-		return nil
+		if bad == n && d.corrupt[id] {
+			bad = i
+		}
 	}
-	// Honor the caller's deadline before the retry loop: an expired
-	// context must not pay (or even draw) retries and backoff.
-	if err := sink.ctxErr(); err != nil {
-		return err
-	}
-	retries, cost, err := fi.check(corrupt, id)
-	if retries > 0 {
-		d.charge(Stats{Retries: retries, SimTime: cost}, sink)
-	}
+	fi, br := d.faults, d.breaker
+	d.mu.RUnlock()
 	if br != nil {
-		br.observe(id, err == nil)
+		for i := 0; i < n; i++ {
+			if err := br.allow(start + PageID(i)); err != nil {
+				return err
+			}
+		}
 	}
-	return err
+	d.account(start, int64(n), class, sink)
+	if fi == nil {
+		if bad == n {
+			return nil
+		}
+		id := start + PageID(bad)
+		if br != nil {
+			br.observe(id, false)
+		}
+		return &CorruptError{Page: id}
+	}
+	for i := 0; i < n; i++ {
+		id := start + PageID(i)
+		if err := sink.ctxErr(); err != nil {
+			return err
+		}
+		retries, cost, err := fi.check(i == bad, id)
+		if retries > 0 {
+			d.charge(Stats{Retries: retries, SimTime: cost}, sink)
+		}
+		if br != nil {
+			br.observe(id, err == nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WritePage stores data (at most one page) at id. Write cost is charged as
@@ -540,32 +568,6 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 	return nil
 }
 
-// ReadPage returns the content of page id, charging one page I/O of the
-// given class. Never-written pages read back zero-filled. Reads served by
-// the buffer pool (SetCacheSize) cost nothing — seek and transfer are
-// charged only on pool misses. A pool-served page is the resident frame
-// itself, shared with every other reader: callers must never write it.
-func (d *Disk) ReadPage(id PageID, class Class) ([]byte, error) {
-	return d.readPage(id, class, nil)
-}
-
-func (d *Disk) readPage(id PageID, class Class, sink *Client) ([]byte, error) {
-	if err := sink.ctxErr(); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	if id < 0 || id >= d.allocated {
-		d.mu.RUnlock()
-		return nil, fmt.Errorf("storage: read page %d: %w", id, errOutOfRange)
-	}
-	pool := d.pool
-	d.mu.RUnlock()
-	if pool == nil || !pool.caches(class) {
-		return d.readPageMedia(id, class, sink, nil)
-	}
-	return d.readPooled(pool, id, class, sink)
-}
-
 // readPooled serves one in-range page through pool: a hit returns the
 // resident frame itself, a miss reads the media (coalesced with any
 // concurrent miss on the same page) and inserts the page. The caller has
@@ -586,72 +588,77 @@ func (d *Disk) readPooled(pool *bufferPool, id PageID, class Class, sink *Client
 	}
 	// Coalesce concurrent misses on the same page: the first reader does
 	// the media read (and the pool insert); the rest wait for its result.
-	page, err, leader := d.inflight.do(id, func() ([]byte, error) {
-		return d.readPageMedia(id, class, sink, pool)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !leader {
-		d.charge(Stats{CoalescedReads: 1}, sink)
-	}
-	return page, nil
-}
-
-// readPageMedia performs the physical page read — quarantine check, cost
-// accounting, fault draw, data fetch — and inserts the page into pool
-// when one is supplied.
-func (d *Disk) readPageMedia(id PageID, class Class, sink *Client, pool *bufferPool) ([]byte, error) {
-	if d.IsQuarantined(id) {
-		return nil, &CorruptError{Page: id, Quarantined: true}
-	}
-	if err := d.breakerErr(id); err != nil {
-		return nil, err
-	}
-	d.account(id, 1, class, sink)
-	if err := d.mediaErr(id, sink); err != nil {
-		return nil, err
-	}
-	page := make([]byte, d.pageSize)
-	if err := d.mediaRead(id, 1, page, sink); err != nil {
-		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	if pool != nil {
-		if ev := pool.put(id, page); ev > 0 {
-			d.charge(Stats{PoolEvictions: ev}, nil)
+	for {
+		page, err, leader := d.inflight.do(id, func() ([]byte, error) {
+			if err := d.admit(id, 1, class, sink); err != nil {
+				return nil, err
+			}
+			page := make([]byte, d.pageSize)
+			if err := d.mediaRead(id, 1, page, sink); err != nil {
+				return nil, fmt.Errorf("storage: read page %d: %w", id, err)
+			}
+			if ev := pool.put(id, page); ev > 0 {
+				d.charge(Stats{PoolEvictions: ev}, nil)
+			}
+			return page, nil
+		})
+		if err == nil {
+			if !leader {
+				d.charge(Stats{CoalescedReads: 1}, sink)
+			}
+			return page, nil
+		}
+		// A leader aborted by its own session's context says nothing
+		// about this reader's: a follower whose context is live joins
+		// the next flight (or leads it) instead.
+		if leader || !isAbort(err) || sink.ctxErr() != nil {
+			return nil, err
 		}
 	}
-	return page, nil
 }
 
-// PeekPage returns page content without charging any I/O. Build-time
-// read-modify-write paths use it so that construction does not pollute the
-// experiment counters; queries must use ReadPage. Peeks honor corruption
-// and quarantine marks but do not draw injected faults — they model setup
-// access, not the measured query workload.
-func (d *Disk) PeekPage(id PageID) ([]byte, error) {
+// isAbort reports whether err is a read aborted by its session's context
+// (Client.ctxErr).
+func isAbort(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// PeekBytes reads length bytes starting at page start without charging
+// any I/O, not even MeasuredTime. Build-time read-modify-write paths,
+// open-time loads and fsck use it so that setup does not pollute the
+// experiment counters; queries use ReadBytes. Page by page in ascending
+// order, a peek fails on a page past the watermark, then on a quarantine
+// mark, then on a corruption mark; it draws no injected faults — it
+// models setup access, not the measured workload. The one media read
+// happens outside the lock, and the result is a fresh buffer.
+func (d *Disk) PeekBytes(start PageID, length int) ([]byte, error) {
+	if length < 0 {
+		return nil, errors.New("storage: negative peek length")
+	}
+	n := d.PagesFor(int64(length))
 	d.mu.RLock()
-	if id < 0 || id >= d.allocated {
-		d.mu.RUnlock()
-		return nil, fmt.Errorf("storage: peek page %d: %w", id, errOutOfRange)
-	}
-	if d.quarantined[id] {
-		d.mu.RUnlock()
-		return nil, &CorruptError{Page: id, Quarantined: true}
-	}
-	if d.corrupt[id] {
-		d.mu.RUnlock()
-		return nil, &CorruptError{Page: id}
+	for i := 0; i < n; i++ {
+		id := start + PageID(i)
+		var err error
+		switch {
+		case id < 0 || id >= d.allocated:
+			err = fmt.Errorf("storage: peek page %d: %w", id, errOutOfRange)
+		case d.quarantined[id]:
+			err = &CorruptError{Page: id, Quarantined: true}
+		case d.corrupt[id]:
+			err = &CorruptError{Page: id}
+		}
+		if err != nil {
+			d.mu.RUnlock()
+			return nil, err
+		}
 	}
 	d.mu.RUnlock()
-	page := make([]byte, d.pageSize)
-	// Unmetered on purpose (setup access, not measured workload): the
-	// media read happens outside the lock and charges nothing, not even
-	// MeasuredTime.
-	if err := d.media.ReadPage(id, page); err != nil {
-		return nil, fmt.Errorf("storage: peek page %d: %w", id, err)
+	out := make([]byte, n*d.pageSize)
+	if err := d.media.ReadPages(start, n, out); err != nil {
+		return nil, fmt.Errorf("storage: peek [%d,+%d): %w", start, n, err)
 	}
-	return page, nil
+	return out[:length], nil
 }
 
 // account charges n sequential page reads starting at id. The access is
@@ -712,9 +719,12 @@ func (d *Disk) WriteBytes(start PageID, data []byte) error {
 	return nil
 }
 
-// ReadBytes reads length bytes starting at page start. All pages of the
-// extent are charged as one sequential run. Like ReadPage, the result is
-// read-only: a pool-served single-page extent is the frame itself.
+// ReadBytes reads length bytes starting at page start, charging every
+// page of the extent as one sequential run of class. Never-written pages
+// read back zero-filled. Reads served by the buffer pool (SetCacheSize)
+// cost nothing — seek and transfer are charged only on pool misses. The
+// result is read-only: a pool-served single-page extent is the resident
+// frame itself, shared with every other reader.
 func (d *Disk) ReadBytes(start PageID, length int, class Class) ([]byte, error) {
 	return d.readBytes(start, length, class, nil)
 }
@@ -759,24 +769,8 @@ func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([
 		}
 		return out[:length], nil
 	}
-	d.mu.RLock()
-	for i := 0; i < n; i++ {
-		if id := start + PageID(i); d.quarantined[id] {
-			d.mu.RUnlock()
-			return nil, &CorruptError{Page: id, Quarantined: true}
-		}
-	}
-	d.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if err := d.breakerErr(start + PageID(i)); err != nil {
-			return nil, err
-		}
-	}
-	d.account(start, int64(n), class, sink)
-	for i := 0; i < n; i++ {
-		if err := d.mediaErr(start+PageID(i), sink); err != nil {
-			return nil, err
-		}
+	if err := d.admit(start, n, class, sink); err != nil {
+		return nil, err
 	}
 	// One vectored media read for the whole extent — a single pread on
 	// the file backend, where the page-at-a-time loop used to issue n.
@@ -807,23 +801,9 @@ func (d *Disk) readExtent(start PageID, n int, class Class, sink *Client) error 
 		d.mu.RUnlock()
 		return fmt.Errorf("storage: extent [%d,%d): %w", start, int64(start)+int64(n), errOutOfRange)
 	}
-	for i := 0; i < n; i++ {
-		if id := start + PageID(i); d.quarantined[id] {
-			d.mu.RUnlock()
-			return &CorruptError{Page: id, Quarantined: true}
-		}
-	}
 	d.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		if err := d.breakerErr(start + PageID(i)); err != nil {
-			return err
-		}
-	}
-	d.account(start, int64(n), class, sink)
-	for i := 0; i < n; i++ {
-		if err := d.mediaErr(start+PageID(i), sink); err != nil {
-			return err
-		}
+	if err := d.admit(start, n, class, sink); err != nil {
+		return err
 	}
 	if d.timed {
 		// Real media: actually transfer the extent, in bounded chunks so
@@ -961,11 +941,6 @@ func (c *Client) PageSize() int { return c.d.PageSize() }
 
 // PagesFor returns how many pages are needed for n bytes.
 func (c *Client) PagesFor(n int64) int { return c.d.PagesFor(n) }
-
-// ReadPage mirrors Disk.ReadPage with per-client attribution.
-func (c *Client) ReadPage(id PageID, class Class) ([]byte, error) {
-	return c.d.readPage(id, class, c)
-}
 
 // ReadBytes mirrors Disk.ReadBytes with per-client attribution.
 func (c *Client) ReadBytes(start PageID, length int, class Class) ([]byte, error) {

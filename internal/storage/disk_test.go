@@ -48,14 +48,14 @@ func TestPagesFor(t *testing.T) {
 	}
 }
 
-func TestWriteReadPage(t *testing.T) {
+func TestWritePageReadBack(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(2)
 	payload := []byte("hello, page")
 	if err := d.WritePage(p, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPage(p, ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWriteReadPage(t *testing.T) {
 		t.Fatalf("page length %d", len(got))
 	}
 	// Unwritten page reads zero-filled.
-	z, err := d.ReadPage(p+1, ClassLight)
+	z, err := d.ReadBytes(p+1, d.PageSize(), ClassLight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,10 @@ func TestWriteErrors(t *testing.T) {
 	if err := d.WritePage(p, make([]byte, 257)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
-	if _, err := d.ReadPage(PageID(99), ClassLight); !IsOutOfRange(err) {
+	if _, err := d.ReadBytes(PageID(99), d.PageSize(), ClassLight); !IsOutOfRange(err) {
 		t.Fatalf("out-of-range read: %v", err)
 	}
-	if _, err := d.ReadPage(NilPage, ClassLight); !IsOutOfRange(err) {
+	if _, err := d.ReadBytes(NilPage, d.PageSize(), ClassLight); !IsOutOfRange(err) {
 		t.Fatalf("nil page read: %v", err)
 	}
 }
@@ -122,8 +122,8 @@ func TestBytesRoundTrip(t *testing.T) {
 func TestIOAccountingClasses(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(10)
-	_, _ = d.ReadPage(p, ClassLight)
-	_, _ = d.ReadPage(p+1, ClassLight) // sequential
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // sequential
 	_ = d.ReadExtent(p+5, 3, ClassHeavy)
 	s := d.Stats()
 	if s.Reads != 5 {
@@ -149,7 +149,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	seq := newTestDisk()
 	p := seq.AllocPages(100)
 	for i := 0; i < 100; i++ {
-		_, _ = seq.ReadPage(p+PageID(i), ClassLight)
+		_, _ = seq.ReadBytes(p+PageID(i), seq.PageSize(), ClassLight)
 	}
 	rnd := newTestDisk()
 	p2 := rnd.AllocPages(100)
@@ -157,7 +157,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	perm := r.Perm(100)
 	// Ensure the permutation is not accidentally sequential anywhere long.
 	for i := 0; i < 100; i++ {
-		_, _ = rnd.ReadPage(p2+PageID(perm[i]), ClassLight)
+		_, _ = rnd.ReadBytes(p2+PageID(perm[i]), rnd.PageSize(), ClassLight)
 	}
 	if seq.Stats().SimTime*5 > rnd.Stats().SimTime {
 		t.Fatalf("sequential %v not much cheaper than random %v",
@@ -168,9 +168,9 @@ func TestSequentialVsRandomCost(t *testing.T) {
 func TestStatsSubAndReset(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(5)
-	_, _ = d.ReadPage(p, ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
 	before := d.Stats()
-	_, _ = d.ReadPage(p+3, ClassHeavy)
+	_, _ = d.ReadBytes(p+3, d.PageSize(), ClassHeavy)
 	delta := d.Stats().Sub(before)
 	if delta.Reads != 1 || delta.HeavyReads != 1 || delta.LightReads != 0 {
 		t.Fatalf("delta = %+v", delta)
@@ -211,7 +211,7 @@ func TestCorruption(t *testing.T) {
 	p := d.AllocPages(3)
 	_ = d.WriteBytes(p, make([]byte, 700))
 	d.CorruptPage(p + 1)
-	if _, err := d.ReadPage(p+1, ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(p+1, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt read: %v", err)
 	}
 	if _, err := d.ReadBytes(p, 700, ClassLight); !errors.Is(err, ErrCorrupt) {
@@ -226,7 +226,7 @@ func TestCorruption(t *testing.T) {
 	}
 	// Other pages unaffected while corrupt.
 	d.CorruptPage(p + 2)
-	if _, err := d.ReadPage(p, ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("unrelated page: %v", err)
 	}
 }

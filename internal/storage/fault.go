@@ -126,13 +126,6 @@ func (d *Disk) ClearFaults() {
 	d.mu.Unlock()
 }
 
-// FaultsInjected reports whether an injection policy is installed.
-func (d *Disk) FaultsInjected() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.faults != nil
-}
-
 // InjectPageFault plants a fault on a specific page. For transient faults,
 // failures is how many read attempts fail before the fault clears
 // (minimum 1); it is ignored for permanent faults. Installs a zero-

@@ -27,7 +27,7 @@ func TestFaultDeterminism(t *testing.T) {
 		d.InjectFaults(FaultConfig{Seed: 42, PageProb: 0.2, TransientFrac: 0.5})
 		outcomes := make([]bool, 64)
 		for i := range outcomes {
-			_, err := d.ReadPage(start+PageID(i), ClassLight)
+			_, err := d.ReadBytes(start+PageID(i), d.PageSize(), ClassLight)
 			outcomes[i] = err == nil
 		}
 		return outcomes, d.Stats().Retries
@@ -51,7 +51,7 @@ func TestTransientFaultsAbsorbed(t *testing.T) {
 	d, start := faultDisk(t, 64)
 	d.InjectFaults(FaultConfig{Seed: 7, PageProb: 1, TransientFrac: 1})
 	for i := 0; i < 64; i++ {
-		if _, err := d.ReadPage(start+PageID(i), ClassLight); err != nil {
+		if _, err := d.ReadBytes(start+PageID(i), d.PageSize(), ClassLight); err != nil {
 			t.Fatalf("page %d: transient fault surfaced: %v", i, err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestPermanentFaultSticky(t *testing.T) {
 	d, start := faultDisk(t, 8)
 	d.InjectFaults(FaultConfig{Seed: 1, PageProb: 1, TransientFrac: 0})
 	var ce *CorruptError
-	if _, err := d.ReadPage(start, ClassLight); !errors.As(err, &ce) {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CorruptError", err)
 	} else if ce.Page != start {
 		t.Fatalf("failing page = %d, want %d", ce.Page, start)
@@ -75,15 +75,15 @@ func TestPermanentFaultSticky(t *testing.T) {
 	d.InjectFaults(FaultConfig{Seed: 1, PageProb: 0})
 	// Re-injecting with zero probability must not matter: sticky state
 	// lives in the policy, so the fresh policy reads clean...
-	if _, err := d.ReadPage(start, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("fresh policy still fails: %v", err)
 	}
 	// ...but under one continuous policy the same page stays dead.
 	d.InjectFaults(FaultConfig{Seed: 1, PageProb: 1, TransientFrac: 0})
-	if _, err := d.ReadPage(start, ClassLight); err == nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err == nil {
 		t.Fatal("permanent fault did not fire")
 	}
-	if _, err := d.ReadPage(start, ClassLight); err == nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err == nil {
 		t.Fatal("permanent fault was not sticky")
 	}
 }
@@ -94,14 +94,14 @@ func TestTargetedTransientClears(t *testing.T) {
 	d, start := faultDisk(t, 8)
 	d.InjectPageFault(start+2, FaultTransient, 2)
 	before := d.Stats()
-	if _, err := d.ReadPage(start+2, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+2, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("transient within retry budget surfaced: %v", err)
 	}
 	if got := d.Stats().Retries - before.Retries; got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 	before = d.Stats()
-	if _, err := d.ReadPage(start+2, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+2, d.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().Retries != before.Retries {
@@ -116,11 +116,11 @@ func TestTargetedTransientExceedsBudget(t *testing.T) {
 	d, start := faultDisk(t, 8)
 	d.InjectFaults(FaultConfig{MaxRetries: 2})
 	d.InjectPageFault(start, FaultTransient, 5)
-	if _, err := d.ReadPage(start, ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	// 3 attempts consumed; 2 remain.
-	if _, err := d.ReadPage(start, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("remaining transient failures not absorbed: %v", err)
 	}
 }
@@ -131,14 +131,14 @@ func TestTargetedPermanentUntilRewrite(t *testing.T) {
 	d, start := faultDisk(t, 8)
 	d.InjectPageFault(start+1, FaultPermanent, 0)
 	for i := 0; i < 3; i++ {
-		if _, err := d.ReadPage(start+1, ClassLight); !errors.Is(err, ErrCorrupt) {
+		if _, err := d.ReadBytes(start+1, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("read %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
 	if err := d.WritePage(start+1, make([]byte, d.PageSize())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadPage(start+1, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+1, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("rewritten page still faulty: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestQuarantineFailFast(t *testing.T) {
 		t.Fatalf("NumQuarantined = %d, want 1", d.NumQuarantined())
 	}
 	before := d.Stats()
-	_, err := d.ReadPage(start+3, ClassLight)
+	_, err := d.ReadBytes(start+3, d.PageSize(), ClassLight)
 	var ce *CorruptError
 	if !errors.As(err, &ce) || !ce.Quarantined {
 		t.Fatalf("err = %v, want quarantined CorruptError", err)
@@ -173,7 +173,7 @@ func TestQuarantineFailFast(t *testing.T) {
 		t.Fatal("quarantined extent read charged media cost")
 	}
 	d.ClearQuarantine()
-	if _, err := d.ReadPage(start+3, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+3, d.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,7 +184,7 @@ func TestWritePageClearsCorruption(t *testing.T) {
 	d, start := faultDisk(t, 8)
 	d.CorruptPage(start)
 	d.Quarantine(start)
-	if _, err := d.ReadPage(start, ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	if err := d.WritePage(start, make([]byte, d.PageSize())); err != nil {
@@ -193,7 +193,7 @@ func TestWritePageClearsCorruption(t *testing.T) {
 	if d.IsQuarantined(start) {
 		t.Fatal("rewrite left the page quarantined")
 	}
-	if _, err := d.ReadPage(start, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("rewritten page still corrupt: %v", err)
 	}
 }

@@ -101,11 +101,6 @@ func (s *Store) Mapped() bool {
 	return s.mm != nil
 }
 
-// ReadPage fills dst (one page) with the content of page id.
-func (s *Store) ReadPage(id storage.PageID, dst []byte) error {
-	return s.ReadPages(id, 1, dst)
-}
-
 // ReadPages fills dst with n consecutive pages starting at start — one
 // memcpy out of the mmap window when it covers the range, one pread
 // otherwise. This is the vectored path: however many pages the Disk

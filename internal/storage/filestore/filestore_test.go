@@ -49,7 +49,7 @@ func TestRoundTripAndZeroFill(t *testing.T) {
 			t.Fatalf("opts %+v: vectored read mismatch", opts)
 		}
 		one := make([]byte, 64)
-		if err := s.ReadPage(5, one); err != nil {
+		if err := s.ReadPages(5, 1, one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(one, page(0xCD, 64)) {
@@ -117,13 +117,13 @@ func TestGrowthRemapsAndReadsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	if err := s.ReadPage(1, buf); err != nil {
+	if err := s.ReadPages(1, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page(0x11, 64)) {
 		t.Fatal("pre-growth page lost after remap")
 	}
-	if err := s.ReadPage(far, buf); err != nil {
+	if err := s.ReadPages(far, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page(0x22, 64)) {
@@ -158,7 +158,7 @@ func TestStoredPagesAndRelease(t *testing.T) {
 		t.Fatalf("StoredPages(0) after release = %v, want [4 9]", got)
 	}
 	buf := page(0xFF, 64)
-	if err := s.ReadPage(2, buf); err != nil {
+	if err := s.ReadPages(2, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page(0, 64)) {

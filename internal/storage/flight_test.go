@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -157,7 +158,7 @@ func TestCoalescedReadsAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				id := base + PageID((g+i)%pages)
-				p, err := d.ReadPage(id, ClassLight)
+				p, err := d.ReadBytes(id, d.PageSize(), ClassLight)
 				if err != nil || p[0] != byte((g+i)%pages) {
 					failures.Add(1)
 					return
@@ -190,7 +191,7 @@ func TestCoalescedReadsSequentialZero(t *testing.T) {
 	defer d.SetCacheSize(0)
 	d.ResetStats()
 	for i := 0; i < 40; i++ {
-		if _, err := d.ReadPage(base+PageID(i%4), ClassLight); err != nil {
+		if _, err := d.ReadBytes(base+PageID(i%4), d.PageSize(), ClassLight); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,14 +218,14 @@ func TestCoalescedReadsClientAttribution(t *testing.T) {
 
 	leader := d.NewClient()
 	follower := d.NewClient()
-	if _, err := d.readPage(base, ClassLight, leader); err != nil {
+	if _, err := leader.ReadBytes(base, d.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 	if st := leader.Stats(); st.Reads != 1 || st.CoalescedReads != 0 {
 		t.Fatalf("leader stats: %+v", st)
 	}
 	// The page is pooled now; the follower hits the pool, no coalesce.
-	if _, err := d.readPage(base, ClassLight, follower); err != nil {
+	if _, err := follower.ReadBytes(base, d.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 	if st := follower.Stats(); st.PoolLightHits != 1 || st.CoalescedReads != 0 {
@@ -233,5 +234,77 @@ func TestCoalescedReadsClientAttribution(t *testing.T) {
 	// The global ledger agrees with per-client attribution.
 	if st := d.Stats(); st.CoalescedReads != 0 || st.LightReads != 1 || st.PoolLightHits != 1 {
 		t.Fatalf("disk stats: %+v", st)
+	}
+}
+
+// TestCoalescedFollowerSurvivesLeaderCancel: a flight leader whose own
+// context is canceled mid-load must not fail a follower whose context is
+// live — BindContext promises one session's deadline never affects
+// another's reads. The leader is parked on the breaker's lock inside its
+// miss read (with a fault policy installed, so the load polls the
+// leader's context) while the follower coalesces onto its flight.
+func TestCoalescedFollowerSurvivesLeaderCancel(t *testing.T) {
+	d := NewDisk(256, DefaultCostModel())
+	base := d.AllocPages(1)
+	if err := d.WritePage(base, []byte{0x42}); err != nil {
+		t.Fatal(err)
+	}
+	d.SetCacheSize(4)
+	d.InjectFaults(FaultConfig{})
+	d.SetBreaker(BreakerConfig{RegionPages: 1})
+	d.ResetStats()
+
+	leader, follower := d.NewClient(), d.NewClient()
+	ctx, cancel := context.WithCancel(context.Background())
+	leader.BindContext(ctx)
+
+	d.breaker.mu.Lock() // park the leader's miss read on the breaker
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := leader.ReadBytes(base, 256, ClassLight)
+		leaderErr <- err
+	}()
+	waitFor(t, func() bool { return d.Stats().PoolLightMisses == 1 })
+	cancel()
+	followerErr := make(chan error, 1)
+	var page []byte
+	go func() {
+		var err error
+		page, err = follower.ReadBytes(base, 256, ClassLight)
+		followerErr <- err
+	}()
+	waitFor(t, func() bool { return d.Stats().PoolLightMisses == 2 })
+	time.Sleep(20 * time.Millisecond) // let the follower reach the flight
+	d.breaker.mu.Unlock()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want context.Canceled", err)
+	}
+	if err := <-followerErr; err != nil {
+		t.Fatalf("follower with a live context failed: %v", err)
+	}
+	if page[0] != 0x42 {
+		t.Fatalf("follower read %#x, want 0x42", page[0])
+	}
+	// Each request is exactly one of {pool hit, physical read, coalesced
+	// read}: the leader's aborted read was charged, and the follower's
+	// retry is either its own physical read or a coalesced one.
+	st := d.Stats()
+	if got := st.LightReads + st.CoalescedReads + st.PoolLightHits; got != 2 {
+		t.Fatalf("LightReads %d + CoalescedReads %d + PoolLightHits %d = %d, want 2 requests",
+			st.LightReads, st.CoalescedReads, st.PoolLightHits, got)
+	}
+	if fs := follower.Stats(); fs.LightReads+fs.CoalescedReads != 1 || fs.PoolLightMisses != 1 {
+		t.Fatalf("follower stats: %+v", fs)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a few seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
 	}
 }

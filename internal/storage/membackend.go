@@ -32,11 +32,6 @@ func NewMemBackend(pageSize int) *MemBackend {
 // PageSize returns the page size in bytes.
 func (b *MemBackend) PageSize() int { return b.pageSize }
 
-// ReadPage fills dst with the content of page id.
-func (b *MemBackend) ReadPage(id PageID, dst []byte) error {
-	return b.ReadPages(id, 1, dst)
-}
-
 // ReadPages fills dst with n consecutive pages starting at start.
 func (b *MemBackend) ReadPages(start PageID, n int, dst []byte) error {
 	if n <= 0 {

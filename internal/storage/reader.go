@@ -6,15 +6,11 @@ package storage
 // database can serve many sessions, each charged exactly for its own
 // traffic.
 type Reader interface {
-	// ReadPage returns the content of one page, charging one page I/O of
-	// the given class (unless served by the buffer pool). The returned
-	// slice may be a buffer-pool frame shared with every other reader:
-	// it is read-only and must never be written.
-	ReadPage(id PageID, class Class) ([]byte, error)
 	// ReadBytes reads length bytes starting at page start, charged as one
-	// sequential run. A pool-served single-page extent is the frame
-	// itself (capacity capped at length), so the returned slice is
-	// read-only, exactly like ReadPage's.
+	// sequential run of the given class (unless served by the buffer
+	// pool). A pool-served single-page extent is the frame itself
+	// (capacity capped at length), shared with every other reader: the
+	// returned slice is read-only and must never be written.
 	ReadBytes(start PageID, length int, class Class) ([]byte, error)
 	// ReadExtent charges n sequential page reads without materializing
 	// data.

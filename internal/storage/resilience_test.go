@@ -26,7 +26,7 @@ func TestRetryAccountingPermanent(t *testing.T) {
 		d.InjectFaults(FaultConfig{MaxRetries: tc.maxRetries})
 		d.InjectPageFault(start, FaultPermanent, 0)
 		before := d.Stats()
-		if _, err := d.ReadPage(start, ClassLight); !errors.Is(err, ErrCorrupt) {
+		if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("MaxRetries=%d: err = %v, want ErrCorrupt", tc.maxRetries, err)
 		}
 		if got := d.Stats().Retries - before.Retries; got != tc.wantRetries {
@@ -54,7 +54,7 @@ func TestRetryAccountingTransient(t *testing.T) {
 		d.InjectFaults(FaultConfig{MaxRetries: tc.maxRetries})
 		d.InjectPageFault(start, FaultTransient, tc.planted)
 		before := d.Stats()
-		_, err := d.ReadPage(start, ClassLight)
+		_, err := d.ReadBytes(start, d.PageSize(), ClassLight)
 		if (err == nil) != tc.wantOK {
 			t.Fatalf("MaxRetries=%d planted=%d: err = %v, want ok=%v",
 				tc.maxRetries, tc.planted, err, tc.wantOK)
@@ -81,8 +81,8 @@ func TestExpiredContextFailsFast(t *testing.T) {
 	c.BindContext(ctx)
 
 	before := d.Stats()
-	if _, err := c.ReadPage(start, ClassLight); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReadPage err = %v, want context.Canceled", err)
+	if _, err := c.ReadBytes(start, c.PageSize(), ClassLight); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReadBytes err = %v, want context.Canceled", err)
 	}
 	if err := c.ReadExtent(start, 4, ClassHeavy); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReadExtent err = %v, want context.Canceled", err)
@@ -96,7 +96,7 @@ func TestExpiredContextFailsFast(t *testing.T) {
 
 	// Unbinding (nil) restores unbounded reads.
 	c.BindContext(nil)
-	if _, err := c.ReadPage(start, ClassLight); err != nil {
+	if _, err := c.ReadBytes(start, c.PageSize(), ClassLight); err != nil {
 		t.Fatalf("unbound read failed: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestDeadlineExpiresMidRetryLadder(t *testing.T) {
 	c.BindContext(ctx)
 
 	before := d.Stats()
-	_, err := c.ReadPage(start, ClassLight)
+	_, err := c.ReadBytes(start, c.PageSize(), ClassLight)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -130,7 +130,7 @@ func TestDeadlineExpiresMidRetryLadder(t *testing.T) {
 	// all three failures (and absorbs them within the default budget).
 	c2 := d.NewClient()
 	before = d.Stats()
-	if _, err := c2.ReadPage(start, ClassLight); err != nil {
+	if _, err := c2.ReadBytes(start, c2.PageSize(), ClassLight); err != nil {
 		t.Fatalf("follow-up read failed: %v", err)
 	}
 	if got := d.Stats().Retries - before.Retries; got != 3 {
@@ -149,7 +149,7 @@ func TestRetryJitterCostOnly(t *testing.T) {
 		d.InjectFaults(FaultConfig{Seed: 11, PageProb: 0.5, TransientFrac: 1, Jitter: jitter})
 		outcomes := make([]bool, 64)
 		for i := range outcomes {
-			_, err := d.ReadPage(start+PageID(i), ClassLight)
+			_, err := d.ReadBytes(start+PageID(i), d.PageSize(), ClassLight)
 			outcomes[i] = err == nil
 		}
 		s := d.Stats()
@@ -184,7 +184,7 @@ func TestBreakerTripAndCooldown(t *testing.T) {
 	d.SetBreaker(BreakerConfig{RegionPages: 16, Threshold: 3, Cooldown: 4})
 	for i := 0; i < 3; i++ {
 		d.InjectPageFault(start+PageID(i), FaultPermanent, 0)
-		if _, err := d.ReadPage(start+PageID(i), ClassLight); !errors.Is(err, ErrCorrupt) {
+		if _, err := d.ReadBytes(start+PageID(i), d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("faulted read %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestBreakerTripAndCooldown(t *testing.T) {
 	// degradable, and free.
 	before := d.Stats()
 	var ce *CorruptError
-	if _, err := d.ReadPage(start+10, ClassLight); !errors.As(err, &ce) || !ce.Tripped {
+	if _, err := d.ReadBytes(start+10, d.PageSize(), ClassLight); !errors.As(err, &ce) || !ce.Tripped {
 		t.Fatalf("tripped-region read: err = %v, want breaker CorruptError", err)
 	}
 	if got := d.Stats(); got != before {
@@ -206,18 +206,18 @@ func TestBreakerTripAndCooldown(t *testing.T) {
 	// Two more rejections exhaust the cooldown of 4; the next read is the
 	// half-open probe, succeeds on healthy media, and closes the region.
 	for i := 0; i < 2; i++ {
-		if _, err := d.ReadPage(start+10, ClassLight); !errors.As(err, &ce) || !ce.Tripped {
+		if _, err := d.ReadBytes(start+10, d.PageSize(), ClassLight); !errors.As(err, &ce) || !ce.Tripped {
 			t.Fatalf("cooldown read %d: err = %v, want breaker CorruptError", i, err)
 		}
 	}
-	if _, err := d.ReadPage(start+10, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+10, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	s := d.BreakerStats()
 	if s.Probes != 1 || s.Rejections != 3 || s.OpenRegions != 0 {
 		t.Fatalf("after probe: %+v, want 1 probe / 3 rejections / 0 open", s)
 	}
-	if _, err := d.ReadPage(start+11, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+11, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("closed-region read failed: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	d.SetBreaker(BreakerConfig{RegionPages: 16, Threshold: 2, Cooldown: 2})
 	for i := 0; i < 2; i++ {
 		d.InjectPageFault(start+PageID(i), FaultPermanent, 0)
-		if _, err := d.ReadPage(start+PageID(i), ClassLight); err == nil {
+		if _, err := d.ReadBytes(start+PageID(i), d.PageSize(), ClassLight); err == nil {
 			t.Fatal("faulted read succeeded")
 		}
 	}
@@ -237,10 +237,10 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	var ce *CorruptError
 	// One rejection, then the probe — which hits the faulted page 5 and
 	// fails, re-opening the region.
-	if _, err := d.ReadPage(start+5, ClassLight); !errors.As(err, &ce) || !ce.Tripped {
+	if _, err := d.ReadBytes(start+5, d.PageSize(), ClassLight); !errors.As(err, &ce) || !ce.Tripped {
 		t.Fatalf("rejection read: err = %v, want breaker CorruptError", err)
 	}
-	if _, err := d.ReadPage(start+5, ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(start+5, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("probe read did not reach media")
 	}
 	s := d.BreakerStats()
@@ -255,7 +255,7 @@ func TestBreakerHealsOnWrite(t *testing.T) {
 	d, start := faultDisk(t, 16)
 	d.SetBreaker(BreakerConfig{RegionPages: 16, Threshold: 1, Cooldown: 100})
 	d.InjectPageFault(start, FaultPermanent, 0)
-	if _, err := d.ReadPage(start, ClassLight); err == nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err == nil {
 		t.Fatal("faulted read succeeded")
 	}
 	if s := d.BreakerStats(); s.OpenRegions != 1 {
@@ -267,7 +267,7 @@ func TestBreakerHealsOnWrite(t *testing.T) {
 	if s := d.BreakerStats(); s.OpenRegions != 0 {
 		t.Fatalf("write did not heal the region: %+v", s)
 	}
-	if _, err := d.ReadPage(start+3, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+3, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("healed-region read failed: %v", err)
 	}
 }
@@ -278,11 +278,11 @@ func TestBreakerRemoval(t *testing.T) {
 	d, start := faultDisk(t, 16)
 	d.SetBreaker(BreakerConfig{RegionPages: 16, Threshold: 1, Cooldown: 100})
 	d.InjectPageFault(start, FaultPermanent, 0)
-	if _, err := d.ReadPage(start, ClassLight); err == nil {
+	if _, err := d.ReadBytes(start, d.PageSize(), ClassLight); err == nil {
 		t.Fatal("faulted read succeeded")
 	}
 	d.SetBreaker(BreakerConfig{})
-	if _, err := d.ReadPage(start+1, ClassLight); err != nil {
+	if _, err := d.ReadBytes(start+1, d.PageSize(), ClassLight); err != nil {
 		t.Fatalf("read after breaker removal failed: %v", err)
 	}
 	if s := d.BreakerStats(); s != (BreakerStats{}) {
@@ -315,7 +315,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.ReadPage(start+PageID((w*37+i)%256), ClassLight); err != nil {
+				if _, err := c.ReadBytes(start+PageID((w*37+i)%256), c.PageSize(), ClassLight); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}

@@ -93,7 +93,7 @@ func (d *Disk) WriteRunTo(w io.Writer, from PageID) (int64, error) {
 		if err := put(idbuf[:]); err != nil {
 			return written, err
 		}
-		if err := d.media.ReadPage(id, page); err != nil {
+		if err := d.media.ReadPages(id, 1, page); err != nil {
 			return written, fmt.Errorf("storage: run write: page %d: %w", id, err)
 		}
 		if err := put(page); err != nil {

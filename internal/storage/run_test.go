@@ -79,11 +79,11 @@ func sameDisk(t *testing.T, a, b *Disk) {
 		t.Fatalf("resident bytes %d vs %d", a.ResidentBytes(), b.ResidentBytes())
 	}
 	for id := PageID(0); int64(id) < a.NumPages(); id++ {
-		pa, err := a.PeekPage(id)
+		pa, err := a.PeekBytes(id, a.PageSize())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := b.PeekPage(id)
+		pb, err := b.PeekBytes(id, b.PageSize())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestImageReopenedDiskUsable(t *testing.T) {
 	d := imageFixture(t)
 	got := reopen(t, runOf(t, d, 0))
 	// Reads charge normally; allocation continues past the image.
-	if _, err := got.ReadPage(0, ClassLight); err != nil {
+	if _, err := got.ReadBytes(0, got.PageSize(), ClassLight); err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats().Reads != 1 {

@@ -439,28 +439,19 @@ func readHeapUnit(r storage.Reader, base storage.PageID, heapBytes int64, ref he
 	return buf[skip : skip+int(ref.n)], nil
 }
 
-// peekHeapUnit is readHeapUnit against the disk's unmetered PeekPage —
+// peekHeapUnit is readHeapUnit against the disk's unmetered PeekBytes —
 // fsck's codec walk must not pollute the experiment counters.
 func peekHeapUnit(d *storage.Disk, base storage.PageID, heapBytes int64, ref heapRef) ([]byte, error) {
 	if ref.off < 0 || ref.n < int32(codecMinUnitBytes) || ref.off+int64(ref.n) > heapBytes {
 		return nil, codecErrf("heap unit [%d,%d) outside heap (%d bytes)", ref.off, ref.off+int64(ref.n), heapBytes)
 	}
 	psz := int64(d.PageSize())
-	out := make([]byte, 0, ref.n)
 	skip := int(ref.off % psz)
-	for page := base + storage.PageID(ref.off/psz); len(out) < int(ref.n); page++ {
-		p, err := d.PeekPage(page)
-		if err != nil {
-			return nil, err
-		}
-		take := p[skip:]
-		if need := int(ref.n) - len(out); len(take) > need {
-			take = take[:need]
-		}
-		out = append(out, take...)
-		skip = 0
+	buf, err := d.PeekBytes(base+storage.PageID(ref.off/psz), skip+int(ref.n))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return buf[skip:], nil
 }
 
 // heapUnitPages appends the disk pages a unit occupies to out, skipping
@@ -493,24 +484,6 @@ func (s codecSeg) unitsBase() int64 { return s.off + int64(s.segLen) }
 // (offset + segment length + units length), charged to SizeBytes like the
 // indexed scheme's directory.
 const codecSegBytes = 8 + 4 + 8
-
-// peekBytes reads n bytes starting at page base through the disk's
-// unmetered PeekPage — open-time metadata loads (the horizontal codec
-// directory) that must not appear in experiment counters.
-func peekBytes(d *storage.Disk, base storage.PageID, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for page := base; len(out) < n; page++ {
-		p, err := d.PeekPage(page)
-		if err != nil {
-			return nil, err
-		}
-		if need := n - len(out); len(p) > need {
-			p = p[:need]
-		}
-		out = append(out, p...)
-	}
-	return out, nil
-}
 
 // Options configures a scheme build. The zero value reproduces the
 // original fixed-slot layout.

@@ -413,7 +413,7 @@ func TestCodecCheckDetectsTamper(t *testing.T) {
 	}
 
 	cv := codec[1].(*Vertical)
-	page, err := d.PeekPage(cv.heapBase)
+	page, err := d.PeekBytes(cv.heapBase, d.PageSize())
 	if err != nil {
 		t.Fatal(err)
 	}

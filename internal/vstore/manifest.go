@@ -129,7 +129,7 @@ func openHorizontalCodec(d *storage.Disk, grid *cells.Grid, m HorizontalManifest
 		return nil, fmt.Errorf("vstore: bad horizontal codec manifest %+v", m)
 	}
 	nslots := m.NumNodes * grid.NumCells()
-	dirBuf, err := peekBytes(d, m.DirBase, 8*nslots)
+	dirBuf, err := d.PeekBytes(m.DirBase, 8*nslots)
 	if err != nil {
 		return nil, fmt.Errorf("vstore: horizontal codec directory: %w", err)
 	}

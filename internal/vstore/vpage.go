@@ -167,14 +167,12 @@ func (t slotTable) write(d *storage.Disk, i int64, buf []byte) error {
 		return fmt.Errorf("vstore: %d bytes exceed slot size %d", len(buf), t.slotBytes)
 	}
 	pageID := t.page(i)
-	page, err := d.PeekPage(pageID)
+	page, err := d.PeekBytes(pageID, d.PageSize())
 	if err != nil {
 		return err
 	}
-	merged := make([]byte, len(page))
-	copy(merged, page)
-	copy(merged[t.offset(i):], buf)
-	return d.WritePage(pageID, merged)
+	copy(page[t.offset(i):], buf)
+	return d.WritePage(pageID, page)
 }
 
 // read fetches slot i through r (the building disk, or a session's
@@ -183,7 +181,7 @@ func (t slotTable) read(r storage.Reader, i int64, class storage.Class) ([]byte,
 	if i < 0 || i >= int64(t.count) {
 		return nil, fmt.Errorf("vstore: slot %d out of range (%d)", i, t.count)
 	}
-	page, err := r.ReadPage(t.page(i), class)
+	page, err := r.ReadBytes(t.page(i), r.PageSize(), class)
 	if err != nil {
 		return nil, err
 	}
