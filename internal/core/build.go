@@ -521,11 +521,14 @@ func (t *Tree) NodeStride() int { return t.nodeStride }
 // ReadNodeRecord fetches a node record from disk, charging light I/O —
 // the "tree node" component of Figure 8(b) — and returns a view over the
 // bytes where storage served them (ParseNodeRecord): no decode, no copy.
-func (t *Tree) ReadNodeRecord(id NodeID) (NodeView, error) {
+// buf is the caller's read buffer (storage.Reader.ReadBytes): the view
+// may lie in it, so a caller that keeps the view past its own next read
+// into buf passes nil.
+func (t *Tree) ReadNodeRecord(id NodeID, buf []byte) (NodeView, error) {
 	if int(id) < 0 || int(id) >= len(t.Nodes) {
 		return NodeView{}, fmt.Errorf("core: node %d out of range", id)
 	}
-	buf, err := t.reader().ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight)
+	buf, err := t.reader().ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight, buf)
 	if err != nil {
 		return NodeView{}, err
 	}

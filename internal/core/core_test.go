@@ -172,7 +172,7 @@ func TestNodeRecordDecodeErrors(t *testing.T) {
 func TestReadNodeRecordFromDisk(t *testing.T) {
 	tr, _ := fixture(t)
 	before := tr.Disk.Stats()
-	n, err := tr.ReadNodeRecord(0)
+	n, err := tr.ReadNodeRecord(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReadNodeRecordFromDisk(t *testing.T) {
 	if d.HeavyReads != 0 {
 		t.Fatal("node read charged heavy I/O")
 	}
-	if _, err := tr.ReadNodeRecord(NodeID(tr.NumNodes())); err == nil {
+	if _, err := tr.ReadNodeRecord(NodeID(tr.NumNodes()), nil); err == nil {
 		t.Fatal("out-of-range node read accepted")
 	}
 }

@@ -135,7 +135,7 @@ func (t *Tree) cutRecord(cn *cutNode, res *QueryResult) (NodeView, error) {
 		return cn.rec, nil
 	}
 	cn.rec = NodeView{}
-	rec, err := t.ReadNodeRecord(cn.id)
+	rec, err := t.ReadNodeRecord(cn.id, nil) // the cut keeps the view
 	if err != nil {
 		return NodeView{}, err
 	}

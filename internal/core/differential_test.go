@@ -41,59 +41,62 @@ var (
 func diffFixture(t *testing.T) *diffEnv {
 	t.Helper()
 	diffOnce.Do(func() {
-		p := scene.DefaultCityParams()
-		p.BlocksX, p.BlocksY = 2, 2
-		p.BuildingsPerBlock = 4
-		p.BlobsPerBlock = 2
-		p.BlobDetail = 8
-		p.NominalBytes = 32 << 20
-		p.Seed = 7
-		sc := scene.Generate(p)
-		d := storage.NewDisk(0, storage.DefaultCostModel())
-		bp := core.DefaultBuildParams()
-		bp.Grid = cells.NewGrid(sc.ViewRegion, 4, 4)
-		bp.DirsPerViewpoint = 512
-		bp.SamplesPerCell = 1
-		tr, vis, err := core.Build(sc, d, bp)
+		env, err := buildDiffEnv(storage.NewDisk(0, storage.DefaultCostModel()))
 		if err != nil {
 			panic(err)
 		}
-		h, err := vstore.BuildHorizontal(d, vis, 0)
-		if err != nil {
-			panic(err)
-		}
-		v, err := vstore.BuildVertical(d, vis, 0)
-		if err != nil {
-			panic(err)
-		}
-		iv, err := vstore.BuildIndexedVertical(d, vis, 0)
-		if err != nil {
-			panic(err)
-		}
-		// Codec layout variants of the same visibility data: every answer
-		// below must be byte-identical with the codec on or off.
-		copts := vstore.Options{Codec: true}
-		ch, err := vstore.BuildHorizontalOpts(d, vis, copts)
-		if err != nil {
-			panic(err)
-		}
-		cv, err := vstore.BuildVerticalOpts(d, vis, copts)
-		if err != nil {
-			panic(err)
-		}
-		civ, err := vstore.BuildIndexedVerticalOpts(d, vis, copts)
-		if err != nil {
-			panic(err)
-		}
-		diffVal = &diffEnv{tree: tr, disk: d, schemes: []diffScheme{
-			{"horizontal", h}, {"vertical", v}, {"indexed", iv},
-			{"horizontal+codec", ch}, {"vertical+codec", cv}, {"indexed+codec", civ},
-		}}
+		diffVal = env
 	})
 	if diffVal == nil {
 		t.Fatal("differential fixture failed")
 	}
 	return diffVal
+}
+
+// buildDiffEnv builds the differential scene, its tree and all six
+// scheme layouts on d.
+func buildDiffEnv(d *storage.Disk) (*diffEnv, error) {
+	p := scene.DefaultCityParams()
+	p.BlocksX, p.BlocksY = 2, 2
+	p.BuildingsPerBlock = 4
+	p.BlobsPerBlock = 2
+	p.BlobDetail = 8
+	p.NominalBytes = 32 << 20
+	p.Seed = 7
+	sc := scene.Generate(p)
+	bp := core.DefaultBuildParams()
+	bp.Grid = cells.NewGrid(sc.ViewRegion, 4, 4)
+	bp.DirsPerViewpoint = 512
+	bp.SamplesPerCell = 1
+	tr, vis, err := core.Build(sc, d, bp)
+	if err != nil {
+		return nil, err
+	}
+	// Codec layout variants of the same visibility data: every answer
+	// below must be byte-identical with the codec on or off.
+	env := &diffEnv{tree: tr, disk: d}
+	for _, codec := range []bool{false, true} {
+		opts := vstore.Options{Codec: codec}
+		h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+		if err != nil {
+			return nil, err
+		}
+		v, err := vstore.BuildVerticalOpts(d, vis, opts)
+		if err != nil {
+			return nil, err
+		}
+		iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
+		if err != nil {
+			return nil, err
+		}
+		suffix := ""
+		if codec {
+			suffix = "+codec"
+		}
+		env.schemes = append(env.schemes,
+			diffScheme{"horizontal" + suffix, h}, diffScheme{"vertical" + suffix, v}, diffScheme{"indexed" + suffix, iv})
+	}
+	return env, nil
 }
 
 var diffEtas = []float64{0, 0.001, 0.008}

@@ -280,7 +280,12 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	if err := tc.err(); err != nil {
 		return err
 	}
-	rec, err := t.ReadNodeRecord(id)
+	depth := max(len(anc)-1, 0)
+	// The record lands in this depth's buffer (every record fits its
+	// stride): its view is dead once the node's entry loop ends, and the
+	// ladder holds only shallower ones.
+	buf := tc.scr.recBuf(depth, t.nodeStride*t.Disk.PageSize())
+	rec, err := t.ReadNodeRecord(id, buf)
 	if err != nil {
 		return err
 	}
@@ -288,7 +293,6 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	if len(anc) == 0 {
 		anc = append(tc.scr.anc[:0], lodSource{node: id, rec: rec, entry: -1})
 	}
-	depth := len(anc) - 1
 	vd, ok, err := t.vstore.NodeVD(id, tc.scr.vdBuf(depth))
 	if err != nil {
 		return err
@@ -488,7 +492,7 @@ func (t *Tree) degradePayload(res *QueryResult, i int) (int, bool) {
 // bytes prefix of its extent), charging heavy I/O for the full nominal
 // extent. Examples and the fidelity renderer use this.
 func (t *Tree) LoadMesh(it ResultItem) (*mesh.Mesh, error) {
-	buf, err := t.reader().ReadBytes(it.Extent.Start, int(it.Extent.RealBytes), storage.ClassHeavy)
+	buf, err := t.reader().ReadBytes(it.Extent.Start, int(it.Extent.RealBytes), storage.ClassHeavy, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/storage"
 )
 
@@ -40,16 +42,27 @@ func (t *Tree) Session() *Tree {
 	return &s
 }
 
-// travScratch is a session's reusable traversal memory, so a warm query
+// travScratch is a session's reusable traversal memory, so a query
 // allocates nothing per visited node. The recursion descends before a
-// parent's entry loop ends, so the V-data and the retained cut's child
-// lists get one grow-only buffer per depth; the ancestor ladder is one
-// stack. A query writes them only while it runs, so their contents mean
-// nothing between queries.
+// parent's entry loop ends, so the node records read by searchNode, the
+// V-data and the retained cut's child lists get one grow-only buffer per
+// depth; the ancestor ladder is one stack. A query writes them only while
+// it runs, so their contents mean nothing between queries.
 type travScratch struct {
+	rec  [][]byte     // by depth: searchNode's node-record read buffer
 	vd   [][]VD       // by depth: the node's V-data (NodeVD's dst)
 	keep [][]*cutNode // by depth: children kept by searchCut
 	anc  []lodSource  // the ancestor ladder (searchNode)
+}
+
+// recBuf returns depth's node-record read buffer, grown to hold length
+// bytes.
+func (s *travScratch) recBuf(depth, length int) []byte {
+	for len(s.rec) <= depth {
+		s.rec = append(s.rec, nil)
+	}
+	s.rec[depth] = slices.Grow(s.rec[depth][:0], length)
+	return s.rec[depth]
 }
 
 // vdBuf returns depth's V-data buffer, emptied; the caller stores the

@@ -319,10 +319,13 @@ func (n *Node) EncodeRecord() []byte {
 
 // NodeView is a validated, read-only view over one encoded node record
 // (EncodeRecord's format), read in place where storage served it: a
-// buffer-pool frame, or the private buffer of a read with no pool. The
-// query path reads entries through its accessors instead of decoding the
-// record into a Node, so a visit costs no allocation. It is safe because
-// storage never writes a slice after serving it (DESIGN.md §10).
+// buffer-pool frame, or the reader's own buffer of a read with no pool.
+// The query path reads entries through its accessors instead of decoding
+// the record into a Node, so a visit costs no allocation. It is safe
+// because storage never writes a pool frame, and a reader's buffer is
+// rewritten only by that reader's next read into it, which a holder of
+// the view either never makes or makes after it is done with the view
+// (DESIGN.md §10).
 //
 // hdov:frozen-after-publish — a view may share a pool frame that other
 // sessions are reading, and the retained cut keeps views across queries,

@@ -3,9 +3,12 @@
 package core_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/storage"
+	"repro/internal/storage/filestore"
 )
 
 // TestWarmQueryAllocsIndependentOfNodesVisited: a pool-warm,
@@ -19,6 +22,37 @@ func TestWarmQueryAllocsIndependentOfNodesVisited(t *testing.T) {
 	env := diffFixture(t)
 	env.disk.SetCacheSize(1 << 14)
 	t.Cleanup(func() { env.disk.SetCacheSize(0) })
+	checkQueryAllocsFlat(t, env)
+}
+
+// TestColdQueryAllocsIndependentOfNodesVisited is the same check with no
+// buffer pool, on the in-memory and the file media: every light read
+// goes to the media, and it lands in a buffer the session owns — node
+// records in one per traversal depth, flip segments and V-pages in the
+// scheme view's read buffer — so no read allocates its page.
+func TestColdQueryAllocsIndependentOfNodesVisited(t *testing.T) {
+	t.Run("mem", func(t *testing.T) {
+		checkQueryAllocsFlat(t, diffFixture(t))
+	})
+	t.Run("file", func(t *testing.T) {
+		fs, err := filestore.Create(filepath.Join(t.TempDir(), "pages.dat"), storage.DefaultPageSize, filestore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := storage.NewDiskOn(fs, storage.DefaultCostModel())
+		t.Cleanup(func() { _ = d.Close() })
+		env, err := buildDiffEnv(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkQueryAllocsFlat(t, env)
+	})
+}
+
+// checkQueryAllocsFlat asserts that, on every layout of env, a
+// non-coherent session query plus its Recycle allocates the same count
+// at two η values whose traversals visit different numbers of nodes.
+func checkQueryAllocsFlat(t *testing.T, env *diffEnv) {
 	n := env.tree.Grid.NumCells()
 	etas := [2]float64{0, 0.1}
 	for _, sch := range env.schemes {
@@ -36,8 +70,8 @@ func TestWarmQueryAllocsIndependentOfNodesVisited(t *testing.T) {
 				s.Recycle(res)
 				return v
 			}
-			// Warm the pool, the session's buffers and the recycled
-			// result's capacity on every cell.
+			// Warm the pool (if any), the session's buffers and the
+			// recycled result's capacity on every cell.
 			for c := 0; c < n; c++ {
 				visited[k] += query(c)
 			}
@@ -52,8 +86,9 @@ func TestWarmQueryAllocsIndependentOfNodesVisited(t *testing.T) {
 				sch.name, etas[0], etas[1], visited[0])
 		}
 		if allocs[0] != allocs[1] {
-			t.Errorf("%s: a warm query allocates %v times at η %v (%d nodes over all cells) but %v at η %v (%d nodes)",
+			t.Errorf("%s: a query allocates %v times at η %v (%d nodes over all cells) but %v at η %v (%d nodes)",
 				sch.name, allocs[0], etas[0], visited[0], allocs[1], etas[1], visited[1])
+			continue
 		}
 		t.Logf("%s: %v allocs/query at both η (%d vs %d nodes over all cells)", sch.name, allocs[0], visited[0], visited[1])
 	}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cells"
 	"repro/internal/core"
@@ -26,6 +27,10 @@ type Store struct {
 	vpageBytes int
 	vpPages    int
 	size       int64
+	// rbuf is where Query's V-page reads land, each decoded before the
+	// next; Query, like its Stats from the global counters, is one
+	// caller's at a time.
+	rbuf []byte
 }
 
 type seg struct {
@@ -111,7 +116,8 @@ func (s *Store) Query(cell cells.CellID) (*core.QueryResult, error) {
 	res := &core.QueryResult{Cell: cell}
 	sg := s.segs[cell]
 	for i := 0; i < int(sg.vpages); i++ {
-		buf, err := s.disk.ReadBytes(sg.start+storage.PageID(i*s.vpPages), s.vpageBytes, storage.ClassLight)
+		s.rbuf = slices.Grow(s.rbuf[:0], s.vpageBytes)
+		buf, err := s.disk.ReadBytes(sg.start+storage.PageID(i*s.vpPages), s.vpageBytes, storage.ClassLight, s.rbuf)
 		if err != nil {
 			return nil, err
 		}

@@ -131,7 +131,8 @@ func (s *System) Query(eye, look geom.Vec3) (*core.QueryResult, error) {
 
 // window recursively runs the multi-box window query from node id.
 func (s *System) window(id core.NodeID, boxes []geom.AABB, eye geom.Vec3, seen map[int64]bool, res *core.QueryResult) error {
-	rec, err := s.T.ReadNodeRecord(id)
+	// nil: the entry loop reads the view after recursing into children.
+	rec, err := s.T.ReadNodeRecord(id, nil)
 	if err != nil {
 		return err
 	}

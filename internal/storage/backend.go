@@ -33,8 +33,10 @@ package storage
 type Backend interface {
 	// PageSize returns the media's page size in bytes.
 	PageSize() int
-	// ReadPages fills dst with n consecutive pages starting at start —
-	// the one media read. len(dst) must be at least n*PageSize().
+	// ReadPages fills dst from the n consecutive pages starting at start
+	// — the one media read. It copies min(len(dst), n*PageSize()) bytes,
+	// so a read that needs only a prefix of the extent's last page
+	// copies only that prefix.
 	ReadPages(start PageID, n int, dst []byte) error
 	// WritePage durably stores one full page, taking ownership of data.
 	WritePage(id PageID, data []byte) error

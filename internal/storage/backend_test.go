@@ -76,11 +76,11 @@ func TestBackendsReadIdentical(t *testing.T) {
 	mem, fd := diskPair(t, 128)
 	fill(t, mem, fd)
 	for i := storage.PageID(0); i < 64; i++ {
-		a, err := mem.ReadBytes(i, mem.PageSize(), storage.ClassLight)
+		a, err := mem.ReadBytes(i, mem.PageSize(), storage.ClassLight, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fd.ReadBytes(i, fd.PageSize(), storage.ClassLight)
+		b, err := fd.ReadBytes(i, fd.PageSize(), storage.ClassLight, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +88,11 @@ func TestBackendsReadIdentical(t *testing.T) {
 			t.Fatalf("page %d differs across backends", i)
 		}
 	}
-	a, err := mem.ReadBytes(3, 20*128, storage.ClassLight)
+	a, err := mem.ReadBytes(3, 20*128, storage.ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fd.ReadBytes(3, 20*128, storage.ClassLight)
+	b, err := fd.ReadBytes(3, 20*128, storage.ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestViewIsolatesDynamics(t *testing.T) {
 		d.CorruptPage(2)
 		d.Quarantine(4)
 		d.SetCacheSize(8)
-		if _, err := d.ReadBytes(0, d.PageSize(), storage.ClassLight); err != nil {
+		if _, err := d.ReadBytes(0, d.PageSize(), storage.ClassLight, nil); err != nil {
 			t.Fatal(err)
 		}
 		v := d.View()
@@ -169,20 +169,20 @@ func TestViewIsolatesDynamics(t *testing.T) {
 		if v.PoolStats().Capacity != 0 {
 			t.Fatal("view inherited the buffer pool")
 		}
-		if _, err := v.ReadBytes(2, v.PageSize(), storage.ClassLight); err == nil {
+		if _, err := v.ReadBytes(2, v.PageSize(), storage.ClassLight, nil); err == nil {
 			t.Fatal("view lost the corruption mark")
 		}
 		if !v.IsQuarantined(4) {
 			t.Fatal("view lost the quarantine mark")
 		}
-		want, err := d.ReadBytes(6, d.PageSize(), storage.ClassLight)
+		want, err := d.ReadBytes(6, d.PageSize(), storage.ClassLight, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := d.Stats()
 		v.SetCacheSize(4)
 		for i := 0; i < 2; i++ {
-			got, err := v.ReadBytes(6, v.PageSize(), storage.ClassLight)
+			got, err := v.ReadBytes(6, v.PageSize(), storage.ClassLight, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,17 +200,17 @@ func TestViewIsolatesDynamics(t *testing.T) {
 		v.CorruptPage(8)
 		v.Quarantine(10)
 		d.CorruptPage(12)
-		if _, err := d.ReadBytes(8, d.PageSize(), storage.ClassLight); err != nil {
+		if _, err := d.ReadBytes(8, d.PageSize(), storage.ClassLight, nil); err != nil {
 			t.Fatalf("view corruption mark leaked into source: %v", err)
 		}
 		if d.IsQuarantined(10) {
 			t.Fatal("view quarantine leaked into source")
 		}
-		if _, err := v.ReadBytes(12, v.PageSize(), storage.ClassLight); err != nil {
+		if _, err := v.ReadBytes(12, v.PageSize(), storage.ClassLight, nil); err != nil {
 			t.Fatalf("source corruption mark leaked into view: %v", err)
 		}
 		v.InjectPageFault(14, storage.FaultPermanent, 1)
-		if _, err := d.ReadBytes(14, d.PageSize(), storage.ClassLight); err != nil {
+		if _, err := d.ReadBytes(14, d.PageSize(), storage.ClassLight, nil); err != nil {
 			t.Fatalf("view fault leaked into source: %v", err)
 		}
 		if err := v.WritePage(0, []byte("x")); err == nil {
@@ -219,7 +219,7 @@ func TestViewIsolatesDynamics(t *testing.T) {
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.ReadBytes(16, 16*128, storage.ClassHeavy); err != nil {
+		if _, err := d.ReadBytes(16, 16*128, storage.ClassHeavy, nil); err != nil {
 			t.Fatalf("closing a view closed the source's media: %v", err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestViewBoundedByWatermark(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := v.ReadBytes(base, v.PageSize(), storage.ClassLight); !storage.IsOutOfRange(err) {
+		if _, err := v.ReadBytes(base, v.PageSize(), storage.ClassLight, nil); !storage.IsOutOfRange(err) {
 			t.Fatalf("view read page %d above its watermark: err = %v", base, err)
 		}
 		if got := v.ResidentBytes(); got != resident {

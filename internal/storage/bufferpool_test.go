@@ -35,11 +35,11 @@ func TestBufferPoolHitsSkipIO(t *testing.T) {
 	_ = d.WriteBytes(p, []byte("abcd"))
 	d.SetCacheSize(16)
 
-	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Stats()
-	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func TestBufferPoolHeavyNotCached(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(2)
 	d.SetCacheSize(16)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy, nil)
 	before := d.Stats()
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassHeavy, nil)
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("heavy read was cached")
 	}
@@ -71,17 +71,17 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(5)
 	d.SetCacheSize(2)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)   // cache: [0]
-	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // cache: [1 0]
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)   // hit: [0 1]
-	_, _ = d.ReadBytes(p+2, d.PageSize(), ClassLight) // evicts 1: [2 0]
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)   // cache: [0]
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight, nil) // cache: [1 0]
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)   // hit: [0 1]
+	_, _ = d.ReadBytes(p+2, d.PageSize(), ClassLight, nil) // evicts 1: [2 0]
 	before := d.Stats()
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight) // still cached
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil) // still cached
 	if d.Stats().Sub(before).Reads != 0 {
 		t.Fatal("page 0 evicted prematurely")
 	}
 	before = d.Stats()
-	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // was evicted
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight, nil) // was evicted
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("page 1 should have been evicted")
 	}
@@ -92,11 +92,11 @@ func TestBufferPoolWriteInvalidates(t *testing.T) {
 	p := d.AllocPages(1)
 	_ = d.WritePage(p, []byte("old"))
 	d.SetCacheSize(4)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight) // cache "old"
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil) // cache "old"
 	if err := d.WritePage(p, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBufferPoolReadBytesPath(t *testing.T) {
 	start := d.AllocPages(d.PagesFor(int64(len(data))))
 	_ = d.WriteBytes(start, data)
 	d.SetCacheSize(8)
-	got, err := d.ReadBytes(start, len(data), ClassLight)
+	got, err := d.ReadBytes(start, len(data), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBufferPoolReadBytesPath(t *testing.T) {
 		t.Fatal("first multi-page read wrong")
 	}
 	before := d.Stats()
-	got, err = d.ReadBytes(start, len(data), ClassLight)
+	got, err = d.ReadBytes(start, len(data), ClassLight, nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatal("cached multi-page read wrong")
 	}
@@ -135,13 +135,13 @@ func TestBufferPoolDisable(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(1)
 	d.SetCacheSize(4)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	d.SetCacheSize(0)
 	if ps := d.PoolStats(); ps.Hits() != 0 || ps.Misses() != 0 {
 		t.Fatal("disabled pool reports stats")
 	}
 	before := d.Stats()
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	if d.Stats().Sub(before).Reads != 1 {
 		t.Fatal("disabled pool still caching")
 	}
@@ -152,11 +152,11 @@ func TestBufferPoolCorruptPropagates(t *testing.T) {
 	p := d.AllocPages(1)
 	d.SetCacheSize(4)
 	d.CorruptPage(p)
-	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err == nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil); err == nil {
 		t.Fatal("corrupt page cached/read")
 	}
 	d.HealPage(p)
-	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil); err != nil {
 		t.Fatal("healed read failed")
 	}
 }

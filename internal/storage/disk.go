@@ -724,12 +724,14 @@ func (d *Disk) WriteBytes(start PageID, data []byte) error {
 // read back zero-filled. Reads served by the buffer pool (SetCacheSize)
 // cost nothing — seek and transfer are charged only on pool misses. The
 // result is read-only: a pool-served single-page extent is the resident
-// frame itself, shared with every other reader.
-func (d *Disk) ReadBytes(start PageID, length int, class Class) ([]byte, error) {
-	return d.readBytes(start, length, class, nil)
+// frame itself, shared with every other reader, and buf is left
+// untouched. Any other extent lands in buf when its capacity holds
+// length bytes, else in a fresh buffer.
+func (d *Disk) ReadBytes(start PageID, length int, class Class, buf []byte) ([]byte, error) {
+	return d.readBytes(start, length, class, buf, nil)
 }
 
-func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([]byte, error) {
+func (d *Disk) readBytes(start PageID, length int, class Class, buf []byte, sink *Client) ([]byte, error) {
 	if length < 0 {
 		return nil, errors.New("storage: negative read length")
 	}
@@ -743,8 +745,25 @@ func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([
 		return nil, fmt.Errorf("storage: read extent [%d,%d): %w", start, int64(start)+int64(n), errOutOfRange)
 	}
 	pool := d.pool
+	if pool != nil && !pool.caches(class) {
+		pool = nil
+	}
+	if pool != nil && n > 1 {
+		// A pooled extent is loaded page by page, so a parked page
+		// anywhere in it must fail the read before the first page is
+		// charged or pooled (Quarantine's promise). The breaker cannot
+		// be asked up front the same way: allow is stateful — it counts
+		// each rejection and lets exactly one half-open probe through —
+		// and each page's pool miss asks it again in admit.
+		for i := 0; i < n; i++ {
+			if id := start + PageID(i); d.quarantined[id] {
+				d.mu.RUnlock()
+				return nil, &CorruptError{Page: id, Quarantined: true}
+			}
+		}
+	}
 	d.mu.RUnlock()
-	if pool != nil && pool.caches(class) {
+	if pool != nil {
 		if n == 1 {
 			// A single-page extent is the frame itself, capped so an
 			// append by the caller can never reach the frame's tail.
@@ -756,7 +775,7 @@ func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([
 		}
 		// Page-at-a-time through the buffer pool; consecutive misses
 		// still count as one sequential run via the stream heads.
-		out := make([]byte, 0, n*d.pageSize)
+		out := callerBuf(buf, length)
 		for i := 0; i < n; i++ {
 			if err := sink.ctxErr(); err != nil {
 				return nil, err
@@ -765,20 +784,30 @@ func (d *Disk) readBytes(start PageID, length int, class Class, sink *Client) ([
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, p...)
+			copy(out[i*d.pageSize:], p)
 		}
-		return out[:length], nil
+		return out, nil
 	}
 	if err := d.admit(start, n, class, sink); err != nil {
 		return nil, err
 	}
 	// One vectored media read for the whole extent — a single pread on
-	// the file backend, where the page-at-a-time loop used to issue n.
-	out := make([]byte, n*d.pageSize)
+	// the file backend, where the page-at-a-time loop used to issue n —
+	// copying only the length bytes asked for.
+	out := callerBuf(buf, length)
 	if err := d.mediaRead(start, n, out, sink); err != nil {
 		return nil, fmt.Errorf("storage: read extent [%d,+%d): %w", start, n, err)
 	}
-	return out[:length], nil
+	return out, nil
+}
+
+// callerBuf returns buf resliced to length bytes when its capacity
+// allows, else a fresh buffer: a too-small buffer is never written.
+func callerBuf(buf []byte, length int) []byte {
+	if cap(buf) >= length {
+		return buf[:length]
+	}
+	return make([]byte, length)
 }
 
 // ReadExtent charges n sequential page reads starting at start without
@@ -943,8 +972,8 @@ func (c *Client) PageSize() int { return c.d.PageSize() }
 func (c *Client) PagesFor(n int64) int { return c.d.PagesFor(n) }
 
 // ReadBytes mirrors Disk.ReadBytes with per-client attribution.
-func (c *Client) ReadBytes(start PageID, length int, class Class) ([]byte, error) {
-	return c.d.readBytes(start, length, class, c)
+func (c *Client) ReadBytes(start PageID, length int, class Class, buf []byte) ([]byte, error) {
+	return c.d.readBytes(start, length, class, buf, c)
 }
 
 // ReadExtent mirrors Disk.ReadExtent with per-client attribution.

@@ -55,7 +55,7 @@ func TestWritePageReadBack(t *testing.T) {
 	if err := d.WritePage(p, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadBytes(p, d.PageSize(), ClassLight)
+	got, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWritePageReadBack(t *testing.T) {
 		t.Fatalf("page length %d", len(got))
 	}
 	// Unwritten page reads zero-filled.
-	z, err := d.ReadBytes(p+1, d.PageSize(), ClassLight)
+	z, err := d.ReadBytes(p+1, d.PageSize(), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,10 @@ func TestWriteErrors(t *testing.T) {
 	if err := d.WritePage(p, make([]byte, 257)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
-	if _, err := d.ReadBytes(PageID(99), d.PageSize(), ClassLight); !IsOutOfRange(err) {
+	if _, err := d.ReadBytes(PageID(99), d.PageSize(), ClassLight, nil); !IsOutOfRange(err) {
 		t.Fatalf("out-of-range read: %v", err)
 	}
-	if _, err := d.ReadBytes(NilPage, d.PageSize(), ClassLight); !IsOutOfRange(err) {
+	if _, err := d.ReadBytes(NilPage, d.PageSize(), ClassLight, nil); !IsOutOfRange(err) {
 		t.Fatalf("nil page read: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestBytesRoundTrip(t *testing.T) {
 	if err := d.WriteBytes(start, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadBytes(start, len(data), ClassHeavy)
+	got, err := d.ReadBytes(start, len(data), ClassHeavy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestBytesRoundTrip(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 	// Reading an extent past the end fails.
-	if _, err := d.ReadBytes(start, 5000, ClassHeavy); !IsOutOfRange(err) {
+	if _, err := d.ReadBytes(start, 5000, ClassHeavy, nil); !IsOutOfRange(err) {
 		t.Fatalf("overlong read: %v", err)
 	}
-	if _, err := d.ReadBytes(start, -1, ClassHeavy); err == nil {
+	if _, err := d.ReadBytes(start, -1, ClassHeavy, nil); err == nil {
 		t.Fatal("negative read accepted")
 	}
 }
@@ -122,8 +122,8 @@ func TestBytesRoundTrip(t *testing.T) {
 func TestIOAccountingClasses(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(10)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
-	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight) // sequential
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)
+	_, _ = d.ReadBytes(p+1, d.PageSize(), ClassLight, nil) // sequential
 	_ = d.ReadExtent(p+5, 3, ClassHeavy)
 	s := d.Stats()
 	if s.Reads != 5 {
@@ -149,7 +149,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	seq := newTestDisk()
 	p := seq.AllocPages(100)
 	for i := 0; i < 100; i++ {
-		_, _ = seq.ReadBytes(p+PageID(i), seq.PageSize(), ClassLight)
+		_, _ = seq.ReadBytes(p+PageID(i), seq.PageSize(), ClassLight, nil)
 	}
 	rnd := newTestDisk()
 	p2 := rnd.AllocPages(100)
@@ -157,7 +157,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	perm := r.Perm(100)
 	// Ensure the permutation is not accidentally sequential anywhere long.
 	for i := 0; i < 100; i++ {
-		_, _ = rnd.ReadBytes(p2+PageID(perm[i]), rnd.PageSize(), ClassLight)
+		_, _ = rnd.ReadBytes(p2+PageID(perm[i]), rnd.PageSize(), ClassLight, nil)
 	}
 	if seq.Stats().SimTime*5 > rnd.Stats().SimTime {
 		t.Fatalf("sequential %v not much cheaper than random %v",
@@ -168,9 +168,9 @@ func TestSequentialVsRandomCost(t *testing.T) {
 func TestStatsSubAndReset(t *testing.T) {
 	d := newTestDisk()
 	p := d.AllocPages(5)
-	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight)
+	_, _ = d.ReadBytes(p, d.PageSize(), ClassLight, nil)
 	before := d.Stats()
-	_, _ = d.ReadBytes(p+3, d.PageSize(), ClassHeavy)
+	_, _ = d.ReadBytes(p+3, d.PageSize(), ClassHeavy, nil)
 	delta := d.Stats().Sub(before)
 	if delta.Reads != 1 || delta.HeavyReads != 1 || delta.LightReads != 0 {
 		t.Fatalf("delta = %+v", delta)
@@ -211,22 +211,22 @@ func TestCorruption(t *testing.T) {
 	p := d.AllocPages(3)
 	_ = d.WriteBytes(p, make([]byte, 700))
 	d.CorruptPage(p + 1)
-	if _, err := d.ReadBytes(p+1, d.PageSize(), ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(p+1, d.PageSize(), ClassLight, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt read: %v", err)
 	}
-	if _, err := d.ReadBytes(p, 700, ClassLight); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadBytes(p, 700, ClassLight, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt extent read: %v", err)
 	}
 	if err := d.ReadExtent(p, 3, ClassLight); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt ReadExtent: %v", err)
 	}
 	d.HealPage(p + 1)
-	if _, err := d.ReadBytes(p, 700, ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, 700, ClassLight, nil); err != nil {
 		t.Fatalf("healed read: %v", err)
 	}
 	// Other pages unaffected while corrupt.
 	d.CorruptPage(p + 2)
-	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight); err != nil {
+	if _, err := d.ReadBytes(p, d.PageSize(), ClassLight, nil); err != nil {
 		t.Fatalf("unrelated page: %v", err)
 	}
 }
@@ -276,7 +276,7 @@ func TestPropBytesRoundTripAnySize(t *testing.T) {
 		if err := d.WriteBytes(start, data); err != nil {
 			return false
 		}
-		got, err := d.ReadBytes(start, n, ClassLight)
+		got, err := d.ReadBytes(start, n, ClassLight, nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

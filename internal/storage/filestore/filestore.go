@@ -101,18 +101,15 @@ func (s *Store) Mapped() bool {
 	return s.mm != nil
 }
 
-// ReadPages fills dst with n consecutive pages starting at start — one
-// memcpy out of the mmap window when it covers the range, one pread
-// otherwise. This is the vectored path: however many pages the Disk
-// coalesced, the media sees one operation.
+// ReadPages fills dst from n consecutive pages starting at start, at
+// most n pages' worth of bytes — one memcpy out of the mmap window when
+// it covers the range, one pread otherwise. This is the vectored path:
+// however many pages the Disk coalesced, the media sees one operation.
 func (s *Store) ReadPages(start storage.PageID, n int, dst []byte) error {
 	if n <= 0 {
 		return nil
 	}
-	want := n * s.pageSize
-	if len(dst) < want {
-		return fmt.Errorf("filestore: read [%d,+%d): dst holds %d bytes, want %d", start, n, len(dst), want)
-	}
+	want := min(len(dst), n*s.pageSize)
 	if start < 0 {
 		return fmt.Errorf("filestore: read [%d,+%d): negative page", start, n)
 	}

@@ -158,7 +158,7 @@ func TestCoalescedReadsAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				id := base + PageID((g+i)%pages)
-				p, err := d.ReadBytes(id, d.PageSize(), ClassLight)
+				p, err := d.ReadBytes(id, d.PageSize(), ClassLight, nil)
 				if err != nil || p[0] != byte((g+i)%pages) {
 					failures.Add(1)
 					return
@@ -191,7 +191,7 @@ func TestCoalescedReadsSequentialZero(t *testing.T) {
 	defer d.SetCacheSize(0)
 	d.ResetStats()
 	for i := 0; i < 40; i++ {
-		if _, err := d.ReadBytes(base+PageID(i%4), d.PageSize(), ClassLight); err != nil {
+		if _, err := d.ReadBytes(base+PageID(i%4), d.PageSize(), ClassLight, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,14 +218,14 @@ func TestCoalescedReadsClientAttribution(t *testing.T) {
 
 	leader := d.NewClient()
 	follower := d.NewClient()
-	if _, err := leader.ReadBytes(base, d.PageSize(), ClassLight); err != nil {
+	if _, err := leader.ReadBytes(base, d.PageSize(), ClassLight, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := leader.Stats(); st.Reads != 1 || st.CoalescedReads != 0 {
 		t.Fatalf("leader stats: %+v", st)
 	}
 	// The page is pooled now; the follower hits the pool, no coalesce.
-	if _, err := follower.ReadBytes(base, d.PageSize(), ClassLight); err != nil {
+	if _, err := follower.ReadBytes(base, d.PageSize(), ClassLight, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := follower.Stats(); st.PoolLightHits != 1 || st.CoalescedReads != 0 {
@@ -261,7 +261,7 @@ func TestCoalescedFollowerSurvivesLeaderCancel(t *testing.T) {
 	d.breaker.mu.Lock() // park the leader's miss read on the breaker
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := leader.ReadBytes(base, 256, ClassLight)
+		_, err := leader.ReadBytes(base, 256, ClassLight, nil)
 		leaderErr <- err
 	}()
 	waitFor(t, func() bool { return d.Stats().PoolLightMisses == 1 })
@@ -270,7 +270,7 @@ func TestCoalescedFollowerSurvivesLeaderCancel(t *testing.T) {
 	var page []byte
 	go func() {
 		var err error
-		page, err = follower.ReadBytes(base, 256, ClassLight)
+		page, err = follower.ReadBytes(base, 256, ClassLight, nil)
 		followerErr <- err
 	}()
 	waitFor(t, func() bool { return d.Stats().PoolLightMisses == 2 })

@@ -20,11 +20,11 @@ var gateShapes = []struct {
 	{"bytes1", false, readOnePageEach},
 	{"poolmiss", true, readOnePageEach},
 	{"bytes3", false, func(c *Client, base PageID) []error {
-		_, err := c.ReadBytes(base, 3*gatePageSize, ClassLight)
+		_, err := c.ReadBytes(base, 3*gatePageSize, ClassLight, nil)
 		return []error{err}
 	}},
 	{"poolbytes3", true, func(c *Client, base PageID) []error {
-		_, err := c.ReadBytes(base, 3*gatePageSize, ClassLight)
+		_, err := c.ReadBytes(base, 3*gatePageSize, ClassLight, nil)
 		return []error{err}
 	}},
 	{"extent3", false, func(c *Client, base PageID) []error {
@@ -38,7 +38,7 @@ const gatePageSize = 256
 func readOnePageEach(c *Client, base PageID) []error {
 	var errs []error
 	for i := 0; i < 3; i++ {
-		_, err := c.ReadBytes(base+PageID(i), gatePageSize, ClassLight)
+		_, err := c.ReadBytes(base+PageID(i), gatePageSize, ClassLight, nil)
 		errs = append(errs, err)
 	}
 	return errs
@@ -192,9 +192,9 @@ var gateWant = map[string]string{
 	"bytes3/permanenttrips/first":      "reads=[corrupt(page=5,q=false,tripped=false)] stats={Reads=3 Seeks=1 LightReads=3 Retries=3 SimTime=46ms} breaker={Trips=1 OpenRegions=1}",
 	"bytes3/permanenttrips/middle":     "reads=[corrupt(page=6,q=false,tripped=false)] stats={Reads=3 Seeks=1 LightReads=3 Retries=3 SimTime=46ms} breaker={Trips=1 OpenRegions=1}",
 	"bytes3/permanenttrips/last":       "reads=[corrupt(page=7,q=false,tripped=false)] stats={Reads=3 Seeks=1 LightReads=3 Retries=3 SimTime=46ms} breaker={Trips=1 OpenRegions=1}",
-	"poolbytes3/quarantined/first":     "reads=[corrupt(page=5,q=true,tripped=false)] stats={PoolLightMisses=1} breaker={}",
-	"poolbytes3/quarantined/middle":    "reads=[corrupt(page=6,q=true,tripped=false)] stats={Reads=1 Seeks=1 LightReads=1 SimTime=11ms PoolLightMisses=2} breaker={}",
-	"poolbytes3/quarantined/last":      "reads=[corrupt(page=7,q=true,tripped=false)] stats={Reads=2 Seeks=1 LightReads=2 SimTime=12ms PoolLightMisses=3} breaker={}",
+	"poolbytes3/quarantined/first":     "reads=[corrupt(page=5,q=true,tripped=false)] stats={} breaker={}",
+	"poolbytes3/quarantined/middle":    "reads=[corrupt(page=6,q=true,tripped=false)] stats={} breaker={}",
+	"poolbytes3/quarantined/last":      "reads=[corrupt(page=7,q=true,tripped=false)] stats={} breaker={}",
 	"poolbytes3/breaker/first":         "reads=[corrupt(page=5,q=false,tripped=true)] stats={PoolLightMisses=1} breaker={Rejections=1 OpenRegions=1}",
 	"poolbytes3/breaker/middle":        "reads=[corrupt(page=6,q=false,tripped=true)] stats={Reads=1 Seeks=1 LightReads=1 SimTime=11ms PoolLightMisses=2} breaker={Rejections=1 OpenRegions=1}",
 	"poolbytes3/breaker/last":          "reads=[corrupt(page=7,q=false,tripped=true)] stats={Reads=2 Seeks=1 LightReads=2 SimTime=12ms PoolLightMisses=3} breaker={Rejections=1 OpenRegions=1}",
@@ -259,7 +259,7 @@ func TestPeekBytes(t *testing.T) {
 		t.Fatalf("peeks charged %+v", after.Sub(before))
 	}
 	d.ClearFaults()
-	want, err := d.ReadBytes(base, len(data), ClassLight)
+	want, err := d.ReadBytes(base, len(data), ClassLight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,17 +32,16 @@ func NewMemBackend(pageSize int) *MemBackend {
 // PageSize returns the page size in bytes.
 func (b *MemBackend) PageSize() int { return b.pageSize }
 
-// ReadPages fills dst with n consecutive pages starting at start.
+// ReadPages fills dst from n consecutive pages starting at start, at
+// most n pages' worth of bytes.
 func (b *MemBackend) ReadPages(start PageID, n int, dst []byte) error {
 	if n <= 0 {
 		return nil
 	}
-	if want := n * b.pageSize; len(dst) < want {
-		return fmt.Errorf("storage: mem read [%d,+%d): dst holds %d bytes, want %d", start, n, len(dst), want)
-	}
+	want := min(len(dst), n*b.pageSize)
 	b.mu.RLock()
-	for i := 0; i < n; i++ {
-		out := dst[i*b.pageSize : (i+1)*b.pageSize]
+	for i := 0; i*b.pageSize < want; i++ {
+		out := dst[i*b.pageSize : min((i+1)*b.pageSize, want)]
 		if p, ok := b.data[start+PageID(i)]; ok {
 			copy(out, p)
 		} else {

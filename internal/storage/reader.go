@@ -10,8 +10,15 @@ type Reader interface {
 	// sequential run of the given class (unless served by the buffer
 	// pool). A pool-served single-page extent is the frame itself
 	// (capacity capped at length), shared with every other reader: the
-	// returned slice is read-only and must never be written.
-	ReadBytes(start PageID, length int, class Class) ([]byte, error)
+	// returned slice is read-only and must never be written, and buf is
+	// left untouched. Any other extent is read into buf, a buffer the
+	// caller owns, when its capacity holds length bytes; a nil or
+	// too-small buf is not written, and the extent lands in a fresh
+	// buffer instead. The caller keeps its own handle on buf and never
+	// adopts the result in its place, since that may be a pool frame. A
+	// caller that keeps a view over the result past its own next read
+	// into buf must pass nil.
+	ReadBytes(start PageID, length int, class Class, buf []byte) ([]byte, error)
 	// ReadExtent charges n sequential page reads without materializing
 	// data.
 	ReadExtent(start PageID, n int, class Class) error

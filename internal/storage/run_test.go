@@ -209,7 +209,7 @@ func TestImageReopenedDiskUsable(t *testing.T) {
 	d := imageFixture(t)
 	got := reopen(t, runOf(t, d, 0))
 	// Reads charge normally; allocation continues past the image.
-	if _, err := got.ReadBytes(0, got.PageSize(), ClassLight); err != nil {
+	if _, err := got.ReadBytes(0, got.PageSize(), ClassLight, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats().Reads != 1 {

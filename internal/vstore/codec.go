@@ -421,18 +421,18 @@ func (w *heapWriter) flush(d *storage.Disk) (storage.PageID, int64, error) {
 }
 
 // readHeapUnit fetches one unit (heap-relative byte offset, exact length)
-// through r, charged as one short sequential light run starting at the
+// through r into b, charged as one short sequential light run starting at the
 // unit's first page. The simulated transfer cost is therefore paid on
 // *encoded* bytes: a 40-byte unit costs one page, not one fixed slot per
 // entry fan-out.
-func readHeapUnit(r storage.Reader, base storage.PageID, heapBytes int64, ref heapRef) ([]byte, error) {
+func readHeapUnit(r storage.Reader, base storage.PageID, heapBytes int64, ref heapRef, b *readBuf) ([]byte, error) {
 	if ref.off < 0 || ref.n < int32(codecMinUnitBytes) || ref.off+int64(ref.n) > heapBytes {
 		return nil, codecErrf("heap unit [%d,%d) outside heap (%d bytes)", ref.off, ref.off+int64(ref.n), heapBytes)
 	}
 	psz := int64(r.PageSize())
 	page := base + storage.PageID(ref.off/psz)
 	skip := int(ref.off % psz)
-	buf, err := r.ReadBytes(page, skip+int(ref.n), storage.ClassLight)
+	buf, err := b.read(r, page, skip+int(ref.n))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -228,40 +229,64 @@ func buildBothLayouts(t *testing.T, vis *core.VisData) (d *storage.Disk, raw, co
 
 // TestViewCopiesLayoutNotCursor checks every scheme's View field by
 // field: a view shares all of the layout, charges its own client, and
-// starts with an empty cursor and empty flip tables even when the base
-// store has flipped — View must not read the cursor, which a concurrent
-// query may be moving.
+// starts with an empty cursor, empty flip tables and no read buffer even
+// when the base store has flipped and read — View must not read the
+// cursor, which a concurrent query may be moving, and the read buffer is
+// cursor state: a view that shared the base's would overwrite bytes the
+// base is decoding.
 func TestViewCopiesLayoutNotCursor(t *testing.T) {
 	vis := dyadicVisData(t, 60, 4, 4, 0.25, 3)
 	d, raw, codec := buildBothLayouts(t, vis)
 	c := d.NewClient()
 	for _, s := range append(raw[:], codec[:]...) {
-		if err := s.SetCell(3); err != nil {
-			t.Fatal(err)
+		readAll := func(s core.VStore) {
+			if err := s.SetCell(3); err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < vis.NumNodes; id++ {
+				if _, _, err := s.NodeVD(core.NodeID(id), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		readAll(s)
 		view := s.(core.VStoreViewer).View(c)
 		var want, got any
+		var baseBuf, viewBuf *readBuf
 		switch b := s.(type) {
 		case *Horizontal:
 			w := *b
-			w.io, w.cur, w.hasCell = c, 0, false
+			w.io, w.cur, w.hasCell, w.rbuf = c, 0, false, nil
 			want, got = w, *view.(*Horizontal)
+			baseBuf, viewBuf = &b.rbuf, &view.(*Horizontal).rbuf
 		case *Vertical:
 			w := *b
-			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
+			w.io, w.cur, w.hasCell, w.flips, w.rbuf = c, 0, false, 0, nil
 			w.table, w.spare = cellTable{}, cellTable{}
 			want, got = w, *view.(*Vertical)
+			baseBuf, viewBuf = &b.rbuf, &view.(*Vertical).rbuf
 		case *IndexedVertical:
 			w := *b
-			w.io, w.cur, w.hasCell, w.flips = c, 0, false, 0
+			w.io, w.cur, w.hasCell, w.flips, w.rbuf = c, 0, false, 0, nil
 			w.table, w.spare = cellTable{}, cellTable{}
 			want, got = w, *view.(*IndexedVertical)
+			baseBuf, viewBuf = &b.rbuf, &view.(*IndexedVertical).rbuf
 		default:
 			t.Fatalf("unexpected scheme %T", s)
 		}
+		name := fmt.Sprintf("%s (codec %v)", s.Name(), s.(interface{ Codec() bool }).Codec())
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s (codec %v): view differs from the base layout with an empty cursor",
-				s.Name(), s.(interface{ Codec() bool }).Codec())
+			t.Errorf("%s: view differs from the base layout with an empty cursor and no read buffer", name)
+		}
+		if cap(*baseBuf) == 0 {
+			t.Fatalf("%s: the base scheme read without its read buffer; the check saw nothing", name)
+		}
+		readAll(view)
+		if cap(*viewBuf) == 0 {
+			t.Fatalf("%s: the view read without its read buffer", name)
+		}
+		if &(*baseBuf)[:1][0] == &(*viewBuf)[:1][0] {
+			t.Errorf("%s: the view reads into the base scheme's buffer", name)
 		}
 	}
 }

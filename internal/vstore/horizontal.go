@@ -25,6 +25,7 @@ type Horizontal struct {
 	vpageBytes int
 	cur        cells.CellID
 	hasCell    bool
+	rbuf       readBuf // where V-page reads land
 	sizeBytes  int64
 
 	// Codec layout (DESIGN.md §13): variable-length units packed into a
@@ -208,9 +209,9 @@ func (h *Horizontal) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, bool, err
 		if ref.n == 0 {
 			return dst, false, nil
 		}
-		buf, err = readHeapUnit(h.io, h.heapBase, h.heapBytes, ref)
+		buf, err = readHeapUnit(h.io, h.heapBase, h.heapBytes, ref, &h.rbuf)
 	} else {
-		buf, err = h.slots.read(h.io, slot, storage.ClassLight)
+		buf, err = h.slots.read(h.io, slot, &h.rbuf)
 	}
 	if err != nil {
 		return nil, false, err

@@ -37,8 +37,9 @@ type IndexedVertical struct {
 	// table holds the flipped cell's V-page locations (slots, or codec
 	// heap references); spare is filled by the next flip and swapped in
 	// only once it decodes, so a failed flip leaves the current cell
-	// intact.
+	// intact. rbuf is where flips and V-page reads land.
 	table, spare cellTable
+	rbuf         readBuf
 	flips        int64
 	size         int64
 
@@ -234,7 +235,7 @@ func (iv *IndexedVertical) SetCell(cell cells.CellID) error {
 	if desc.start == storage.NilPage || desc.count <= 0 {
 		iv.spare.reset(iv.numNodes)
 	} else {
-		buf, err := iv.io.ReadBytes(desc.start, segEntryBytes*int(desc.count), storage.ClassLight)
+		buf, err := iv.rbuf.read(iv.io, desc.start, segEntryBytes*int(desc.count))
 		if err != nil {
 			return err
 		}
@@ -262,7 +263,7 @@ func (iv *IndexedVertical) setCellCodec(cell cells.CellID) error {
 	if desc.off == nilSlot {
 		iv.spare.reset(iv.numNodes)
 	} else {
-		buf, err := readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: desc.off, n: desc.segLen})
+		buf, err := readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: desc.off, n: desc.segLen}, &iv.rbuf)
 		if err != nil {
 			return err
 		}
@@ -289,9 +290,9 @@ func (iv *IndexedVertical) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, boo
 	var buf []byte
 	var err error
 	if iv.codec {
-		buf, err = readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: loc.at, n: loc.n})
+		buf, err = readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: loc.at, n: loc.n}, &iv.rbuf)
 	} else {
-		buf, err = iv.slots.read(iv.io, loc.at, storage.ClassLight)
+		buf, err = iv.slots.read(iv.io, loc.at, &iv.rbuf)
 	}
 	if err != nil {
 		return nil, false, err

@@ -35,7 +35,9 @@ type Vertical struct {
 	// table holds the flipped cell's V-page locations (slots, or codec
 	// heap offsets); spare is filled by the next flip and swapped in only
 	// once it decodes, so a failed flip leaves the current cell intact.
+	// rbuf is where flips and V-page reads land.
 	table, spare cellTable
+	rbuf         readBuf
 	flips        int64
 	size         int64
 
@@ -236,7 +238,7 @@ func (v *Vertical) SetCell(cell cells.CellID) error {
 	if v.codec {
 		return v.setCellCodec(cell)
 	}
-	buf, err := v.io.ReadBytes(v.segPage(cell), pointerBytes*v.numNodes, storage.ClassLight)
+	buf, err := v.rbuf.read(v.io, v.segPage(cell), pointerBytes*v.numNodes)
 	if err != nil {
 		return err
 	}
@@ -266,7 +268,7 @@ func (v *Vertical) setCellCodec(cell cells.CellID) error {
 		v.flipTo(cell)
 		return nil
 	}
-	buf, err := readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: desc.off, n: desc.segLen})
+	buf, err := readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: desc.off, n: desc.segLen}, &v.rbuf)
 	if err != nil {
 		return err
 	}
@@ -293,9 +295,9 @@ func (v *Vertical) NodeVD(id core.NodeID, dst []core.VD) ([]core.VD, bool, error
 	var buf []byte
 	var err error
 	if v.codec {
-		buf, err = readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: loc.at, n: loc.n})
+		buf, err = readHeapUnit(v.io, v.heapBase, v.heapBytes, heapRef{off: loc.at, n: loc.n}, &v.rbuf)
 	} else {
-		buf, err = v.slots.read(v.io, loc.at, storage.ClassLight)
+		buf, err = v.slots.read(v.io, loc.at, &v.rbuf)
 	}
 	if err != nil {
 		return nil, false, err

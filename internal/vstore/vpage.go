@@ -176,15 +176,29 @@ func (t slotTable) write(d *storage.Disk, i int64, buf []byte) error {
 }
 
 // read fetches slot i through r (the building disk, or a session's
-// client), charging one page read of the given class.
-func (t slotTable) read(r storage.Reader, i int64, class storage.Class) ([]byte, error) {
+// client) into b, charging one light page read.
+func (t slotTable) read(r storage.Reader, i int64, b *readBuf) ([]byte, error) {
 	if i < 0 || i >= int64(t.count) {
 		return nil, fmt.Errorf("vstore: slot %d out of range (%d)", i, t.count)
 	}
-	page, err := r.ReadBytes(t.page(i), r.PageSize(), class)
+	page, err := b.read(r, t.page(i), r.PageSize())
 	if err != nil {
 		return nil, err
 	}
 	off := t.offset(i)
 	return page[off : off+t.slotBytes : off+t.slotBytes], nil
+}
+
+// readBuf is a scheme's one read buffer. Its flip-segment, slot-page and
+// codec heap-unit reads all land in it and are decoded at once, before
+// the scheme reads again, so no view over it outlives the call that read
+// it. Like the cell cursor it belongs to one scheme value: a View starts
+// with its own.
+type readBuf []byte
+
+// read reads length bytes from page start through r, charged light, into
+// b. A pool frame is served in place and leaves b as it was.
+func (b *readBuf) read(r storage.Reader, start storage.PageID, length int) ([]byte, error) {
+	*b = slices.Grow((*b)[:0], length)
+	return r.ReadBytes(start, length, storage.ClassLight, *b)
 }

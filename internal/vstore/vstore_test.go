@@ -129,8 +129,9 @@ func TestSlotTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var rb readBuf
 	for i := int64(0); i < 10; i++ {
-		got, err := tbl.read(d, i, storage.ClassLight)
+		got, err := tbl.read(d, i, &rb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestSlotTable(t *testing.T) {
 	if err := tbl.write(d, 0, make([]byte, 65)); err == nil {
 		t.Fatal("oversized slot write accepted")
 	}
-	if _, err := tbl.read(d, 10, storage.ClassLight); err == nil {
+	if _, err := tbl.read(d, 10, &rb); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
 	// Oversized slot requests degrade to one slot per page; the schemes
