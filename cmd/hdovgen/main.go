@@ -72,17 +72,17 @@ func main() {
 	// simulated disk, for the footprint report only: the saved image
 	// holds just the indexed-vertical layout it serves.
 	report := storage.NewDisk(d.PageSize(), storage.DefaultCostModel())
-	h, err := vstore.BuildHorizontal(report, vis, 0)
+	h, err := vstore.Build(report, vis, vstore.SchemeHorizontal, vstore.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)
 		os.Exit(1)
 	}
-	v, err := vstore.BuildVertical(report, vis, 0)
+	v, err := vstore.Build(report, vis, vstore.SchemeVertical, vstore.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)
 		os.Exit(1)
 	}
-	iv, err := vstore.BuildIndexedVertical(d, vis, 0)
+	iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdovgen:", err)
 		os.Exit(1)

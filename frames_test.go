@@ -13,8 +13,7 @@ import (
 // extent), so no read path may write into the slice it is served.
 // Every resident frame is checksummed, every public read and an Update
 // run, and then every frame held from before — resident or evicted
-// since — and every page still resident must hold the same bytes. Heavy pages are admitted too, so LoadMesh and Fetch payloads
-// are served from frames as well.
+// since — and every page still resident must hold the same bytes.
 func TestPoolFramesNeverWritten(t *testing.T) {
 	for _, codec := range []bool{false, true} {
 		name := "raw"
@@ -29,7 +28,7 @@ func TestPoolFramesNeverWritten(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			db.disk.ConfigurePool(storage.PoolConfig{Pages: 1 << 14, AdmitHeavy: true})
+			db.disk.SetCacheSize(1 << 14)
 
 			center := db.CellOf(centerPoint(db))
 			readAll := func() error {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
+	"repro/internal/vstore"
 )
 
 // The baseline reference tracks *simulated* query cost, not wall-clock
@@ -26,7 +26,7 @@ var schemeNames = []string{"horizontal", "vertical", "indexed-vertical"}
 // namedStore is one storage scheme of an Env.
 type namedStore struct {
 	name  string
-	store core.VStore
+	store vstore.Layout
 }
 
 // schemeStores returns e's three schemes in report order.

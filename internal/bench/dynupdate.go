@@ -108,14 +108,13 @@ func genDynOps(seed int64, sc *scene.Scene, n int) []scene.Op {
 // dynSchemes lays the three raw-layout schemes over vis on d — the
 // per-epoch republish work DB.Update performs — and returns the
 // indexed-vertical store for the tree to answer from.
-func dynSchemes(d *storage.Disk, vis *core.VisData) (*vstore.IndexedVertical, error) {
-	if _, err := vstore.BuildHorizontalOpts(d, vis, vstore.Options{}); err != nil {
-		return nil, err
+func dynSchemes(d *storage.Disk, vis *core.VisData) (vstore.Layout, error) {
+	for _, s := range []vstore.Scheme{vstore.SchemeHorizontal, vstore.SchemeVertical} {
+		if _, err := vstore.Build(d, vis, s, vstore.Options{}); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := vstore.BuildVerticalOpts(d, vis, vstore.Options{}); err != nil {
-		return nil, err
-	}
-	return vstore.BuildIndexedVerticalOpts(d, vis, vstore.Options{})
+	return vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 }
 
 // dynRebuildPages prices the alternative to incremental maintenance:

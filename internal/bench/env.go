@@ -90,9 +90,9 @@ type Env struct {
 	Disk   *storage.Disk
 	Tree   *core.Tree
 	Vis    *core.VisData
-	H      *vstore.Horizontal
-	V      *vstore.Vertical
-	IV     *vstore.IndexedVertical
+	H      vstore.Layout
+	V      vstore.Layout
+	IV     vstore.Layout
 	Naive  *naive.Store
 	Engine *visibility.Engine
 }
@@ -152,15 +152,15 @@ func buildEnvOn(p Params, blocks int, gridCells int, nominal int64, d *storage.D
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	h, err := vstore.BuildHorizontal(d, vis, 0)
+	h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	v, err := vstore.BuildVertical(d, vis, 0)
+	v, err := vstore.Build(d, vis, vstore.SchemeVertical, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	iv, err := vstore.BuildIndexedVertical(d, vis, 0)
+	iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cells"
-	"repro/internal/core"
+	"repro/internal/vstore"
 )
 
 // RunTable2 reproduces Table 2: the storage space of the three schemes.
@@ -50,7 +50,7 @@ type sweepResult struct {
 // runHDoVSweep measures the HDoV-tree under one scheme for each eta,
 // including payload retrieval ("the loading time of these objects"), which
 // is what makes Figure 7 fall with eta.
-func runHDoVSweep(e *Env, scheme core.VStore, etas []float64, workload []cells.CellID) ([]sweepResult, error) {
+func runHDoVSweep(e *Env, scheme vstore.Layout, etas []float64, workload []cells.CellID) ([]sweepResult, error) {
 	e.Tree.SetVStore(scheme)
 	out := make([]sweepResult, len(etas))
 	for i, eta := range etas {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cells"
-	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/storage/filestore"
 	"repro/internal/vstore"
@@ -138,7 +137,7 @@ func calibrateFileBackend(dir string) (storage.CostModel, error) {
 // hwPass runs the standard uncached workload once against one store on
 // the file-backed env and reports per-query light reads, fitted-simulated
 // time, and measured wall-clock.
-func hwPass(e *Env, store core.VStore, ws []cells.CellID, queries int) (hwCost, error) {
+func hwPass(e *Env, store vstore.Layout, ws []cells.CellID, queries int) (hwCost, error) {
 	e.Tree.SetVStore(store)
 	defer e.Tree.SetVStore(e.IV)
 	s := e.Tree.Session()
@@ -162,7 +161,7 @@ func hwPass(e *Env, store core.VStore, ws []cells.CellID, queries int) (hwCost, 
 // fastest measured pass — the usual minimum-of-N defense against
 // scheduler noise. Simulated costs are deterministic, so the first
 // pass's suffice.
-func hwLegs(e *Env, ws []cells.CellID, queries int, stores ...core.VStore) ([]hwCost, error) {
+func hwLegs(e *Env, ws []cells.CellID, queries int, stores ...vstore.Layout) ([]hwCost, error) {
 	out := make([]hwCost, len(stores))
 	for rep := 0; rep < hwMeasureReps; rep++ {
 		for i, store := range stores {
@@ -238,7 +237,7 @@ func collectHWCalib(p Params) (*Reference, error) {
 
 	// Codec leg: the compressed V-page layout on the same disk against
 	// the raw indexed-vertical one, in interleaved pairs.
-	ivCodec, err := vstore.BuildIndexedVerticalOpts(e.Disk, e.Vis, vstore.Options{Codec: true})
+	ivCodec, err := vstore.Build(e.Disk, e.Vis, vstore.SchemeIndexedVertical, vstore.Options{Codec: true})
 	if err != nil {
 		return nil, fmt.Errorf("bench: hwcalib codec build: %w", err)
 	}

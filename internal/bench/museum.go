@@ -44,15 +44,15 @@ func buildMuseumEnv(p Params) *Env {
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	h, err := vstore.BuildHorizontal(d, vis, 0)
+	h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	v, err := vstore.BuildVertical(d, vis, 0)
+	v, err := vstore.Build(d, vis, vstore.SchemeVertical, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	iv, err := vstore.BuildIndexedVertical(d, vis, 0)
+	iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}

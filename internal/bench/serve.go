@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/core"
+	"repro/internal/vstore"
 )
 
 // The serve experiment measures the concurrent-serving regime the paper's
@@ -197,7 +198,7 @@ func RunServe(w io.Writer, p Params) error {
 // uncached workload — the deterministic quantity the regression guard
 // tracks (wall-clock throughput depends on the host; simulated cost does
 // not).
-func queryCost(e *Env, store core.VStore, ws []cells.CellID, queries int, eta float64) (simMicros, lightIO float64, err error) {
+func queryCost(e *Env, store vstore.Layout, ws []cells.CellID, queries int, eta float64) (simMicros, lightIO float64, err error) {
 	e.Tree.SetVStore(store)
 	defer e.Tree.SetVStore(e.IV)
 	s := e.Tree.Session()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/vstore"
 )
 
@@ -31,21 +30,16 @@ const (
 // over the same VisData on the same disk, in report order. The
 // build-time dyadic DoV snapping (core.Build) guarantees they answer
 // byte-identically to e.H/e.V/e.IV.
-func codecStores(e *Env) ([]core.VStore, error) {
-	opts := vstore.Options{Codec: true}
-	h, err := vstore.BuildHorizontalOpts(e.Disk, e.Vis, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: codec horizontal: %w", err)
+func codecStores(e *Env) ([]vstore.Layout, error) {
+	var out []vstore.Layout
+	for _, s := range []vstore.Scheme{vstore.SchemeHorizontal, vstore.SchemeVertical, vstore.SchemeIndexedVertical} {
+		l, err := vstore.Build(e.Disk, e.Vis, s, vstore.Options{Codec: true})
+		if err != nil {
+			return nil, fmt.Errorf("bench: codec %v: %w", s, err)
+		}
+		out = append(out, l)
 	}
-	v, err := vstore.BuildVerticalOpts(e.Disk, e.Vis, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: codec vertical: %w", err)
-	}
-	iv, err := vstore.BuildIndexedVerticalOpts(e.Disk, e.Vis, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench: codec indexed-vertical: %w", err)
-	}
-	return []core.VStore{h, v, iv}, nil
+	return out, nil
 }
 
 // recordCodecLeg profiles one layout into r under prefix: the static
@@ -54,8 +48,8 @@ func codecStores(e *Env) ([]core.VStore, error) {
 // simulated light-I/O cost (seek + transfer) and light page reads per
 // query of the standard uncached workload. It returns bytes per V-page
 // and cost per query, the two figures the reductions compare.
-func recordCodecLeg(r *Reference, prefix string, e *Env, store core.VStore, queries int) (bytesPer, sim float64, err error) {
-	units, bytes := store.(interface{ VPageFootprint() (units, bytes int64) }).VPageFootprint()
+func recordCodecLeg(r *Reference, prefix string, e *Env, store vstore.Layout, queries int) (bytesPer, sim float64, err error) {
+	units, bytes := store.VPageFootprint()
 	if units > 0 {
 		bytesPer = float64(bytes) / float64(units)
 	}

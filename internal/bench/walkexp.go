@@ -372,7 +372,8 @@ func RunAblations(w io.Writer, p Params) error {
 		"vertical":         8 * float64(e.Tree.NumNodes()),
 		"indexed-vertical": 12 * avgVnode,
 	}
-	for _, sc := range []core.VStore{e.V, e.IV} {
+	for _, l := range []vstore.Layout{e.V, e.IV} {
+		sc := l.View(e.Disk.NewClient())
 		before := e.Disk.Stats()
 		flips := 0
 		for c := 0; c < e.Tree.Grid.NumCells(); c++ {
@@ -496,8 +497,8 @@ func storageNew() *storage.Disk {
 	return storage.NewDisk(0, storage.DefaultCostModel())
 }
 
-func buildIndexed(d *storage.Disk, vis *core.VisData) (core.VStore, error) {
-	return vstore.BuildIndexedVertical(d, vis, 0)
+func buildIndexed(d *storage.Disk, vis *core.VisData) (vstore.Layout, error) {
+	return vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 }
 
 // inViewPrefixMass scores how early in-view items appear in an answer.

@@ -38,8 +38,6 @@ type BuildParams struct {
 	// SamplesPerCell is the per-axis sample density for the region-DoV
 	// maximum of equation 2 (n of cells.SamplePoints).
 	SamplesPerCell int
-	// VPageBytes is the fixed V-page size (§4.1). Zero: one disk page.
-	VPageBytes int
 	// Workers bounds precompute parallelism (0: GOMAXPROCS).
 	Workers int
 	// UseItemBuffer selects the cube-map rasterizer (the literal software
@@ -116,7 +114,8 @@ type Tree struct {
 
 	// IO is the accounting handle the tree's query-path reads go through,
 	// so per-query stats stay exact when several sessions share one disk.
-	// Build and OpenTree set it; Session gives each session its own.
+	// Every tree has one: Build, OpenTree and ApplyOps set it, and Session
+	// gives each session its own.
 	IO *storage.Client
 
 	vstore       VStore
@@ -163,8 +162,15 @@ func (t *Tree) Root() *Node { return t.Nodes[0] }
 // NumNodes returns N_node.
 func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
-// SetVStore attaches the storage scheme used by Query.
-func (t *Tree) SetVStore(v VStore) { t.vstore = v }
+// SetVStore attaches the V-page layout Query reads: the tree reads it
+// through a view over its own client, so V-page I/O is charged where the
+// tree measures its queries. A nil layout detaches it.
+func (t *Tree) SetVStore(l VStoreLayout) {
+	t.vstore = nil
+	if l != nil {
+		t.vstore = l.View(t.IO)
+	}
+}
 
 // Build constructs the HDoV-tree over sc on disk d and precomputes the
 // visibility data for every cell of the grid. The returned VisData is then
@@ -521,14 +527,14 @@ func (t *Tree) NodeStride() int { return t.nodeStride }
 // ReadNodeRecord fetches a node record from disk, charging light I/O —
 // the "tree node" component of Figure 8(b) — and returns a view over the
 // bytes where storage served them (ParseNodeRecord): no decode, no copy.
-// buf is the caller's read buffer (storage.Reader.ReadBytes): the view
+// buf is the caller's read buffer (storage.Disk.ReadBytes): the view
 // may lie in it, so a caller that keeps the view past its own next read
 // into buf passes nil.
 func (t *Tree) ReadNodeRecord(id NodeID, buf []byte) (NodeView, error) {
 	if int(id) < 0 || int(id) >= len(t.Nodes) {
 		return NodeView{}, fmt.Errorf("core: node %d out of range", id)
 	}
-	buf, err := t.reader().ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight, buf)
+	buf, err := t.IO.ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight, buf)
 	if err != nil {
 		return NodeView{}, err
 	}

@@ -120,7 +120,7 @@ func (t *Tree) begin(ctx context.Context, eta float64) (travCtx, float64, func()
 	if tc.shed != nil && tc.shed.EtaFactor > 1 {
 		eff = eta * tc.shed.EtaFactor
 	}
-	if t.IO == nil || ctx == bgContext {
+	if ctx == bgContext {
 		return tc, eff, func() {}
 	}
 	t.IO.BindContext(ctx)

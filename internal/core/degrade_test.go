@@ -162,8 +162,9 @@ func TestDegradedCellFlipFault(t *testing.T) {
 
 type corruptFlipVStore struct{}
 
-func (corruptFlipVStore) Name() string     { return "corrupt-flip" }
-func (corruptFlipVStore) SizeBytes() int64 { return 0 }
+func (corruptFlipVStore) Name() string                  { return "corrupt-flip" }
+func (corruptFlipVStore) SizeBytes() int64              { return 0 }
+func (s corruptFlipVStore) View(*storage.Client) VStore { return s }
 func (corruptFlipVStore) SetCell(cells.CellID) error {
 	return &storage.CorruptError{Page: 3}
 }

@@ -24,7 +24,7 @@ import (
 // layout variants (Name() alone reports only the §4 scheme family).
 type diffScheme struct {
 	name string
-	vs   core.VStore
+	vs   vstore.Layout
 }
 
 type diffEnv struct {
@@ -77,15 +77,15 @@ func buildDiffEnv(d *storage.Disk) (*diffEnv, error) {
 	env := &diffEnv{tree: tr, disk: d}
 	for _, codec := range []bool{false, true} {
 		opts := vstore.Options{Codec: codec}
-		h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+		h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, opts)
 		if err != nil {
 			return nil, err
 		}
-		v, err := vstore.BuildVerticalOpts(d, vis, opts)
+		v, err := vstore.Build(d, vis, vstore.SchemeVertical, opts)
 		if err != nil {
 			return nil, err
 		}
-		iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
+		iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -255,4 +255,28 @@ func TestDifferentialDegradations(t *testing.T) {
 	t.Run("concurrent-8", func(t *testing.T) {
 		assertConcurrentAgreement(t, e, ws, ref, 8)
 	})
+}
+
+// TestBaseTreeChargesVPages: a base tree reads its V-page layout through
+// its own client, so a query's reported light I/O is every light page it
+// caused — node records, flips and V-pages — and equals the disk-wide
+// window around it, for all six scheme×codec layouts.
+func TestBaseTreeChargesVPages(t *testing.T) {
+	e := diffFixture(t)
+	defer e.tree.SetVStore(e.schemes[2].vs)
+	for _, s := range e.schemes {
+		e.tree.SetVStore(s.vs)
+		for c := 0; c < e.tree.Grid.NumCells(); c++ {
+			before := e.disk.Stats()
+			res, err := e.tree.Query(cells.CellID(c), 0.001)
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", s.name, c, err)
+			}
+			window := e.disk.Stats().Sub(before)
+			if res.Stats.LightIO != window.LightReads {
+				t.Fatalf("%s cell %d: query reports %d light reads, the disk served %d",
+					s.name, c, res.Stats.LightIO, window.LightReads)
+			}
+		}
+	}
 }

@@ -126,8 +126,9 @@ type shortVStore struct {
 	cur cells.CellID
 }
 
-func (s *shortVStore) Name() string     { return "short" }
-func (s *shortVStore) SizeBytes() int64 { return 0 }
+func (s *shortVStore) Name() string                { return "short" }
+func (s *shortVStore) SizeBytes() int64            { return 0 }
+func (s *shortVStore) View(*storage.Client) VStore { return s }
 func (s *shortVStore) SetCell(c cells.CellID) error {
 	s.cur = c
 	return nil

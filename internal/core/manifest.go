@@ -34,7 +34,11 @@ type BuildManifest struct {
 	InternalLoDRatio     float64
 	DirsPerViewpoint     int
 	SamplesPerCell       int
-	VPageBytes           int
+	// VPageBytes is always 0: the V-page size is recorded in the layout
+	// manifest. The key stays because a saved database's checksum covers
+	// its manifest as re-marshaled on load, so dropping it would fail the
+	// checksum of every database written with it.
+	VPageBytes int
 }
 
 // GridManifest serializes a viewing-cell grid.
@@ -76,7 +80,6 @@ func (t *Tree) Manifest() TreeManifest {
 			InternalLoDRatio:  t.Params.InternalLoDRatio,
 			DirsPerViewpoint:  t.Params.DirsPerViewpoint,
 			SamplesPerCell:    t.Params.SamplesPerCell,
-			VPageBytes:        t.Params.VPageBytes,
 		},
 		Grid:       gridManifest(t.Grid),
 		ObjExtents: t.ObjExtents,
@@ -121,7 +124,6 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 			InternalLoDRatio:  m.Params.InternalLoDRatio,
 			DirsPerViewpoint:  m.Params.DirsPerViewpoint,
 			SamplesPerCell:    m.Params.SamplesPerCell,
-			VPageBytes:        m.Params.VPageBytes,
 		},
 		SMeasured:    m.SMeasured,
 		RhoMeasured:  m.RhoMeasured,

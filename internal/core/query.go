@@ -109,7 +109,7 @@ func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, cohere
 	if tc.scr == nil {
 		tc.scr = &travScratch{}
 	}
-	before := t.statsNow()
+	before := t.IO.Stats()
 	res := t.getResult(cell, eta)
 	full := !coherent || tc.shed != nil
 	if !full {
@@ -126,7 +126,7 @@ func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, cohere
 			}
 			t.cut.stats.Full++
 			res.reset()
-			before = t.statsNow()
+			before = t.IO.Stats()
 			full = true
 		}
 	} else if coherent {
@@ -146,7 +146,7 @@ func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, cohere
 		}
 	}
 	tc.shedMark(res)
-	d := t.statsNow().Sub(before)
+	d := t.IO.Stats().Sub(before)
 	res.Stats.LightIO = d.LightReads
 	res.Stats.HeavyIO = d.HeavyReads
 	res.Stats.Retries = d.Retries
@@ -420,7 +420,7 @@ func (t *Tree) FetchPayloadsContext(ctx context.Context, res *QueryResult, skip 
 			continue
 		}
 		ext := it.Extent
-		err := t.reader().ReadExtent(ext.Start, ext.Pages(t.Disk), storage.ClassHeavy)
+		err := t.IO.ReadExtent(ext.Start, ext.Pages(t.Disk), storage.ClassHeavy)
 		if err == nil {
 			fetched++
 			continue
@@ -465,7 +465,7 @@ func (t *Tree) degradePayload(res *QueryResult, i int) (int, bool) {
 	lvl, ok := t.pickReadableLevel(len(refs), func(l int) Extent { return refs[l] }, it.Level+1)
 	if ok {
 		ext := refs[lvl]
-		if err := t.reader().ReadExtent(ext.Start, ext.Pages(t.Disk), storage.ClassHeavy); err == nil {
+		if err := t.IO.ReadExtent(ext.Start, ext.Pages(t.Disk), storage.ClassHeavy); err == nil {
 			res.Items[i].Level = lvl
 			res.Items[i].Extent = ext
 			if lvl < len(polys) {
@@ -492,7 +492,7 @@ func (t *Tree) degradePayload(res *QueryResult, i int) (int, bool) {
 // bytes prefix of its extent), charging heavy I/O for the full nominal
 // extent. Examples and the fidelity renderer use this.
 func (t *Tree) LoadMesh(it ResultItem) (*mesh.Mesh, error) {
-	buf, err := t.reader().ReadBytes(it.Extent.Start, int(it.Extent.RealBytes), storage.ClassHeavy, nil)
+	buf, err := t.IO.ReadBytes(it.Extent.Start, int(it.Extent.RealBytes), storage.ClassHeavy, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // memVStore serves VD straight from a VisData field with no I/O — it
@@ -17,8 +18,9 @@ type memVStore struct {
 	cur cells.CellID
 }
 
-func (m *memVStore) Name() string     { return "mem" }
-func (m *memVStore) SizeBytes() int64 { return 0 }
+func (m *memVStore) Name() string                { return "mem" }
+func (m *memVStore) SizeBytes() int64            { return 0 }
+func (m *memVStore) View(*storage.Client) VStore { return m }
 func (m *memVStore) SetCell(c cells.CellID) error {
 	m.cur = c
 	return nil

@@ -2,8 +2,6 @@ package core
 
 import (
 	"slices"
-
-	"repro/internal/storage"
 )
 
 // Session support: one built Tree can serve many concurrent query
@@ -28,9 +26,7 @@ func (t *Tree) Session() *Tree {
 	s := *t
 	s.IO = t.Disk.NewClient()
 	if t.vstore != nil {
-		if v, ok := t.vstore.(VStoreViewer); ok {
-			s.vstore = v.View(s.IO)
-		}
+		s.vstore = t.vstore.View(s.IO)
 	}
 	// Frame-coherence state is strictly per-session: a fresh session
 	// starts with no retained cut, an empty result free list and empty
@@ -80,24 +76,4 @@ func (s *travScratch) keepReset(depth int) {
 		s.keep = append(s.keep, nil)
 	}
 	s.keep[depth] = s.keep[depth][:0]
-}
-
-// reader returns the handle query-path reads go through: the session's
-// client when one exists, else the disk itself (identical accounting,
-// minus per-session attribution).
-func (t *Tree) reader() storage.Reader {
-	if t.IO != nil {
-		return t.IO
-	}
-	return t.Disk
-}
-
-// statsNow snapshots the accounting the session's queries are measured
-// against: the client's own counters when one exists, else the global
-// disk counters (exact only while the disk has a single user).
-func (t *Tree) statsNow() storage.Stats {
-	if t.IO != nil {
-		return t.IO.Stats()
-	}
-	return t.Disk.Stats()
 }

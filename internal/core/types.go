@@ -104,9 +104,20 @@ type Node struct {
 	Page storage.PageID
 }
 
-// VStore serves the view-variant V-pages of §4. Implementations are the
-// horizontal, vertical and indexed-vertical schemes (package vstore).
+// VStoreLayout is an immutable V-page layout of §4 (package vstore):
+// built or opened once, it never reads by itself. View returns a reader
+// over it — its own current-cell cursor and read buffer, charging every
+// read to io — so V-page I/O is attributed to the tree or session that
+// issued it (see Tree.SetVStore and Tree.Session).
+type VStoreLayout interface {
+	View(io *storage.Client) VStore
+}
+
+// VStore is a view of a V-page layout: the reader the traversal queries.
+// It is itself a VStoreLayout — View opens a sibling view of the same
+// layout with a fresh cursor.
 type VStore interface {
+	VStoreLayout
 	// Name identifies the scheme in experiment output.
 	Name() string
 	// SetCell makes a viewing cell current, charging whatever "flipping"
@@ -121,14 +132,6 @@ type VStore interface {
 	NodeVD(id NodeID, dst []VD) (vd []VD, ok bool, err error)
 	// SizeBytes is the scheme's total disk footprint — the Table 2 value.
 	SizeBytes() int64
-}
-
-// VStoreViewer is implemented by storage schemes that can produce
-// per-session views: a view shares the scheme's immutable on-disk layout
-// but owns its current-cell cursor and reads through the given client so
-// V-page I/O is attributed to the session (see Tree.Session).
-type VStoreViewer interface {
-	View(io *storage.Client) VStore
 }
 
 // VisData is the precomputed visibility field handed from the build

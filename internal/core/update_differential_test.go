@@ -173,15 +173,15 @@ func updSchemes(d *storage.Disk, vis *core.VisData) ([]diffScheme, error) {
 		if codec {
 			suffix = "+codec"
 		}
-		h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+		h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, opts)
 		if err != nil {
 			return nil, err
 		}
-		v, err := vstore.BuildVerticalOpts(d, vis, opts)
+		v, err := vstore.Build(d, vis, vstore.SchemeVertical, opts)
 		if err != nil {
 			return nil, err
 		}
-		iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
+		iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -457,11 +457,11 @@ func TestUpdateAtomicFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := vstore.BuildIndexedVerticalOpts(d, vis2, vstore.Options{})
+	iv, err := vstore.Build(d, vis2, vstore.SchemeIndexedVertical, vstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	riv, err := vstore.BuildIndexedVerticalOpts(refDisk, refVis, vstore.Options{})
+	riv, err := vstore.Build(refDisk, refVis, vstore.SchemeIndexedVertical, vstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,11 @@ func FuzzUpdateDifferential(f *testing.F) {
 				}
 			}
 		}
-		iv, err := vstore.BuildIndexedVerticalOpts(d, vis, vstore.Options{})
+		iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, vstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		riv, err := vstore.BuildIndexedVerticalOpts(refDisk, refVis, vstore.Options{})
+		riv, err := vstore.Build(refDisk, refVis, vstore.SchemeIndexedVertical, vstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,23 +80,6 @@ func New(t *core.Tree, cfg Config) *System {
 	return &System{T: t, Cfg: cfg}
 }
 
-// reader returns the handle the system's reads go through: the tree's
-// accounting client when present, else the disk.
-func (s *System) reader() storage.Reader {
-	if s.T.IO != nil {
-		return s.T.IO
-	}
-	return s.T.Disk
-}
-
-// stats snapshots the matching accounting counters.
-func (s *System) stats() storage.Stats {
-	if s.T.IO != nil {
-		return s.T.IO.Stats()
-	}
-	return s.T.Disk.Stats()
-}
-
 // Frustum builds the viewing frustum for a pose.
 func (s *System) Frustum(eye, look geom.Vec3) geom.Frustum {
 	return geom.NewFrustum(eye, look, geom.V(0, 0, 1), s.Cfg.FovY, s.Cfg.Aspect, s.Cfg.Near, s.Cfg.Far)
@@ -109,7 +92,7 @@ func (s *System) Frustum(eye, look geom.Vec3) geom.Frustum {
 // falls linearly from 1 at the viewpoint to 0 at QueryBoxDepth — the
 // "ad-hoc and static" LoD policy the introduction criticizes.
 func (s *System) Query(eye, look geom.Vec3) (*core.QueryResult, error) {
-	before := s.stats()
+	before := s.T.IO.Stats()
 	f := s.Frustum(eye, look)
 	boxes := f.QueryBoxes(s.Cfg.Bands, s.Cfg.QueryBoxDepth)
 	res := &core.QueryResult{Cell: -1}
@@ -118,7 +101,7 @@ func (s *System) Query(eye, look geom.Vec3) (*core.QueryResult, error) {
 	if err := s.window(0, boxes, eye, seen, res); err != nil {
 		return nil, err
 	}
-	d := s.stats().Sub(before)
+	d := s.T.IO.Stats().Sub(before)
 	res.Stats.LightIO = d.LightReads
 	res.Stats.HeavyIO = d.HeavyReads
 	res.Stats.SimTime = d.SimTime
@@ -208,7 +191,7 @@ func (s *System) FetchPayloads(res *core.QueryResult, skip func(core.ResultItem)
 		if skip != nil && skip(it) {
 			continue
 		}
-		if err := s.reader().ReadExtent(it.Extent.Start, it.Extent.Pages(s.T.Disk), storage.ClassHeavy); err != nil {
+		if err := s.T.IO.ReadExtent(it.Extent.Start, it.Extent.Pages(s.T.Disk), storage.ClassHeavy); err != nil {
 			return fetched, err
 		}
 		fetched++

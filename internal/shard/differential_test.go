@@ -28,7 +28,7 @@ type fixEnv struct {
 	// scheme; all describe stores laid out on the same disk.
 	man map[bool]map[vstore.Scheme]Manifests
 	// stores[codec][scheme] is the baseline store for SetVStore.
-	stores map[bool]map[vstore.Scheme]core.VStore
+	stores map[bool]map[vstore.Scheme]vstore.Layout
 }
 
 var (
@@ -61,27 +61,27 @@ func fixture(t *testing.T) *fixEnv {
 		env := &fixEnv{
 			sc: sc, disk: d, tree: tr,
 			man:    map[bool]map[vstore.Scheme]Manifests{},
-			stores: map[bool]map[vstore.Scheme]core.VStore{},
+			stores: map[bool]map[vstore.Scheme]vstore.Layout{},
 		}
 		for _, codec := range []bool{false, true} {
 			opts := vstore.Options{Codec: codec}
-			h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+			h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, opts)
 			if err != nil {
 				fixErr = err
 				return
 			}
-			v, err := vstore.BuildVerticalOpts(d, vis, opts)
+			v, err := vstore.Build(d, vis, vstore.SchemeVertical, opts)
 			if err != nil {
 				fixErr = err
 				return
 			}
-			iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
+			iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, opts)
 			if err != nil {
 				fixErr = err
 				return
 			}
 			env.man[codec] = map[vstore.Scheme]Manifests{}
-			env.stores[codec] = map[vstore.Scheme]core.VStore{}
+			env.stores[codec] = map[vstore.Scheme]vstore.Layout{}
 			for _, l := range []vstore.Layout{h, v, iv} {
 				env.man[codec][l.Scheme()] = Manifests{Tree: tr.Manifest(), Layout: l.LayoutManifest()}
 				env.stores[codec][l.Scheme()] = l

@@ -21,6 +21,15 @@ import "sync"
 // breaker behavior is deterministic for a given access sequence — the
 // same property the seeded fault injector and the simulated cost model
 // already guarantee (DESIGN.md §14).
+//
+// Unlike a quarantined page, an open region is not checked up front
+// across a pooled multi-page read: allow is stateful — it counts each
+// rejection toward the cooldown and lets exactly one half-open probe
+// through — so it is asked once per page, as each page's pool miss is
+// read. A breaker-open page later in such an extent therefore fails the
+// read only after the pages before it were charged and pooled; an
+// unpooled read asks every page before charging, and fails with nothing
+// charged.
 
 // BreakerConfig configures the per-region circuit breaker installed by
 // SetBreaker.

@@ -7,13 +7,12 @@ package storage
 // concurrent serving path (DESIGN.md §10) measure what a buffer manager
 // adds.
 //
-// Admission is class-aware: light-class (index) pages — tree nodes,
-// V-pages, V-page-index segments — are always admitted, because they are
-// small, hot, and shared across sessions. Heavy-class (model payload)
-// pages are admitted only when PoolConfig.AdmitHeavy is set; payload
-// residency is normally governed by the walkthrough's semantic cache,
-// matching the paper's architecture, and letting multi-megabyte payload
-// extents wash through the pool would evict the index working set.
+// Admission is class-aware: only light-class (index) pages — tree nodes,
+// V-pages, V-page-index segments — are admitted, because they are small,
+// hot, and shared across sessions. Heavy-class (model payload) residency
+// is governed by the walkthrough's semantic cache, matching the paper's
+// architecture; letting multi-megabyte payload extents wash through the
+// pool would evict the index working set.
 //
 // Concurrency: the pool is safe for concurrent use. It is split into
 // power-of-two shards, each with its own mutex, LRU list and map, so
@@ -22,24 +21,14 @@ package storage
 // mutates), so a data slice returned by a lookup stays valid after
 // eviction. Hits hand readers that slice itself, not a copy, so the
 // pool's immutability rests on readers never writing what they are
-// served (the storage.Reader contract).
+// served (Disk.ReadBytes's contract).
 
 import "sync"
 
-// PoolConfig configures the disk's buffer pool.
-type PoolConfig struct {
-	// Pages is the pool capacity in disk pages (<= 0 disables the pool).
-	Pages int
-	// Shards is the number of independently locked LRU shards (rounded up
-	// to a power of two; 0 = defaultPoolShards). More shards mean less
-	// lock contention between concurrent sessions.
-	Shards int
-	// AdmitHeavy also caches heavy-class (payload) pages. Off by default:
-	// payload residency belongs to the walkthrough's semantic cache.
-	AdmitHeavy bool
-}
-
-const defaultPoolShards = 16
+// poolShards is the number of independently locked LRU shards (a power
+// of two): more shards mean less lock contention between concurrent
+// sessions.
+const poolShards = 16
 
 // PoolStats is the buffer pool's accounting snapshot, split by I/O class.
 type PoolStats struct {
@@ -96,31 +85,23 @@ type poolShard struct {
 
 // bufferPool is a sharded LRU of page copies.
 type bufferPool struct {
-	cfg    PoolConfig
+	pages  int // capacity
 	shards []*poolShard
 	mask   PageID
 }
 
-func newBufferPool(cfg PoolConfig) *bufferPool {
-	n := cfg.Shards
-	if n <= 0 {
-		n = defaultPoolShards
-	}
-	// Round up to a power of two so shard selection is a mask. Sharding
-	// makes replacement approximate (LRU per shard, not global), so small
-	// pools collapse to fewer shards — exact LRU matters more than lock
-	// spread when capacity is tiny.
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	n = pow
-	for n > 1 && cfg.Pages/n < 8 {
+func newBufferPool(pages int) *bufferPool {
+	// Shard selection is a mask. Sharding makes replacement approximate
+	// (LRU per shard, not global), so small pools collapse to fewer
+	// shards — exact LRU matters more than lock spread when capacity is
+	// tiny.
+	n := poolShards
+	for n > 1 && pages/n < 8 {
 		n >>= 1
 	}
-	b := &bufferPool{cfg: cfg, shards: make([]*poolShard, n), mask: PageID(n - 1)}
-	per := cfg.Pages / n
-	extra := cfg.Pages % n
+	b := &bufferPool{pages: pages, shards: make([]*poolShard, n), mask: PageID(n - 1)}
+	per := pages / n
+	extra := pages % n
 	for i := range b.shards {
 		c := per
 		if i < extra {
@@ -129,11 +110,6 @@ func newBufferPool(cfg PoolConfig) *bufferPool {
 		b.shards[i] = &poolShard{capacity: c, frames: make(map[PageID]*bufFrame)}
 	}
 	return b
-}
-
-// caches reports whether the pool admits pages of the given class.
-func (b *bufferPool) caches(class Class) bool {
-	return class == ClassLight || b.cfg.AdmitHeavy
 }
 
 func (b *bufferPool) shard(id PageID) *poolShard { return b.shards[id&b.mask] }
@@ -195,7 +171,7 @@ func (b *bufferPool) invalidate(id PageID) {
 // evictions) live in Disk.stats, not here.
 func (b *bufferPool) gauges() PoolStats {
 	var out PoolStats
-	out.Capacity = b.cfg.Pages
+	out.Capacity = b.pages
 	for _, s := range b.shards {
 		s.mu.Lock()
 		out.Pages += len(s.frames)
@@ -263,25 +239,18 @@ func (s *poolShard) moveToFront(f *bufFrame) {
 }
 
 // SetCacheSize installs (or removes, with n <= 0) a buffer pool of n
-// pages with the default shard count and light-only admission. Cached
-// reads cost no simulated I/O — the cost model charges seek and transfer
-// only on pool misses.
+// light-class pages. Cached reads cost no simulated I/O — the cost model
+// charges seek and transfer only on pool misses. Replacing a pool drops
+// its contents; the flow counters live in the disk's Stats and persist
+// across reconfiguration (ResetStats zeroes them).
 func (d *Disk) SetCacheSize(n int) {
-	d.ConfigurePool(PoolConfig{Pages: n})
-}
-
-// ConfigurePool installs a buffer pool with explicit sharding and
-// admission policy, or removes it with cfg.Pages <= 0. Replacing a pool
-// drops its contents; the flow counters live in the disk's Stats and
-// persist across reconfiguration (ResetStats zeroes them).
-func (d *Disk) ConfigurePool(cfg PoolConfig) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if cfg.Pages <= 0 {
+	if n <= 0 {
 		d.pool = nil
 		return
 	}
-	d.pool = newBufferPool(cfg)
+	d.pool = newBufferPool(n)
 }
 
 // PoolStats returns the pool's per-class accounting (zero when disabled).

@@ -196,7 +196,7 @@ type Disk struct {
 	// faults is the optional deterministic fault injector (InjectFaults).
 	faults *faultInjector
 	cost   CostModel
-	// pool is the optional buffer pool (see SetCacheSize/ConfigurePool).
+	// pool is the optional buffer pool (see SetCacheSize).
 	pool *bufferPool
 	// inflight coalesces concurrent pool misses on the same page: one
 	// reader performs the media read, the rest wait for its result and
@@ -426,6 +426,13 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // quarantines pages it has seen fail so repeated frames stop re-seeking
 // damaged media. A successful WritePage lifts the quarantine (the sector
 // was remapped by the rewrite).
+//
+// A read whose extent holds a quarantined page fails before it charges
+// anything, wherever in the extent the page lies — a pooled multi-page
+// read checks every page's mark before it loads the first. An open
+// breaker region is weaker on that path: its pages are asked page by page
+// as the pooled read loads them (see SetBreaker), so the pages before it
+// are charged and pooled first.
 func (d *Disk) Quarantine(id PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -726,7 +733,11 @@ func (d *Disk) WriteBytes(start PageID, data []byte) error {
 // result is read-only: a pool-served single-page extent is the resident
 // frame itself, shared with every other reader, and buf is left
 // untouched. Any other extent lands in buf when its capacity holds
-// length bytes, else in a fresh buffer.
+// length bytes, else in a fresh buffer; a nil or too-small buf is not
+// written. The caller keeps its own handle on buf and never adopts the
+// result in its place, since that may be a pool frame, and a caller that
+// keeps a view over the result past its own next read into buf must pass
+// nil. This is the read contract every reader keeps.
 func (d *Disk) ReadBytes(start PageID, length int, class Class, buf []byte) ([]byte, error) {
 	return d.readBytes(start, length, class, buf, nil)
 }
@@ -745,8 +756,8 @@ func (d *Disk) readBytes(start PageID, length int, class Class, buf []byte, sink
 		return nil, fmt.Errorf("storage: read extent [%d,%d): %w", start, int64(start)+int64(n), errOutOfRange)
 	}
 	pool := d.pool
-	if pool != nil && !pool.caches(class) {
-		pool = nil
+	if class != ClassLight {
+		pool = nil // the pool admits light pages only
 	}
 	if pool != nil && n > 1 {
 		// A pooled extent is loaded page by page, so a parked page

@@ -25,9 +25,9 @@ type Env struct {
 	Disk   *storage.Disk
 	Tree   *core.Tree
 	Vis    *core.VisData
-	H      *vstore.Horizontal
-	V      *vstore.Vertical
-	IV     *vstore.IndexedVertical
+	H      vstore.Layout
+	V      vstore.Layout
+	IV     vstore.Layout
 	Naive  *naive.Store
 	Engine *visibility.Engine
 }
@@ -93,15 +93,15 @@ func build(cfg Config) *Env {
 		panic("testenv: " + err.Error())
 	}
 	opts := vstore.Options{Codec: cfg.Codec}
-	h, err := vstore.BuildHorizontalOpts(d, vis, opts)
+	h, err := vstore.Build(d, vis, vstore.SchemeHorizontal, opts)
 	if err != nil {
 		panic("testenv: " + err.Error())
 	}
-	v, err := vstore.BuildVerticalOpts(d, vis, opts)
+	v, err := vstore.Build(d, vis, vstore.SchemeVertical, opts)
 	if err != nil {
 		panic("testenv: " + err.Error())
 	}
-	iv, err := vstore.BuildIndexedVerticalOpts(d, vis, opts)
+	iv, err := vstore.Build(d, vis, vstore.SchemeIndexedVertical, opts)
 	if err != nil {
 		panic("testenv: " + err.Error())
 	}

@@ -41,7 +41,7 @@ func benchLayouts(b *testing.B) []benchLayout {
 			if codec {
 				name += "+codec"
 			}
-			out = append(out, benchLayout{name: name, view: l.(core.VStoreViewer).View(d.NewClient())})
+			out = append(out, benchLayout{name: name, view: l.View(d.NewClient())})
 		}
 	}
 	d.SetCacheSize(1 << 16)

@@ -420,53 +420,6 @@ func (w *heapWriter) flush(d *storage.Disk) (storage.PageID, int64, error) {
 	return base, int64(len(w.buf)), nil
 }
 
-// readHeapUnit fetches one unit (heap-relative byte offset, exact length)
-// through r into b, charged as one short sequential light run starting at the
-// unit's first page. The simulated transfer cost is therefore paid on
-// *encoded* bytes: a 40-byte unit costs one page, not one fixed slot per
-// entry fan-out.
-func readHeapUnit(r storage.Reader, base storage.PageID, heapBytes int64, ref heapRef, b *readBuf) ([]byte, error) {
-	if ref.off < 0 || ref.n < int32(codecMinUnitBytes) || ref.off+int64(ref.n) > heapBytes {
-		return nil, codecErrf("heap unit [%d,%d) outside heap (%d bytes)", ref.off, ref.off+int64(ref.n), heapBytes)
-	}
-	psz := int64(r.PageSize())
-	page := base + storage.PageID(ref.off/psz)
-	skip := int(ref.off % psz)
-	buf, err := b.read(r, page, skip+int(ref.n))
-	if err != nil {
-		return nil, err
-	}
-	return buf[skip : skip+int(ref.n)], nil
-}
-
-// peekHeapUnit is readHeapUnit against the disk's unmetered PeekBytes —
-// fsck's codec walk must not pollute the experiment counters.
-func peekHeapUnit(d *storage.Disk, base storage.PageID, heapBytes int64, ref heapRef) ([]byte, error) {
-	if ref.off < 0 || ref.n < int32(codecMinUnitBytes) || ref.off+int64(ref.n) > heapBytes {
-		return nil, codecErrf("heap unit [%d,%d) outside heap (%d bytes)", ref.off, ref.off+int64(ref.n), heapBytes)
-	}
-	psz := int64(d.PageSize())
-	skip := int(ref.off % psz)
-	buf, err := d.PeekBytes(base+storage.PageID(ref.off/psz), skip+int(ref.n))
-	if err != nil {
-		return nil, err
-	}
-	return buf[skip:], nil
-}
-
-// heapUnitPages appends the disk pages a unit occupies to out, skipping
-// pages out already lists — the page list of a failed codec unit.
-func heapUnitPages(out []storage.PageID, base storage.PageID, psz int64, ref heapRef) []storage.PageID {
-	first := base + storage.PageID(ref.off/psz)
-	last := base + storage.PageID((ref.off+int64(ref.n)-1)/psz)
-	for p := first; p <= last; p++ {
-		if !slices.Contains(out, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // codecSeg locates one cell's flip segment inside a codec heap. The
 // cell's V-page units follow the segment immediately, so a flip plus the
 // subsequent V-page reads is a single forward scan — one seek. off is
@@ -484,16 +437,3 @@ func (s codecSeg) unitsBase() int64 { return s.off + int64(s.segLen) }
 // (offset + segment length + units length), charged to SizeBytes like the
 // indexed scheme's directory.
 const codecSegBytes = 8 + 4 + 8
-
-// Options configures a scheme build. The zero value reproduces the
-// original fixed-slot layout.
-type Options struct {
-	// VPageBytes is the fixed V-page slot size for the raw layout
-	// (<= 0 means DefaultVPageBytes). Ignored by the codec layout,
-	// which stores variable-length units.
-	VPageBytes int
-	// Codec selects the compressed V-page layout (DESIGN.md §13):
-	// variable-length CRC-sealed units in a packed heap instead of
-	// fixed slots. Query results are byte-identical either way.
-	Codec bool
-}

@@ -197,48 +197,39 @@ func TestCodecIndexSegmentRoundTrip(t *testing.T) {
 
 // buildBothLayouts builds raw and codec variants of all three schemes on
 // one disk.
-func buildBothLayouts(t *testing.T, vis *core.VisData) (d *storage.Disk, raw, codec [3]core.VStore) {
+func buildBothLayouts(t *testing.T, vis *core.VisData) (d *storage.Disk, raw, codec [3]Layout) {
 	t.Helper()
 	d = storage.NewDisk(0, storage.DefaultCostModel())
-	h, err := BuildHorizontal(d, vis, 0)
-	if err != nil {
-		t.Fatal(err)
+	for i, s := range []Scheme{SchemeHorizontal, SchemeVertical, SchemeIndexedVertical} {
+		var err error
+		if raw[i], err = Build(d, vis, s, Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v, err := BuildVertical(d, vis, 0)
-	if err != nil {
-		t.Fatal(err)
+	for i, s := range []Scheme{SchemeHorizontal, SchemeVertical, SchemeIndexedVertical} {
+		var err error
+		if codec[i], err = Build(d, vis, s, Options{Codec: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	iv, err := BuildIndexedVertical(d, vis, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := BuildHorizontalOpts(d, vis, Options{Codec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv, err := BuildVerticalOpts(d, vis, Options{Codec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	civ, err := BuildIndexedVerticalOpts(d, vis, Options{Codec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, [3]core.VStore{h, v, iv}, [3]core.VStore{ch, cv, civ}
+	return d, raw, codec
 }
 
-// TestViewCopiesLayoutNotCursor checks every scheme's View field by
-// field: a view shares all of the layout, charges its own client, and
-// starts with an empty cursor, empty flip tables and no read buffer even
-// when the base store has flipped and read — View must not read the
-// cursor, which a concurrent query may be moving, and the read buffer is
-// cursor state: a view that shared the base's would overwrite bytes the
-// base is decoding.
+// views opens one view of each layout, all charging io.
+func views(ls [3]Layout, io *storage.Client) [3]core.VStore {
+	return [3]core.VStore{ls[0].View(io), ls[1].View(io), ls[2].View(io)}
+}
+
+// TestViewCopiesLayoutNotCursor checks every scheme's View: two views of
+// one layout share all of it, each charges its own client, and a fresh
+// view starts with an empty cursor, empty flip tables and no read buffer
+// even when its sibling has flipped and read — the cursor and the read
+// buffer are per view: a view that shared another's buffer would
+// overwrite bytes the other is decoding.
 func TestViewCopiesLayoutNotCursor(t *testing.T) {
 	vis := dyadicVisData(t, 60, 4, 4, 0.25, 3)
 	d, raw, codec := buildBothLayouts(t, vis)
-	c := d.NewClient()
-	for _, s := range append(raw[:], codec[:]...) {
+	for _, l := range append(raw[:], codec[:]...) {
 		readAll := func(s core.VStore) {
 			if err := s.SetCell(3); err != nil {
 				t.Fatal(err)
@@ -249,44 +240,49 @@ func TestViewCopiesLayoutNotCursor(t *testing.T) {
 				}
 			}
 		}
-		readAll(s)
-		view := s.(core.VStoreViewer).View(c)
+		c1, c2 := d.NewClient(), d.NewClient()
+		first := l.View(c1)
+		readAll(first)
+		view := l.View(c2)
 		var want, got any
 		var baseBuf, viewBuf *readBuf
-		switch b := s.(type) {
-		case *Horizontal:
+		switch b := first.(type) {
+		case *horizontalView:
+			if b.horizontal != l || view.(*horizontalView).horizontal != l {
+				t.Fatalf("%s: a view does not share its layout", l.Name())
+			}
 			w := *b
-			w.io, w.cur, w.hasCell, w.rbuf = c, 0, false, nil
-			want, got = w, *view.(*Horizontal)
-			baseBuf, viewBuf = &b.rbuf, &view.(*Horizontal).rbuf
-		case *Vertical:
+			w.io, w.cur, w.hasCell, w.rbuf = c2, 0, false, nil
+			want, got = w, *view.(*horizontalView)
+			baseBuf, viewBuf = &b.rbuf, &view.(*horizontalView).rbuf
+		case *flipCursor:
+			if b.flipLayout != l || view.(*flipCursor).flipLayout != l {
+				t.Fatalf("%s: a view does not share its layout", l.Name())
+			}
 			w := *b
-			w.io, w.cur, w.hasCell, w.flips, w.rbuf = c, 0, false, 0, nil
+			w.io, w.cur, w.hasCell, w.flips, w.rbuf = c2, 0, false, 0, nil
 			w.table, w.spare = cellTable{}, cellTable{}
-			want, got = w, *view.(*Vertical)
-			baseBuf, viewBuf = &b.rbuf, &view.(*Vertical).rbuf
-		case *IndexedVertical:
-			w := *b
-			w.io, w.cur, w.hasCell, w.flips, w.rbuf = c, 0, false, 0, nil
-			w.table, w.spare = cellTable{}, cellTable{}
-			want, got = w, *view.(*IndexedVertical)
-			baseBuf, viewBuf = &b.rbuf, &view.(*IndexedVertical).rbuf
+			want, got = w, *view.(*flipCursor)
+			baseBuf, viewBuf = &b.rbuf, &view.(*flipCursor).rbuf
 		default:
-			t.Fatalf("unexpected scheme %T", s)
+			t.Fatalf("unexpected view %T", first)
 		}
-		name := fmt.Sprintf("%s (codec %v)", s.Name(), s.(interface{ Codec() bool }).Codec())
+		name := fmt.Sprintf("%s (codec %v)", l.Name(), l.Codec())
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: view differs from the base layout with an empty cursor and no read buffer", name)
+			t.Errorf("%s: a fresh view differs from its sibling with an empty cursor and no read buffer", name)
 		}
 		if cap(*baseBuf) == 0 {
-			t.Fatalf("%s: the base scheme read without its read buffer; the check saw nothing", name)
+			t.Fatalf("%s: the first view read without its read buffer; the check saw nothing", name)
 		}
 		readAll(view)
 		if cap(*viewBuf) == 0 {
 			t.Fatalf("%s: the view read without its read buffer", name)
 		}
 		if &(*baseBuf)[:1][0] == &(*viewBuf)[:1][0] {
-			t.Errorf("%s: the view reads into the base scheme's buffer", name)
+			t.Errorf("%s: the view reads into its sibling's buffer", name)
+		}
+		if c1.Stats().LightReads == 0 || c2.Stats().LightReads == 0 {
+			t.Errorf("%s: a view did not charge its own client", name)
 		}
 	}
 }
@@ -303,7 +299,8 @@ func TestCodecSchemesMatchRaw(t *testing.T) {
 		{"raw64", sparseVisData(t, 150, 5, 5, 0.2, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, raw, codec := buildBothLayouts(t, tc.vis)
+			d, rawL, codecL := buildBothLayouts(t, tc.vis)
+			raw, codec := views(rawL, d.NewClient()), views(codecL, d.NewClient())
 			for c := 0; c < tc.vis.Grid.NumCells(); c++ {
 				cell := cells.CellID(c)
 				for i := range raw {
@@ -346,8 +343,8 @@ func TestCodecFootprintReduction(t *testing.T) {
 	vis := dyadicVisData(t, 400, 8, 8, 0.1, 9)
 	_, raw, codec := buildBothLayouts(t, vis)
 	for i := range raw {
-		ru, rb := raw[i].(interface{ VPageFootprint() (int64, int64) }).VPageFootprint()
-		cu, cb := codec[i].(interface{ VPageFootprint() (int64, int64) }).VPageFootprint()
+		ru, rb := raw[i].VPageFootprint()
+		cu, cb := codec[i].VPageFootprint()
 		if ru != cu {
 			t.Fatalf("%s: unit counts differ: %d vs %d", raw[i].Name(), ru, cu)
 		}
@@ -365,30 +362,21 @@ func TestCodecFootprintReduction(t *testing.T) {
 // identically afterwards.
 func TestCodecManifestRoundTrip(t *testing.T) {
 	vis := dyadicVisData(t, 120, 4, 4, 0.25, 5)
-	d, _, codec := buildBothLayouts(t, vis)
-	ch, cv, civ := codec[0].(*Horizontal), codec[1].(*Vertical), codec[2].(*IndexedVertical)
-
-	oh, err := OpenHorizontal(d, vis.Grid, ch.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := OpenVertical(d, vis.Grid, cv.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oiv, err := OpenIndexedVertical(d, vis.Grid, civ.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened := [3]core.VStore{oh, ov, oiv}
-	for i, s := range reopened {
-		if !s.(interface{ Codec() bool }).Codec() {
-			t.Fatalf("%s: codec flag lost in manifest", s.Name())
+	d, _, codecL := buildBothLayouts(t, vis)
+	var reopenedL [3]Layout
+	for i, l := range codecL {
+		var err error
+		if reopenedL[i], err = Open(d, vis.Grid, l.LayoutManifest()); err != nil {
+			t.Fatal(err)
 		}
-		if s.SizeBytes() != codec[i].SizeBytes() {
-			t.Fatalf("%s: size changed through manifest", s.Name())
+		if !reopenedL[i].Codec() {
+			t.Fatalf("%s: codec flag lost in manifest", l.Name())
+		}
+		if reopenedL[i].SizeBytes() != l.SizeBytes() {
+			t.Fatalf("%s: size changed through manifest", l.Name())
 		}
 	}
+	codec, reopened := views(codecL, d.NewClient()), views(reopenedL, d.NewClient())
 	for c := 0; c < vis.Grid.NumCells(); c++ {
 		cell := cells.CellID(c)
 		for i := range codec {
@@ -427,18 +415,16 @@ func TestCodecManifestRoundTrip(t *testing.T) {
 func TestCodecCheckDetectsTamper(t *testing.T) {
 	vis := dyadicVisData(t, 120, 4, 4, 0.25, 8)
 	d, _, codec := buildBothLayouts(t, vis)
-	type checker interface {
-		CodecCheck() ([]storage.PageID, []string)
-	}
 	for _, s := range codec {
-		bad, problems := s.(checker).CodecCheck()
+		bad, problems := s.CodecCheck()
 		if len(bad) != 0 || len(problems) != 0 {
 			t.Fatalf("%s: pristine scheme reported damage: %v %v", s.Name(), bad, problems)
 		}
 	}
 
-	cv := codec[1].(*Vertical)
-	page, err := d.PeekBytes(cv.heapBase, d.PageSize())
+	cv := codec[1]
+	heapBase := cv.(*flipLayout).units.heapBase
+	page, err := d.PeekBytes(heapBase, d.PageSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +432,7 @@ func TestCodecCheckDetectsTamper(t *testing.T) {
 	for i := 2; i < 12; i++ {
 		tampered[i] ^= 0x5A
 	}
-	if err := d.WritePage(cv.heapBase, tampered); err != nil {
+	if err := d.WritePage(heapBase, tampered); err != nil {
 		t.Fatal(err)
 	}
 	bad, problems := cv.CodecCheck()
@@ -460,7 +446,7 @@ func TestCodecCheckDetectsTamper(t *testing.T) {
 		t.Fatalf("quarantined damage re-reported: %v %v", bad2, problems2)
 	}
 	d.ClearQuarantine()
-	if err := d.WritePage(cv.heapBase, page); err != nil {
+	if err := d.WritePage(heapBase, page); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,43 +27,99 @@ func (s Scheme) String() string {
 	return schemeNames[s]
 }
 
-// Layout is the one V-page layout a database serves: the query-time
-// core.VStore plus what persistence and fsck need from it. Build and
-// Open are the only places that know which concrete scheme stands
-// behind it.
+// Options configures a layout build. The zero value is the original
+// fixed-slot layout.
+type Options struct {
+	// Codec selects the compressed V-page layout (DESIGN.md §13):
+	// variable-length CRC-sealed units in a packed heap instead of
+	// fixed slots. Query results are byte-identical either way.
+	Codec bool
+}
+
+// Layout is the one V-page layout a database serves, immutable once
+// built or opened. It never reads by itself: View returns the reader
+// (core.VStore) that owns a cell cursor and charges one client. Build
+// and Open are the only places that know which scheme stands behind it.
 type Layout interface {
-	core.VStore
+	core.VStoreLayout
 	Scheme() Scheme
+	// Name identifies the scheme in experiment output.
+	Name() string
+	// SizeBytes is the scheme's total disk footprint — the Table 2 value.
+	SizeBytes() int64
 	// Codec reports whether the layout stores compressed V-page units.
 	Codec() bool
-	// CodecCheck validates every codec unit (see the per-scheme docs).
+	// VPageFootprint reports the stored V-page count and their on-disk
+	// bytes.
+	VPageFootprint() (units, bytes int64)
+	// CodecCheck decodes every codec segment and unit through the
+	// unmetered peek path, returning the pages of units that fail
+	// validation and one problem string per failure. A raw layout has
+	// nothing to check.
 	CodecCheck() ([]storage.PageID, []string)
 	// LayoutManifest captures the layout for reopening over its image.
 	LayoutManifest() Manifest
 }
 
+// layoutBase is what every layout holds: its scheme, geometry, V-pages
+// and Table 2 footprint.
+type layoutBase struct {
+	scheme   Scheme
+	grid     *cells.Grid
+	numNodes int
+	units    unitStore
+	size     int64
+}
+
+// Scheme implements Layout.
+func (b *layoutBase) Scheme() Scheme { return b.scheme }
+
+// Name implements Layout.
+func (b *layoutBase) Name() string { return b.scheme.String() }
+
+// SizeBytes implements Layout.
+func (b *layoutBase) SizeBytes() int64 { return b.size }
+
+// Codec implements Layout.
+func (b *layoutBase) Codec() bool { return b.units.codec }
+
+// VPageFootprint implements Layout.
+func (b *layoutBase) VPageFootprint() (units, bytes int64) { return b.units.VPageFootprint() }
+
+// badCell reports a SetCell argument that failed the range check the
+// views inline.
+func badCell(cell cells.CellID) error { return fmt.Errorf("vstore: cell %d out of range", cell) }
+
+// badNode reports why a NodeVD argument failed the check the views
+// inline: no current cell, or a node out of range.
+func (b *layoutBase) badNode(hasCell bool, id core.NodeID) error {
+	if !hasCell {
+		return fmt.Errorf("vstore: no current cell")
+	}
+	return fmt.Errorf("vstore: node %d out of range", id)
+}
+
 var (
-	_ Layout = (*Horizontal)(nil)
-	_ Layout = (*Vertical)(nil)
-	_ Layout = (*IndexedVertical)(nil)
+	_ Layout = (*horizontal)(nil)
+	_ Layout = (*flipLayout)(nil)
 )
 
 // Build lays out vis on d in the given scheme.
 func Build(d *storage.Disk, vis *core.VisData, s Scheme, opts Options) (Layout, error) {
+	var l Layout
+	var err error
 	switch s {
-	case SchemeIndexedVertical:
-		return layout(BuildIndexedVerticalOpts(d, vis, opts))
-	case SchemeVertical:
-		return layout(BuildVerticalOpts(d, vis, opts))
 	case SchemeHorizontal:
-		return layout(BuildHorizontalOpts(d, vis, opts))
+		l, err = buildHorizontal(d, vis, opts.Codec)
+	case SchemeVertical, SchemeIndexedVertical:
+		if opts.Codec {
+			l, err = buildFlipCodec(d, vis, s)
+		} else {
+			l, err = buildFlipRaw(d, vis, s)
+		}
+	default:
+		return nil, fmt.Errorf("vstore: unknown scheme %v", s)
 	}
-	return nil, fmt.Errorf("vstore: unknown scheme %v", s)
-}
-
-// layout converts a per-scheme constructor's result, keeping a failed
-// build's typed nil out of the interface.
-func layout[L Layout](l L, err error) (Layout, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -139,84 +195,4 @@ func (m Manifest) Codec() bool {
 		return m.Indexed.Codec
 	}
 	return false
-}
-
-// pages is the number of disk pages the slot table spans.
-func (s SlotTableManifest) pages() int {
-	if s.PerPage <= 0 {
-		return 0
-	}
-	return (s.Count + s.PerPage - 1) / s.PerPage
-}
-
-func (m *HorizontalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
-	return layout(OpenHorizontal(d, grid, *m))
-}
-
-func (m *HorizontalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
-	if !m.Codec {
-		return []PageRange{{"horizontal V-pages", m.Slots.Base, m.Slots.pages()}}
-	}
-	return []PageRange{
-		{"horizontal codec heap", m.HeapBase, pagesFor(m.HeapBytes)},
-		{"horizontal codec directory", m.DirBase, pagesFor(8 * int64(m.NumNodes) * int64(numCells))},
-	}
-}
-
-func (m *VerticalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
-	return layout(OpenVertical(d, grid, *m))
-}
-
-func (m *VerticalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
-	if m.Codec {
-		return []PageRange{{"vertical codec heap", m.HeapBase, pagesFor(m.HeapBytes)}}
-	}
-	return []PageRange{
-		{"vertical V-pages", m.Slots.Base, m.Slots.pages()},
-		{"vertical segments", m.SegBase, m.SegPages * numCells},
-	}
-}
-
-func (m *IndexedVerticalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
-	return layout(OpenIndexedVertical(d, grid, *m))
-}
-
-func (m *IndexedVerticalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
-	if m.Codec {
-		return []PageRange{{"indexed codec heap", m.HeapBase, pagesFor(m.HeapBytes)}}
-	}
-	out := []PageRange{{"indexed V-pages", m.Slots.Base, m.Slots.pages()}}
-	for cell, seg := range m.Dir {
-		if seg.Start != storage.NilPage {
-			out = append(out, PageRange{fmt.Sprintf("indexed segment for cell %d", cell), seg.Start, 1})
-		}
-	}
-	return out
-}
-
-// Scheme implements Layout.
-func (h *Horizontal) Scheme() Scheme { return SchemeHorizontal }
-
-// Scheme implements Layout.
-func (v *Vertical) Scheme() Scheme { return SchemeVertical }
-
-// Scheme implements Layout.
-func (iv *IndexedVertical) Scheme() Scheme { return SchemeIndexedVertical }
-
-// LayoutManifest implements Layout.
-func (h *Horizontal) LayoutManifest() Manifest {
-	m := h.Manifest()
-	return Manifest{Scheme: SchemeHorizontal, Horizontal: &m}
-}
-
-// LayoutManifest implements Layout.
-func (v *Vertical) LayoutManifest() Manifest {
-	m := v.Manifest()
-	return Manifest{Scheme: SchemeVertical, Vertical: &m}
-}
-
-// LayoutManifest implements Layout.
-func (iv *IndexedVertical) LayoutManifest() Manifest {
-	m := iv.Manifest()
-	return Manifest{Scheme: SchemeIndexedVertical, Indexed: &m}
 }

@@ -20,6 +20,14 @@ func (t slotTable) manifest() SlotTableManifest {
 	return SlotTableManifest{Base: t.base, SlotBytes: t.slotBytes, PerPage: t.perPage, Count: t.count}
 }
 
+// pages is the number of disk pages the slot table spans.
+func (s SlotTableManifest) pages() int {
+	if s.PerPage <= 0 {
+		return 0
+	}
+	return (s.Count + s.PerPage - 1) / s.PerPage
+}
+
 func (m SlotTableManifest) table() (slotTable, error) {
 	if m.SlotBytes < 1 || m.PerPage < 1 || m.Count < 0 || m.Base < 0 {
 		return slotTable{}, fmt.Errorf("vstore: bad slot-table manifest %+v", m)
@@ -64,6 +72,21 @@ func codecDir(ms []CodecSegManifest, numCells int, heapBytes int64) ([]codecSeg,
 	return out, nil
 }
 
+// openUnits reattaches the unit store of a saved layout: its slot table
+// (raw) or its heap (codec).
+func openUnits(d *storage.Disk, codec bool, slots SlotTableManifest, heapBase storage.PageID, heapBytes, units, unitBytes int64) (unitStore, error) {
+	u := unitStore{disk: d, codec: codec, heapBase: heapBase, heapBytes: heapBytes, units: units, unitBytes: unitBytes}
+	if codec {
+		if heapBytes < 0 {
+			return u, fmt.Errorf("vstore: codec heap of %d bytes", heapBytes)
+		}
+		return u, nil
+	}
+	var err error
+	u.slots, err = slots.table()
+	return u, err
+}
+
 // HorizontalManifest reopens a horizontal scheme over its disk image.
 type HorizontalManifest struct {
 	NumNodes   int
@@ -79,101 +102,83 @@ type HorizontalManifest struct {
 	UnitBytes int64
 }
 
-// Manifest captures the scheme's layout for saving.
-func (h *Horizontal) Manifest() HorizontalManifest {
-	return HorizontalManifest{
+// LayoutManifest implements Layout.
+func (h *horizontal) LayoutManifest() Manifest {
+	u := &h.units
+	return Manifest{Scheme: SchemeHorizontal, Horizontal: &HorizontalManifest{
 		NumNodes:   h.numNodes,
-		VPageBytes: h.vpageBytes,
-		Slots:      h.slots.manifest(),
-		SizeBytes:  h.sizeBytes,
-		Codec:      h.codec,
-		HeapBase:   h.heapBase,
-		HeapBytes:  h.heapBytes,
+		VPageBytes: u.slots.slotBytes,
+		Slots:      u.slots.manifest(),
+		SizeBytes:  h.size,
+		Codec:      u.codec,
+		HeapBase:   u.heapBase,
+		HeapBytes:  u.heapBytes,
 		DirBase:    h.dirBase,
-		Units:      h.units,
-		UnitBytes:  h.unitBytes,
-	}
+		Units:      u.units,
+		UnitBytes:  u.unitBytes,
+	}}
 }
 
-// OpenHorizontal reattaches a saved horizontal scheme.
-func OpenHorizontal(d *storage.Disk, grid *cells.Grid, m HorizontalManifest) (*Horizontal, error) {
-	if m.Codec {
-		return openHorizontalCodec(d, grid, m)
+// open reattaches a saved horizontal scheme. A codec layout reloads its
+// persisted slot directory (one LE int64 offset per slot, -1 invisible)
+// and reconstructs unit lengths from the offset deltas — exact, because
+// the heap packs units with no padding in ascending slot order.
+func (m *HorizontalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
+	if m.NumNodes < 1 || !m.Codec && m.VPageBytes < 2 {
+		return nil, fmt.Errorf("vstore: bad horizontal manifest %+v", *m)
 	}
-	slots, err := m.Slots.table()
+	units, err := openUnits(d, m.Codec, m.Slots, m.HeapBase, m.HeapBytes, m.Units, m.UnitBytes)
 	if err != nil {
 		return nil, err
 	}
-	if m.NumNodes < 1 || m.VPageBytes < 2 {
-		return nil, fmt.Errorf("vstore: bad horizontal manifest %+v", m)
+	h := &horizontal{
+		layoutBase: layoutBase{scheme: SchemeHorizontal, grid: grid, numNodes: m.NumNodes, units: units, size: m.SizeBytes},
+		dirBase:    m.DirBase,
 	}
-	return &Horizontal{
-		disk:       d,
-		io:         d,
-		grid:       grid,
-		numNodes:   m.NumNodes,
-		slots:      slots,
-		vpageBytes: m.VPageBytes,
-		sizeBytes:  m.SizeBytes,
-		units:      m.Units,
-		unitBytes:  m.UnitBytes,
-	}, nil
-}
-
-// openHorizontalCodec reloads the persisted slot directory (one LE int64
-// offset per slot, -1 invisible) and reconstructs unit lengths from the
-// offset deltas — exact, because the heap packs units with no padding in
-// ascending slot order.
-func openHorizontalCodec(d *storage.Disk, grid *cells.Grid, m HorizontalManifest) (*Horizontal, error) {
-	if m.NumNodes < 1 || m.HeapBytes < 0 {
-		return nil, fmt.Errorf("vstore: bad horizontal codec manifest %+v", m)
+	if !m.Codec {
+		return h, nil
 	}
 	nslots := m.NumNodes * grid.NumCells()
 	dirBuf, err := d.PeekBytes(m.DirBase, 8*nslots)
 	if err != nil {
 		return nil, fmt.Errorf("vstore: horizontal codec directory: %w", err)
 	}
-	dir := make([]heapRef, nslots)
+	h.dir = make([]heapRef, nslots)
 	prev := -1 // previous visible slot
-	for i := 0; i < nslots; i++ {
-		off := int64(binary.LittleEndian.Uint64(dirBuf[i*8:]))
-		if off == nilSlot {
-			continue
-		}
-		if off < 0 || off >= m.HeapBytes {
-			return nil, fmt.Errorf("vstore: horizontal codec directory slot %d offset %d outside heap (%d bytes)", i, off, m.HeapBytes)
+	for i := 0; i <= nslots; i++ {
+		off := m.HeapBytes // past the last slot: the heap end closes the last unit
+		if i < nslots {
+			off = int64(binary.LittleEndian.Uint64(dirBuf[i*8:]))
+			if off == nilSlot {
+				continue
+			}
+			if off < 0 || off >= m.HeapBytes {
+				return nil, fmt.Errorf("vstore: horizontal codec directory slot %d offset %d outside heap (%d bytes)", i, off, m.HeapBytes)
+			}
 		}
 		if prev >= 0 {
-			n := off - dir[prev].off
+			n := off - h.dir[prev].off
 			if n < codecMinUnitBytes || n > int64(1)<<31-1 {
 				return nil, fmt.Errorf("vstore: horizontal codec directory slot %d: unit length %d out of range", prev, n)
 			}
-			dir[prev].n = int32(n)
+			h.dir[prev].n = int32(n)
 		}
-		dir[i].off = off
-		prev = i
-	}
-	if prev >= 0 {
-		n := m.HeapBytes - dir[prev].off
-		if n < codecMinUnitBytes || n > int64(1)<<31-1 {
-			return nil, fmt.Errorf("vstore: horizontal codec directory slot %d: unit length %d out of range", prev, n)
+		if i < nslots {
+			h.dir[i].off = off
+			prev = i
 		}
-		dir[prev].n = int32(n)
 	}
-	return &Horizontal{
-		disk:      d,
-		io:        d,
-		grid:      grid,
-		numNodes:  m.NumNodes,
-		sizeBytes: m.SizeBytes,
-		codec:     true,
-		heapBase:  m.HeapBase,
-		heapBytes: m.HeapBytes,
-		dirBase:   m.DirBase,
-		dir:       dir,
-		units:     m.Units,
-		unitBytes: m.UnitBytes,
-	}, nil
+	return h, nil
+}
+
+func (m *HorizontalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
+	if !m.Codec {
+		return []PageRange{{"horizontal V-pages", m.Slots.Base, m.Slots.pages()}}
+	}
+	return []PageRange{
+		{"horizontal codec heap", m.HeapBase, pagesFor(m.HeapBytes)},
+		{"horizontal codec directory", m.DirBase, pagesFor(8 * int64(m.NumNodes) * int64(numCells))},
+	}
 }
 
 // VerticalManifest reopens a vertical scheme over its disk image.
@@ -193,68 +198,30 @@ type VerticalManifest struct {
 	UnitBytes int64
 }
 
-// Manifest captures the scheme's layout for saving.
-func (v *Vertical) Manifest() VerticalManifest {
-	return VerticalManifest{
-		NumNodes:   v.numNodes,
-		VPageBytes: v.vpageBytes,
-		SegBase:    v.segBase,
-		SegPages:   v.segPages,
-		Slots:      v.slots.manifest(),
-		SizeBytes:  v.size,
-		Codec:      v.codec,
-		HeapBase:   v.heapBase,
-		HeapBytes:  v.heapBytes,
-		CDir:       codecSegManifests(v.cdir),
-		Units:      v.units,
-		UnitBytes:  v.unitBytes,
+func (m *VerticalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
+	if m.NumNodes < 1 || !m.Codec && (m.VPageBytes < 2 || m.SegPages < 1) {
+		return nil, fmt.Errorf("vstore: bad vertical manifest %+v", *m)
 	}
-}
-
-// OpenVertical reattaches a saved vertical scheme.
-func OpenVertical(d *storage.Disk, grid *cells.Grid, m VerticalManifest) (*Vertical, error) {
-	if m.Codec {
-		if m.NumNodes < 1 || m.HeapBytes < 0 {
-			return nil, fmt.Errorf("vstore: bad vertical codec manifest %+v", m)
-		}
-		cdir, err := codecDir(m.CDir, grid.NumCells(), m.HeapBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &Vertical{
-			disk:      d,
-			io:        d,
-			grid:      grid,
-			numNodes:  m.NumNodes,
-			size:      m.SizeBytes,
-			codec:     true,
-			heapBase:  m.HeapBase,
-			heapBytes: m.HeapBytes,
-			cdir:      cdir,
-			units:     m.Units,
-			unitBytes: m.UnitBytes,
-		}, nil
-	}
-	slots, err := m.Slots.table()
+	units, err := openUnits(d, m.Codec, m.Slots, m.HeapBase, m.HeapBytes, m.Units, m.UnitBytes)
 	if err != nil {
 		return nil, err
 	}
-	if m.NumNodes < 1 || m.VPageBytes < 2 || m.SegPages < 1 {
-		return nil, fmt.Errorf("vstore: bad vertical manifest %+v", m)
-	}
-	return &Vertical{
-		disk:       d,
-		io:         d,
-		grid:       grid,
-		numNodes:   m.NumNodes,
+	l := &flipLayout{
+		layoutBase: layoutBase{scheme: SchemeVertical, grid: grid, numNodes: m.NumNodes, units: units, size: m.SizeBytes},
 		segBase:    m.SegBase,
 		segPages:   m.SegPages,
-		slots:      slots,
-		vpageBytes: m.VPageBytes,
-		size:       m.SizeBytes,
-		units:      m.Units,
-		unitBytes:  m.UnitBytes,
-	}, nil
+	}
+	return l.openCDir(m.CDir)
+}
+
+func (m *VerticalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
+	if m.Codec {
+		return []PageRange{{"vertical codec heap", m.HeapBase, pagesFor(m.HeapBytes)}}
+	}
+	return []PageRange{
+		{"vertical V-pages", m.Slots.Base, m.Slots.pages()},
+		{"vertical segments", m.SegBase, m.SegPages * numCells},
+	}
 }
 
 // SegmentManifest serializes one indexed-vertical directory entry.
@@ -279,75 +246,87 @@ type IndexedVerticalManifest struct {
 	UnitBytes int64
 }
 
-// Manifest captures the scheme's layout for saving.
-func (iv *IndexedVertical) Manifest() IndexedVerticalManifest {
-	dir := make([]SegmentManifest, len(iv.dir))
-	for i, s := range iv.dir {
-		dir[i] = SegmentManifest{Start: s.start, Count: s.count}
+func (m *IndexedVerticalManifest) open(d *storage.Disk, grid *cells.Grid) (Layout, error) {
+	if m.NumNodes < 1 || !m.Codec && m.VPageBytes < 2 {
+		return nil, fmt.Errorf("vstore: bad indexed-vertical manifest %+v", *m)
 	}
-	return IndexedVerticalManifest{
-		NumNodes:   iv.numNodes,
-		VPageBytes: iv.vpageBytes,
-		Slots:      iv.slots.manifest(),
-		Dir:        dir,
-		SizeBytes:  iv.size,
-		Codec:      iv.codec,
-		HeapBase:   iv.heapBase,
-		HeapBytes:  iv.heapBytes,
-		CDir:       codecSegManifests(iv.cdir),
-		Units:      iv.units,
-		UnitBytes:  iv.unitBytes,
+	if !m.Codec && len(m.Dir) != grid.NumCells() {
+		return nil, fmt.Errorf("vstore: directory has %d segments for %d cells", len(m.Dir), grid.NumCells())
 	}
-}
-
-// OpenIndexedVertical reattaches a saved indexed-vertical scheme.
-func OpenIndexedVertical(d *storage.Disk, grid *cells.Grid, m IndexedVerticalManifest) (*IndexedVertical, error) {
-	if m.Codec {
-		if m.NumNodes < 1 || m.HeapBytes < 0 {
-			return nil, fmt.Errorf("vstore: bad indexed-vertical codec manifest %+v", m)
-		}
-		cdir, err := codecDir(m.CDir, grid.NumCells(), m.HeapBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &IndexedVertical{
-			disk:      d,
-			io:        d,
-			grid:      grid,
-			numNodes:  m.NumNodes,
-			size:      m.SizeBytes,
-			codec:     true,
-			heapBase:  m.HeapBase,
-			heapBytes: m.HeapBytes,
-			cdir:      cdir,
-			units:     m.Units,
-			unitBytes: m.UnitBytes,
-		}, nil
-	}
-	slots, err := m.Slots.table()
+	units, err := openUnits(d, m.Codec, m.Slots, m.HeapBase, m.HeapBytes, m.Units, m.UnitBytes)
 	if err != nil {
 		return nil, err
 	}
-	if m.NumNodes < 1 || m.VPageBytes < 2 {
-		return nil, fmt.Errorf("vstore: bad indexed-vertical manifest %+v", m)
+	l := &flipLayout{
+		layoutBase: layoutBase{scheme: SchemeIndexedVertical, grid: grid, numNodes: m.NumNodes, units: units, size: m.SizeBytes},
+		dir:        make([]segDesc, len(m.Dir)),
 	}
-	if len(m.Dir) != grid.NumCells() {
-		return nil, fmt.Errorf("vstore: directory has %d segments for %d cells", len(m.Dir), grid.NumCells())
-	}
-	dir := make([]segDesc, len(m.Dir))
 	for i, s := range m.Dir {
-		dir[i] = segDesc{start: s.Start, count: s.Count}
+		l.dir[i] = segDesc{start: s.Start, count: s.Count}
 	}
-	return &IndexedVertical{
-		disk:       d,
-		io:         d,
-		grid:       grid,
-		numNodes:   m.NumNodes,
-		slots:      slots,
-		vpageBytes: m.VPageBytes,
-		dir:        dir,
-		size:       m.SizeBytes,
-		units:      m.Units,
-		unitBytes:  m.UnitBytes,
-	}, nil
+	return l.openCDir(m.CDir)
+}
+
+func (m *IndexedVerticalManifest) pageRanges(numCells int, pagesFor func(int64) int) []PageRange {
+	if m.Codec {
+		return []PageRange{{"indexed codec heap", m.HeapBase, pagesFor(m.HeapBytes)}}
+	}
+	out := []PageRange{{"indexed V-pages", m.Slots.Base, m.Slots.pages()}}
+	for cell, seg := range m.Dir {
+		if seg.Start != storage.NilPage {
+			out = append(out, PageRange{fmt.Sprintf("indexed segment for cell %d", cell), seg.Start, 1})
+		}
+	}
+	return out
+}
+
+// openCDir completes an opened flip layout: a codec layout loads its cell
+// directory, validated against the heap.
+func (l *flipLayout) openCDir(ms []CodecSegManifest) (Layout, error) {
+	if l.units.codec {
+		var err error
+		if l.cdir, err = codecDir(ms, l.grid.NumCells(), l.units.heapBytes); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// LayoutManifest implements Layout.
+func (l *flipLayout) LayoutManifest() Manifest {
+	u := &l.units
+	cdir := codecSegManifests(l.cdir)
+	if !l.indexed() {
+		return Manifest{Scheme: SchemeVertical, Vertical: &VerticalManifest{
+			NumNodes:   l.numNodes,
+			VPageBytes: u.slots.slotBytes,
+			SegBase:    l.segBase,
+			SegPages:   l.segPages,
+			Slots:      u.slots.manifest(),
+			SizeBytes:  l.size,
+			Codec:      u.codec,
+			HeapBase:   u.heapBase,
+			HeapBytes:  u.heapBytes,
+			CDir:       cdir,
+			Units:      u.units,
+			UnitBytes:  u.unitBytes,
+		}}
+	}
+	dir := make([]SegmentManifest, len(l.dir))
+	for i, s := range l.dir {
+		dir[i] = SegmentManifest{Start: s.start, Count: s.count}
+	}
+	return Manifest{Scheme: SchemeIndexedVertical, Indexed: &IndexedVerticalManifest{
+		NumNodes:   l.numNodes,
+		VPageBytes: u.slots.slotBytes,
+		Slots:      u.slots.manifest(),
+		Dir:        dir,
+		SizeBytes:  l.size,
+		Codec:      u.codec,
+		HeapBase:   u.heapBase,
+		HeapBytes:  u.heapBytes,
+		CDir:       cdir,
+		Units:      u.units,
+		UnitBytes:  u.unitBytes,
+	}}
 }

@@ -9,19 +9,19 @@ import (
 	"repro/internal/storage"
 )
 
-func manifestFixture(t *testing.T) (*storage.Disk, *cells.Grid, *Horizontal, *Vertical, *IndexedVertical) {
+func manifestFixture(t *testing.T) (*storage.Disk, *cells.Grid, Layout, Layout, Layout) {
 	t.Helper()
 	vis := sparseVisData(t, 50, 4, 4, 0.3, 5)
 	d := storage.NewDisk(0, storage.DefaultCostModel())
-	h, err := BuildHorizontal(d, vis, 0)
+	h, err := Build(d, vis, SchemeHorizontal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := BuildVertical(d, vis, 0)
+	v, err := Build(d, vis, SchemeVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BuildIndexedVertical(d, vis, 0)
+	iv, err := Build(d, vis, SchemeIndexedVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,19 +30,20 @@ func manifestFixture(t *testing.T) (*storage.Disk, *cells.Grid, *Horizontal, *Ve
 
 func TestManifestRoundTripsServeIdenticalVD(t *testing.T) {
 	d, grid, h, v, iv := manifestFixture(t)
-	h2, err := OpenHorizontal(d, grid, h.Manifest())
+	h2, err := Open(d, grid, h.LayoutManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := OpenVertical(d, grid, v.Manifest())
+	v2, err := Open(d, grid, v.LayoutManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := OpenIndexedVertical(d, grid, iv.Manifest())
+	iv2, err := Open(d, grid, iv.LayoutManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := []struct{ a, b core.VStore }{{h, h2}, {v, v2}, {iv, iv2}}
+	io := d.NewClient()
+	pairs := []struct{ a, b core.VStore }{{h.View(io), h2.View(io)}, {v.View(io), v2.View(io)}, {iv.View(io), iv2.View(io)}}
 	for _, pair := range pairs {
 		for c := 0; c < grid.NumCells(); c++ {
 			if err := pair.a.SetCell(cells.CellID(c)); err != nil {
@@ -73,49 +74,49 @@ func TestManifestRoundTripsServeIdenticalVD(t *testing.T) {
 func TestManifestValidation(t *testing.T) {
 	d, grid, h, v, iv := manifestFixture(t)
 
-	badSlots := h.Manifest()
-	badSlots.Slots.SlotBytes = 0
-	if _, err := OpenHorizontal(d, grid, badSlots); err == nil {
+	badSlots := h.LayoutManifest()
+	badSlots.Horizontal.Slots.SlotBytes = 0
+	if _, err := Open(d, grid, badSlots); err == nil {
 		t.Fatal("bad slot table accepted")
 	}
-	badH := h.Manifest()
-	badH.NumNodes = 0
-	if _, err := OpenHorizontal(d, grid, badH); err == nil {
+	badH := h.LayoutManifest()
+	badH.Horizontal.NumNodes = 0
+	if _, err := Open(d, grid, badH); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
-	badV := v.Manifest()
-	badV.SegPages = 0
-	if _, err := OpenVertical(d, grid, badV); err == nil {
+	badV := v.LayoutManifest()
+	badV.Vertical.SegPages = 0
+	if _, err := Open(d, grid, badV); err == nil {
 		t.Fatal("zero segment pages accepted")
 	}
-	badV2 := v.Manifest()
-	badV2.VPageBytes = 1
-	if _, err := OpenVertical(d, grid, badV2); err == nil {
+	badV2 := v.LayoutManifest()
+	badV2.Vertical.VPageBytes = 1
+	if _, err := Open(d, grid, badV2); err == nil {
 		t.Fatal("tiny V-page accepted")
 	}
-	badIV := iv.Manifest()
-	badIV.Dir = badIV.Dir[:1]
-	if _, err := OpenIndexedVertical(d, grid, badIV); err == nil {
+	badIV := iv.LayoutManifest()
+	badIV.Indexed.Dir = badIV.Indexed.Dir[:1]
+	if _, err := Open(d, grid, badIV); err == nil {
 		t.Fatal("directory/cell mismatch accepted")
 	}
-	badIV2 := iv.Manifest()
-	badIV2.Slots.PerPage = -1
-	if _, err := OpenIndexedVertical(d, grid, badIV2); err == nil {
+	badIV2 := iv.LayoutManifest()
+	badIV2.Indexed.Slots.PerPage = -1
+	if _, err := Open(d, grid, badIV2); err == nil {
 		t.Fatal("negative per-page accepted")
 	}
 	// Names and flip counters exist for the reopened schemes too.
-	iv2, err := OpenIndexedVertical(d, grid, iv.Manifest())
+	iv2, err := Open(d, grid, iv.LayoutManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iv2.Name() != "indexed-vertical" || iv2.Flips() != 0 {
+	if iv2.Name() != "indexed-vertical" || iv2.View(d.NewClient()).(*flipCursor).Flips() != 0 {
 		t.Fatal("reopened scheme metadata wrong")
 	}
-	v2, err := OpenVertical(d, grid, v.Manifest())
+	v2, err := Open(d, grid, v.LayoutManifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Name() != "vertical" || v2.Flips() != 0 {
+	if v2.Name() != "vertical" || v2.View(d.NewClient()).(*flipCursor).Flips() != 0 {
 		t.Fatal("reopened vertical metadata wrong")
 	}
 	_ = geom.V(0, 0, 0) // keep geom imported for fixture growth
@@ -145,16 +146,17 @@ func TestLayoutBuildOpen(t *testing.T) {
 			if re.Scheme() != s || re.SizeBytes() != l.SizeBytes() || re.Codec() != codec {
 				t.Fatalf("%v codec=%v: reopened as %v, %d vs %d bytes", s, codec, re.Scheme(), re.SizeBytes(), l.SizeBytes())
 			}
+			lv, rv := l.View(d.NewClient()), re.View(d.NewClient())
 			for c := 0; c < vis.Grid.NumCells(); c++ {
-				if err := l.SetCell(cells.CellID(c)); err != nil {
+				if err := lv.SetCell(cells.CellID(c)); err != nil {
 					t.Fatal(err)
 				}
-				if err := re.SetCell(cells.CellID(c)); err != nil {
+				if err := rv.SetCell(cells.CellID(c)); err != nil {
 					t.Fatal(err)
 				}
 				for id := 0; id < 50; id++ {
-					va, oka, ea := l.NodeVD(core.NodeID(id), nil)
-					vb, okb, eb := re.NodeVD(core.NodeID(id), nil)
+					va, oka, ea := lv.NodeVD(core.NodeID(id), nil)
+					vb, okb, eb := rv.NodeVD(core.NodeID(id), nil)
 					if ea != nil || eb != nil || oka != okb || len(va) != len(vb) {
 						t.Fatalf("%v: reopened layout diverges at cell %d node %d", s, c, id)
 					}

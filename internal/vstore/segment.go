@@ -12,6 +12,14 @@ import (
 // are the one variable-length on-disk structure the query path decodes,
 // so they are where silent corruption turns into bad pointers).
 
+const (
+	// pointerBytes is one vertical-segment V-page pointer: size_pointer.
+	pointerBytes = 8
+	// segEntryBytes is one indexed-segment entry: u32 node offset + i64
+	// V-page pointer — the paper's (size_integer + size_pointer).
+	segEntryBytes = 4 + 8
+)
+
 // flipSlot locates one visible node's V-page in the flipped cell: a raw
 // layout's slot index (n == 0), or a codec unit's absolute heap offset
 // and exact length.
@@ -21,12 +29,12 @@ type flipSlot struct {
 	gen uint32 // the cellTable fill that wrote the slot
 }
 
-// cellTable is a scheme view's dense table of the flipped cell's V-page
+// cellTable is a flip cursor's dense table of the flipped cell's V-page
 // locations, indexed by NodeID. A flip refills it instead of building a
 // new map: every fill bumps gen, and a slot counts only while its stamp
 // equals gen, so the previous cell's slots vanish without a clear. The
 // table grows once, to the scheme's node count, and is then reused by
-// every flip of the view.
+// every flip of the cursor.
 type cellTable struct {
 	slots []flipSlot
 	gen   uint32
@@ -104,6 +112,9 @@ func decodePointerSegment(buf []byte, numNodes int, numSlots int64, dst *cellTab
 //
 // hdov:hot-path
 func decodeIndexSegment(buf []byte, count, numNodes int, numSlots int64, dst *cellTable) error {
+	if numNodes < 0 {
+		return fmt.Errorf("vstore: negative node count %d", numNodes)
+	}
 	if count < 0 || len(buf) < count*segEntryBytes {
 		return fmt.Errorf("vstore: index segment is %d bytes, want %d", len(buf), count*segEntryBytes)
 	}

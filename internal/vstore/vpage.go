@@ -23,9 +23,12 @@
 //
 // A database serves one layout. Build and Open are its single entry
 // point: they take a Scheme (or a Manifest that records one) and return
-// a Layout, so callers never switch on the scheme themselves. The
-// per-scheme constructors remain for experiments that compare the three
-// side by side.
+// a Layout, so callers never switch on the scheme themselves. A Layout is
+// immutable and never reads by itself: View returns the reader, a cell
+// cursor and read buffer charging one storage.Client. The three schemes
+// differ only in their V-page index — how a cell finds a node's V-page;
+// the V-pages themselves, and how one is read, live in one unitStore,
+// the only place that knows whether they are fixed slots or codec units.
 package vstore
 
 import (
@@ -93,27 +96,10 @@ func decodeVPage(dst []core.VD, buf []byte) ([]core.VD, error) {
 	return vd, nil
 }
 
-// decodeUnit appends the entries of one V-page, in the codec or the
-// fixed-slot layout, to dst.
-//
-// hdov:hot-path
-func decodeUnit(codec bool, dst []core.VD, buf []byte) ([]core.VD, error) {
-	if codec {
-		return DecodeVPageC(dst, buf)
-	}
-	return decodeVPage(dst, buf)
-}
-
-// resolveVPageBytes applies the default V-page size and clamps it to the
-// disk page size so a V-page never spans pages.
-func resolveVPageBytes(d *storage.Disk, vpageBytes int) int {
-	if vpageBytes <= 0 {
-		vpageBytes = DefaultVPageBytes
-	}
-	if vpageBytes > d.PageSize() {
-		vpageBytes = d.PageSize()
-	}
-	return vpageBytes
+// vpageBytes is the fixed V-page size of the raw layout on d: the default,
+// clamped to the disk page so a V-page never spans pages.
+func vpageBytes(d *storage.Disk) int {
+	return min(DefaultVPageBytes, d.PageSize())
 }
 
 // slotTable is a dense array of fixed-size V-page slots packed into disk
@@ -175,30 +161,139 @@ func (t slotTable) write(d *storage.Disk, i int64, buf []byte) error {
 	return d.WritePage(pageID, page)
 }
 
-// read fetches slot i through r (the building disk, or a session's
-// client) into b, charging one light page read.
-func (t slotTable) read(r storage.Reader, i int64, b *readBuf) ([]byte, error) {
-	if i < 0 || i >= int64(t.count) {
-		return nil, fmt.Errorf("vstore: slot %d out of range (%d)", i, t.count)
+// readBuf is a view's one read buffer. Its flip-segment, slot-page and
+// codec heap-unit reads all land in it and are decoded at once, before
+// the view reads again, so no slice of it outlives the call that read
+// it. Like the cell cursor it belongs to one view: a layout has none.
+type readBuf []byte
+
+// read reads length bytes from page start through io, charged light,
+// into b. A pool frame is served in place and leaves b as it was.
+func (b *readBuf) read(io *storage.Client, start storage.PageID, length int) ([]byte, error) {
+	*b = slices.Grow((*b)[:0], length)
+	return io.ReadBytes(start, length, storage.ClassLight, *b)
+}
+
+// unitStore holds a layout's V-pages and is the one place that knows how
+// they are stored: as fixed-size slots (raw), or as variable-length,
+// CRC-sealed units packed into a byte heap (codec, DESIGN.md §13). It
+// locates, reads, peeks, decodes, sizes and checks a unit; the schemes
+// only decide which unit a (node, cell) pair names. A unit is named by
+// (at, n): a slot index with n == 0, or a heap offset and exact length.
+type unitStore struct {
+	disk      *storage.Disk
+	codec     bool
+	slots     slotTable      // raw
+	heapBase  storage.PageID // codec
+	heapBytes int64
+	// units and unitBytes count the stored V-pages and their on-disk
+	// bytes (VPageFootprint).
+	units     int64
+	unitBytes int64
+}
+
+// VPageFootprint reports the stored V-page count and their total on-disk
+// byte footprint — the numerator and denominator of the vpagecodec
+// experiment's bytes-per-V-page metric.
+func (u *unitStore) VPageFootprint() (units, bytes int64) { return u.units, u.unitBytes }
+
+// heapAt returns the page holding heap byte off and off's offset in it.
+func (u *unitStore) heapAt(off int64) (storage.PageID, int) {
+	psz := int64(u.disk.PageSize())
+	return u.heapBase + storage.PageID(off/psz), int(off % psz)
+}
+
+// inHeap validates a codec unit reference against the heap bounds.
+func (u *unitStore) inHeap(ref heapRef) error {
+	if ref.off < 0 || ref.n < int32(codecMinUnitBytes) || ref.off+int64(ref.n) > u.heapBytes {
+		return codecErrf("heap unit [%d,%d) outside heap (%d bytes)", ref.off, ref.off+int64(ref.n), u.heapBytes)
 	}
-	page, err := b.read(r, t.page(i), r.PageSize())
+	return nil
+}
+
+// readVD reads unit (at, n) through io into b and appends its entries to
+// dst. A raw slot costs one light page read; a codec unit is one short
+// sequential light run starting at its first page, so the simulated
+// transfer cost is paid on encoded bytes.
+//
+// hdov:hot-path
+func (u *unitStore) readVD(io *storage.Client, at int64, n int32, dst []core.VD, b *readBuf) ([]core.VD, error) {
+	var page storage.PageID
+	var skip, span int
+	if u.codec {
+		if err := u.inHeap(heapRef{off: at, n: n}); err != nil {
+			return nil, err
+		}
+		page, skip = u.heapAt(at)
+		span = skip + int(n)
+	} else {
+		if at < 0 || at >= int64(u.slots.count) {
+			return nil, fmt.Errorf("vstore: slot %d out of range (%d)", at, u.slots.count)
+		}
+		page, skip, n = u.slots.page(at), u.slots.offset(at), int32(u.slots.slotBytes)
+		span = io.PageSize()
+	}
+	buf, err := b.read(io, page, span)
 	if err != nil {
 		return nil, err
 	}
-	off := t.offset(i)
-	return page[off : off+t.slotBytes : off+t.slotBytes], nil
+	buf = buf[skip : skip+int(n) : skip+int(n)]
+	if u.codec {
+		return DecodeVPageC(dst, buf)
+	}
+	return decodeVPage(dst, buf)
 }
 
-// readBuf is a scheme's one read buffer. Its flip-segment, slot-page and
-// codec heap-unit reads all land in it and are decoded at once, before
-// the scheme reads again, so no view over it outlives the call that read
-// it. Like the cell cursor it belongs to one scheme value: a View starts
-// with its own.
-type readBuf []byte
+// peek is a codec heap read against the disk's unmetered PeekBytes —
+// fsck's codec walk must not pollute the experiment counters.
+func (u *unitStore) peek(ref heapRef) ([]byte, error) {
+	if err := u.inHeap(ref); err != nil {
+		return nil, err
+	}
+	page, skip := u.heapAt(ref.off)
+	buf, err := u.disk.PeekBytes(page, skip+int(ref.n))
+	if err != nil {
+		return nil, err
+	}
+	return buf[skip:], nil
+}
 
-// read reads length bytes from page start through r, charged light, into
-// b. A pool frame is served in place and leaves b as it was.
-func (b *readBuf) read(r storage.Reader, start storage.PageID, length int) ([]byte, error) {
-	*b = slices.Grow((*b)[:0], length)
-	return r.ReadBytes(start, length, storage.ClassLight, *b)
+// codecCheck collects what a layout's CodecCheck walk finds: the pages
+// of units that fail validation and one problem string per failure.
+type codecCheck struct {
+	u        *unitStore
+	bad      []storage.PageID
+	problems []string
+}
+
+// unit peeks the codec unit at ref and decodes it, recording a failure
+// under the label format/args. A fail-fast read of an already
+// quarantined page is known, neutralized damage and is not re-reported.
+// unit reports whether the unit decoded.
+func (c *codecCheck) unit(ref heapRef, decode func([]byte) error, format string, args ...any) bool {
+	buf, err := c.u.peek(ref)
+	if err == nil {
+		err = decode(buf)
+	}
+	if err == nil {
+		return true
+	}
+	if !skipQuarantined(err) {
+		c.problems = append(c.problems, fmt.Sprintf(format+": %v", append(args, err)...))
+		psz := int64(c.u.disk.PageSize())
+		first := c.u.heapBase + storage.PageID(ref.off/psz)
+		last := c.u.heapBase + storage.PageID((ref.off+int64(ref.n)-1)/psz)
+		for p := first; p <= last; p++ {
+			if !slices.Contains(c.bad, p) {
+				c.bad = append(c.bad, p)
+			}
+		}
+	}
+	return false
+}
+
+// checkVPage decodes one codec V-page unit, discarding its entries.
+func checkVPage(buf []byte) error {
+	_, err := DecodeVPageC(nil, buf)
+	return err
 }

@@ -18,9 +18,9 @@ var (
 	fixOnce sync.Once
 	fixTree *core.Tree
 	fixVis  *core.VisData
-	fixH    *Horizontal
-	fixV    *Vertical
-	fixIV   *IndexedVertical
+	fixH    core.VStore
+	fixV    core.VStore
+	fixIV   core.VStore
 )
 
 func fixture(t testing.TB) (*core.Tree, *core.VisData) {
@@ -46,15 +46,15 @@ func fixture(t testing.TB) (*core.Tree, *core.VisData) {
 			panic(err)
 		}
 		fixTree, fixVis = tr, vis
-		if fixH, err = BuildHorizontal(d, vis, 0); err != nil {
-			panic(err)
+		views := make([]core.VStore, 3)
+		for i, s := range []Scheme{SchemeHorizontal, SchemeVertical, SchemeIndexedVertical} {
+			l, err := Build(d, vis, s, Options{})
+			if err != nil {
+				panic(err)
+			}
+			views[i] = l.View(d.NewClient())
 		}
-		if fixV, err = BuildVertical(d, vis, 0); err != nil {
-			panic(err)
-		}
-		if fixIV, err = BuildIndexedVertical(d, vis, 0); err != nil {
-			panic(err)
-		}
+		fixH, fixV, fixIV = views[0], views[1], views[2]
 	})
 	if fixTree == nil {
 		t.Fatal("fixture failed")
@@ -129,17 +129,14 @@ func TestSlotTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var rb readBuf
 	for i := int64(0); i < 10; i++ {
-		got, err := tbl.read(d, i, &rb)
+		page, err := d.PeekBytes(tbl.page(i), d.PageSize())
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := page[tbl.offset(i) : tbl.offset(i)+tbl.slotBytes]
 		if got[0] != byte(i) || got[1] != byte(i+1) {
 			t.Fatalf("slot %d corrupted: % x", i, got[:2])
-		}
-		if len(got) != 64 {
-			t.Fatalf("slot %d length %d", i, len(got))
 		}
 	}
 	// Bounds and size checks.
@@ -152,21 +149,23 @@ func TestSlotTable(t *testing.T) {
 	if err := tbl.write(d, 0, make([]byte, 65)); err == nil {
 		t.Fatal("oversized slot write accepted")
 	}
-	if _, err := tbl.read(d, 10, &rb); err == nil {
+	var rb readBuf
+	units := unitStore{disk: d, slots: tbl}
+	if _, err := units.readVD(d.NewClient(), 10, 0, nil, &rb); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
 	// Oversized slot requests degrade to one slot per page; the schemes
-	// never build such tables because resolveVPageBytes clamps V-page
-	// sizes to the disk page first — assert that invariant too.
+	// never build such tables because vpageBytes clamps V-page sizes to
+	// the disk page first — assert that invariant too.
 	big := newSlotTable(d, 300, 3)
 	if big.perPage != 1 {
 		t.Fatalf("big perPage = %d", big.perPage)
 	}
-	if got := resolveVPageBytes(d, 300); got != 256 {
-		t.Fatalf("resolveVPageBytes(300) = %d, want clamp to page size", got)
+	if got := vpageBytes(storage.NewDisk(128, storage.DefaultCostModel())); got != 128 {
+		t.Fatalf("vpageBytes on 128-byte pages = %d, want clamp to page size", got)
 	}
-	if got := resolveVPageBytes(d, 0); got != DefaultVPageBytes {
-		t.Fatalf("resolveVPageBytes(0) = %d", got)
+	if got := vpageBytes(d); got != DefaultVPageBytes {
+		t.Fatalf("vpageBytes = %d", got)
 	}
 }
 
@@ -266,15 +265,15 @@ func TestStorageCostOrdering(t *testing.T) {
 	// Table 2 regime: N_vnode is a small fraction of N_node.
 	vis := sparseVisData(t, 500, 10, 10, 0.1, 42)
 	d := storage.NewDisk(0, storage.DefaultCostModel())
-	h, err := BuildHorizontal(d, vis, 0)
+	h, err := Build(d, vis, SchemeHorizontal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := BuildVertical(d, vis, 0)
+	v, err := Build(d, vis, SchemeVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BuildIndexedVertical(d, vis, 0)
+	iv, err := Build(d, vis, SchemeIndexedVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,28 +310,30 @@ func TestStorageCostOrdering(t *testing.T) {
 func TestSparseSchemesAgree(t *testing.T) {
 	vis := sparseVisData(t, 200, 6, 6, 0.15, 7)
 	d := storage.NewDisk(0, storage.DefaultCostModel())
-	h, err := BuildHorizontal(d, vis, 0)
+	h, err := Build(d, vis, SchemeHorizontal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := BuildVertical(d, vis, 0)
+	v, err := Build(d, vis, SchemeVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BuildIndexedVertical(d, vis, 0)
+	iv, err := Build(d, vis, SchemeIndexedVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	io := d.NewClient()
+	views := []core.VStore{h.View(io), v.View(io), iv.View(io)}
 	for c := 0; c < vis.Grid.NumCells(); c++ {
 		cell := cells.CellID(c)
-		for _, s := range []core.VStore{h, v, iv} {
+		for _, s := range views {
 			if err := s.SetCell(cell); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for id := 0; id < vis.NumNodes; id++ {
 			want := vis.PerCell[cell][id]
-			for _, s := range []core.VStore{h, v, iv} {
+			for _, s := range views {
 				vd, ok, err := s.NodeVD(core.NodeID(id), nil)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
@@ -474,25 +475,25 @@ func TestSchemeErrorPaths(t *testing.T) {
 	// Fresh schemes require SetCell before NodeVD.
 	freshDisk := storage.NewDisk(0, storage.DefaultCostModel())
 	vis2 := sparseVisData(t, 4, 2, 2, 0.5, 3)
-	h2, err := BuildHorizontal(freshDisk, vis2, 0)
+	h2, err := Build(freshDisk, vis2, SchemeHorizontal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h2.NodeVD(0, nil); err == nil {
+	if _, _, err := h2.View(freshDisk.NewClient()).NodeVD(0, nil); err == nil {
 		t.Fatal("NodeVD before SetCell accepted")
 	}
-	v2, err := BuildVertical(freshDisk, vis2, 0)
+	v2, err := Build(freshDisk, vis2, SchemeVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v2.NodeVD(0, nil); err == nil {
+	if _, _, err := v2.View(freshDisk.NewClient()).NodeVD(0, nil); err == nil {
 		t.Fatal("vertical NodeVD before SetCell accepted")
 	}
-	iv2, err := BuildIndexedVertical(freshDisk, vis2, 0)
+	iv2, err := Build(freshDisk, vis2, SchemeIndexedVertical, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := iv2.NodeVD(0, nil); err == nil {
+	if _, _, err := iv2.View(freshDisk.NewClient()).NodeVD(0, nil); err == nil {
 		t.Fatal("indexed NodeVD before SetCell accepted")
 	}
 }

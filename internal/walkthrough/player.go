@@ -14,7 +14,6 @@ import (
 	"repro/internal/overload"
 	"repro/internal/render"
 	"repro/internal/review"
-	"repro/internal/storage"
 )
 
 // bgContext is the unbounded context behind the non-Context Play forms.
@@ -252,7 +251,7 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 			}
 			if admit {
 				qt := p.treeFor(cell)
-				before := treeStats(qt)
+				before := qt.IO.Stats()
 				res, err := p.queryCell(fctx, qt, cell)
 				var fetched int
 				if err == nil {
@@ -270,7 +269,7 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 					for _, it := range res.Items {
 						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(qt, it), pose.Eye)
 					}
-					d := treeStats(qt).Sub(before)
+					d := qt.IO.Stats().Sub(before)
 					fs.QueryTime = d.SimTime
 					fs.LightIO = d.LightReads
 					fs.HeavyIO = d.HeavyReads
@@ -291,7 +290,7 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 					// keep the previous geometry, retry next frame. The
 					// partial traversal's I/O still happened — charge it.
 					out.BudgetMisses++
-					d := treeStats(qt).Sub(before)
+					d := qt.IO.Stats().Sub(before)
 					fs.QueryTime = d.SimTime
 					fs.LightIO = d.LightReads
 					fs.HeavyIO = d.HeavyReads
@@ -334,16 +333,6 @@ func (p *VisualPlayer) queryCell(ctx context.Context, t *core.Tree, cell cells.C
 // the one gate outcome the player sheds instead of aborting on.
 func isOverloaded(err error) bool {
 	return errors.Is(err, overload.ErrOverloaded)
-}
-
-// treeStats snapshots the accounting a player's frame deltas are measured
-// against: the tree session's own client when present (exact under
-// concurrent serving), else the global disk counters.
-func treeStats(t *core.Tree) storage.Stats {
-	if t.IO != nil {
-		return t.IO.Stats()
-	}
-	return t.Disk.Stats()
 }
 
 // itemCenter locates an item for the distance-based cache policy.
@@ -408,7 +397,7 @@ func (p *ReviewPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 			pose.Eye.Dist(lastEye) > p.RequeryDist ||
 			angleBetween(pose.Look, lastLook) > p.RequeryAngle
 		if moved {
-			before := treeStats(p.Sys.T)
+			before := p.Sys.T.IO.Stats()
 			res, err := p.Sys.Query(pose.Eye, pose.Look)
 			if err != nil {
 				return nil, err
@@ -424,7 +413,7 @@ func (p *ReviewPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 			for _, it := range res.Items {
 				cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(p.Sys.T, it), pose.Eye)
 			}
-			d := treeStats(p.Sys.T).Sub(before)
+			d := p.Sys.T.IO.Stats().Sub(before)
 			fs.QueryTime = d.SimTime
 			fs.LightIO = d.LightReads
 			fs.HeavyIO = d.HeavyReads
